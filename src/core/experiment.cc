@@ -115,6 +115,7 @@ std::unique_ptr<Scheduler> CreateScheduler(const AlgorithmSpec& spec,
 Status ExperimentConfig::Validate() const {
   TJ_RETURN_IF_ERROR(jukebox.Validate());
   TJ_RETURN_IF_ERROR(sim.Validate());
+  TJ_RETURN_IF_ERROR(algorithm.options.Validate());
   // Layout validation needs jukebox geometry; construct a throwaway.
   const Jukebox probe(jukebox);
   return layout.Validate(probe);

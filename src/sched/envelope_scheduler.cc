@@ -1,11 +1,9 @@
 #include "sched/envelope_scheduler.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "util/check.h"
-#include "util/indexed_heap.h"
 
 namespace tapejuke {
 
@@ -101,59 +99,6 @@ TapeId SelectBestTape(const std::vector<std::vector<Ext>>& ext,
   return best;
 }
 
-/// Heap-backed tape selection, exactly equivalent to SelectBestTape.
-///
-/// The linear scan's winner always lies in the *top group* G: the maximal
-/// prefix of tapes (sorted by score descending) whose adjacent scores are
-/// NearlyEqual. Proof: let the chain break between v_k and v_{k+1}
-/// (v_k - v_{k+1} > eps*v_k). For any g in G (bw_g >= v_k) and x outside
-/// (bw_x <= v_{k+1}): bw_g - bw_x >= (bw_g - v_k) + (v_k - v_{k+1}) >
-/// (bw_g - v_k) + eps*v_k >= eps*bw_g since eps <= 1 — so g and x are NOT
-/// NearlyEqual and g strictly beats x under the scan's comparison. Hence
-/// once the scan reaches the first member of G, its running best stays in
-/// G, and the comparisons among G members are exactly those of a scan
-/// restricted to G in ascending tape order.
-///
-/// So: pop the adjacent-NearlyEqual group off the heap top (pops come out
-/// in non-increasing score order), restore it, and run the original
-/// tie-break over the group in ascending tape order.
-TapeId SelectBestTapeFromHeap(const std::vector<TapeScore>& score,
-                              const std::vector<int64_t>& counts,
-                              TapeId mounted, int32_t num_tapes,
-                              IndexedMaxHeap<double, std::less<double>>* heap,
-                              std::vector<std::pair<size_t, double>>* group) {
-  if (heap->empty()) return kInvalidTape;
-  group->clear();
-  double prev = heap->TopValue();
-  group->emplace_back(heap->Pop(), prev);
-  while (!heap->empty() && NearlyEqual(heap->TopValue(), prev)) {
-    prev = heap->TopValue();
-    group->emplace_back(heap->Pop(), prev);
-  }
-  for (const auto& [key, value] : *group) heap->Set(key, value);
-  std::sort(group->begin(), group->end());  // ascending tape id
-  TapeId best = kInvalidTape;
-  for (const auto& [key, value] : *group) {
-    const TapeId t = static_cast<TapeId>(key);
-    bool better;
-    if (best == kInvalidTape) {
-      better = true;
-    } else if (NearlyEqual(score[static_cast<size_t>(t)].bw,
-                           score[static_cast<size_t>(best)].bw)) {
-      const int64_t c_t = counts[static_cast<size_t>(t)];
-      const int64_t c_b = counts[static_cast<size_t>(best)];
-      better = c_t > c_b ||
-               (c_t == c_b && ScanRankFrom(t, mounted, num_tapes) <
-                                  ScanRankFrom(best, mounted, num_tapes));
-    } else {
-      better = score[static_cast<size_t>(t)].bw >
-               score[static_cast<size_t>(best)].bw;
-    }
-    if (better) best = t;
-  }
-  return best;
-}
-
 /// Per-tape assigned requests consumed by the step-5 shrink loop. Replaces
 /// a std::multimap<Position, Request>: the loop only ever reads/removes the
 /// *max* element (the envelope edge), so a flat vector with a tracked max
@@ -229,8 +174,7 @@ void CheckEnvelopeResultsEqual(
 }
 
 /// Per-tape candidates for the pending requests satisfiable within
-/// `envelope` (the slow walk over pending x replicas; the persistent-cache
-/// fast path is BuildCandidatesFromMaster).
+/// `envelope` (a walk over pending x live replicas).
 std::vector<TapeCandidate> CandidatesWithinEnvelope(
     const Catalog& catalog, const std::deque<Request>& pending,
     const std::vector<Position>& envelope, int64_t block_mb,
@@ -253,30 +197,6 @@ std::vector<TapeCandidate> CandidatesWithinEnvelope(
     }
   }
   return candidates;
-}
-
-/// Debug oracle: candidates read off the master cache must match the slow
-/// pending x replicas walk (counts, oldest-request flags, and position
-/// multisets — the master's are sorted, the walk's are in pending order).
-void CheckCandidatesMatchSlowWalk(
-    const std::vector<TapeCandidate>& candidates, const Catalog& catalog,
-    const std::deque<Request>& pending,
-    const std::vector<Position>& envelope, int64_t block_mb,
-    int32_t num_tapes) {
-  const std::vector<TapeCandidate> slow = CandidatesWithinEnvelope(
-      catalog, pending, envelope, block_mb, num_tapes);
-  TJ_CHECK_EQ(candidates.size(), slow.size());
-  for (size_t t = 0; t < slow.size(); ++t) {
-    TJ_CHECK_EQ(candidates[t].num_requests, slow[t].num_requests)
-        << "master candidate count diverged on tape" << slow[t].tape;
-    TJ_CHECK_EQ(candidates[t].serves_oldest, slow[t].serves_oldest);
-    std::vector<Position> a = candidates[t].positions;
-    std::vector<Position> b = slow[t].positions;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    TJ_CHECK(a == b) << "master candidate positions diverged on tape"
-                     << slow[t].tape;
-  }
 }
 
 }  // namespace
@@ -316,10 +236,6 @@ struct EnvelopeScheduler::KernelScratch {
   std::vector<char> dirty;
   std::vector<char> done;
   std::vector<size_t> enclosed;
-  std::vector<std::pair<size_t, double>> group;
-  std::vector<RequestId> ids;
-  FlatMap<RequestId, size_t> uid_of;
-  IndexedMaxHeap<double, std::less<double>> heap;
 };
 
 EnvelopeScheduler::EnvelopeScheduler(const Jukebox* jukebox,
@@ -527,7 +443,7 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
 
 EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
     const std::vector<Request>& requests, EnvelopeCounters* counters,
-    const MasterCache* master, bool want_assignment) const {
+    bool want_assignment) const {
   const int32_t num_tapes = jukebox_->num_tapes();
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const TapeId mounted = jukebox_->mounted_tape();
@@ -543,94 +459,22 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
   if (n == 0) return std::move(state.result);
 
   // Steps 3-6, incremental form. The per-tape extension lists are built
-  // once (copied pre-sorted off the persistent cache when available);
-  // scheduled entries are lazily dropped, and a tape's prefix scan is
-  // re-run only when its envelope edge moved or its list lost entries
-  // (`dirty`).
+  // and sorted once; scheduled entries are lazily dropped, and a tape's
+  // prefix scan is re-run only when its envelope edge moved or its list
+  // lost entries (`dirty`).
   KernelScratch& scratch = Scratch();
   auto& ext = scratch.ext;
   ext.resize(static_cast<size_t>(num_tapes));
   for (auto& list : ext) list.clear();
-
-  if (master == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      for (const Replica& replica :
-           catalog_->ReplicasOf(unscheduled[i].block)) {
-        if (!catalog_->IsAlive(replica)) continue;
-        TJ_DCHECK(replica.position >=
-                  env[static_cast<size_t>(replica.tape)]);
-        ext[static_cast<size_t>(replica.tape)].push_back(
-            Ext{replica.position, i, &replica});
-      }
-    }
-    for (auto& list : ext) SortExtList(&list);
-  } else {
-    // The refreshed master lists are pending x live replicas sorted by
-    // (position, id): drop the step-2-absorbed requests while copying and
-    // translate ids to uids. Equal-position runs (duplicate requests for
-    // one block) may be uid-disordered when pending is not id-sorted
-    // (failover re-arrivals), so re-sort them by uid.
-    TJ_DCHECK(master->valid && master->removed.empty());
-    // uid translation. When the unscheduled snapshot is id-sorted (the
-    // common case — failover re-deliveries are the only source of
-    // disorder), the uid of an id is its rank in the id array (binary
-    // search, no hashing), and the master's (position, id) order already
-    // is (position, uid) order, so no per-run re-sort is needed either.
-    auto& ids = scratch.ids;
-    ids.clear();
-    ids.reserve(n);
-    bool ids_sorted = true;
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0 && unscheduled[i].id <= ids.back()) ids_sorted = false;
-      ids.push_back(unscheduled[i].id);
-    }
-    if (ids_sorted) {
-      for (TapeId t = 0; t < num_tapes; ++t) {
-        TJ_DCHECK(master->tail[static_cast<size_t>(t)].empty());
-        auto& list = ext[static_cast<size_t>(t)];
-        for (const MasterEntry& entry :
-             master->sorted[static_cast<size_t>(t)]) {
-          const auto it = std::lower_bound(ids.begin(), ids.end(), entry.id);
-          if (it == ids.end() || *it != entry.id) continue;  // absorbed
-          TJ_DCHECK(entry.position >= env[static_cast<size_t>(t)]);
-          list.push_back(Ext{entry.position,
-                             static_cast<size_t>(it - ids.begin()),
-                             entry.replica});
-        }
-      }
-    } else {
-      // Disordered pending: translate through a hash map and re-sort the
-      // equal-position runs (duplicate requests for one block) by uid.
-      auto& uid_of = scratch.uid_of;
-      uid_of.clear();
-      uid_of.reserve(n);
-      for (size_t i = 0; i < n; ++i) uid_of.insert(unscheduled[i].id, i);
-      for (TapeId t = 0; t < num_tapes; ++t) {
-        TJ_DCHECK(master->tail[static_cast<size_t>(t)].empty());
-        auto& list = ext[static_cast<size_t>(t)];
-        for (const MasterEntry& entry :
-             master->sorted[static_cast<size_t>(t)]) {
-          const auto it = uid_of.find(entry.id);
-          if (it == uid_of.end()) continue;  // absorbed by step 2
-          TJ_DCHECK(entry.position >= env[static_cast<size_t>(t)]);
-          list.push_back(Ext{entry.position, it->second, entry.replica});
-        }
-        for (size_t k = 0; k + 1 < list.size();) {
-          size_t j = k + 1;
-          while (j < list.size() && list[j].position == list[k].position) {
-            ++j;
-          }
-          if (j - k > 1) {
-            std::sort(
-                list.begin() + static_cast<std::ptrdiff_t>(k),
-                list.begin() + static_cast<std::ptrdiff_t>(j),
-                [](const Ext& a, const Ext& b) { return a.uid < b.uid; });
-          }
-          k = j;
-        }
-      }
+  for (size_t i = 0; i < n; ++i) {
+    for (const Replica& replica : catalog_->ReplicasOf(unscheduled[i].block)) {
+      if (!catalog_->IsAlive(replica)) continue;
+      TJ_DCHECK(replica.position >= env[static_cast<size_t>(replica.tape)]);
+      ext[static_cast<size_t>(replica.tape)].push_back(
+          Ext{replica.position, i, &replica});
     }
   }
+  for (auto& list : ext) SortExtList(&list);
 
   auto& score = scratch.score;
   score.assign(static_cast<size_t>(num_tapes), TapeScore{});
@@ -639,9 +483,6 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
   auto& done = scratch.done;
   done.assign(n, 0);
   size_t remaining = n;
-  const bool use_heap = options_.use_selection_heap;
-  auto& heap = scratch.heap;
-  if (use_heap) heap.Reset(static_cast<size_t>(num_tapes));
 
   // Schedules unscheduled[uid] on `replica` and invalidates the cached
   // score of every tape whose extension list held an entry for it.
@@ -656,8 +497,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
   };
 
   while (remaining > 0) {
-    // Step 3 (cached): compact and re-score only the dirty tapes; the heap
-    // absorbs the same updates, so its top is the best-scored tape.
+    // Step 3 (cached): compact and re-score only the dirty tapes.
     for (TapeId t = 0; t < num_tapes; ++t) {
       if (!dirty[static_cast<size_t>(t)]) continue;
       dirty[static_cast<size_t>(t)] = 0;
@@ -665,10 +505,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
       list.erase(std::remove_if(list.begin(), list.end(),
                                 [&](const Ext& e) { return done[e.uid]; }),
                  list.end());
-      if (list.empty()) {
-        if (use_heap) heap.Remove(static_cast<size_t>(t));
-        continue;
-      }
+      if (list.empty()) continue;
       const double surcharge =
           (env[static_cast<size_t>(t)] == 0 && t != mounted)
               ? model.SwitchTime()
@@ -676,9 +513,6 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
       score[static_cast<size_t>(t)] = ScorePrefixes(
           model, list, env[static_cast<size_t>(t)], surcharge, block_mb);
       ++counters->tapes_rescored;
-      if (use_heap) {
-        heap.Set(static_cast<size_t>(t), score[static_cast<size_t>(t)].bw);
-      }
     }
 
     if (options_.validate_envelope) {
@@ -703,10 +537,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
           TJ_CHECK_EQ(fresh[k].uid, list[k].uid);
           TJ_CHECK(fresh[k].replica == list[k].replica);
         }
-        if (list.empty()) {
-          TJ_CHECK(!use_heap || !heap.Contains(static_cast<size_t>(t)));
-          continue;
-        }
+        if (list.empty()) continue;
         const double surcharge =
             (env[static_cast<size_t>(t)] == 0 && t != mounted)
                 ? model.SwitchTime()
@@ -716,27 +547,11 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
         TJ_CHECK_EQ(fresh_score.bw, score[static_cast<size_t>(t)].bw)
             << "stale cached score on tape" << t;
         TJ_CHECK_EQ(fresh_score.len, score[static_cast<size_t>(t)].len);
-        if (use_heap) {
-          TJ_CHECK(heap.Contains(static_cast<size_t>(t)))
-              << "tape" << t << "with candidates missing from the heap";
-          TJ_CHECK_EQ(heap.ValueOf(static_cast<size_t>(t)),
-                      score[static_cast<size_t>(t)].bw);
-        }
       }
     }
 
-    TapeId best_tape;
-    if (use_heap) {
-      best_tape = SelectBestTapeFromHeap(score, counts, mounted, num_tapes,
-                                         &heap, &scratch.group);
-      if (options_.validate_envelope) {
-        TJ_CHECK_EQ(best_tape,
-                    SelectBestTape(ext, score, counts, mounted, num_tapes))
-            << "heap-backed tape selection diverged from the linear scan";
-      }
-    } else {
-      best_tape = SelectBestTape(ext, score, counts, mounted, num_tapes);
-    }
+    const TapeId best_tape =
+        SelectBestTape(ext, score, counts, mounted, num_tapes);
     TJ_CHECK_NE(best_tape, kInvalidTape)
         << "unscheduled request without replicas";
     ++counters->extension_rounds;
@@ -862,11 +677,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
 
 EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::ComputeUpperEnvelope(
     const std::vector<Request>& requests) const {
-  // Master-free on purpose: this entry point must be a pure function of
-  // (requests, drive state, catalog) — tests and benchmarks call it without
-  // a live scheduler history.
-  return RunIncrementalKernel(requests, &counters_, /*master=*/nullptr,
-                              /*want_assignment=*/true);
+  return RunIncrementalKernel(requests, &counters_, /*want_assignment=*/true);
 }
 
 EnvelopeScheduler::EnvelopeResult
@@ -881,7 +692,7 @@ void EnvelopeScheduler::CrossCheckEnvelope(
   EnvelopeCounters incremental_counters;
   EnvelopeCounters reference_counters;
   const EnvelopeResult incremental = RunIncrementalKernel(
-      requests, &incremental_counters, nullptr, /*want_assignment=*/true);
+      requests, &incremental_counters, /*want_assignment=*/true);
   const EnvelopeResult reference =
       RunReferenceKernel(requests, &reference_counters);
   CheckEnvelopeResultsEqual(incremental, reference);
@@ -890,165 +701,13 @@ void EnvelopeScheduler::CrossCheckEnvelope(
       << "kernels took different numbers of extension rounds";
 }
 
-void EnvelopeScheduler::InsertMaster(const Request& request) {
-  if (!options_.persistent_ext_cache || !master_.valid) return;
-  // Resurrection: a lazily-removed id re-entering pending (sweep trims,
-  // fault re-deliveries) still has its sorted entries in place, and they
-  // are identical as long as the generation check holds — unmasking them
-  // is the whole update. (If the catalog moved meanwhile, the stale
-  // entries are never read: the next refresh rebuilds.)
-  if (master_.removed.erase(request.id) > 0) return;
-  for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
-    if (!catalog_->IsAlive(replica)) continue;
-    master_.tail[static_cast<size_t>(replica.tape)].push_back(
-        MasterEntry{replica.position, request.id, &replica});
-  }
-}
-
-void EnvelopeScheduler::RemoveMasterId(RequestId id) {
-  if (!options_.persistent_ext_cache || !master_.valid) return;
-  master_.removed.insert(id);
-}
-
-void EnvelopeScheduler::RemoveMasterExtracted() {
-  if (!options_.persistent_ext_cache || !master_.valid) return;
-  for (const ServiceEntry& entry : sweep_.forward()) {
-    for (const Request& request : entry.requests) {
-      master_.removed.insert(request.id);
-    }
-  }
-  for (const ServiceEntry& entry : sweep_.reverse()) {
-    for (const Request& request : entry.requests) {
-      master_.removed.insert(request.id);
-    }
-  }
-}
-
-void EnvelopeScheduler::RebuildMaster() {
-  const size_t num_tapes = static_cast<size_t>(jukebox_->num_tapes());
-  master_.sorted.resize(num_tapes);
-  master_.tail.resize(num_tapes);
-  for (auto& list : master_.sorted) list.clear();
-  for (auto& list : master_.tail) list.clear();
-  master_.removed.clear();
-  for (const Request& request : pending_) {
-    for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
-      if (!catalog_->IsAlive(replica)) continue;
-      master_.sorted[static_cast<size_t>(replica.tape)].push_back(
-          MasterEntry{replica.position, request.id, &replica});
-    }
-  }
-  for (auto& list : master_.sorted) {
-    std::sort(list.begin(), list.end(),
-              [](const MasterEntry& a, const MasterEntry& b) {
-                return a.position < b.position ||
-                       (a.position == b.position && a.id < b.id);
-              });
-  }
-  master_.generation = catalog_->generation();
-  master_.valid = true;
-  ++counters_.master_rebuilds;
-}
-
-void EnvelopeScheduler::RefreshMaster() {
-  if (!options_.persistent_ext_cache) return;
-  if (!master_.valid || master_.generation != catalog_->generation()) {
-    RebuildMaster();
-    return;
-  }
-  const auto by_position_id = [](const MasterEntry& a, const MasterEntry& b) {
-    return a.position < b.position ||
-           (a.position == b.position && a.id < b.id);
-  };
-  const size_t num_tapes = static_cast<size_t>(jukebox_->num_tapes());
-  for (size_t t = 0; t < num_tapes; ++t) {
-    auto& base = master_.sorted[t];
-    auto& tail = master_.tail[t];
-    if (!master_.removed.empty()) {
-      const auto is_removed = [&](const MasterEntry& e) {
-        return master_.removed.contains(e.id);
-      };
-      base.erase(std::remove_if(base.begin(), base.end(), is_removed),
-                 base.end());
-      // A request can arrive and be removed between two refreshes, so the
-      // tail must be filtered too.
-      tail.erase(std::remove_if(tail.begin(), tail.end(), is_removed),
-                 tail.end());
-    }
-    if (!tail.empty()) {
-      std::sort(tail.begin(), tail.end(), by_position_id);
-      const auto middle =
-          static_cast<std::ptrdiff_t>(base.size());
-      base.insert(base.end(), tail.begin(), tail.end());
-      std::inplace_merge(base.begin(), base.begin() + middle, base.end(),
-                         by_position_id);
-      tail.clear();
-    }
-  }
-  master_.removed.clear();
-}
-
-std::vector<TapeCandidate> EnvelopeScheduler::BuildCandidatesFromMaster(
-    const std::vector<Position>& envelope) const {
-  const int32_t num_tapes = jukebox_->num_tapes();
-  const int64_t block_mb = jukebox_->config().block_size_mb;
-  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
-  const RequestId oldest = pending_.front().id;
-  // The cache may be unrefreshed here (epoch fast path): lazily-removed
-  // ids are skipped and the unsorted arrival tails are scanned linearly,
-  // so the result still mirrors pending x live replicas exactly. Right
-  // after a refresh both sets are empty and this is a pure prefix read.
-  const bool masked = !master_.removed.empty();
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    TapeCandidate& c = candidates[static_cast<size_t>(t)];
-    c.tape = t;
-    const auto& list = master_.sorted[static_cast<size_t>(t)];
-    // In-envelope prefix: position + block_mb <= envelope[t].
-    const Position limit = envelope[static_cast<size_t>(t)] - block_mb;
-    const auto end = std::upper_bound(
-        list.begin(), list.end(), limit,
-        [](Position p, const MasterEntry& e) { return p < e.position; });
-    c.positions.reserve(static_cast<size_t>(end - list.begin()));
-    for (auto it = list.begin(); it != end; ++it) {
-      if (masked && master_.removed.contains(it->id)) continue;
-      c.positions.push_back(it->position);
-      if (it->id == oldest) c.serves_oldest = true;
-    }
-    for (const MasterEntry& entry : master_.tail[static_cast<size_t>(t)]) {
-      if (entry.position > limit) continue;
-      if (masked && master_.removed.contains(entry.id)) continue;
-      c.positions.push_back(entry.position);
-      if (entry.id == oldest) c.serves_oldest = true;
-    }
-    c.num_requests = static_cast<int64_t>(c.positions.size());
-  }
-  return candidates;
-}
-
 TapeId EnvelopeScheduler::TryEpochReschedule() {
-  if (options_.persistent_ext_cache && master_.valid &&
-      master_.generation != catalog_->generation()) {
-    // A catalog mutation landed mid-epoch (single-replica media error,
-    // repair completing, replica added): the cached lists may hold dead
-    // replicas, miss new ones, and their entry pointers may dangle after
-    // a CSR reallocation. Rebuild before reading; the persisted envelope
-    // itself stays reusable, since the candidate reads below re-derive
-    // servability from live replicas only.
-    RebuildMaster();
-  }
-  const bool from_master = options_.persistent_ext_cache && master_.valid;
-  std::vector<TapeCandidate> candidates =
-      from_master ? BuildCandidatesFromMaster(envelope_)
-                  : CandidatesWithinEnvelope(*catalog_, pending_, envelope_,
-                                             jukebox_->config().block_size_mb,
-                                             jukebox_->num_tapes());
-  if (from_master && options_.validate_envelope) {
-    // The unrefreshed-cache read (masked ids + tails) must still mirror
-    // the pending list exactly.
-    CheckCandidatesMatchSlowWalk(candidates, *catalog_, pending_, envelope_,
-                                 jukebox_->config().block_size_mb,
-                                 jukebox_->num_tapes());
-  }
+  // The persisted envelope stays reusable across catalog mutations (a
+  // replica dying or being repaired mid-epoch): the candidate walk
+  // re-derives servability from live replicas only.
+  std::vector<TapeCandidate> candidates = CandidatesWithinEnvelope(
+      *catalog_, pending_, envelope_, jukebox_->config().block_size_mb,
+      jukebox_->num_tapes());
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
@@ -1057,7 +716,6 @@ TapeId EnvelopeScheduler::TryEpochReschedule() {
   const Position limit = envelope_[static_cast<size_t>(tape)];
   ExtractAndBuildSweep(tape, &limit);
   TJ_CHECK(!sweep_.empty());
-  RemoveMasterExtracted();
   PiggybackBackground(tape);
   return tape;
 }
@@ -1074,12 +732,8 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     epoch_visits_ = 0;
     return BackgroundReschedule();
   }
-  const bool use_master = options_.persistent_ext_cache;
 
   // Epoch fast path: reuse the previous envelope for another tape visit.
-  // Runs against the *unrefreshed* master cache (candidate reads mask the
-  // lazily-removed ids and scan the unsorted tails), so the merge/compact
-  // cost is only paid when the kernel actually runs below.
   if (options_.reschedule_epoch > 1 && envelope_valid_ &&
       epoch_visits_ < options_.reschedule_epoch) {
     const TapeId tape = TryEpochReschedule();
@@ -1090,7 +744,6 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     }
     // Nothing pending is inside the stale envelope: recompute below.
   }
-  if (use_master) RefreshMaster();
 
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const std::vector<Request> requests(pending_.begin(), pending_.end());
@@ -1100,8 +753,7 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // The assignment map is only materialized for the oracle comparison;
   // the reschedule itself consumes the envelope alone.
   EnvelopeResult result = RunIncrementalKernel(
-      requests, &counters_, use_master ? &master_ : nullptr,
-      /*want_assignment=*/options_.validate_envelope);
+      requests, &counters_, /*want_assignment=*/options_.validate_envelope);
   if (options_.validate_envelope) {
     EnvelopeCounters scratch;
     CheckEnvelopeResultsEqual(result, RunReferenceKernel(requests, &scratch));
@@ -1111,15 +763,8 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // satisfy within the upper envelope (a superset of the per-tape
   // assignment built above).
   std::vector<TapeCandidate> candidates =
-      use_master ? BuildCandidatesFromMaster(result.envelope)
-                 : CandidatesWithinEnvelope(*catalog_, pending_,
-                                            result.envelope, block_mb,
-                                            jukebox_->num_tapes());
-  if (use_master && options_.validate_envelope) {
-    CheckCandidatesMatchSlowWalk(candidates, *catalog_, pending_,
-                                 result.envelope, block_mb,
-                                 jukebox_->num_tapes());
-  }
+      CandidatesWithinEnvelope(*catalog_, pending_, result.envelope, block_mb,
+                               jukebox_->num_tapes());
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
@@ -1130,7 +775,6 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   const Position limit = result.envelope[static_cast<size_t>(tape)];
   ExtractAndBuildSweep(tape, &limit);
   TJ_CHECK(!sweep_.empty());
-  RemoveMasterExtracted();
   // Background riders may lie beyond the envelope edge: the mount is paid
   // for anyway, and client insertions never depend on riders (the sweep
   // edge check in ShrinkActiveSweep compares against the envelope, which
@@ -1148,32 +792,6 @@ std::vector<Request> EnvelopeScheduler::DrainSweep() {
   return Scheduler::DrainSweep();
 }
 
-std::vector<Request> EnvelopeScheduler::EvictUnservablePending() {
-  std::vector<Request> evicted = Scheduler::EvictUnservablePending();
-  for (const Request& request : evicted) {
-    if (request.cls != RequestClass::kBackground) {
-      RemoveMasterId(request.id);
-    }
-  }
-  return evicted;
-}
-
-std::vector<Request> EnvelopeScheduler::EvictExpired(double now) {
-  std::vector<Request> expired = Scheduler::EvictExpired(now);
-  // Expired requests leave the master cache like any other pending
-  // removal; only client requests live there (background never expires).
-  for (const Request& request : expired) RemoveMasterId(request.id);
-  return expired;
-}
-
-void EnvelopeScheduler::AbsorbStagedToPending() {
-  for (const Request& request : staged_) {
-    pending_.push_back(request);
-    InsertMaster(request);
-  }
-  staged_.clear();
-}
-
 void EnvelopeScheduler::DeferInOrder(const Request& request) {
   // A trimmed block's riders go back to the background queue, not the
   // client pending list (they must never pin a client envelope).
@@ -1183,7 +801,6 @@ void EnvelopeScheduler::DeferInOrder(const Request& request) {
       queue.begin(), queue.end(), request.id,
       [](const Request& r, RequestId id) { return r.id < id; });
   queue.insert(it, request);
-  if (request.cls != RequestClass::kBackground) InsertMaster(request);
 }
 
 void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
@@ -1241,7 +858,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
   const TapeId mounted = jukebox_->mounted_tape();
   if (!envelope_valid_ || sweep_.empty() || mounted == kInvalidTape) {
     pending_.push_back(request);
-    InsertMaster(request);
     return;
   }
   const int64_t block_mb = jukebox_->config().block_size_mb;
@@ -1266,7 +882,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
     if (replica.position + block_mb <=
         envelope_[static_cast<size_t>(replica.tape)]) {
       pending_.push_back(request);
-      InsertMaster(request);
       return;
     }
   }
@@ -1301,7 +916,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
       return;
     }
     pending_.push_back(request);
-    InsertMaster(request);
     return;
   }
   // Extend the envelope on the winning tape; this can make the mounted
@@ -1315,7 +929,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
     ShrinkActiveSweep(best->tape, committed_head);
   }
   pending_.push_back(request);
-  InsertMaster(request);
 }
 
 }  // namespace tapejuke

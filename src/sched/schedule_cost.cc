@@ -25,12 +25,7 @@ double ScheduleCost::ExecutionSeconds(
 
 std::vector<Position> ScheduleCost::SweepOrder(Position head,
                                                std::vector<Position> positions) {
-  // Candidate builders that read positions off a sorted index (the
-  // envelope scheduler's persistent extension lists) pass them already
-  // ascending; skip the sort then.
-  if (!std::is_sorted(positions.begin(), positions.end())) {
-    std::sort(positions.begin(), positions.end());
-  }
+  std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),
                   positions.end());
   auto split = std::lower_bound(positions.begin(), positions.end(), head);

@@ -34,6 +34,16 @@ int32_t ScanRank(TapeId tape, TapeId origin, int32_t num_tapes) {
 
 }  // namespace
 
+Status SchedulerOptions::Validate() const {
+  if (arrival_batch < 0) {
+    return Status::InvalidArgument("arrival_batch must be >= 0");
+  }
+  if (reschedule_epoch < 1) {
+    return Status::InvalidArgument("reschedule_epoch must be >= 1");
+  }
+  return Status::Ok();
+}
+
 TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
                   TapeId mounted, Position head, int32_t num_tapes,
                   const ScheduleCost& cost) {

@@ -24,6 +24,7 @@
 #include "sched/sweep.h"
 #include "tape/jukebox.h"
 #include "tape/types.h"
+#include "util/status.h"
 
 namespace tapejuke {
 
@@ -59,20 +60,6 @@ struct SchedulerOptions {
   /// extension lists / cached tape scores on every extension round.
   /// TJ_CHECK-fails on any divergence. Expensive; test/debug builds only.
   bool validate_envelope = false;
-  /// Envelope fast path: keep per-tape candidate scores on an indexed
-  /// max-heap so each extension round reads the best tape from the top and
-  /// re-heapifies only the dirty tapes, instead of a linear scan over all
-  /// tapes. Exactly equivalent to the scan (the near-equal tie group at the
-  /// heap top is re-run through the scan's tie-break); validate_envelope
-  /// additionally checks the two selections against each other per round.
-  bool use_selection_heap = true;
-  /// Envelope fast path: maintain the per-tape extension lists (sorted
-  /// replica candidates of the pending requests) persistently across major
-  /// reschedules, so a reschedule merges a small sorted tail instead of
-  /// re-enumerating and re-sorting every pending replica. Guarded by the
-  /// catalog mutation generation (any replica death/repair/add forces a
-  /// full rebuild). Exactly equivalent; oracle-checked like the rest.
-  bool persistent_ext_cache = true;
   /// Batched rescheduling: when > 0, arrivals are staged and only applied
   /// to the scheduler once `arrival_batch` of them have accumulated (or a
   /// major reschedule / fault event flushes the batch early). 0 preserves
@@ -89,6 +76,9 @@ struct SchedulerOptions {
   /// (recompute on every major reschedule). Policy knob, like
   /// arrival_batch.
   int32_t reschedule_epoch = 1;
+
+  /// InvalidArgument for arrival_batch < 0 or reschedule_epoch < 1.
+  Status Validate() const;
 };
 
 /// Candidate work available on one tape, used for tape selection.
@@ -211,9 +201,7 @@ class Scheduler {
   /// Moves staged arrivals straight onto the pending list, bypassing
   /// OnArrivalNow. Used on the fault paths (DrainSweep /
   /// EvictUnservablePending), where sweep insertion would race the drain.
-  /// Subclasses that mirror the pending list in derived state override to
-  /// keep it consistent.
-  virtual void AbsorbStagedToPending();
+  void AbsorbStagedToPending();
 
   /// MajorReschedule fallback when no client work is pending: picks the
   /// tape satisfying the most background requests (ties in jukebox order)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cost_performance.h"
+#include "core/farm.h"
 
 namespace tapejuke {
 namespace {
@@ -92,6 +93,35 @@ TEST(ExperimentRunner, InvalidConfigFails) {
   config = QuickConfig();
   config.sim.duration_seconds = -1;
   EXPECT_FALSE(ExperimentRunner::Run(config).ok());
+}
+
+// The batching knobs have no "off" encoding below their legacy values:
+// a negative batch or an epoch below one is a config error, reported by
+// the runner and by the farm (which validates its per-box config).
+TEST(ExperimentRunner, RejectsInvalidSchedulerOptions) {
+  ExperimentConfig config = QuickConfig();
+  config.algorithm = AlgorithmSpec::Parse("envelope-max-bandwidth").value();
+  EXPECT_TRUE(config.Validate().ok());
+
+  config.algorithm.options.arrival_batch = -1;
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
+  FarmConfig farm;
+  farm.num_jukeboxes = 2;
+  farm.per_jukebox = config;
+  EXPECT_EQ(farm.Validate().code(), StatusCode::kInvalidArgument);
+
+  config.algorithm.options.arrival_batch = 0;
+  config.algorithm.options.reschedule_epoch = 0;
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
+  farm.per_jukebox = config;
+  EXPECT_EQ(farm.Validate().code(), StatusCode::kInvalidArgument);
+
+  config.algorithm.options.reschedule_epoch = 1;
+  farm.per_jukebox = config;
+  EXPECT_TRUE(config.Validate().ok());
+  EXPECT_TRUE(farm.Validate().ok());
 }
 
 TEST(ExperimentRunner, IsDeterministic) {

@@ -4,9 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
+
 #include "core/experiment.h"
 
 namespace tapejuke {
+
+// Prints policy parameters by name, so the parameterised test names read
+// "(max-bandwidth, 60, 101)".
+void PrintTo(TapePolicy policy, std::ostream* os) {
+  *os << TapePolicyName(policy);
+}
+
 namespace {
 
 ExperimentConfig Base(int64_t queue = 60, uint64_t seed = 101) {
@@ -52,15 +62,42 @@ TEST(PaperClaims, StaticComparableAtLightLoad) {
 }
 
 // §4.6: with no replicas the envelope algorithm degenerates into the
-// dynamic algorithm — results are bit-identical, not merely similar.
-TEST(PaperClaims, EnvelopeDegeneratesToDynamicWithoutReplication) {
-  const SimulationResult dyn = RunAlgo(Base(), "dynamic-max-bandwidth");
-  const SimulationResult env = RunAlgo(Base(), "envelope-max-bandwidth");
+// dynamic algorithm with the same tape policy — results are bit-identical,
+// not merely similar. Checked across every envelope policy, closed queues
+// from light to deep, the open model, and several seeds. Queue 0 stands
+// for the open model (70 s mean interarrival, loaded but below
+// saturation).
+using DegeneracyParam = std::tuple<TapePolicy, int64_t, uint64_t>;
+
+class EnvelopeDegeneracy : public ::testing::TestWithParam<DegeneracyParam> {
+};
+
+TEST_P(EnvelopeDegeneracy, EnvelopeDegeneratesToDynamicWithoutReplication) {
+  const auto [policy, queue, seed] = GetParam();
+  ExperimentConfig config = Base(queue, seed);
+  ASSERT_EQ(config.layout.num_replicas, 0);
+  if (queue == 0) {
+    config.sim.workload.model = QueuingModel::kOpen;
+    config.sim.workload.mean_interarrival_seconds = 70;
+  }
+  config.algorithm = AlgorithmSpec{AlgorithmKind::kDynamic, policy, {}};
+  const SimulationResult dyn = ExperimentRunner::Run(config).value().sim;
+  config.algorithm = AlgorithmSpec{AlgorithmKind::kEnvelope, policy, {}};
+  const SimulationResult env = ExperimentRunner::Run(config).value().sim;
+  EXPECT_GT(dyn.completed_requests, 0);
   EXPECT_EQ(dyn.completed_requests, env.completed_requests);
   EXPECT_DOUBLE_EQ(dyn.throughput_mb_per_s, env.throughput_mb_per_s);
   EXPECT_DOUBLE_EQ(dyn.mean_delay_seconds, env.mean_delay_seconds);
   EXPECT_EQ(dyn.counters.tape_switches, env.counters.tape_switches);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperClaims, EnvelopeDegeneracy,
+    ::testing::Combine(::testing::Values(TapePolicy::kOldestMaxRequests,
+                                         TapePolicy::kMaxRequests,
+                                         TapePolicy::kMaxBandwidth),
+                       ::testing::Values<int64_t>(10, 60, 500, 0),
+                       ::testing::Values<uint64_t>(101, 7, 4242)));
 
 // §4.4 / Figure 6: replicating hot data at the tape ends improves both
 // throughput and response time, and reduces tape switching.
