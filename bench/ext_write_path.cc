@@ -69,6 +69,12 @@ int Main(int argc, char** argv) {
     SimulationConfig sim_config = base.sim;
     sim_config.workload.queue_length = 60;
     sim_config.workload.seed = ctx.PointSeed(i);
+    // Bespoke-simulator benches attach the trace and timeline themselves;
+    // point indices follow RunParallel order.
+    if (i == static_cast<size_t>(options.trace_point)) {
+      sim_config.obs = options.Trace();
+      sim_config.timeline = options.Timeline();
+    }
     WritePathConfig writes;
     writes.mean_write_interarrival_seconds = spec.gap;
     writes.piggyback = spec.policy.piggyback;

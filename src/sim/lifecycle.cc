@@ -1,6 +1,7 @@
 #include "sim/lifecycle.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
@@ -19,23 +20,22 @@ Status LifecycleConfig::Validate() const {
   return Status::Ok();
 }
 
-LifecycleSimulator::LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
-                                       Scheduler* scheduler,
-                                       const SimulationConfig& sim,
-                                       const LifecycleConfig& lifecycle)
+ReplicaFiller::ReplicaFiller(Jukebox* jukebox, Catalog* catalog,
+                             const LifecycleConfig& config,
+                             double run_seconds)
     : jukebox_(jukebox),
       catalog_(catalog),
-      scheduler_(scheduler),
-      sim_config_(sim),
-      lifecycle_(lifecycle),
-      workload_(catalog, sim.workload) {
-  Status status = sim.Validate();
+      config_(config),
+      epoch_seconds_(run_seconds / config.num_epochs) {
+  const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
-  status = lifecycle.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!sim.faults.enabled())
-      << "fault injection is not supported by the lifecycle simulator";
-  TJ_CHECK_LE(lifecycle.target_copies, jukebox->num_tapes());
+  TJ_CHECK_LE(config.target_copies, jukebox->num_tapes());
+  epochs_.resize(static_cast<size_t>(config.num_epochs));
+  delay_sum_.assign(epochs_.size(), 0.0);
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    epochs_[e].start_seconds = static_cast<double>(e) * epoch_seconds_;
+    epochs_[e].end_seconds = epochs_[e].start_seconds + epoch_seconds_;
+  }
 
   const int32_t num_tapes = jukebox->num_tapes();
   free_slots_.resize(static_cast<size_t>(num_tapes));
@@ -53,11 +53,12 @@ LifecycleSimulator::LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
   // what distinct tapes allow).
   for (BlockId b = 0; b < catalog->num_hot_blocks(); ++b) {
     const auto have = static_cast<int64_t>(catalog->ReplicasOf(b).size());
-    fill_target_ += std::max<int64_t>(0, lifecycle.target_copies - have);
+    fill_target_ += std::max<int64_t>(0, config.target_copies - have);
   }
 }
 
-TapeId LifecycleSimulator::NeediestTape() const {
+TapeId ReplicaFiller::NeediestTape() {
+  if (neediest_.has_value()) return *neediest_;
   TapeId best = kInvalidTape;
   int64_t best_need = 0;
   for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
@@ -66,11 +67,7 @@ TapeId LifecycleSimulator::NeediestTape() const {
     // only needed to rank tapes).
     int64_t missing = 0;
     for (BlockId b = 0; b < catalog_->num_hot_blocks(); ++b) {
-      if (static_cast<int32_t>(catalog_->ReplicasOf(b).size()) >=
-          lifecycle_.target_copies) {
-        continue;
-      }
-      if (catalog_->ReplicaOn(b, t) == nullptr) ++missing;
+      if (WantsCopyOn(b, t)) ++missing;
     }
     const int64_t need = std::min(
         missing,
@@ -80,31 +77,34 @@ TapeId LifecycleSimulator::NeediestTape() const {
       best = t;
     }
   }
+  neediest_ = best;
   return best;
 }
 
-double LifecycleSimulator::FillMountedTape(double budget_seconds) {
+bool ReplicaFiller::WantsCopyOn(BlockId block, TapeId tape) const {
+  return static_cast<int32_t>(catalog_->ReplicasOf(block).size()) <
+             config_.target_copies &&
+         catalog_->ReplicaOn(block, tape) == nullptr;
+}
+
+double ReplicaFiller::FillMountedTape(double now) {
+  read_since_fill_ = false;
   const TapeId tape_id = jukebox_->mounted_tape();
   if (tape_id == kInvalidTape) return 0;
   auto& free = free_slots_[static_cast<size_t>(tape_id)];
   BlockId& cursor = next_hot_[static_cast<size_t>(tape_id)];
   const int64_t hot = catalog_->num_hot_blocks();
-  if (hot == 0) return 0;
 
   double elapsed = 0;
   Drive& drive = jukebox_->drive();
   Tape& tape = jukebox_->tape(tape_id);
-  while (!free.empty() && elapsed < budget_seconds) {
+  while (!free.empty() && elapsed < config_.fill_budget_seconds) {
     // Next hot block that still wants a copy and lacks one on this tape.
     BlockId chosen = kInvalidBlock;
     for (int64_t scanned = 0; scanned < hot; ++scanned) {
       const BlockId candidate = cursor;
       cursor = (cursor + 1) % hot;
-      if (static_cast<int32_t>(catalog_->ReplicasOf(candidate).size()) >=
-          lifecycle_.target_copies) {
-        continue;
-      }
-      if (catalog_->ReplicaOn(candidate, tape_id) == nullptr) {
+      if (WantsCopyOn(candidate, tape_id)) {
         chosen = candidate;
         break;
       }
@@ -122,123 +122,76 @@ double LifecycleSimulator::FillMountedTape(double budget_seconds) {
     TJ_CHECK(placed.ok()) << placed.ToString();
     catalog_->AddReplica(chosen, Replica{tape_id, slot, position});
     ++replicas_written_;
+    neediest_.reset();
   }
+  NoteFill(now + elapsed);
   return elapsed;
 }
 
-std::vector<EpochStats> LifecycleSimulator::Run() {
-  TJ_CHECK(!ran_) << "Run may be called once";
-  ran_ = true;
-  const bool closed = sim_config_.workload.model == QueuingModel::kClosed;
-  const double epoch_len =
-      sim_config_.duration_seconds / lifecycle_.num_epochs;
-
-  struct Accum {
-    int64_t completed = 0;
-    double delay_sum = 0;
-  };
-  std::vector<Accum> accums(static_cast<size_t>(lifecycle_.num_epochs));
-  auto record = [&](double arrival, double completion) {
-    auto epoch = static_cast<size_t>(completion / epoch_len);
-    epoch = std::min(epoch, accums.size() - 1);
-    ++accums[epoch].completed;
-    accums[epoch].delay_sum += completion - arrival;
-  };
-  std::vector<double> fill_at_epoch_end(
-      static_cast<size_t>(lifecycle_.num_epochs), 0);
-  auto note_fill = [&]() {
-    auto epoch = std::min(static_cast<size_t>(clock_ / epoch_len),
-                          fill_at_epoch_end.size() - 1);
-    const double fraction =
-        fill_target_ > 0 ? static_cast<double>(replicas_written_) /
-                               static_cast<double>(fill_target_)
-                         : 1.0;
-    for (size_t e = epoch; e < fill_at_epoch_end.size(); ++e) {
-      fill_at_epoch_end[e] = fraction;
-    }
-  };
-
-  if (closed) {
-    for (int64_t i = 0; i < sim_config_.workload.queue_length; ++i) {
-      scheduler_->OnArrival(workload_.NextRequest(0.0), jukebox_->head());
-    }
-  } else {
-    next_arrival_ = workload_.NextInterarrival();
-  }
-
-  auto deliver = [&](double until, Position committed_head) {
-    if (closed) return;
-    while (next_arrival_ <= until) {
-      scheduler_->OnArrival(workload_.NextRequest(next_arrival_),
-                            committed_head);
-      next_arrival_ += workload_.NextInterarrival();
-    }
-  };
-
-  while (clock_ < sim_config_.duration_seconds) {
-    if (scheduler_->sweep_empty()) {
-      if (!scheduler_->HasWork()) {
-        if (lifecycle_.fill_on_idle && replicas_written_ < fill_target_) {
-          TapeId tape = NeediestTape();
-          if (tape != kInvalidTape) {
-            clock_ += jukebox_->SwitchTo(tape);
-            clock_ += FillMountedTape(lifecycle_.fill_budget_seconds);
-            note_fill();
-            continue;
-          }
-        }
-        if (closed || next_arrival_ > sim_config_.duration_seconds) break;
-        clock_ = next_arrival_;
-        deliver(clock_, jukebox_->head());
-        continue;
-      }
-      const TapeId tape = scheduler_->MajorReschedule();
-      TJ_CHECK_NE(tape, kInvalidTape);
-      const double switch_seconds = jukebox_->SwitchTo(tape);
-      const double end = clock_ + switch_seconds;
-      deliver(end, jukebox_->head());
-      clock_ = end;
-      continue;
-    }
-
-    const std::optional<ServiceEntry> entry = scheduler_->PopNext();
-    const double op_seconds = jukebox_->ReadBlockAt(entry->position);
-    const double end = clock_ + op_seconds;
-    deliver(end, jukebox_->head());
-    clock_ = end;
-    for (const Request& request : entry->requests) {
-      record(request.arrival_time, clock_);
-      if (closed) {
-        scheduler_->OnArrival(workload_.NextRequest(clock_),
-                              jukebox_->head());
-      }
-    }
-
-    // Piggyback fill: the sweep drained and the drive is already here.
-    if (scheduler_->sweep_empty() && replicas_written_ < fill_target_) {
-      clock_ += FillMountedTape(lifecycle_.fill_budget_seconds);
-      note_fill();
-    }
-  }
-  note_fill();
-
-  std::vector<EpochStats> epochs;
-  for (size_t e = 0; e < accums.size(); ++e) {
-    EpochStats stats;
-    stats.start_seconds = static_cast<double>(e) * epoch_len;
-    stats.end_seconds = stats.start_seconds + epoch_len;
-    stats.completed_requests = accums[e].completed;
-    stats.requests_per_minute =
-        static_cast<double>(accums[e].completed) / (epoch_len / 60.0);
-    stats.mean_delay_minutes =
-        accums[e].completed > 0
-            ? accums[e].delay_sum / static_cast<double>(accums[e].completed) /
-                  60.0
-            : 0.0;
-    stats.fill_fraction = fill_at_epoch_end[e];
-    epochs.push_back(stats);
-  }
-  return epochs;
+size_t ReplicaFiller::EpochOf(double t) const {
+  return std::min(static_cast<size_t>(t / epoch_seconds_),
+                  epochs_.size() - 1);
 }
+
+void ReplicaFiller::NoteFill(double now) {
+  const double fraction =
+      fill_target_ > 0 ? static_cast<double>(replicas_written_) /
+                             static_cast<double>(fill_target_)
+                       : 1.0;
+  for (size_t e = EpochOf(now); e < epochs_.size(); ++e) {
+    epochs_[e].fill_fraction = fraction;
+  }
+}
+
+double ReplicaFiller::AtSweepBoundary(double now) {
+  // Piggyback fill: a read sweep drained and the drive is already here.
+  // An idle fill needs no second pass before the next read sweep.
+  if (!read_since_fill_ || replicas_written_ >= fill_target_) return 0;
+  return FillMountedTape(now);
+}
+
+double ReplicaFiller::NextIdleWorkTime(double now) {
+  // A tape to fill implies the fill target is not yet met.
+  const bool fill = config_.fill_on_idle && config_.fill_budget_seconds > 0 &&
+                    NeediestTape() != kInvalidTape;
+  return fill ? now : std::numeric_limits<double>::infinity();
+}
+
+BackgroundWork::Quantum ReplicaFiller::IdleQuantum(double now) {
+  Quantum quantum;
+  const TapeId tape = NeediestTape();
+  if (tape == kInvalidTape) return quantum;
+  quantum.seconds = jukebox_->SwitchTo(tape);
+  quantum.seconds += FillMountedTape(now + quantum.seconds);
+  return quantum;
+}
+
+void ReplicaFiller::OnClientCompletion(const Request& request, double now) {
+  read_since_fill_ = true;
+  const size_t e = EpochOf(now);
+  ++epochs_[e].completed_requests;
+  delay_sum_[e] += now - request.arrival_time;
+}
+
+std::vector<EpochStats> ReplicaFiller::Epochs(double end) {
+  NoteFill(end);
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    EpochStats& stats = epochs_[e];
+    const auto completed = static_cast<double>(stats.completed_requests);
+    stats.requests_per_minute = completed / (epoch_seconds_ / 60.0);
+    stats.mean_delay_minutes =
+        completed > 0 ? delay_sum_[e] / completed / 60.0 : 0.0;
+  }
+  return epochs_;
+}
+
+LifecycleSimulator::LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
+                                       Scheduler* scheduler,
+                                       const SimulationConfig& sim,
+                                       const LifecycleConfig& lifecycle)
+    : filler_(jukebox, catalog, lifecycle, sim.duration_seconds),
+      // The const-catalog Simulator: fault injection stays rejected.
+      sim_(jukebox, static_cast<const Catalog*>(catalog), scheduler, sim,
+           &filler_) {}
 
 }  // namespace tapejuke

@@ -66,7 +66,7 @@ struct SimulationResult {
   double transfer_utilization = 0;
   /// Whole-window utilization: drive-busy seconds / (measured seconds x
   /// drive count), from the time-in-state accounting. 0 for runs that do
-  /// not collect it (farm aggregation, write path, lifecycle).
+  /// not collect it (farm aggregation).
   double drive_utilization = 0;
   /// Per-drive seconds in each activity over the measurement window
   /// (obs::DriveActivity order). Each drive's Total() equals

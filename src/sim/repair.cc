@@ -485,7 +485,7 @@ RepairManager::Quantum RepairManager::ScrubStep(double now) {
   return quantum;
 }
 
-double RepairManager::NextIdleWorkTime(double now) const {
+double RepairManager::NextIdleWorkTime(double now) {
   double best = std::numeric_limits<double>::infinity();
   const double block_mb = static_cast<double>(block_mb_);
   const double token_ready = TokenReadyTime(now, block_mb);

@@ -38,6 +38,7 @@
 #include "layout/catalog.h"
 #include "obs/recorder.h"
 #include "sched/scheduler.h"
+#include "sim/background.h"
 #include "sim/fault_model.h"
 #include "tape/jukebox.h"
 #include "util/status.h"
@@ -99,7 +100,7 @@ struct RepairStats {
 /// Drives scrub passes and replica re-replication for one single-drive
 /// simulation run. Owned by the Simulator; all hooks are called from the
 /// simulation loop with the current simulated clock.
-class RepairManager {
+class RepairManager : public BackgroundWork {
  public:
   /// All pointers must outlive the manager. `catalog` is the mutable
   /// catalog faults mask into; `scheduler` receives background source
@@ -131,27 +132,16 @@ class RepairManager {
   /// A background request was evicted: its block has no live replica.
   void OnBackgroundEvicted(BlockId block);
 
-  /// Tape-switch-boundary hook, called right before every major
-  /// reschedule: flushes staged repair writes targeting the mounted tape
-  /// while the token budget allows (piggybacked on a mount the client
-  /// schedule already paid for). Returns drive seconds charged.
-  double AtSweepBoundary(double now);
+  /// Flushes staged repair writes targeting the mounted tape while the
+  /// token budget allows.
+  double AtSweepBoundary(double now) override;
 
-  /// Earliest time >= `now` at which IdleQuantum would have work to do
-  /// (+infinity when it has none). The simulator only burns idle time on
-  /// repair when this is at hand before the next arrival.
-  double NextIdleWorkTime(double now) const;
+  double NextIdleWorkTime(double now) override;
 
-  /// One idle-drive work quantum (a single mount, scrub read, or repair
-  /// write — one block at most, so client arrivals preempt background
-  /// work at block granularity).
-  struct Quantum {
-    double seconds = 0.0;
-    /// A scrub read masked replicas dead (the simulator must evict
-    /// now-unservable queued requests).
-    bool masked_replicas = false;
-  };
-  Quantum IdleQuantum(double now);
+  /// A single mount, scrub read, or repair write — one block at most, so
+  /// client arrivals preempt background work at block granularity. A scrub
+  /// read that finds a permanent error sets masked_replicas.
+  Quantum IdleQuantum(double now) override;
 
   /// Fills backlog_final and returns the run's counters.
   RepairStats Finalize();

@@ -39,56 +39,37 @@ Status SimulationConfig::Validate() const {
 }
 
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& config)
-    : jukebox_(jukebox),
-      catalog_(catalog),
-      scheduler_(scheduler),
-      config_(config),
-      workload_(catalog, config.workload),
-      metrics_(config.warmup_seconds, jukebox->config().block_size_mb),
-      accounting_(/*num_drives=*/1, config.warmup_seconds) {
-  TJ_CHECK(jukebox != nullptr);
-  TJ_CHECK(catalog != nullptr);
-  TJ_CHECK(scheduler != nullptr);
-  const Status status = config.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!config.faults.enabled())
-      << "fault injection requires the mutable-catalog Simulator "
-         "constructor (permanent media errors mask catalog replicas)";
-  if (config_.obs.enabled()) {
-    recorder_.emplace(config_.obs);
-    recorder_->SetTopology("jukebox", /*num_drives=*/1);
-    accounting_.set_recorder(&*recorder_);
-    scheduler_->set_decision_sink(&*recorder_);
-  }
-  if (config_.workload.HasTenantClasses()) {
-    metrics_.ConfigureClasses(
-        static_cast<int>(config_.workload.tenant_classes.size()));
-    for (const TenantClassConfig& cls : config_.workload.tenant_classes) {
-      if (cls.deadline_seconds > 0) deadlines_possible_ = true;
-    }
-  }
-  if (config_.admission.enabled()) {
-    admission_.emplace(config_.admission, config_.workload.tenant_classes);
-  }
-  SetupTimeline();
-}
+                     Scheduler* scheduler, const SimulationConfig& config,
+                     BackgroundWork* background)
+    : Simulator(jukebox, catalog, /*mutable_catalog=*/nullptr, scheduler,
+                config, background) {}
 
 Simulator::Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
                      const SimulationConfig& config)
+    : Simulator(jukebox, catalog, catalog, scheduler, config,
+                /*background=*/nullptr) {}
+
+Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
+                     Catalog* mutable_catalog, Scheduler* scheduler,
+                     const SimulationConfig& config,
+                     BackgroundWork* background)
     : jukebox_(jukebox),
       catalog_(catalog),
-      mutable_catalog_(catalog),
+      mutable_catalog_(mutable_catalog),
       scheduler_(scheduler),
       config_(config),
       workload_(catalog, config.workload),
       metrics_(config.warmup_seconds, jukebox->config().block_size_mb),
-      accounting_(/*num_drives=*/1, config.warmup_seconds) {
+      accounting_(/*num_drives=*/1, config.warmup_seconds),
+      background_(background) {
   TJ_CHECK(jukebox != nullptr);
   TJ_CHECK(catalog != nullptr);
   TJ_CHECK(scheduler != nullptr);
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
+  TJ_CHECK(mutable_catalog_ != nullptr || !config.faults.enabled())
+      << "fault injection requires the mutable-catalog Simulator "
+         "constructor (permanent media errors mask catalog replicas)";
   if (config_.obs.enabled()) {
     recorder_.emplace(config_.obs);
     recorder_->SetTopology("jukebox", /*num_drives=*/1);
@@ -105,6 +86,7 @@ Simulator::Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
       repair_.emplace(config_.repair, jukebox_, mutable_catalog_, scheduler_,
                       &*faults_, &fault_stats_);
       if (recorder_.has_value()) repair_->set_recorder(&*recorder_);
+      background_ = &*repair_;
     }
   }
   if (config_.workload.HasTenantClasses()) {
@@ -482,21 +464,20 @@ SimulationResult Simulator::Run() {
   while (clock_ < config_.duration_seconds) {
     if (scheduler_->sweep_empty()) {
       if (!scheduler_->HasWork()) {
-        // Step 4: the drive is idle. With repair enabled, background
-        // scrub/repair quanta use the idle drive until the next client
-        // event; each quantum is at most one block, so arrivals preempt
-        // background work at block granularity.
-        if (repair_.has_value()) {
+        // Step 4: the drive is idle. Background quanta use the idle drive
+        // until the next client event; arrivals during a quantum are
+        // delivered at their own timestamps.
+        if (background_ != nullptr) {
           AdvancePastDriveRepairs();
           const double next_event =
               closed ? (thinking_.empty()
                             ? std::numeric_limits<double>::infinity()
                             : thinking_.NextTime())
                      : next_arrival_;
-          const double next_work = repair_->NextIdleWorkTime(clock_);
+          const double next_work = background_->NextIdleWorkTime(clock_);
           if (next_work <= clock_ && clock_ < config_.duration_seconds) {
-            const RepairManager::Quantum quantum =
-                repair_->IdleQuantum(clock_);
+            const BackgroundWork::Quantum quantum =
+                background_->IdleQuantum(clock_);
             const double end = clock_ + quantum.seconds;
             DeliverArrivalsUpTo(end, jukebox_->head());
             clock_ = end;
@@ -508,7 +489,7 @@ SimulationResult Simulator::Run() {
           if (next_work < next_event &&
               next_work <= config_.duration_seconds) {
             // Background work is due before the next client event: wake
-            // for it (e.g. a scrub pass or a refilled token bucket).
+            // for it (e.g. a scrub pass, a refilled token bucket, a write).
             clock_ = next_work;
             accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
             DeliverArrivalsUpTo(clock_, jukebox_->head());
@@ -538,10 +519,10 @@ SimulationResult Simulator::Run() {
       // Step 1: major reschedule; step 2: switch if needed. A failed drive
       // must be repaired before it can work again.
       AdvancePastDriveRepairs();
-      if (repair_.has_value()) {
-        // Tape-switch boundary: flush staged repair writes targeting the
-        // mounted tape before the schedule switches away from it.
-        const double flush = repair_->AtSweepBoundary(clock_);
+      if (background_ != nullptr) {
+        // Tape-switch boundary: background work on the mounted tape before
+        // the schedule switches away from it.
+        const double flush = background_->AtSweepBoundary(clock_);
         if (flush > 0) {
           const double end = clock_ + flush;
           DeliverArrivalsUpTo(end, jukebox_->head());
@@ -663,6 +644,9 @@ SimulationResult Simulator::Run() {
         ++fault_stats_.degraded_reads;
       }
       metrics_.OnCompletion(request.arrival_time, clock_, request.tenant);
+      if (background_ != nullptr) {
+        background_->OnClientCompletion(request, clock_);
+      }
       if (admission_.has_value()) {
         admission_->OnCompletion(request.tenant,
                                  clock_ - request.arrival_time, clock_);

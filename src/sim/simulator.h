@@ -10,6 +10,10 @@
 //      block finished; the next major reschedule decides about rewinds.
 //   4. When nothing is pending, wait for an arrival (open model).
 //
+// One BackgroundWork producer (scrub/repair, write-path flushes, or the
+// §4.8 replica fill) may add work right before step 1 and on the idle
+// drive in step 4; its seconds are charged to the `background` state.
+//
 // Arrivals that occur while a locate/read/switch is in flight are delivered
 // at their exact timestamps with the *committed head* — the head position
 // the drive will have when the in-flight operation completes — so the
@@ -25,6 +29,7 @@
 #include "obs/time_in_state.h"
 #include "sched/scheduler.h"
 #include "sim/admission.h"
+#include "sim/background.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
 #include "sim/metrics.h"
@@ -75,9 +80,15 @@ class Simulator {
  public:
   /// All pointers must outlive the simulator. The jukebox must already hold
   /// the layout the catalog describes. This overload cannot mutate the
-  /// catalog, so `config.faults` must be disabled (TJ_CHECK).
+  /// catalog, so `config.faults` must be disabled (TJ_CHECK). A non-null
+  /// `background` is the run's background-work producer (the write path's
+  /// flushes, the §4.8 replica fill).
   Simulator(Jukebox* jukebox, const Catalog* catalog, Scheduler* scheduler,
-            const SimulationConfig& config);
+            const SimulationConfig& config,
+            BackgroundWork* background = nullptr);
+  // repair_ and background_ point into the simulator itself.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Mutable-catalog overload: required when `config.faults` is enabled
   /// (permanent media errors mask replicas dead in the catalog).
@@ -107,6 +118,12 @@ class Simulator {
   }
 
  private:
+  /// The public constructors' shared body; `mutable_catalog` is `catalog`
+  /// or null.
+  Simulator(Jukebox* jukebox, const Catalog* catalog,
+            Catalog* mutable_catalog, Scheduler* scheduler,
+            const SimulationConfig& config, BackgroundWork* background);
+
   /// Delivers every open-model arrival with timestamp <= `until` to the
   /// incremental scheduler, interleaved in time order with deadline-expiry
   /// events so the outstanding-population integral stays exact.
@@ -195,6 +212,9 @@ class Simulator {
   FaultStats fault_stats_;
   /// Engaged iff config_.repair.enabled() (which implies faults_).
   std::optional<RepairManager> repair_;
+  /// The run's one background producer: &*repair_, the constructor's
+  /// `background`, or null.
+  BackgroundWork* background_ = nullptr;
   double next_drive_failure_ = 0;  ///< absolute time; only with MTBF > 0
   bool drive_faults_ = false;
   bool closed_ = false;

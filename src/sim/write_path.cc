@@ -22,55 +22,50 @@ Status WritePathConfig::Validate() const {
   return Status::Ok();
 }
 
-WritebackSimulator::WritebackSimulator(Jukebox* jukebox,
-                                       const Catalog* catalog,
-                                       Scheduler* scheduler,
-                                       const SimulationConfig& sim,
-                                       const WritePathConfig& writes)
+WriteBuffer::WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
+                         const WritePathConfig& config, uint64_t seed,
+                         double run_seconds)
     : jukebox_(jukebox),
       catalog_(catalog),
-      scheduler_(scheduler),
-      sim_config_(sim),
-      write_config_(writes),
-      read_workload_(catalog, sim.workload),
-      write_rng_(sim.workload.seed ^ 0x9e3779b97f4a7c15ULL),
-      metrics_(sim.warmup_seconds, jukebox->config().block_size_mb) {
-  Status status = sim.Validate();
+      config_(config),
+      run_seconds_(run_seconds),
+      rng_(seed) {
+  const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
-  status = writes.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!sim.faults.enabled())
-      << "fault injection is not supported by the writeback simulator";
+  next_write_ = config.mean_write_interarrival_seconds > 0
+                    ? rng_.Exponential(config.mean_write_interarrival_seconds)
+                    : std::numeric_limits<double>::infinity();
 }
 
-void WritebackSimulator::AcceptWrite(BlockId block, double now) {
-  (void)now;
-  ++stats_.writes_accepted;
-  // A write must eventually update every tape-resident copy of the block.
-  for (const Replica& replica : catalog_->ReplicasOf(block)) {
-    auto [it, inserted] = dirty_[replica.tape].insert(replica.position);
-    if (inserted) {
-      ++buffer_occupancy_;
-      ++stats_.dirty_updates_created;
+void WriteBuffer::StageUpTo(double now) {
+  while (next_write_ <= now) {
+    // Writes pick blocks with their own skew, independent of reads.
+    const int64_t hot = catalog_->num_hot_blocks();
+    const int64_t cold = catalog_->num_cold_blocks();
+    bool pick_hot = rng_.Bernoulli(config_.hot_write_fraction);
+    if (hot == 0) pick_hot = false;
+    if (cold == 0) pick_hot = true;
+    const BlockId block =
+        pick_hot ? static_cast<BlockId>(
+                       rng_.UniformUint64(static_cast<uint64_t>(hot)))
+                 : hot + static_cast<BlockId>(rng_.UniformUint64(
+                             static_cast<uint64_t>(cold)));
+    ++stats_.writes_accepted;
+    // A write must eventually update every tape-resident copy of the block.
+    for (const Replica& replica : catalog_->ReplicasOf(block)) {
+      auto [it, inserted] = dirty_[replica.tape].insert(replica.position);
+      if (inserted) {
+        ++occupancy_;
+        ++stats_.dirty_updates_created;
+      }
     }
+    stats_.max_buffer_occupancy =
+        std::max(stats_.max_buffer_occupancy, occupancy_);
+    next_write_ += rng_.Exponential(config_.mean_write_interarrival_seconds);
   }
-  stats_.max_buffer_occupancy =
-      std::max(stats_.max_buffer_occupancy, buffer_occupancy_);
 }
 
-TapeId WritebackSimulator::DirtiestTape() const {
-  TapeId best = kInvalidTape;
-  size_t best_count = 0;
-  for (const auto& [tape, positions] : dirty_) {
-    if (positions.size() > best_count) {
-      best_count = positions.size();
-      best = tape;
-    }
-  }
-  return best;
-}
-
-double WritebackSimulator::FlushTape(TapeId tape) {
+double WriteBuffer::FlushTape(TapeId tape) {
   auto it = dirty_.find(tape);
   if (it == dirty_.end() || it->second.empty()) return 0;
   TJ_CHECK_EQ(jukebox_->mounted_tape(), tape);
@@ -84,150 +79,77 @@ double WritebackSimulator::FlushTape(TapeId tape) {
     elapsed += drive.Read(jukebox_->config().block_size_mb);  // write ~ read
     ++stats_.blocks_flushed;
   }
-  buffer_occupancy_ -= static_cast<int64_t>(it->second.size());
-  TJ_CHECK_GE(buffer_occupancy_, 0);
+  occupancy_ -= static_cast<int64_t>(it->second.size());
+  TJ_CHECK_GE(occupancy_, 0);
   dirty_.erase(it);
   stats_.write_seconds += elapsed;
   return elapsed;
 }
 
-SimulationResult WritebackSimulator::Run() {
-  TJ_CHECK(!ran_) << "Run may be called once";
-  ran_ = true;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const bool closed = sim_config_.workload.model == QueuingModel::kClosed;
-  const bool writes_enabled =
-      write_config_.mean_write_interarrival_seconds > 0;
-
-  if (closed) {
-    for (int64_t i = 0; i < sim_config_.workload.queue_length; ++i) {
-      const Request request = read_workload_.NextRequest(0.0);
-      metrics_.OnArrival(0.0);
-      scheduler_->OnArrival(request, jukebox_->head());
-    }
-  } else {
-    next_read_arrival_ = read_workload_.NextInterarrival();
-  }
-  next_write_arrival_ =
-      writes_enabled
-          ? write_rng_.Exponential(
-                write_config_.mean_write_interarrival_seconds)
-          : kInf;
-
-  auto deliver_reads = [&](double until, Position committed_head) {
-    if (closed) return;
-    while (next_read_arrival_ <= until) {
-      const Request request =
-          read_workload_.NextRequest(next_read_arrival_);
-      metrics_.OnArrival(next_read_arrival_);
-      scheduler_->OnArrival(request, committed_head);
-      next_read_arrival_ += read_workload_.NextInterarrival();
-    }
-  };
-  auto deliver_writes = [&](double until) {
-    while (next_write_arrival_ <= until) {
-      // Writes pick blocks with their own skew, independent of reads.
-      const int64_t hot = catalog_->num_hot_blocks();
-      const int64_t cold = catalog_->num_cold_blocks();
-      bool pick_hot = write_rng_.Bernoulli(write_config_.hot_write_fraction);
-      if (hot == 0) pick_hot = false;
-      if (cold == 0) pick_hot = true;
-      const BlockId block =
-          pick_hot
-              ? static_cast<BlockId>(write_rng_.UniformUint64(
-                    static_cast<uint64_t>(hot)))
-              : hot + static_cast<BlockId>(write_rng_.UniformUint64(
-                          static_cast<uint64_t>(cold)));
-      AcceptWrite(block, next_write_arrival_);
-      next_write_arrival_ +=
-          write_rng_.Exponential(
-              write_config_.mean_write_interarrival_seconds);
-    }
-  };
-  auto maybe_warmup = [&]() {
-    if (!warmup_marked_ && clock_ >= sim_config_.warmup_seconds) {
-      warmup_marked_ = true;
-      metrics_.MarkWarmupBoundary(jukebox_->counters());
-    }
-  };
-  maybe_warmup();
-
-  while (clock_ < sim_config_.duration_seconds) {
-    deliver_writes(clock_);
-
-    if (scheduler_->sweep_empty()) {
-      // Forced flush: the staging buffer is over capacity; reads wait.
-      if (buffer_occupancy_ > write_config_.buffer_capacity_blocks) {
-        const TapeId tape = DirtiestTape();
-        TJ_CHECK_NE(tape, kInvalidTape);
-        clock_ += jukebox_->SwitchTo(tape);
-        clock_ += FlushTape(tape);
-        ++stats_.forced_flushes;
-        maybe_warmup();
-        continue;
-      }
-      if (!scheduler_->HasWork()) {
-        // Idle: clean ahead of demand, then wait for the next arrival.
-        if (write_config_.idle_flush && buffer_occupancy_ > 0) {
-          const TapeId tape = DirtiestTape();
-          clock_ += jukebox_->SwitchTo(tape);
-          clock_ += FlushTape(tape);
-          ++stats_.idle_flushes;
-          maybe_warmup();
-          continue;
-        }
-        const double next =
-            std::min(closed ? kInf : next_read_arrival_,
-                     next_write_arrival_);
-        if (next == kInf || next > sim_config_.duration_seconds) break;
-        clock_ = next;
-        deliver_reads(clock_, jukebox_->head());
-        deliver_writes(clock_);
-        maybe_warmup();
-        continue;
-      }
-      const TapeId tape = scheduler_->MajorReschedule();
-      TJ_CHECK_NE(tape, kInvalidTape);
-      const double switch_seconds = jukebox_->SwitchTo(tape);
-      const double end = clock_ + switch_seconds;
-      deliver_reads(end, jukebox_->head());
-      clock_ = end;
-      maybe_warmup();
-      continue;
-    }
-
-    const std::optional<ServiceEntry> entry = scheduler_->PopNext();
-    TJ_CHECK(entry.has_value());
-    const double op_seconds = jukebox_->ReadBlockAt(entry->position);
-    const double end = clock_ + op_seconds;
-    deliver_reads(end, jukebox_->head());
-    clock_ = end;
-    maybe_warmup();
-    for (const Request& request : entry->requests) {
-      metrics_.OnCompletion(request.arrival_time, clock_);
-      if (closed) {
-        const Request next = read_workload_.NextRequest(clock_);
-        metrics_.OnArrival(clock_);
-        scheduler_->OnArrival(next, jukebox_->head());
-      }
-    }
-
-    // Piggyback: the sweep just drained and the drive is already on this
-    // tape — clean its dirty blocks before the next reschedule.
-    if (write_config_.piggyback && scheduler_->sweep_empty()) {
-      const TapeId mounted = jukebox_->mounted_tape();
-      auto it = dirty_.find(mounted);
-      if (it != dirty_.end() &&
-          static_cast<int64_t>(it->second.size()) >=
-              write_config_.piggyback_min_blocks) {
-        clock_ += FlushTape(mounted);
-        ++stats_.piggyback_flushes;
-        maybe_warmup();
-      }
+double WriteBuffer::FlushDirtiest(int64_t* flushes) {
+  TapeId tape = kInvalidTape;
+  size_t most = 0;
+  for (const auto& [t, positions] : dirty_) {
+    if (positions.size() > most) {
+      most = positions.size();
+      tape = t;
     }
   }
-  if (!warmup_marked_) metrics_.MarkWarmupBoundary(jukebox_->counters());
-  return metrics_.Finalize(clock_, jukebox_->counters());
+  TJ_CHECK_NE(tape, kInvalidTape);
+  ++*flushes;
+  const double switch_seconds = jukebox_->SwitchTo(tape);
+  return switch_seconds + FlushTape(tape);
 }
+
+double WriteBuffer::AtSweepBoundary(double now) {
+  StageUpTo(now);
+  double seconds = 0;
+  // Piggyback: the sweep just drained and the drive is already on this
+  // tape — clean its dirty blocks before the next reschedule.
+  const auto it = dirty_.find(jukebox_->mounted_tape());
+  if (config_.piggyback && it != dirty_.end() &&
+      static_cast<int64_t>(it->second.size()) >=
+          config_.piggyback_min_blocks) {
+    seconds += FlushTape(it->first);
+    ++stats_.piggyback_flushes;
+  }
+  // Forced flush: the staging buffer is over capacity; reads wait.
+  StageUpTo(now + seconds);
+  while (OverCapacity() && now + seconds < run_seconds_) {
+    seconds += FlushDirtiest(&stats_.forced_flushes);
+    StageUpTo(now + seconds);
+  }
+  return seconds;
+}
+
+double WriteBuffer::NextIdleWorkTime(double now) {
+  StageUpTo(now);
+  const bool due = OverCapacity() || (config_.idle_flush && occupancy_ > 0);
+  return due ? now : next_write_;
+}
+
+BackgroundWork::Quantum WriteBuffer::IdleQuantum(double now) {
+  Quantum quantum;
+  if (NextIdleWorkTime(now) > now) return quantum;
+  // Clean ahead of demand; over capacity it is a forced flush.
+  quantum.seconds = FlushDirtiest(OverCapacity() ? &stats_.forced_flushes
+                                                 : &stats_.idle_flushes);
+  return quantum;
+}
+
+void WriteBuffer::OnClientCompletion(const Request& request, double now) {
+  (void)request;
+  StageUpTo(now);
+}
+
+WritebackSimulator::WritebackSimulator(Jukebox* jukebox,
+                                       const Catalog* catalog,
+                                       Scheduler* scheduler,
+                                       const SimulationConfig& sim,
+                                       const WritePathConfig& writes)
+    : buffer_(jukebox, catalog, writes,
+              sim.workload.seed ^ 0x9e3779b97f4a7c15ULL,
+              sim.duration_seconds),
+      sim_(jukebox, catalog, scheduler, sim, &buffer_) {}
 
 }  // namespace tapejuke

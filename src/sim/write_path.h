@@ -11,8 +11,8 @@
 //   * piggyback flush — when a read sweep on tape t finishes, the drive is
 //     already positioned there: append a write pass over t's dirty
 //     positions before the next reschedule;
-//   * idle flush — when no reads are pending (open queuing), mount and
-//     clean the dirtiest tape;
+//   * idle flush — when no reads are pending (open queuing or think
+//     time), mount and clean the dirtiest tape;
 //   * forced flush — when the buffer exceeds its capacity, reads wait
 //     while the dirtiest tapes are cleaned (the interference the buffer is
 //     meant to avoid).
@@ -26,10 +26,11 @@
 
 #include "layout/catalog.h"
 #include "sched/scheduler.h"
+#include "sim/background.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
-#include "sim/workload.h"
 #include "tape/jukebox.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -50,7 +51,7 @@ struct WritePathConfig {
   /// updates — smaller batches are not worth the extra locates; they wait
   /// for more dirt or for an idle/forced flush.
   int64_t piggyback_min_blocks = 8;
-  /// Enable cleaning during idle periods (open queuing only).
+  /// Enable cleaning during idle periods (open queuing or think time).
   bool idle_flush = true;
 
   Status Validate() const;
@@ -68,7 +69,64 @@ struct WritePathStats {
   double write_seconds = 0;  ///< drive time spent locating + writing
 };
 
-/// Single-drive simulator with a read scheduler plus the delta write path.
+/// The write path's background producer: the disk staging buffer and its
+/// three flush policies. Writes arrive on their own Poisson stream and are
+/// staged lazily, every write due by the time of a hook before it decides.
+class WriteBuffer : public BackgroundWork {
+ public:
+  /// `jukebox` and `catalog` must outlive the buffer; `seed` drives the
+  /// write stream; `run_seconds` is the length of the run.
+  WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
+              const WritePathConfig& config, uint64_t seed,
+              double run_seconds);
+
+  /// Piggyback flush of the mounted tape, then forced flushes while the
+  /// buffer is over capacity and the run lasts (reads wait).
+  double AtSweepBoundary(double now) override;
+
+  /// `now` when a forced or idle flush is due, else the next write
+  /// arrival (which may make one due).
+  double NextIdleWorkTime(double now) override;
+
+  /// One forced or idle flush: mounts the dirtiest tape and cleans it.
+  Quantum IdleQuantum(double now) override;
+
+  /// Stages the writes due by `now`, so the occupancy statistics cover
+  /// the writes of a run's last sweep too.
+  void OnClientCompletion(const Request& request, double now) override;
+
+  const WritePathStats& stats() const { return stats_; }
+
+ private:
+  /// Stages every write that arrives at or before `now`.
+  void StageUpTo(double now);
+
+  bool OverCapacity() const {
+    return occupancy_ > config_.buffer_capacity_blocks;
+  }
+
+  /// Writes out all dirty positions of `tape` (drive must be mounted on
+  /// it); returns elapsed seconds.
+  double FlushTape(TapeId tape);
+
+  /// Mounts the dirtiest tape and flushes it; bumps *flushes. Returns
+  /// elapsed seconds.
+  double FlushDirtiest(int64_t* flushes);
+
+  Jukebox* jukebox_;
+  const Catalog* catalog_;
+  WritePathConfig config_;
+  double run_seconds_;
+  Rng rng_;
+  double next_write_ = 0;
+
+  std::map<TapeId, std::set<Position>> dirty_;
+  int64_t occupancy_ = 0;
+  WritePathStats stats_;
+};
+
+/// Single-drive simulator with a read scheduler plus the delta write path:
+/// a Simulator driving a WriteBuffer.
 class WritebackSimulator {
  public:
   /// All pointers must outlive the simulator; `scheduler` handles reads.
@@ -79,42 +137,13 @@ class WritebackSimulator {
   /// Runs to completion; call once. The returned metrics cover *reads*
   /// (write latency is ~0 by construction); write-path behaviour is in
   /// stats().
-  SimulationResult Run();
+  SimulationResult Run() { return sim_.Run(); }
 
-  const WritePathStats& stats() const { return stats_; }
-
-  /// Dirty updates currently staged (for tests).
-  int64_t buffer_occupancy() const { return buffer_occupancy_; }
+  const WritePathStats& stats() const { return buffer_.stats(); }
 
  private:
-  /// Stages a write to `block` at time `now`.
-  void AcceptWrite(BlockId block, double now);
-
-  /// Writes out all dirty positions of `tape` (drive must be mounted on
-  /// it); returns elapsed seconds.
-  double FlushTape(TapeId tape);
-
-  /// Tape with the most dirty updates, or kInvalidTape.
-  TapeId DirtiestTape() const;
-
-  Jukebox* jukebox_;
-  const Catalog* catalog_;
-  Scheduler* scheduler_;
-  SimulationConfig sim_config_;
-  WritePathConfig write_config_;
-  WorkloadGenerator read_workload_;
-  Rng write_rng_;
-  MetricsCollector metrics_;
-
-  std::map<TapeId, std::set<Position>> dirty_;
-  int64_t buffer_occupancy_ = 0;
-  WritePathStats stats_;
-
-  double clock_ = 0;
-  double next_read_arrival_ = 0;
-  double next_write_arrival_ = 0;
-  bool warmup_marked_ = false;
-  bool ran_ = false;
+  WriteBuffer buffer_;
+  Simulator sim_;
 };
 
 }  // namespace tapejuke

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "layout/placement.h"
 #include "sched/envelope_scheduler.h"
+#include "tape/drive.h"
 
 namespace tapejuke {
 namespace {
@@ -123,6 +126,131 @@ TEST(Lifecycle, ZeroBudgetWritesNothingViaPiggyback) {
                          sim_config, lifecycle);
   sim.Run();
   EXPECT_EQ(sim.replicas_written(), 0);
+}
+
+TEST(Lifecycle, OpenModelDriveWorkFitsInRun) {
+  // Arrivals during a fill are delivered at their own timestamps, so the
+  // clock never runs backwards and the drive's busy time fits in the run.
+  Rig rig;
+  LifecycleConfig lifecycle;
+  lifecycle.fill_budget_seconds = 240;
+  SimulationConfig sim_config = LongSim();
+  sim_config.workload.model = QueuingModel::kOpen;
+  sim_config.workload.mean_interarrival_seconds = 120;
+  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
+                         sim_config, lifecycle);
+  sim.Run();
+  ASSERT_GT(sim.replicas_written(), 0);
+  EXPECT_LE(rig.jukebox.counters().BusySeconds(),
+            sim_config.duration_seconds);
+}
+
+// Wraps a ReplicaFiller and tracks, per mount between client reads, the
+// fills that wrote replicas and their seconds (an idle quantum's own tape
+// switch excluded).
+class FillPerMountProbe : public BackgroundWork {
+ public:
+  FillPerMountProbe(ReplicaFiller* filler, Jukebox* jukebox)
+      : filler_(filler), jukebox_(jukebox) {}
+
+  double AtSweepBoundary(double now) override {
+    const int64_t written = filler_->replicas_written();
+    const double seconds = filler_->AtSweepBoundary(now);
+    Charge(seconds, written);
+    return seconds;
+  }
+  double NextIdleWorkTime(double now) override {
+    return filler_->NextIdleWorkTime(now);
+  }
+  Quantum IdleQuantum(double now) override {
+    const int64_t written = filler_->replicas_written();
+    const JukeboxCounters before = jukebox_->counters();
+    const Quantum quantum = filler_->IdleQuantum(now);
+    const JukeboxCounters& after = jukebox_->counters();
+    const double switching = (after.switch_seconds - before.switch_seconds) +
+                             (after.rewind_seconds - before.rewind_seconds);
+    Charge(quantum.seconds - switching, written);
+    return quantum;
+  }
+  void OnClientCompletion(const Request& request, double now) override {
+    filler_->OnClientCompletion(request, now);
+    seconds_ = 0;
+    fills_ = 0;
+  }
+
+  double max_seconds() const { return max_seconds_; }
+  int64_t max_fills() const { return max_fills_; }
+
+ private:
+  void Charge(double seconds, int64_t written_before) {
+    if (jukebox_->counters().tape_switches != switches_) {
+      switches_ = jukebox_->counters().tape_switches;
+      seconds_ = 0;
+      fills_ = 0;
+    }
+    if (filler_->replicas_written() > written_before) ++fills_;
+    seconds_ += seconds;
+    max_seconds_ = std::max(max_seconds_, seconds_);
+    max_fills_ = std::max(max_fills_, fills_);
+  }
+
+  ReplicaFiller* filler_;
+  Jukebox* jukebox_;
+  int64_t switches_ = -1;
+  double seconds_ = 0;
+  int64_t fills_ = 0;
+  double max_seconds_ = 0;
+  int64_t max_fills_ = 0;
+};
+
+TEST(Lifecycle, OpenModelFillPerMountWithinBudget) {
+  // An idle fill spends the budget on its mount; the next boundary must
+  // not fill that mount again before a client read sweep has run on it.
+  Rig rig;
+  LifecycleConfig lifecycle;
+  lifecycle.fill_budget_seconds = 240;
+  SimulationConfig sim_config = LongSim();
+  sim_config.workload.model = QueuingModel::kOpen;
+  sim_config.workload.mean_interarrival_seconds = 120;
+  ReplicaFiller filler(&rig.jukebox, &*rig.catalog, lifecycle,
+                       sim_config.duration_seconds);
+  FillPerMountProbe probe(&filler, &rig.jukebox);
+  Simulator sim(&rig.jukebox, static_cast<const Catalog*>(&*rig.catalog),
+                &*rig.scheduler, sim_config, &probe);
+  sim.Run();
+  ASSERT_GT(filler.replicas_written(), 0);
+  EXPECT_EQ(probe.max_fills(), 1);
+
+  // That one fill may overrun the budget by its last write: at most a
+  // locate across the whole tape plus one block.
+  Drive drive(&rig.jukebox.model());
+  drive.Load(0);
+  const Tape& tape = rig.jukebox.tape(0);
+  const double last_write =
+      drive.LocateTo(tape.PositionOfSlot(tape.num_slots() - 1)) +
+      drive.Read(rig.jukebox.config().block_size_mb);
+  EXPECT_LE(probe.max_seconds(), lifecycle.fill_budget_seconds + last_write);
+}
+
+TEST(Lifecycle, NoFillMatchesPlainSimulator) {
+  SimulationConfig sim_config = LongSim();
+  sim_config.duration_seconds = 200'000;
+  Rig rig_a;
+  LifecycleConfig lifecycle;
+  lifecycle.fill_budget_seconds = 0;
+  lifecycle.fill_on_idle = false;
+  LifecycleSimulator with(&rig_a.jukebox, &*rig_a.catalog, &*rig_a.scheduler,
+                          sim_config, lifecycle);
+  int64_t completed = 0;
+  for (const EpochStats& epoch : with.Run()) {
+    completed += epoch.completed_requests;
+  }
+
+  Rig rig_b;
+  Simulator plain(&rig_b.jukebox, &*rig_b.catalog, &*rig_b.scheduler,
+                  sim_config);
+  const SimulationResult result = plain.Run();
+  EXPECT_EQ(completed, result.completed_total);
 }
 
 TEST(Catalog, AddReplicaExtendsBlock) {
