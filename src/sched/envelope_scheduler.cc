@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "sched/extension_list.h"
 #include "util/check.h"
 
 namespace tapejuke {
@@ -15,23 +16,6 @@ int32_t ScanRankFrom(TapeId tape, TapeId origin, int32_t num_tapes) {
   if (origin < 0) origin = 0;
   origin = origin % num_tapes;
   return (tape - origin + num_tapes) % num_tapes;
-}
-
-/// One extension-list entry: a replica of a still-unscheduled request.
-/// `uid` indexes the stable initially-unscheduled vector; `replica` points
-/// into the catalog (so step 4 assigns the real catalog entry instead of
-/// fabricating one from the position).
-struct Ext {
-  Position position;
-  size_t uid;
-  const Replica* replica;
-};
-
-void SortExtList(std::vector<Ext>* list) {
-  std::sort(list->begin(), list->end(), [](const Ext& a, const Ext& b) {
-    return a.position < b.position ||
-           (a.position == b.position && a.uid < b.uid);
-  });
 }
 
 /// A tape's best extension prefix: its incremental bandwidth and length.
@@ -173,32 +157,6 @@ void CheckEnvelopeResultsEqual(
   }
 }
 
-/// Per-tape candidates for the pending requests satisfiable within
-/// `envelope` (a walk over pending x live replicas).
-std::vector<TapeCandidate> CandidatesWithinEnvelope(
-    const Catalog& catalog, const std::deque<Request>& pending,
-    const std::vector<Position>& envelope, int64_t block_mb,
-    int32_t num_tapes) {
-  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
-  const RequestId oldest = pending.front().id;
-  for (const Request& request : pending) {
-    for (const Replica& replica : catalog.ReplicasOf(request.block)) {
-      if (!catalog.IsAlive(replica)) continue;
-      if (replica.position + block_mb <=
-          envelope[static_cast<size_t>(replica.tape)]) {
-        TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-        ++c.num_requests;
-        c.positions.push_back(replica.position);
-        if (request.id == oldest) c.serves_oldest = true;
-      }
-    }
-  }
-  return candidates;
-}
-
 }  // namespace
 
 /// Mutable state shared by the two extension kernels: the result being
@@ -236,6 +194,12 @@ struct EnvelopeScheduler::KernelScratch {
   std::vector<char> dirty;
   std::vector<char> done;
   std::vector<size_t> enclosed;
+  /// Slot-bucketing scratch for BucketExtListBySlot.
+  std::vector<size_t> slot_counts;
+  std::vector<Ext> bucketed;
+  /// In-envelope replicas of the request being placed (step 2 absorb and
+  /// step 5 moves); refilled on every use.
+  std::vector<const Replica*> inside;
 };
 
 EnvelopeScheduler::EnvelopeScheduler(const Jukebox* jukebox,
@@ -293,7 +257,8 @@ bool EnvelopeScheduler::TryAbsorb(const Request& request, KernelState* state,
                                   EnvelopeCounters* counters) const {
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const auto& env = state->result.envelope;
-  std::vector<const Replica*> inside;
+  std::vector<const Replica*>& inside = Scratch().inside;
+  inside.clear();
   for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
     if (!catalog_->IsAlive(replica)) continue;
     if (replica.position + block_mb <=
@@ -416,7 +381,8 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
 
     auto& on_a = state->assigned[static_cast<size_t>(shrink_tape)];
     const Request moved = on_a.Max().request;
-    std::vector<const Replica*> inside;
+    std::vector<const Replica*>& inside = Scratch().inside;
+    inside.clear();
     for (const Replica& replica : catalog_->ReplicasOf(moved.block)) {
       if (!catalog_->IsAlive(replica)) continue;
       if (replica.tape != shrink_tape &&
@@ -474,7 +440,11 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
           Ext{replica.position, i, &replica});
     }
   }
-  for (auto& list : ext) SortExtList(&list);
+  // Lists are built in ascending uid order, so bucketing by slot yields
+  // the (position, uid) order the oracles reach with a comparator sort.
+  for (auto& list : ext) {
+    BucketExtListBySlot(&list, &scratch.slot_counts, &scratch.bucketed);
+  }
 
   auto& score = scratch.score;
   score.assign(static_cast<size_t>(num_tapes), TapeScore{});
@@ -528,7 +498,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
             fresh.push_back(Ext{replica.position, i, &replica});
           }
         }
-        SortExtList(&fresh);
+        SortExtListByPosition(&fresh);
         const auto& list = ext[static_cast<size_t>(t)];
         TJ_CHECK_EQ(fresh.size(), list.size())
             << "stale extension list on tape" << t;
@@ -636,7 +606,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
     for (TapeId t = 0; t < num_tapes; ++t) {
       auto& list = ext[static_cast<size_t>(t)];
       if (list.empty()) continue;
-      SortExtList(&list);
+      SortExtListByPosition(&list);
       const double surcharge =
           (env[static_cast<size_t>(t)] == 0 && t != mounted)
               ? model.SwitchTime()
@@ -705,9 +675,7 @@ TapeId EnvelopeScheduler::TryEpochReschedule() {
   // The persisted envelope stays reusable across catalog mutations (a
   // replica dying or being repaired mid-epoch): the candidate walk
   // re-derives servability from live replicas only.
-  std::vector<TapeCandidate> candidates = CandidatesWithinEnvelope(
-      *catalog_, pending_, envelope_, jukebox_->config().block_size_mb,
-      jukebox_->num_tapes());
+  std::vector<TapeCandidate> candidates = BuildCandidates(pending_, &envelope_);
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
@@ -745,7 +713,6 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     // Nothing pending is inside the stale envelope: recompute below.
   }
 
-  const int64_t block_mb = jukebox_->config().block_size_mb;
   const std::vector<Request> requests(pending_.begin(), pending_.end());
   ++counters_.major_reschedules;
   const int64_t rounds_before = counters_.extension_rounds;
@@ -763,8 +730,7 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // satisfy within the upper envelope (a superset of the per-tape
   // assignment built above).
   std::vector<TapeCandidate> candidates =
-      CandidatesWithinEnvelope(*catalog_, pending_, result.envelope, block_mb,
-                               jukebox_->num_tapes());
+      BuildCandidates(pending_, &result.envelope);
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);

@@ -38,7 +38,8 @@ TapeId GreedyScheduler::MajorReschedule() {
   TJ_CHECK(sweep_.empty());
   FlushArrivals();
   if (pending_.empty()) return BackgroundReschedule();
-  const std::vector<TapeCandidate> candidates = BuildCandidates();
+  const std::vector<TapeCandidate> candidates =
+      BuildCandidates(pending_, /*envelope=*/nullptr);
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);

@@ -25,7 +25,9 @@ double ScheduleCost::ExecutionSeconds(
 
 std::vector<Position> ScheduleCost::SweepOrder(Position head,
                                                std::vector<Position> positions) {
-  std::sort(positions.begin(), positions.end());
+  if (!std::is_sorted(positions.begin(), positions.end())) {
+    std::sort(positions.begin(), positions.end());
+  }
   positions.erase(std::unique(positions.begin(), positions.end()),
                   positions.end());
   auto split = std::lower_bound(positions.begin(), positions.end(), head);
@@ -40,7 +42,7 @@ std::vector<Position> ScheduleCost::SweepOrder(Position head,
 
 SweepCostBreakdown ScheduleCost::EstimateVisit(
     TapeId target, TapeId mounted, Position head,
-    std::vector<Position> positions) const {
+    const std::vector<Position>& positions) const {
   SweepCostBreakdown cost;
   Position start_head = head;
   if (target != mounted) {
@@ -49,8 +51,7 @@ SweepCostBreakdown ScheduleCost::EstimateVisit(
                               : model_->FullSwitchTime(head);
     start_head = 0;
   }
-  const std::vector<Position> order = SweepOrder(start_head,
-                                                 std::move(positions));
+  const std::vector<Position> order = SweepOrder(start_head, positions);
   cost.execution_seconds = ExecutionSeconds(start_head, order);
   cost.blocks = static_cast<int64_t>(order.size());
   cost.bytes_mb = cost.blocks * block_size_mb_;

@@ -63,16 +63,19 @@ class ScheduleCost {
 
   /// Arranges unordered block positions into single-sweep execution order
   /// from `head`: ascending positions >= head (forward phase), then
-  /// descending positions < head (reverse phase).
+  /// descending positions < head (reverse phase). Duplicates are dropped;
+  /// already-ascending input skips the sort.
   static std::vector<Position> SweepOrder(Position head,
                                           std::vector<Position> positions);
 
-  /// Full cost of servicing the distinct `positions` (unordered) on tape
-  /// `target` when `mounted` (with head at `head`) is currently in the
-  /// drive: tape-switch overhead if target differs, then a single sweep.
-  SweepCostBreakdown EstimateVisit(TapeId target, TapeId mounted,
-                                   Position head,
-                                   std::vector<Position> positions) const;
+  /// Full cost of servicing the distinct `positions` on tape `target` when
+  /// `mounted` (with head at `head`) is currently in the drive: tape-switch
+  /// overhead if target differs, then a single sweep. Any order and
+  /// repeats are accepted; candidate builders pass them ascending and
+  /// distinct (TapeCandidate::positions), which skips the sort.
+  SweepCostBreakdown EstimateVisit(
+      TapeId target, TapeId mounted, Position head,
+      const std::vector<Position>& positions) const;
 
  private:
   const TimingModel* model_;

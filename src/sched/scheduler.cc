@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "sched/sweep_builder.h"
 #include "util/check.h"
@@ -42,6 +43,55 @@ Status SchedulerOptions::Validate() const {
     return Status::InvalidArgument("reschedule_epoch must be >= 1");
   }
   return Status::Ok();
+}
+
+std::vector<TapeCandidate> BuildTapeCandidates(
+    const Jukebox& jukebox, const Catalog& catalog,
+    const std::deque<Request>& requests,
+    const std::vector<Position>* envelope, std::vector<uint64_t>* slot_marks) {
+  const int32_t num_tapes = jukebox.num_tapes();
+  const int64_t slots = jukebox.slots_per_tape();
+  const int64_t block_mb = jukebox.config().block_size_mb;
+  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
+  for (TapeId t = 0; t < num_tapes; ++t) {
+    candidates[static_cast<size_t>(t)].tape = t;
+  }
+  if (requests.empty()) return candidates;
+  // One bit per (tape, slot); a tape's bits are read back a word at a time,
+  // so the read costs slots / 64 words per tape plus one step per position.
+  const auto words = static_cast<size_t>((slots + 63) / 64);
+  slot_marks->resize(static_cast<size_t>(num_tapes) * words);
+  const RequestId oldest = requests.front().id;
+  for (const Request& request : requests) {
+    for (const Replica& replica : catalog.ReplicasOf(request.block)) {
+      if (!catalog.IsAlive(replica)) continue;
+      const auto t = static_cast<size_t>(replica.tape);
+      if (envelope != nullptr &&
+          replica.position + block_mb > (*envelope)[t]) {
+        continue;
+      }
+      TJ_DCHECK(replica.slot >= 0 && replica.slot < slots);
+      TapeCandidate& c = candidates[t];
+      ++c.num_requests;
+      if (request.id == oldest) c.serves_oldest = true;
+      const auto slot = static_cast<size_t>(replica.slot);
+      (*slot_marks)[t * words + slot / 64] |= uint64_t{1} << (slot % 64);
+    }
+  }
+  // Read the marks back in slot order (ascending positions, each once),
+  // clearing them for the next call.
+  for (size_t t = 0; t < candidates.size(); ++t) {
+    if (candidates[t].num_requests == 0) continue;
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t& bits = (*slot_marks)[t * words + w];
+      for (; bits != 0; bits &= bits - 1) {
+        const int64_t slot =
+            static_cast<int64_t>(w * 64) + std::countr_zero(bits);
+        candidates[t].positions.push_back(slot * block_mb);
+      }
+    }
+  }
+  return candidates;
 }
 
 TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
@@ -139,26 +189,11 @@ void Scheduler::AbsorbStagedToPending() {
   staged_.clear();
 }
 
-std::vector<TapeCandidate> Scheduler::BuildCandidates() const {
-  std::vector<TapeCandidate> candidates(
-      static_cast<size_t>(jukebox_->num_tapes()));
-  for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
-  const BlockId oldest_block =
-      pending_.empty() ? kInvalidBlock : pending_.front().block;
-  for (const Request& request : pending_) {
-    for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
-      if (!catalog_->IsAlive(replica)) continue;
-      TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-      ++c.num_requests;
-      c.positions.push_back(replica.position);
-      if (request.block == oldest_block && request.id == pending_.front().id) {
-        c.serves_oldest = true;
-      }
-    }
-  }
-  return candidates;
+std::vector<TapeCandidate> Scheduler::BuildCandidates(
+    const std::deque<Request>& requests,
+    const std::vector<Position>* envelope) const {
+  return BuildTapeCandidates(*jukebox_, *catalog_, requests, envelope,
+                             &slot_marks_);
 }
 
 void Scheduler::RecordDecision(bool background, TapeId chosen,
@@ -255,19 +290,10 @@ TapeId Scheduler::BackgroundReschedule() {
   // Client candidates are empty here, so candidate work is exactly the
   // background queue; max-requests batches the most source reads per
   // mount, which is what repair throughput wants.
-  std::vector<TapeCandidate> candidates(
-      static_cast<size_t>(jukebox_->num_tapes()));
-  for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
-  for (const Request& request : background_) {
-    for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
-      if (!catalog_->IsAlive(replica)) continue;
-      TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-      ++c.num_requests;
-      c.positions.push_back(replica.position);
-    }
-  }
+  // The oldest-request rule does not apply to background work.
+  std::vector<TapeCandidate> candidates =
+      BuildCandidates(background_, /*envelope=*/nullptr);
+  for (TapeCandidate& c : candidates) c.serves_oldest = false;
   const TapeId tape =
       SelectTape(TapePolicy::kMaxRequests, candidates,
                  jukebox_->mounted_tape(), jukebox_->head(),

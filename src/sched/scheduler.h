@@ -11,6 +11,7 @@
 #ifndef TAPEJUKE_SCHED_SCHEDULER_H_
 #define TAPEJUKE_SCHED_SCHEDULER_H_
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -85,9 +86,23 @@ struct SchedulerOptions {
 struct TapeCandidate {
   TapeId tape = kInvalidTape;
   int64_t num_requests = 0;          ///< pending requests satisfiable here
-  std::vector<Position> positions;   ///< block positions (may repeat)
+  std::vector<Position> positions;   ///< block positions (ascending, distinct)
   bool serves_oldest = false;        ///< can satisfy the oldest request
 };
+
+/// Builds one candidate per tape from `requests`: every live replica of
+/// every request counts toward its tape's `num_requests` (a block requested
+/// twice counts twice), and the replica's position joins `positions` once.
+/// With `envelope` non-null only replicas whose block end is within the
+/// tape's envelope count. `serves_oldest` marks the tapes holding a counted
+/// replica of requests.front(). `slot_marks` is reusable scratch, all zero
+/// between calls: positions are collected by setting one bit per replica
+/// slot and reading the bits back in slot order, which relies on position
+/// == slot * block size.
+std::vector<TapeCandidate> BuildTapeCandidates(
+    const Jukebox& jukebox, const Catalog& catalog,
+    const std::deque<Request>& requests,
+    const std::vector<Position>* envelope, std::vector<uint64_t>* slot_marks);
 
 /// Applies `policy` to the candidate tapes. `mounted`/`head` describe the
 /// drive state (for bandwidth estimates and jukebox-order tie-breaks).
@@ -214,8 +229,11 @@ class Scheduler {
   /// the rest stay queued.
   void PiggybackBackground(TapeId tape);
 
-  /// Builds per-tape candidates from the current pending list.
-  std::vector<TapeCandidate> BuildCandidates() const;
+  /// BuildTapeCandidates over `requests` against this scheduler's jukebox
+  /// and catalog.
+  std::vector<TapeCandidate> BuildCandidates(
+      const std::deque<Request>& requests,
+      const std::vector<Position>* envelope) const;
 
   /// Pushes one DecisionRecord to the attached sink; no-op without one.
   /// Call after tape selection but before extracting the sweep, so queue
@@ -247,6 +265,11 @@ class Scheduler {
   /// most recent committed head, used when the batch is flushed.
   std::vector<Request> staged_;
   Position staged_head_ = 0;
+
+ private:
+  /// BuildTapeCandidates scratch (a bit per tape x slot, zero between
+  /// calls).
+  mutable std::vector<uint64_t> slot_marks_;
 };
 
 }  // namespace tapejuke

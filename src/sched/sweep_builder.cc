@@ -1,9 +1,9 @@
 #include "sched/sweep_builder.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "util/check.h"
+#include "util/counting_sort.h"
 
 namespace tapejuke {
 
@@ -15,13 +15,14 @@ void ExtractSweepForTape(const Catalog& catalog, TapeId tape,
   TJ_CHECK(sweep != nullptr);
   TJ_CHECK(sweep->empty()) << "sweep must be drained before rebuilding";
 
-  // Partition the pending list into extracted (position-tagged) and kept
+  // Partition the pending list into extracted (slot-tagged) and kept
   // requests, then group the extracted ones by position with one stable
-  // sort: same result as a position-keyed ordered map, without the
-  // per-distinct-position node allocations. Stability keeps each entry's
-  // requests in pending order.
+  // counting sort on the slot (position == slot * block size): same result
+  // as a position-keyed ordered map, in linear time. Stability keeps each
+  // entry's requests in pending order.
   struct Tagged {
-    Position position;
+    int64_t slot = -1;
+    Position position = -1;
     Request request;
   };
   std::vector<Tagged> extracted;
@@ -37,13 +38,13 @@ void ExtractSweepForTape(const Catalog& catalog, TapeId tape,
       keep.push_back(request);
       continue;
     }
-    extracted.push_back(Tagged{replica->position, request});
+    extracted.push_back(Tagged{replica->slot, replica->position, request});
   }
   *pending = std::move(keep);
-  std::stable_sort(extracted.begin(), extracted.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     return a.position < b.position;
-                   });
+  std::vector<size_t> counts;
+  std::vector<Tagged> buffer;
+  StableCountingSort(
+      &extracted, [](const Tagged& t) { return t.slot; }, &counts, &buffer);
 
   // One entry per distinct position (one block per position per tape).
   // Forward phase: ascending positions >= the start head; reverse phase:

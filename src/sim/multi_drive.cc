@@ -249,26 +249,19 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   }
   if (pending_.empty()) return;
 
-  // Candidates over unclaimed tapes only.
+  // Candidates over unclaimed tapes only: a tape another drive holds
+  // offers nothing to this one.
   const int32_t num_tapes = jukebox_->num_tapes();
-  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
+  std::vector<TapeCandidate> candidates =
+      BuildTapeCandidates(*jukebox_, *catalog_, pending_,
+                          /*envelope=*/nullptr, &slot_marks_);
   bool saw_claimed_work = false;
-  const RequestId oldest = pending_.front().id;
-  for (const Request& request : pending_) {
-    for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
-      if (!catalog_->IsAlive(replica)) continue;
-      if (ClaimedElsewhere(replica.tape, d)) {
-        saw_claimed_work = true;
-        continue;
-      }
-      TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-      ++c.num_requests;
-      c.positions.push_back(replica.position);
-      if (request.id == oldest) c.serves_oldest = true;
-    }
+  for (TapeCandidate& c : candidates) {
+    if (!ClaimedElsewhere(c.tape, d)) continue;
+    saw_claimed_work |= c.num_requests > 0;
+    c.num_requests = 0;
+    c.positions.clear();
+    c.serves_oldest = false;
   }
   const TapeId mounted = ds.unit.loaded_tape();
   const TapeId tape = SelectTape(drives_config_.policy, candidates, mounted,

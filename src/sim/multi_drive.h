@@ -215,6 +215,9 @@ class MultiDriveSimulator {
 
   std::vector<DriveState> drives_;
   std::deque<Request> pending_;
+  /// BuildTapeCandidates scratch (a bit per tape x slot, zero between
+  /// calls).
+  std::vector<uint64_t> slot_marks_;
   EventQueue<int> events_;  ///< payload: drive index
   double robot_free_at_ = 0;
   double clock_ = 0;

@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "layout/placement.h"
+#include "sched/envelope_scheduler.h"
+#include "sched/greedy_scheduler.h"
+#include "sim/lifecycle.h"
+#include "sim/simulator.h"
+
 namespace tapejuke {
 namespace {
 
@@ -144,6 +152,96 @@ TEST(CatalogDeathTest, RejectsDuplicateTapes) {
 TEST(CatalogDeathTest, RejectsBadHotCount) {
   std::vector<std::vector<Replica>> replicas = {{{0, 0, 0}}};
   EXPECT_DEATH(Catalog(std::move(replicas), 2), "");
+}
+
+// The scheduler groups replicas by slot and reads slot order as position
+// order, so every replica must sit at position == slot * block size,
+// whichever path placed it: the layout builder, a repair write, or the
+// lifecycle fill.
+void ExpectPositionsAtSlots(const Catalog& catalog, int64_t block_mb) {
+  for (BlockId b = 0; b < catalog.num_blocks(); ++b) {
+    for (const Replica& replica : catalog.ReplicasOf(b)) {
+      ASSERT_EQ(replica.position, replica.slot * block_mb)
+          << "block " << b << " on tape " << replica.tape;
+    }
+  }
+}
+
+TEST(CatalogSlotPosition, LayoutBuilderPlacesAtSlotPositions) {
+  for (const HotLayout layout :
+       {HotLayout::kHorizontal, HotLayout::kVertical}) {
+    for (const PlacementScheme placement :
+         {PlacementScheme::kStartPosition, PlacementScheme::kOrganPipe}) {
+      JukeboxConfig config;
+      config.block_size_mb = 16;
+      Jukebox jukebox(config);
+      LayoutSpec spec;
+      spec.layout = layout;
+      spec.placement = placement;
+      spec.num_replicas = 3;
+      spec.start_position = 0.5;
+      const Catalog catalog = LayoutBuilder::Build(&jukebox, spec).value();
+      ExpectPositionsAtSlots(catalog, config.block_size_mb);
+    }
+  }
+}
+
+TEST(CatalogSlotPosition, RepairWritesAtSlotPositions) {
+  JukeboxConfig config;
+  config.timing.tape_capacity_mb = 1600;  // 100 slots per tape
+  Jukebox jukebox(config);
+  LayoutSpec layout;
+  layout.num_replicas = 2;
+  layout.start_position = 1.0;
+  layout.logical_blocks_override =
+      LayoutBuilder::MaxLogicalBlocks(jukebox, layout) * 9 / 10;
+  Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+  GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
+                            /*dynamic=*/true);
+  SimulationConfig sim;
+  sim.duration_seconds = 400'000;
+  sim.warmup_seconds = 0;
+  sim.workload.model = QueuingModel::kOpen;
+  sim.workload.mean_interarrival_seconds = 240;
+  sim.workload.seed = 17;
+  sim.faults.permanent_media_error_prob = 5e-3;
+  sim.repair.enable_repair = true;
+  sim.repair.scrub_interval_seconds = 40'000;
+  sim.repair.repair_bandwidth_mb_per_s = 20;
+  Simulator simulator(&jukebox, &catalog, &scheduler, sim);
+  const SimulationResult result = simulator.Run();
+  ASSERT_GT(result.repair.repairs_completed, 0);
+  ExpectPositionsAtSlots(catalog, config.block_size_mb);
+}
+
+TEST(CatalogSlotPosition, LifecycleFillWritesAtSlotPositions) {
+  JukeboxConfig config;
+  Jukebox jukebox(config);
+  // Hot data on a dedicated tape, cold data part-filling the rest: the
+  // fill writes hot replicas into the spare slots.
+  LayoutSpec replicated;
+  replicated.layout = HotLayout::kVertical;
+  replicated.num_replicas = 9;
+  replicated.start_position = 1.0;
+  LayoutSpec spare;
+  spare.layout = HotLayout::kVertical;
+  spare.logical_blocks_override =
+      LayoutBuilder::MaxLogicalBlocks(jukebox, replicated);
+  Catalog catalog = LayoutBuilder::Build(&jukebox, spare).value();
+  const int64_t copies_before = catalog.TotalCopies();
+  EnvelopeScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth);
+  SimulationConfig sim;
+  sim.duration_seconds = 300'000;
+  sim.warmup_seconds = 0;
+  sim.workload.queue_length = 60;
+  sim.workload.seed = 51;
+  LifecycleConfig lifecycle;
+  lifecycle.fill_budget_seconds = 240;
+  LifecycleSimulator simulator(&jukebox, &catalog, &scheduler, sim,
+                               lifecycle);
+  simulator.Run();
+  ASSERT_GT(catalog.TotalCopies(), copies_before);
+  ExpectPositionsAtSlots(catalog, config.block_size_mb);
 }
 
 }  // namespace

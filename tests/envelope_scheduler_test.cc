@@ -8,6 +8,7 @@
 #include <set>
 #include <utility>
 
+#include "sched/extension_list.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -354,6 +355,78 @@ TEST_P(EnvelopeKernelFuzz, IncrementalMatchesReferenceKernel) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, EnvelopeKernelFuzz,
                          ::testing::Range<uint64_t>(1, 31));
+
+// The incremental kernel orders its extension lists by slot bucketing; the
+// oracles keep the (position, uid) comparator sort. On lists built the way
+// the kernel builds them (ascending uid, dead replicas skipped, blocks
+// requested more than once) the two orders must agree entry for entry.
+class ExtListOrderFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExtListOrderFuzz, SlotBucketsMatchComparatorOrder) {
+  Rng rng(GetParam());
+  constexpr int32_t kTapes = 4;
+  TinyRig rig(kTapes, /*capacity_mb=*/800, /*block_size_mb=*/16);
+  const int64_t slots = rig.jukebox().slots_per_tape();
+  std::set<std::pair<TapeId, int64_t>> used;
+  const BlockId num_blocks = 20 + static_cast<BlockId>(rng.UniformUint64(20));
+  for (BlockId b = 0; b < num_blocks; ++b) {
+    const int copies = 1 + static_cast<int>(rng.UniformUint64(kTapes));
+    std::set<TapeId> tapes;
+    while (static_cast<int>(tapes.size()) < copies) {
+      tapes.insert(static_cast<TapeId>(rng.UniformUint64(kTapes)));
+    }
+    for (const TapeId t : tapes) {
+      for (;;) {
+        const auto slot = static_cast<int64_t>(
+            rng.UniformUint64(static_cast<uint64_t>(slots)));
+        if (used.insert({t, slot}).second) {
+          rig.Place(b, t, slot);
+          break;
+        }
+      }
+    }
+  }
+  Catalog catalog = rig.BuildCatalog();
+  for (BlockId b = 0; b < num_blocks; ++b) {
+    if (rng.UniformUint64(4) == 0) {
+      catalog.MarkReplicaDead(b, catalog.ReplicasOf(b).front().tape);
+    }
+  }
+  // Requests in arrival (uid) order; every block may be asked for again.
+  // The count varies so per-tape lists fall on both sides of
+  // kCountingSortMinItems (insertion sort below it, bucketing above).
+  std::vector<BlockId> requested;
+  const int num_requests = 10 + static_cast<int>(rng.UniformUint64(190));
+  for (int i = 0; i < num_requests; ++i) {
+    requested.push_back(static_cast<BlockId>(
+        rng.UniformUint64(static_cast<uint64_t>(num_blocks))));
+  }
+
+  std::vector<size_t> counts;
+  std::vector<Ext> buffer;
+  for (TapeId t = 0; t < kTapes; ++t) {
+    std::vector<Ext> list;
+    for (size_t uid = 0; uid < requested.size(); ++uid) {
+      for (const Replica& replica : catalog.ReplicasOf(requested[uid])) {
+        if (replica.tape != t || !catalog.IsAlive(replica)) continue;
+        list.push_back(Ext{replica.position, uid, &replica});
+      }
+    }
+    std::vector<Ext> by_comparator = list;
+    SortExtListByPosition(&by_comparator);
+    BucketExtListBySlot(&list, &counts, &buffer);
+    ASSERT_EQ(list.size(), by_comparator.size());
+    for (size_t k = 0; k < list.size(); ++k) {
+      EXPECT_EQ(list[k].position, by_comparator[k].position)
+          << "tape " << t << " entry " << k;
+      EXPECT_EQ(list[k].uid, by_comparator[k].uid);
+      EXPECT_EQ(list[k].replica, by_comparator[k].replica);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLists, ExtListOrderFuzz,
+                         ::testing::Range<uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace tapejuke

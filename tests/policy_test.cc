@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "sched/scheduler.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -116,6 +121,77 @@ TEST_F(PolicyTest, PolicyNames) {
                "oldest-max-requests");
   EXPECT_STREQ(TapePolicyName(TapePolicy::kOldestMaxBandwidth),
                "oldest-max-bandwidth");
+}
+
+// BuildTapeCandidates: positions come out ascending and distinct, while
+// num_requests still counts every request, duplicates included.
+class BuildTapeCandidatesTest : public ::testing::Test {
+ protected:
+  // Two tapes x 10 slots. Block 0 at slot 7 on tape 0 and slot 2 on tape
+  // 1; block 1 at slot 3 on tape 0; block 2 at slot 5 on tape 1.
+  BuildTapeCandidatesTest() : rig_(2) {
+    rig_.Place(0, 0, 7);
+    rig_.Place(0, 1, 2);
+    rig_.Place(1, 0, 3);
+    rig_.Place(2, 1, 5);
+    catalog_.emplace(rig_.BuildCatalog());
+  }
+
+  std::vector<TapeCandidate> Build(const std::deque<Request>& requests,
+                                   const std::vector<Position>* envelope) {
+    return BuildTapeCandidates(rig_.jukebox(), *catalog_, requests, envelope,
+                               &marks_);
+  }
+
+  TinyRig rig_;
+  std::optional<Catalog> catalog_;
+  std::vector<uint64_t> marks_;
+};
+
+TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
+  // Block 0 three times (the oldest request among them), block 1 once.
+  const std::deque<Request> requests = {
+      {0, 0, 0.0}, {1, 1, 1.0}, {2, 0, 2.0}, {3, 0, 3.0}};
+  const std::vector<TapeCandidate> c = Build(requests, nullptr);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0].tape, 0);
+  EXPECT_EQ(c[0].num_requests, 4);
+  EXPECT_EQ(c[0].positions, (std::vector<Position>{48, 112}));
+  EXPECT_TRUE(c[0].serves_oldest);
+  EXPECT_EQ(c[1].tape, 1);
+  EXPECT_EQ(c[1].num_requests, 3);
+  EXPECT_EQ(c[1].positions, (std::vector<Position>{32}));
+  EXPECT_TRUE(c[1].serves_oldest);
+  // The slot marks are left clear: a second call sees no stale marks.
+  for (const uint64_t mark : marks_) EXPECT_EQ(mark, 0);
+  const std::deque<Request> only_block2 = {{4, 2, 4.0}};
+  const std::vector<TapeCandidate> again = Build(only_block2, nullptr);
+  EXPECT_EQ(again[0].num_requests, 0);
+  EXPECT_TRUE(again[0].positions.empty());
+  EXPECT_EQ(again[1].positions, (std::vector<Position>{80}));
+  EXPECT_FALSE(again[0].serves_oldest);
+  EXPECT_TRUE(again[1].serves_oldest);
+}
+
+TEST_F(BuildTapeCandidatesTest, EnvelopeAndDeadReplicasFilter) {
+  const std::deque<Request> requests = {{0, 1, 0.0}, {1, 0, 1.0},
+                                        {2, 0, 2.0}, {3, 2, 3.0}};
+  // Tape 0's envelope ends before block 0's slot 7; tape 1's covers all.
+  const std::vector<Position> envelope = {64, 160};
+  std::vector<TapeCandidate> c = Build(requests, &envelope);
+  EXPECT_EQ(c[0].num_requests, 1);
+  EXPECT_EQ(c[0].positions, (std::vector<Position>{48}));
+  EXPECT_TRUE(c[0].serves_oldest);
+  EXPECT_EQ(c[1].num_requests, 3);
+  EXPECT_EQ(c[1].positions, (std::vector<Position>{32, 80}));
+  EXPECT_FALSE(c[1].serves_oldest);
+
+  ASSERT_TRUE(catalog_->MarkReplicaDead(0, 1));
+  c = Build(requests, nullptr);
+  EXPECT_EQ(c[0].num_requests, 3);
+  EXPECT_EQ(c[0].positions, (std::vector<Position>{48, 112}));
+  EXPECT_EQ(c[1].num_requests, 1);
+  EXPECT_EQ(c[1].positions, (std::vector<Position>{80}));
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace tapejuke {
 namespace {
 
@@ -99,6 +104,39 @@ TEST_F(ScheduleCostTest, NearbyBlocksBeatScatteredBlocks) {
   const double bw_scattered =
       cost_.EstimateVisit(1, 0, 0, scattered).BandwidthMBps();
   EXPECT_GT(bw_clustered, bw_scattered);
+}
+
+// Candidate builders hand EstimateVisit ascending, distinct positions; any
+// other order of the same set, repeats included, must cost bit-for-bit the
+// same.
+TEST_F(ScheduleCostTest, EstimateVisitIgnoresOrderAndRepeats) {
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Position> sorted;
+    for (Position p = 0; p < 16 * 400; p += 16) {
+      if (rng.UniformUint64(4) == 0) sorted.push_back(p);
+    }
+    std::vector<Position> shuffled = sorted;
+    for (const Position p : sorted) {
+      if (rng.UniformUint64(3) == 0) shuffled.push_back(p);
+    }
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.UniformUint64(i)]);
+    }
+    const Position head = 16 * static_cast<Position>(rng.UniformUint64(400));
+    for (const TapeId mounted : {TapeId{1}, TapeId{0}, kInvalidTape}) {
+      const SweepCostBreakdown a = cost_.EstimateVisit(1, mounted, head,
+                                                       sorted);
+      const SweepCostBreakdown b = cost_.EstimateVisit(1, mounted, head,
+                                                       shuffled);
+      EXPECT_EQ(a.switch_seconds, b.switch_seconds);
+      EXPECT_EQ(a.execution_seconds, b.execution_seconds);
+      EXPECT_EQ(a.blocks, b.blocks);
+      EXPECT_EQ(a.bytes_mb, b.bytes_mb);
+      EXPECT_EQ(a.BandwidthMBps(), b.BandwidthMBps());
+      EXPECT_EQ(a.blocks, static_cast<int64_t>(sorted.size()));
+    }
+  }
 }
 
 }  // namespace
