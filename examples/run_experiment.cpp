@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.algorithm = *spec;
-  const Status valid = config.Validate();
+  Status valid = config.Validate();
+  if (valid.ok()) valid = ValidateDrives(config, drives);
   if (!valid.ok()) {
     std::cerr << valid << "\n";
     return 2;
@@ -178,7 +179,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Multi-drive path (single-drive scheduling policies only).
+  // Multi-drive path (static and dynamic greedy only; ValidateDrives
+  // rejected the rest).
   if (drives > 1) {
     Jukebox jukebox(config.jukebox);
     const StatusOr<Catalog> catalog =
@@ -190,11 +192,13 @@ int main(int argc, char** argv) {
     MultiDriveConfig drive_config;
     drive_config.num_drives = static_cast<int32_t>(drives);
     drive_config.policy = config.algorithm.policy;
+    drive_config.dynamic_insertion =
+        config.algorithm.kind == AlgorithmKind::kDynamic;
+    drive_config.options = config.algorithm.options;
     MultiDriveSimulator sim(&jukebox, &catalog.value(), drive_config,
                             config.sim);
     const SimulationResult result = sim.Run();
-    PrintResult(std::to_string(drives) + "-drive " +
-                    std::string(TapePolicyName(config.algorithm.policy)),
+    PrintResult(std::to_string(drives) + "-drive " + config.algorithm.Name(),
                 LayoutBuilder::ComputeStats(jukebox, catalog.value()),
                 result);
     std::cout << "robot wait (s): " << sim.stats().robot_wait_seconds

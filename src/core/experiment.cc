@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <cstdlib>
+#include <string>
 
 #include "sched/envelope_scheduler.h"
 #include "sched/fifo_scheduler.h"
@@ -119,6 +120,30 @@ Status ExperimentConfig::Validate() const {
   // Layout validation needs jukebox geometry; construct a throwaway.
   const Jukebox probe(jukebox);
   return layout.Validate(probe);
+}
+
+Status ValidateDrives(const ExperimentConfig& config, int64_t num_drives) {
+  if (num_drives < 1) {
+    return Status::InvalidArgument("need at least one drive");
+  }
+  if (num_drives > config.jukebox.num_tapes) {
+    return Status::InvalidArgument(
+        "more drives than tapes: " + std::to_string(num_drives) +
+        " drives for " + std::to_string(config.jukebox.num_tapes) + " tapes");
+  }
+  if (num_drives > 1) {
+    if (config.algorithm.kind != AlgorithmKind::kStatic &&
+        config.algorithm.kind != AlgorithmKind::kDynamic) {
+      return Status::InvalidArgument(
+          "multi-drive runs dispatch by tape policy and support only the "
+          "static and dynamic greedy algorithms");
+    }
+    if (config.sim.repair.enabled()) {
+      return Status::InvalidArgument(
+          "scrub/repair is single-drive only; use one drive");
+    }
+  }
+  return Status::Ok();
 }
 
 StatusOr<ExperimentResult> ExperimentRunner::Run(

@@ -38,9 +38,6 @@ Status FarmConfig::Validate() const {
   if (num_jukeboxes < 1) {
     return Status::InvalidArgument("farm needs at least one jukebox");
   }
-  if (drives_per_jukebox < 1) {
-    return Status::InvalidArgument("drives_per_jukebox must be >= 1");
-  }
   const WorkloadConfig& workload = per_jukebox.sim.workload;
   if (workload.model == QueuingModel::kClosed &&
       workload.queue_length < num_jukeboxes) {
@@ -48,18 +45,7 @@ Status FarmConfig::Validate() const {
         "closed farm needs queue_length >= num_jukeboxes (the fixed split "
         "runs at least one process per box)");
   }
-  if (drives_per_jukebox > 1) {
-    if (per_jukebox.algorithm.kind != AlgorithmKind::kStatic &&
-        per_jukebox.algorithm.kind != AlgorithmKind::kDynamic) {
-      return Status::InvalidArgument(
-          "multi-drive farm boxes dispatch by tape policy and support only "
-          "the static and dynamic greedy algorithms");
-    }
-    if (per_jukebox.sim.repair.enabled()) {
-      return Status::InvalidArgument(
-          "scrub/repair is single-drive only; use drives_per_jukebox = 1");
-    }
-  }
+  TJ_RETURN_IF_ERROR(ValidateDrives(per_jukebox, drives_per_jukebox));
   return per_jukebox.Validate();
 }
 

@@ -675,14 +675,15 @@ TapeId EnvelopeScheduler::TryEpochReschedule() {
   // The persisted envelope stays reusable across catalog mutations (a
   // replica dying or being repaired mid-epoch): the candidate walk
   // re-derives servability from live replicas only.
-  std::vector<TapeCandidate> candidates = BuildCandidates(pending_, &envelope_);
+  BuildTapeCandidates(*jukebox_, *catalog_, pending_, &envelope_,
+                      &candidates_);
   const TapeId tape =
-      SelectTape(policy_, candidates, jukebox_->mounted_tape(),
+      SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
   if (tape == kInvalidTape) return kInvalidTape;
-  RecordDecision(/*background=*/false, tape, candidates);
-  const Position limit = envelope_[static_cast<size_t>(tape)];
-  ExtractAndBuildSweep(tape, &limit);
+  RecordDecision(/*background=*/false, tape, candidates_.tapes());
+  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
+                      &sweep_);
   TJ_CHECK(!sweep_.empty());
   PiggybackBackground(tape);
   return tape;
@@ -729,17 +730,17 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // Tape choice: apply the policy to the set of requests each tape can
   // satisfy within the upper envelope (a superset of the per-tape
   // assignment built above).
-  std::vector<TapeCandidate> candidates =
-      BuildCandidates(pending_, &result.envelope);
+  BuildTapeCandidates(*jukebox_, *catalog_, pending_, &result.envelope,
+                      &candidates_);
   const TapeId tape =
-      SelectTape(policy_, candidates, jukebox_->mounted_tape(),
+      SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
   TJ_CHECK_NE(tape, kInvalidTape);
-  RecordDecision(/*background=*/false, tape, candidates,
+  RecordDecision(/*background=*/false, tape, candidates_.tapes(),
                  counters_.extension_rounds - rounds_before,
                  counters_.tapes_rescored - rescored_before);
-  const Position limit = result.envelope[static_cast<size_t>(tape)];
-  ExtractAndBuildSweep(tape, &limit);
+  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
+                      &sweep_);
   TJ_CHECK(!sweep_.empty());
   // Background riders may lie beyond the envelope edge: the mount is paid
   // for anyway, and client insertions never depend on riders (the sweep

@@ -39,7 +39,8 @@ TapeId FifoScheduler::MajorReschedule() {
     // FIFO considers exactly one candidate: the replica it picked.
     TapeCandidate only;
     only.tape = chosen->tape;
-    only.num_requests = 1;
+    only.members.push_back(
+        CandidateMember{0, static_cast<int32_t>(chosen->slot)});
     only.positions.push_back(chosen->position);
     only.serves_oldest = true;
     RecordDecision(/*background=*/false, chosen->tape, {only});

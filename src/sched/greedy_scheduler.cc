@@ -38,14 +38,15 @@ TapeId GreedyScheduler::MajorReschedule() {
   TJ_CHECK(sweep_.empty());
   FlushArrivals();
   if (pending_.empty()) return BackgroundReschedule();
-  const std::vector<TapeCandidate> candidates =
-      BuildCandidates(pending_, /*envelope=*/nullptr);
+  BuildTapeCandidates(*jukebox_, *catalog_, pending_, /*envelope=*/nullptr,
+                      &candidates_);
   const TapeId tape =
-      SelectTape(policy_, candidates, jukebox_->mounted_tape(),
+      SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
   TJ_CHECK_NE(tape, kInvalidTape);
-  RecordDecision(/*background=*/false, tape, candidates);
-  ExtractAndBuildSweep(tape, /*envelope_limit=*/nullptr);
+  RecordDecision(/*background=*/false, tape, candidates_.tapes());
+  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
+                      &sweep_);
   TJ_CHECK(!sweep_.empty());
   PiggybackBackground(tape);
   return tape;

@@ -1,6 +1,7 @@
 #include "sched/schedule_cost.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 
@@ -51,9 +52,31 @@ SweepCostBreakdown ScheduleCost::EstimateVisit(
                               : model_->FullSwitchTime(head);
     start_head = 0;
   }
-  const std::vector<Position> order = SweepOrder(start_head, positions);
-  cost.execution_seconds = ExecutionSeconds(start_head, order);
-  cost.blocks = static_cast<int64_t>(order.size());
+  // Walk SweepOrder's sequence in place over ascending, distinct positions
+  // (forward from the split, then back down), adding the terms in
+  // ExecutionSeconds' order so the sum is bit-for-bit the same. Candidate
+  // positions already are ascending and distinct; other input is sorted
+  // and deduplicated into a copy first.
+  std::vector<Position> sorted;
+  const std::vector<Position>* walk = &positions;
+  if (std::adjacent_find(positions.begin(), positions.end(),
+                         std::greater_equal<Position>()) != positions.end()) {
+    sorted = positions;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    walk = &sorted;
+  }
+  const auto split = std::lower_bound(walk->begin(), walk->end(), start_head);
+  double seconds = 0;
+  Position at = start_head;
+  const auto visit = [&](Position p) {
+    seconds += model_->LocateAndReadTime(at, p, block_size_mb_);
+    at = p + block_size_mb_;
+  };
+  for (auto it = split; it != walk->end(); ++it) visit(*it);
+  for (auto it = split; it != walk->begin();) visit(*--it);
+  cost.execution_seconds = seconds;
+  cost.blocks = static_cast<int64_t>(walk->size());
   cost.bytes_mb = cost.blocks * block_size_mb_;
   return cost;
 }

@@ -71,8 +71,8 @@ class ScheduleCost {
   /// Full cost of servicing the distinct `positions` on tape `target` when
   /// `mounted` (with head at `head`) is currently in the drive: tape-switch
   /// overhead if target differs, then a single sweep. Any order and
-  /// repeats are accepted; candidate builders pass them ascending and
-  /// distinct (TapeCandidate::positions), which skips the sort.
+  /// repeats are accepted; ascending, distinct input (what
+  /// TapeCandidate::positions holds) is walked in place without a copy.
   SweepCostBreakdown EstimateVisit(
       TapeId target, TapeId mounted, Position head,
       const std::vector<Position>& positions) const;

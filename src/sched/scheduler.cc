@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "sched/sweep_builder.h"
 #include "util/check.h"
@@ -45,109 +44,55 @@ Status SchedulerOptions::Validate() const {
   return Status::Ok();
 }
 
-std::vector<TapeCandidate> BuildTapeCandidates(
-    const Jukebox& jukebox, const Catalog& catalog,
-    const std::deque<Request>& requests,
-    const std::vector<Position>* envelope, std::vector<uint64_t>* slot_marks) {
-  const int32_t num_tapes = jukebox.num_tapes();
-  const int64_t slots = jukebox.slots_per_tape();
-  const int64_t block_mb = jukebox.config().block_size_mb;
-  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
-  if (requests.empty()) return candidates;
-  // One bit per (tape, slot); a tape's bits are read back a word at a time,
-  // so the read costs slots / 64 words per tape plus one step per position.
-  const auto words = static_cast<size_t>((slots + 63) / 64);
-  slot_marks->resize(static_cast<size_t>(num_tapes) * words);
-  const RequestId oldest = requests.front().id;
-  for (const Request& request : requests) {
-    for (const Replica& replica : catalog.ReplicasOf(request.block)) {
-      if (!catalog.IsAlive(replica)) continue;
-      const auto t = static_cast<size_t>(replica.tape);
-      if (envelope != nullptr &&
-          replica.position + block_mb > (*envelope)[t]) {
-        continue;
-      }
-      TJ_DCHECK(replica.slot >= 0 && replica.slot < slots);
-      TapeCandidate& c = candidates[t];
-      ++c.num_requests;
-      if (request.id == oldest) c.serves_oldest = true;
-      const auto slot = static_cast<size_t>(replica.slot);
-      (*slot_marks)[t * words + slot / 64] |= uint64_t{1} << (slot % 64);
-    }
-  }
-  // Read the marks back in slot order (ascending positions, each once),
-  // clearing them for the next call.
-  for (size_t t = 0; t < candidates.size(); ++t) {
-    if (candidates[t].num_requests == 0) continue;
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t& bits = (*slot_marks)[t * words + w];
-      for (; bits != 0; bits &= bits - 1) {
-        const int64_t slot =
-            static_cast<int64_t>(w * 64) + std::countr_zero(bits);
-        candidates[t].positions.push_back(slot * block_mb);
-      }
-    }
-  }
-  return candidates;
-}
-
 TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
                   TapeId mounted, Position head, int32_t num_tapes,
                   const ScheduleCost& cost) {
-  // Collect candidates with work, honoring the oldest-request restriction.
+  // Candidates with work, honoring the oldest-request restriction.
   const bool restrict_oldest = policy == TapePolicy::kOldestMaxRequests ||
                                policy == TapePolicy::kOldestMaxBandwidth;
-  std::vector<const TapeCandidate*> eligible;
-  for (const TapeCandidate& c : tapes) {
-    if (c.num_requests <= 0) continue;
-    if (restrict_oldest && !c.serves_oldest) continue;
-    eligible.push_back(&c);
-  }
-  if (eligible.empty()) return kInvalidTape;
+  const auto eligible = [restrict_oldest](const TapeCandidate& c) {
+    return c.num_requests() > 0 && (!restrict_oldest || c.serves_oldest);
+  };
 
+  const TapeCandidate* best = nullptr;
+  int32_t best_rank = num_tapes + 1;
   if (policy == TapePolicy::kRoundRobin) {
     // Next tape in jukebox order strictly after the mounted tape (wrapping;
     // the mounted tape itself is considered last).
-    const TapeCandidate* best = nullptr;
-    int32_t best_rank = num_tapes + 1;
-    for (const TapeCandidate* c : eligible) {
+    for (const TapeCandidate& c : tapes) {
+      if (!eligible(c)) continue;
       // Rank 0 (the mounted tape) maps to num_tapes: visited last.
-      int32_t rank = ScanRank(c->tape, mounted, num_tapes);
+      int32_t rank = ScanRank(c.tape, mounted, num_tapes);
       if (rank == 0) rank = num_tapes;
       if (rank < best_rank) {
         best_rank = rank;
-        best = c;
+        best = &c;
       }
     }
-    return best->tape;
+    return best == nullptr ? kInvalidTape : best->tape;
   }
 
   const bool by_bandwidth = policy == TapePolicy::kMaxBandwidth ||
                             policy == TapePolicy::kOldestMaxBandwidth;
-  const TapeCandidate* best = nullptr;
   double best_score = -1;
-  int32_t best_rank = num_tapes + 1;
-  for (const TapeCandidate* c : eligible) {
+  for (const TapeCandidate& c : tapes) {
+    if (!eligible(c)) continue;
     double score;
     if (by_bandwidth) {
-      score =
-          cost.EstimateVisit(c->tape, mounted, head, c->positions)
-              .BandwidthMBps();
+      score = cost.EstimateVisit(c.tape, mounted, head, c.positions)
+                  .BandwidthMBps();
     } else {
-      score = static_cast<double>(c->num_requests);
+      score = static_cast<double>(c.num_requests());
     }
-    const int32_t rank = ScanRank(c->tape, mounted, num_tapes);
+    const int32_t rank = ScanRank(c.tape, mounted, num_tapes);
     if (score > best_score ||
         (score == best_score && rank < best_rank)) {
       best_score = score;
       best_rank = rank;
-      best = c;
+      best = &c;
     }
   }
-  return best->tape;
+  return best == nullptr ? kInvalidTape : best->tape;
 }
 
 Scheduler::Scheduler(const Jukebox* jukebox, const Catalog* catalog,
@@ -189,13 +134,6 @@ void Scheduler::AbsorbStagedToPending() {
   staged_.clear();
 }
 
-std::vector<TapeCandidate> Scheduler::BuildCandidates(
-    const std::deque<Request>& requests,
-    const std::vector<Position>* envelope) const {
-  return BuildTapeCandidates(*jukebox_, *catalog_, requests, envelope,
-                             &slot_marks_);
-}
-
 void Scheduler::RecordDecision(bool background, TapeId chosen,
                                const std::vector<TapeCandidate>& candidates,
                                int64_t envelope_rounds,
@@ -212,10 +150,10 @@ void Scheduler::RecordDecision(bool background, TapeId chosen,
   record.tapes_rescored = tapes_rescored;
   const Position head = jukebox_->head();
   for (const TapeCandidate& c : candidates) {
-    if (c.num_requests <= 0) continue;
+    if (c.num_requests() <= 0) continue;
     obs::TapeCandidateScore score;
     score.tape = c.tape;
-    score.num_requests = c.num_requests;
+    score.num_requests = c.num_requests();
     score.bandwidth_mbps =
         cost_.EstimateVisit(c.tape, record.mounted, head, c.positions)
             .BandwidthMBps();
@@ -291,29 +229,25 @@ TapeId Scheduler::BackgroundReschedule() {
   // background queue; max-requests batches the most source reads per
   // mount, which is what repair throughput wants.
   // The oldest-request rule does not apply to background work.
-  std::vector<TapeCandidate> candidates =
-      BuildCandidates(background_, /*envelope=*/nullptr);
-  for (TapeCandidate& c : candidates) c.serves_oldest = false;
+  BuildTapeCandidates(*jukebox_, *catalog_, background_, /*envelope=*/nullptr,
+                      &candidates_);
+  for (TapeCandidate& c : candidates_.tapes()) c.serves_oldest = false;
   const TapeId tape =
-      SelectTape(TapePolicy::kMaxRequests, candidates,
+      SelectTape(TapePolicy::kMaxRequests, candidates_.tapes(),
                  jukebox_->mounted_tape(), jukebox_->head(),
                  jukebox_->num_tapes(), cost_);
   TJ_CHECK_NE(tape, kInvalidTape)
       << "background request with no live replica";
-  RecordDecision(/*background=*/true, tape, candidates);
-  const Position start_head =
-      (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
-  ExtractSweepForTape(*catalog_, tape, start_head,
-                      jukebox_->config().block_size_mb,
-                      /*envelope_limit=*/nullptr, &background_, &sweep_);
+  RecordDecision(/*background=*/true, tape, candidates_.tapes());
+  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &background_,
+                      &sweep_);
   TJ_CHECK(!sweep_.empty());
   return tape;
 }
 
 void Scheduler::PiggybackBackground(TapeId tape) {
   if (background_.empty()) return;
-  const Position start_head =
-      (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
+  const Position start_head = StartHead(tape);
   std::deque<Request> keep;
   for (const Request& request : background_) {
     const Replica* replica = catalog_->LiveReplicaOn(request.block, tape);
@@ -324,15 +258,6 @@ void Scheduler::PiggybackBackground(TapeId tape) {
     }
   }
   background_ = std::move(keep);
-}
-
-void Scheduler::ExtractAndBuildSweep(TapeId tape,
-                                     const Position* envelope_limit) {
-  const Position start_head =
-      (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
-  ExtractSweepForTape(*catalog_, tape, start_head,
-                      jukebox_->config().block_size_mb, envelope_limit,
-                      &pending_, &sweep_);
 }
 
 }  // namespace tapejuke

@@ -23,6 +23,7 @@
 #include "sched/request.h"
 #include "sched/schedule_cost.h"
 #include "sched/sweep.h"
+#include "sched/sweep_builder.h"
 #include "tape/jukebox.h"
 #include "tape/types.h"
 #include "util/status.h"
@@ -81,28 +82,6 @@ struct SchedulerOptions {
   /// InvalidArgument for arrival_batch < 0 or reschedule_epoch < 1.
   Status Validate() const;
 };
-
-/// Candidate work available on one tape, used for tape selection.
-struct TapeCandidate {
-  TapeId tape = kInvalidTape;
-  int64_t num_requests = 0;          ///< pending requests satisfiable here
-  std::vector<Position> positions;   ///< block positions (ascending, distinct)
-  bool serves_oldest = false;        ///< can satisfy the oldest request
-};
-
-/// Builds one candidate per tape from `requests`: every live replica of
-/// every request counts toward its tape's `num_requests` (a block requested
-/// twice counts twice), and the replica's position joins `positions` once.
-/// With `envelope` non-null only replicas whose block end is within the
-/// tape's envelope count. `serves_oldest` marks the tapes holding a counted
-/// replica of requests.front(). `slot_marks` is reusable scratch, all zero
-/// between calls: positions are collected by setting one bit per replica
-/// slot and reading the bits back in slot order, which relies on position
-/// == slot * block size.
-std::vector<TapeCandidate> BuildTapeCandidates(
-    const Jukebox& jukebox, const Catalog& catalog,
-    const std::deque<Request>& requests,
-    const std::vector<Position>* envelope, std::vector<uint64_t>* slot_marks);
 
 /// Applies `policy` to the candidate tapes. `mounted`/`head` describe the
 /// drive state (for bandwidth estimates and jukebox-order tie-breaks).
@@ -229,11 +208,11 @@ class Scheduler {
   /// the rest stay queued.
   void PiggybackBackground(TapeId tape);
 
-  /// BuildTapeCandidates over `requests` against this scheduler's jukebox
-  /// and catalog.
-  std::vector<TapeCandidate> BuildCandidates(
-      const std::deque<Request>& requests,
-      const std::vector<Position>* envelope) const;
+  /// Where a sweep on `tape` starts: the drive head if `tape` is mounted,
+  /// else 0.
+  Position StartHead(TapeId tape) const {
+    return tape == jukebox_->mounted_tape() ? jukebox_->head() : 0;
+  }
 
   /// Pushes one DecisionRecord to the attached sink; no-op without one.
   /// Call after tape selection but before extracting the sweep, so queue
@@ -244,14 +223,6 @@ class Scheduler {
                       int64_t envelope_rounds = 0,
                       int64_t tapes_rescored = 0) const;
 
-  /// Removes every pending request with a replica on `tape` and builds the
-  /// sweep for them (grouped by block, forward phase from the start head,
-  /// below-head blocks in the reverse phase). The start head is the current
-  /// drive head if `tape` is mounted, else 0. `within_envelope`, if
-  /// non-null, restricts to replicas whose block end is <= the envelope
-  /// value for `tape`.
-  void ExtractAndBuildSweep(TapeId tape, const Position* envelope_limit);
-
   const Jukebox* jukebox_;
   const Catalog* catalog_;
   SchedulerOptions options_;
@@ -259,17 +230,15 @@ class Scheduler {
   std::deque<Request> pending_;
   std::deque<Request> background_;
   Sweep sweep_;
+  /// The major reschedule's candidate walk (BuildTapeCandidates), which
+  /// ExtractSweepForTape then consumes.
+  TapeCandidateSet candidates_;
   obs::DecisionSink* decision_sink_ = nullptr;
 
   /// Arrival-batching buffer (see SchedulerOptions::arrival_batch) and the
   /// most recent committed head, used when the batch is flushed.
   std::vector<Request> staged_;
   Position staged_head_ = 0;
-
- private:
-  /// BuildTapeCandidates scratch (a bit per tape x slot, zero between
-  /// calls).
-  mutable std::vector<uint64_t> slot_marks_;
 };
 
 }  // namespace tapejuke

@@ -252,20 +252,18 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   // Candidates over unclaimed tapes only: a tape another drive holds
   // offers nothing to this one.
   const int32_t num_tapes = jukebox_->num_tapes();
-  std::vector<TapeCandidate> candidates =
-      BuildTapeCandidates(*jukebox_, *catalog_, pending_,
-                          /*envelope=*/nullptr, &slot_marks_);
+  BuildTapeCandidates(*jukebox_, *catalog_, pending_, /*envelope=*/nullptr,
+                      &candidates_);
   bool saw_claimed_work = false;
-  for (TapeCandidate& c : candidates) {
+  for (TapeCandidate& c : candidates_.tapes()) {
     if (!ClaimedElsewhere(c.tape, d)) continue;
-    saw_claimed_work |= c.num_requests > 0;
-    c.num_requests = 0;
-    c.positions.clear();
-    c.serves_oldest = false;
+    saw_claimed_work |= c.num_requests() > 0;
+    c.Clear();
   }
   const TapeId mounted = ds.unit.loaded_tape();
-  const TapeId tape = SelectTape(drives_config_.policy, candidates, mounted,
-                                 ds.unit.head(), num_tapes, cost_);
+  const TapeId tape =
+      SelectTape(drives_config_.policy, candidates_.tapes(), mounted,
+                 ds.unit.head(), num_tapes, cost_);
   if (tape == kInvalidTape) {
     // Work exists but only on tapes other drives hold: idle until a claim
     // releases (WakeIdleDrives retries after every event).
@@ -274,13 +272,11 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   }
 
   if (recorder_.has_value()) {
-    RecordDispatchDecision(d, tape, mounted, candidates, now);
+    RecordDispatchDecision(d, tape, mounted, candidates_.tapes(), now);
   }
 
   const Position start_head = (tape == mounted) ? ds.unit.head() : 0;
-  ExtractSweepForTape(*catalog_, tape, start_head,
-                      jukebox_->config().block_size_mb,
-                      /*envelope_limit=*/nullptr, &pending_, &ds.sweep);
+  ExtractSweepForTape(&candidates_, tape, start_head, &pending_, &ds.sweep);
   TJ_CHECK(!ds.sweep.empty());
   ds.claim = tape;
   TraceSweepContents(d, tape, now);
@@ -548,10 +544,10 @@ void MultiDriveSimulator::RecordDispatchDecision(
   record.pending = static_cast<int64_t>(pending_.size());
   const Position head = drives_[static_cast<size_t>(d)].unit.head();
   for (const TapeCandidate& c : candidates) {
-    if (c.num_requests <= 0) continue;
+    if (c.num_requests() <= 0) continue;
     obs::TapeCandidateScore score;
     score.tape = c.tape;
-    score.num_requests = c.num_requests;
+    score.num_requests = c.num_requests();
     score.bandwidth_mbps =
         cost_.EstimateVisit(c.tape, mounted, head, c.positions)
             .BandwidthMBps();

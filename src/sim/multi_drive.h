@@ -29,6 +29,7 @@
 #include "sched/schedule_cost.h"
 #include "sched/scheduler.h"
 #include "sched/sweep.h"
+#include "sched/sweep_builder.h"
 #include "sim/admission.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
@@ -215,9 +216,8 @@ class MultiDriveSimulator {
 
   std::vector<DriveState> drives_;
   std::deque<Request> pending_;
-  /// BuildTapeCandidates scratch (a bit per tape x slot, zero between
-  /// calls).
-  std::vector<uint64_t> slot_marks_;
+  /// Dispatch's candidate walk, consumed by its sweep extraction.
+  TapeCandidateSet candidates_;
   EventQueue<int> events_;  ///< payload: drive index
   double robot_free_at_ = 0;
   double clock_ = 0;

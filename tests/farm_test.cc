@@ -44,6 +44,48 @@ TEST(FarmConfig, Validation) {
   EXPECT_FALSE(sparse.Validate().ok());
 }
 
+// A box cannot run more drives than it has tapes; the farm reports it as
+// an invalid config instead of aborting in MultiDriveSimulator.
+TEST(FarmConfig, RejectsMoreDrivesThanTapes) {
+  FarmConfig config = BaseFarm(2, 60);
+  config.per_jukebox.jukebox.num_tapes = 4;
+  config.drives_per_jukebox = 4;
+  EXPECT_TRUE(config.Validate().ok());
+  config.drives_per_jukebox = 5;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("more drives than tapes"),
+            std::string::npos);
+}
+
+// Multi-drive boxes dispatch by tape policy: FIFO is rejected like the
+// envelope algorithms, and either is fine on a single drive.
+TEST(FarmConfig, MultiDriveRejectsFifo) {
+  FarmConfig config = BaseFarm(2, 60);
+  config.per_jukebox.algorithm = AlgorithmSpec::Parse("fifo").value();
+  EXPECT_TRUE(config.Validate().ok());
+  config.drives_per_jukebox = 2;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("static"), std::string::npos);
+  config.per_jukebox.algorithm =
+      AlgorithmSpec::Parse("static-max-requests").value();
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+// ValidateDrives is the rule run_experiment --drives applies too.
+TEST(ValidateDrives, CountsAndAlgorithms) {
+  ExperimentConfig config;
+  config.jukebox.num_tapes = 10;
+  EXPECT_TRUE(ValidateDrives(config, 1).ok());
+  EXPECT_TRUE(ValidateDrives(config, 10).ok());
+  EXPECT_FALSE(ValidateDrives(config, 0).ok());
+  EXPECT_FALSE(ValidateDrives(config, 11).ok());
+  config.algorithm = AlgorithmSpec::Parse("envelope-max-bandwidth").value();
+  EXPECT_TRUE(ValidateDrives(config, 1).ok());
+  EXPECT_FALSE(ValidateDrives(config, 2).ok());
+}
+
 TEST(Farm, SingleBoxMatchesPlainSimulator) {
   FarmConfig config = BaseFarm(1, 60);
   const FarmResult farm = FarmSimulator(config).Run();

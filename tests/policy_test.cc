@@ -8,6 +8,7 @@
 
 #include "sched/scheduler.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace tapejuke {
 namespace {
@@ -17,7 +18,10 @@ class PolicyTest : public ::testing::Test {
   TapeCandidate Cand(TapeId tape, int64_t requests,
                      std::vector<Position> positions,
                      bool serves_oldest = false) {
-    return TapeCandidate{tape, requests, std::move(positions), serves_oldest};
+    // `requests` placeholder members: only their count matters here.
+    return TapeCandidate{tape, std::move(positions), serves_oldest,
+                         std::vector<CandidateMember>(
+                             static_cast<size_t>(requests))};
   }
 
   TimingModel model_{TimingParams::Exabyte8505XL()};
@@ -124,7 +128,7 @@ TEST_F(PolicyTest, PolicyNames) {
 }
 
 // BuildTapeCandidates: positions come out ascending and distinct, while
-// num_requests still counts every request, duplicates included.
+// num_requests() still counts every request, duplicates included.
 class BuildTapeCandidatesTest : public ::testing::Test {
  protected:
   // Two tapes x 10 slots. Block 0 at slot 7 on tape 0 and slot 2 on tape
@@ -137,15 +141,18 @@ class BuildTapeCandidatesTest : public ::testing::Test {
     catalog_.emplace(rig_.BuildCatalog());
   }
 
-  std::vector<TapeCandidate> Build(const std::deque<Request>& requests,
-                                   const std::vector<Position>* envelope) {
-    return BuildTapeCandidates(rig_.jukebox(), *catalog_, requests, envelope,
-                               &marks_);
+  const std::vector<TapeCandidate>& Build(
+      const std::deque<Request>& requests,
+      const std::vector<Position>* envelope) {
+    BuildTapeCandidates(rig_.jukebox(), *catalog_, requests, envelope, &set_);
+    // Every build leaves the slot marks clear for the next one.
+    EXPECT_TRUE(set_.SlotMarksClear());
+    return set_.tapes();
   }
 
   TinyRig rig_;
   std::optional<Catalog> catalog_;
-  std::vector<uint64_t> marks_;
+  TapeCandidateSet set_;
 };
 
 TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
@@ -155,18 +162,17 @@ TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
   const std::vector<TapeCandidate> c = Build(requests, nullptr);
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c[0].tape, 0);
-  EXPECT_EQ(c[0].num_requests, 4);
+  EXPECT_EQ(c[0].num_requests(), 4);
   EXPECT_EQ(c[0].positions, (std::vector<Position>{48, 112}));
   EXPECT_TRUE(c[0].serves_oldest);
   EXPECT_EQ(c[1].tape, 1);
-  EXPECT_EQ(c[1].num_requests, 3);
+  EXPECT_EQ(c[1].num_requests(), 3);
   EXPECT_EQ(c[1].positions, (std::vector<Position>{32}));
   EXPECT_TRUE(c[1].serves_oldest);
-  // The slot marks are left clear: a second call sees no stale marks.
-  for (const uint64_t mark : marks_) EXPECT_EQ(mark, 0);
+  // A second call sees no stale marks or members from the first.
   const std::deque<Request> only_block2 = {{4, 2, 4.0}};
   const std::vector<TapeCandidate> again = Build(only_block2, nullptr);
-  EXPECT_EQ(again[0].num_requests, 0);
+  EXPECT_EQ(again[0].num_requests(), 0);
   EXPECT_TRUE(again[0].positions.empty());
   EXPECT_EQ(again[1].positions, (std::vector<Position>{80}));
   EXPECT_FALSE(again[0].serves_oldest);
@@ -179,19 +185,78 @@ TEST_F(BuildTapeCandidatesTest, EnvelopeAndDeadReplicasFilter) {
   // Tape 0's envelope ends before block 0's slot 7; tape 1's covers all.
   const std::vector<Position> envelope = {64, 160};
   std::vector<TapeCandidate> c = Build(requests, &envelope);
-  EXPECT_EQ(c[0].num_requests, 1);
+  EXPECT_EQ(c[0].num_requests(), 1);
   EXPECT_EQ(c[0].positions, (std::vector<Position>{48}));
   EXPECT_TRUE(c[0].serves_oldest);
-  EXPECT_EQ(c[1].num_requests, 3);
+  EXPECT_EQ(c[1].num_requests(), 3);
   EXPECT_EQ(c[1].positions, (std::vector<Position>{32, 80}));
   EXPECT_FALSE(c[1].serves_oldest);
 
   ASSERT_TRUE(catalog_->MarkReplicaDead(0, 1));
   c = Build(requests, nullptr);
-  EXPECT_EQ(c[0].num_requests, 3);
+  EXPECT_EQ(c[0].num_requests(), 3);
   EXPECT_EQ(c[0].positions, (std::vector<Position>{48, 112}));
-  EXPECT_EQ(c[1].num_requests, 1);
+  EXPECT_EQ(c[1].num_requests(), 1);
   EXPECT_EQ(c[1].positions, (std::vector<Position>{80}));
+}
+
+// Member lists: one (queue index, slot) per counted request, in queue
+// order, with the slot of the tape's live replica; the buffers keep their
+// capacity from call to call.
+TEST_F(BuildTapeCandidatesTest, MemberListsFollowTheQueue) {
+  Rng rng(11);
+  std::vector<const CandidateMember*> members_data;
+  std::vector<const Position*> positions_data;
+  for (int call = 0; call < 30; ++call) {
+    std::deque<Request> requests;
+    // The first call is the largest, so the later ones fit its buffers.
+    const uint64_t size = call == 0 ? 40 : 1 + rng.UniformUint64(40);
+    for (uint64_t i = 0; i < size; ++i) {
+      requests.push_back(Request{static_cast<RequestId>(i),
+                                 static_cast<BlockId>(rng.UniformUint64(3)),
+                                 0.0});
+    }
+    if (call == 0) {
+      // Every block on both tapes' lists at once, to size the buffers.
+      requests[0].block = 0;
+      requests[1].block = 1;
+      requests[2].block = 2;
+    }
+    const std::vector<TapeCandidate>& c = Build(requests, nullptr);
+    for (const TapeCandidate& candidate : c) {
+      size_t expected_count = 0;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        if (catalog_->LiveReplicaOn(requests[i].block, candidate.tape) !=
+            nullptr) {
+          ++expected_count;
+        }
+      }
+      EXPECT_EQ(candidate.members.size(), expected_count);
+      for (size_t k = 0; k < candidate.members.size(); ++k) {
+        const CandidateMember& m = candidate.members[k];
+        if (k > 0) {
+          EXPECT_LT(candidate.members[k - 1].index, m.index);
+        }
+        ASSERT_LT(m.index, requests.size());
+        const Replica* replica =
+            catalog_->LiveReplicaOn(requests[m.index].block, candidate.tape);
+        ASSERT_NE(replica, nullptr);
+        EXPECT_EQ(replica->slot, m.slot);
+      }
+    }
+    if (call == 0) {
+      for (const TapeCandidate& candidate : c) {
+        members_data.push_back(candidate.members.data());
+        positions_data.push_back(candidate.positions.data());
+      }
+      continue;
+    }
+    for (size_t t = 0; t < c.size(); ++t) {
+      if (c[t].members.empty()) continue;
+      EXPECT_EQ(c[t].members.data(), members_data[t]) << "call " << call;
+      EXPECT_EQ(c[t].positions.data(), positions_data[t]) << "call " << call;
+    }
+  }
 }
 
 }  // namespace

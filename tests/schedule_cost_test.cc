@@ -139,5 +139,35 @@ TEST_F(ScheduleCostTest, EstimateVisitIgnoresOrderAndRepeats) {
   }
 }
 
+// Ascending, distinct positions are walked in place; the sum must be
+// bit-for-bit the one ExecutionSeconds gives on SweepOrder's copy, with the
+// head below, inside and above the positions, and with the target mounted
+// (sweep from the head) or not (sweep from 0 after a switch).
+TEST_F(ScheduleCostTest, EstimateVisitInPlaceMatchesSweepOrder) {
+  Rng rng(23);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Position> positions;
+    if (trial > 0) {
+      for (Position p = 16 * 10; p < 16 * 300; p += 16) {
+        if (rng.UniformUint64(5) == 0) positions.push_back(p);
+      }
+    }
+    const Position inside =
+        16 * (10 + static_cast<Position>(rng.UniformUint64(290)));
+    for (const Position head : {Position{0}, inside, Position{16 * 400}}) {
+      for (const TapeId mounted : {TapeId{1}, TapeId{0}, kInvalidTape}) {
+        const SweepCostBreakdown visit =
+            cost_.EstimateVisit(1, mounted, head, positions);
+        const Position start = mounted == 1 ? head : 0;
+        EXPECT_EQ(visit.execution_seconds,
+                  cost_.ExecutionSeconds(
+                      start, ScheduleCost::SweepOrder(start, positions)));
+        EXPECT_EQ(visit.blocks, static_cast<int64_t>(positions.size()));
+        EXPECT_EQ(visit.bytes_mb, visit.blocks * 16);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tapejuke
