@@ -2,12 +2,13 @@
 //
 // Throughput/delay as the drive count grows, with the shared robot arm and
 // tape-claim conflicts modeled. Includes the per-cabinet scaling factor and
-// the robot-contention accounting.
+// the robot-contention accounting. Every drive count runs on the one
+// Simulator, so the 1-drive rows are the single-drive jukebox's.
 
 #include <iterator>
+#include <memory>
 
 #include "bench_common.h"
-#include "sim/multi_drive.h"
 
 namespace tapejuke {
 namespace bench {
@@ -15,7 +16,8 @@ namespace {
 
 struct PointOutput {
   SimulationResult result;
-  MultiDriveStats stats;
+  double robot_wait_seconds = 0;
+  int64_t claim_conflicts = 0;
 };
 
 int Main(int argc, char** argv) {
@@ -39,12 +41,13 @@ int Main(int argc, char** argv) {
     const int32_t drives = drive_counts[i / queues.size()];
     const int64_t queue = queues[i % queues.size()];
     Jukebox jukebox(base.jukebox);
+    jukebox.SetNumDrives(drives);
     StatusOr<Catalog> catalog_or =
         LayoutBuilder::Build(&jukebox, base.layout);
     if (!catalog_or.ok()) return catalog_or.status();
-    const Catalog catalog = std::move(catalog_or).value();
-    MultiDriveConfig drive_config;
-    drive_config.num_drives = drives;
+    Catalog catalog = std::move(catalog_or).value();
+    const std::unique_ptr<Scheduler> scheduler =
+        CreateScheduler(base.algorithm, &jukebox, &catalog);
     SimulationConfig sim_config = base.sim;
     sim_config.workload.queue_length = queue;
     sim_config.workload.seed = ctx.PointSeed(i);
@@ -55,9 +58,10 @@ int Main(int argc, char** argv) {
       sim_config.obs = options.Trace();
       sim_config.timeline = options.Timeline();
     }
-    MultiDriveSimulator sim(&jukebox, &catalog, drive_config, sim_config);
+    Simulator sim(&jukebox, &catalog, scheduler.get(), sim_config);
     outputs[i].result = sim.Run();
-    outputs[i].stats = sim.stats();
+    outputs[i].robot_wait_seconds = jukebox.counters().robot_wait_seconds;
+    outputs[i].claim_conflicts = sim.claim_conflicts();
     return Status::Ok();
   });
 
@@ -73,7 +77,7 @@ int Main(int argc, char** argv) {
                   out.result.mean_delay_minutes,
                   baseline > 0 ? out.result.requests_per_minute / baseline
                                : 0.0,
-                  out.stats.robot_wait_seconds, out.stats.claim_conflicts});
+                  out.robot_wait_seconds, out.claim_conflicts});
     ctx.RecordResult("drives-" + std::to_string(drives),
                      static_cast<double>(queues[queue_index]), out.result);
   }

@@ -11,9 +11,10 @@
 //   run_experiment --replay-trace /tmp/t.csv --algorithm dynamic-max-requests
 
 #include <iostream>
+#include <optional>
+#include <vector>
 
 #include "core/tapejuke.h"
-#include "sim/multi_drive.h"
 #include "sim/trace.h"
 
 namespace {
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("block-mb", &block_mb, "logical block size, MB");
   flags.AddInt64("capacity-mb", &capacity_mb, "per-tape capacity, MB");
   flags.AddInt64("drives", &drives,
-                 "drives in the cabinet (>1 uses the multi-drive extension)");
+                 "drives in the cabinet (>1 shares the tapes and robot arm)");
   flags.AddBool("fast-drive", &fast_drive,
                 "use the hypothetical 4x-faster drive constants");
   flags.AddDouble("ph", &ph, "fraction of logical blocks that are hot");
@@ -179,35 +180,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Multi-drive path (static and dynamic greedy only; ValidateDrives
-  // rejected the rest).
-  if (drives > 1) {
-    Jukebox jukebox(config.jukebox);
-    const StatusOr<Catalog> catalog =
-        LayoutBuilder::Build(&jukebox, config.layout);
-    if (!catalog.ok()) {
-      std::cerr << catalog.status() << "\n";
-      return 1;
-    }
-    MultiDriveConfig drive_config;
-    drive_config.num_drives = static_cast<int32_t>(drives);
-    drive_config.policy = config.algorithm.policy;
-    drive_config.dynamic_insertion =
-        config.algorithm.kind == AlgorithmKind::kDynamic;
-    drive_config.options = config.algorithm.options;
-    MultiDriveSimulator sim(&jukebox, &catalog.value(), drive_config,
-                            config.sim);
-    const SimulationResult result = sim.Run();
-    PrintResult(std::to_string(drives) + "-drive " + config.algorithm.Name(),
-                LayoutBuilder::ComputeStats(jukebox, catalog.value()),
-                result);
-    std::cout << "robot wait (s): " << sim.stats().robot_wait_seconds
-              << ", claim conflicts: " << sim.stats().claim_conflicts
-              << "\n";
-    return 0;
-  }
-
-  // Trace replay.
+  // One path for every drive count, with or without a replayed trace.
+  std::vector<Request> replay;
+  std::string label;
   if (!replay_trace.empty()) {
     const StatusOr<std::vector<TraceRecord>> trace =
         LoadTrace(replay_trace);
@@ -215,29 +190,32 @@ int main(int argc, char** argv) {
       std::cerr << trace.status() << "\n";
       return 1;
     }
-    Jukebox jukebox(config.jukebox);
-    const StatusOr<Catalog> catalog =
-        LayoutBuilder::Build(&jukebox, config.layout);
-    if (!catalog.ok()) {
-      std::cerr << catalog.status() << "\n";
-      return 1;
-    }
-    const auto scheduler =
-        CreateScheduler(config.algorithm, &jukebox, &catalog.value());
-    Simulator sim(&jukebox, &catalog.value(), scheduler.get(), config.sim,
-                  TraceToRequests(*trace));
-    PrintResult(scheduler->name() + " (trace replay, " +
-                    std::to_string(trace->size()) + " arrivals)",
-                LayoutBuilder::ComputeStats(jukebox, catalog.value()),
-                sim.Run());
-    return 0;
+    replay = TraceToRequests(*trace);
+    label = " (trace replay, " + std::to_string(trace->size()) + " arrivals)";
   }
-
-  const StatusOr<ExperimentResult> result = ExperimentRunner::Run(config);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
+  Jukebox jukebox(config.jukebox);
+  jukebox.SetNumDrives(static_cast<int32_t>(drives));
+  StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, config.layout);
+  if (!catalog.ok()) {
+    std::cerr << catalog.status() << "\n";
     return 1;
   }
-  PrintResult(result->algorithm_name, result->layout, result->sim);
+  const auto scheduler =
+      CreateScheduler(config.algorithm, &jukebox, &catalog.value());
+  std::optional<Simulator> sim;
+  if (replay_trace.empty()) {
+    sim.emplace(&jukebox, &catalog.value(), scheduler.get(), config.sim);
+  } else {
+    sim.emplace(&jukebox, &catalog.value(), scheduler.get(), config.sim,
+                std::move(replay));
+  }
+  const SimulationResult result = sim->Run();
+  if (drives > 1) label = " on " + std::to_string(drives) + " drives" + label;
+  PrintResult(scheduler->name() + label,
+              LayoutBuilder::ComputeStats(jukebox, catalog.value()), result);
+  if (drives > 1) {
+    std::cout << "robot wait (s): " << jukebox.counters().robot_wait_seconds
+              << ", claim conflicts: " << sim->claim_conflicts() << "\n";
+  }
   return 0;
 }

@@ -131,18 +131,6 @@ Status ValidateDrives(const ExperimentConfig& config, int64_t num_drives) {
         "more drives than tapes: " + std::to_string(num_drives) +
         " drives for " + std::to_string(config.jukebox.num_tapes) + " tapes");
   }
-  if (num_drives > 1) {
-    if (config.algorithm.kind != AlgorithmKind::kStatic &&
-        config.algorithm.kind != AlgorithmKind::kDynamic) {
-      return Status::InvalidArgument(
-          "multi-drive runs dispatch by tape policy and support only the "
-          "static and dynamic greedy algorithms");
-    }
-    if (config.sim.repair.enabled()) {
-      return Status::InvalidArgument(
-          "scrub/repair is single-drive only; use one drive");
-    }
-  }
   return Status::Ok();
 }
 

@@ -69,9 +69,8 @@ struct ExperimentConfig {
 };
 
 /// InvalidArgument unless `config` can run on `num_drives` drives sharing
-/// its jukebox: at least one drive and no more drives than tapes. More than
-/// one drive runs on MultiDriveSimulator, which dispatches by tape policy
-/// (static and dynamic greedy only) and has no scrub/repair.
+/// its jukebox: at least one drive and no more drives than tapes. Every
+/// algorithm and subsystem runs at any valid drive count.
 Status ValidateDrives(const ExperimentConfig& config, int64_t num_drives);
 
 /// Run output: simulation metrics plus the layout actually built.

@@ -8,7 +8,6 @@
 
 #include "core/sweep_runner.h"
 #include "obs/timeline.h"
-#include "sim/multi_drive.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 #include "util/check.h"
@@ -64,8 +63,7 @@ struct FarmSimulator::BoxOutput {
   obs::TimelineSummary timeline_summary;
   std::vector<std::string> timeline_counter_names;
 
-  template <typename Sim>
-  void CaptureTimeline(const Sim& sim) {
+  void CaptureTimeline(const Simulator& sim) {
     const obs::TimelineSampler* timeline = sim.timeline();
     if (timeline == nullptr) return;
     timeline_header = timeline->header_json();
@@ -111,25 +109,14 @@ ExperimentConfig FarmSimulator::BoxConfig(int32_t index) const {
 FarmSimulator::BoxOutput FarmSimulator::RunBox(int32_t index) const {
   const ExperimentConfig cfg = BoxConfig(index);
   Jukebox jukebox(cfg.jukebox);
+  jukebox.SetNumDrives(config_.drives_per_jukebox);
   StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, cfg.layout);
   TJ_CHECK(catalog.ok()) << catalog.status().ToString();
-  if (config_.drives_per_jukebox == 1) {
-    const std::unique_ptr<Scheduler> scheduler =
-        CreateScheduler(cfg.algorithm, &jukebox, &catalog.value());
-    Simulator sim(&jukebox, &catalog.value(), scheduler.get(), cfg.sim);
-    SimulationResult result = sim.Run();
-    BoxOutput out{std::move(result), sim.metrics(), jukebox.counters()};
-    out.CaptureTimeline(sim);
-    return out;
-  }
-  MultiDriveConfig drives;
-  drives.num_drives = config_.drives_per_jukebox;
-  drives.policy = cfg.algorithm.policy;
-  drives.dynamic_insertion = cfg.algorithm.kind == AlgorithmKind::kDynamic;
-  drives.options = cfg.algorithm.options;
-  MultiDriveSimulator sim(&jukebox, &catalog.value(), drives, cfg.sim);
+  const std::unique_ptr<Scheduler> scheduler =
+      CreateScheduler(cfg.algorithm, &jukebox, &catalog.value());
+  Simulator sim(&jukebox, &catalog.value(), scheduler.get(), cfg.sim);
   SimulationResult result = sim.Run();
-  BoxOutput out{std::move(result), sim.metrics(), sim.counters()};
+  BoxOutput out{std::move(result), sim.metrics(), jukebox.counters()};
   out.CaptureTimeline(sim);
   return out;
 }

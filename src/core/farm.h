@@ -7,8 +7,8 @@
 // implements exactly that split, and exploits it: the boxes are mutually
 // independent discrete-event simulations, so they shard across a thread
 // pool (core/sweep_runner seed discipline) and each box runs on the full
-// single- or multi-drive simulator — algorithms, fault injection, and
-// (single-drive) scrub/repair all work per box.
+// simulator with its drives — every algorithm, fault injection, and
+// scrub/repair work per box.
 //
 // Workload split semantics (exact, not approximate):
 //  * open model — uniformly routing a Poisson(lambda) stream over n boxes
@@ -42,10 +42,8 @@ namespace tapejuke {
 /// population; open mean_interarrival_seconds is the farm-wide rate.
 struct FarmConfig {
   int32_t num_jukeboxes = 2;
-  /// Drives per box. 1 runs each box on the single-drive Simulator (every
-  /// algorithm; faults and repair supported). > 1 runs each box on the
-  /// MultiDriveSimulator (static/dynamic algorithms; faults supported,
-  /// repair not).
+  /// Drives per box (1 is the paper's jukebox). Every algorithm, fault
+  /// injection and scrub/repair run at any drive count.
   int32_t drives_per_jukebox = 1;
   /// Worker threads sharding the boxes; <= 0 selects hardware concurrency.
   /// Purely an execution knob: results are bit-identical at any value.

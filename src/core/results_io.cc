@@ -243,8 +243,8 @@ void WriteJson(JsonWriter* w, const SimulationResult& result) {
   w->Field("tape_switches_per_hour", result.tape_switches_per_hour);
   w->Field("transfer_utilization", result.transfer_utilization);
   // Time-in-state block: present only when the run collected per-drive
-  // accounting (single- and multi-drive simulators; farm/lifecycle paths
-  // leave it empty).
+  // accounting (any Simulator run; farm/lifecycle paths leave it
+  // empty).
   if (!result.time_in_state.empty()) {
     w->Field("drive_utilization", result.drive_utilization);
     w->Key("time_in_state");

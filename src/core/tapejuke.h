@@ -2,11 +2,12 @@
 //
 // tapejuke is a from-scratch reproduction of "Scheduling and Data
 // Replication to Improve Tape Jukebox Performance" (Hillyer, Rastogi,
-// Silberschatz; ICDE 1999): a measured tape timing model, a single-drive
-// jukebox hardware model, hot/cold data placement and replication layouts,
-// the full family of scheduling algorithms (FIFO, static and dynamic greedy
-// variants, and the envelope-extension algorithm), and a discrete-event
-// simulator with closed- and open-queuing workloads. See README.md for a
+// Silberschatz; ICDE 1999): a measured tape timing model, a jukebox
+// hardware model (one drive, or the multi-drive extension), hot/cold data
+// placement and replication layouts, the full family of scheduling
+// algorithms (FIFO, static and dynamic greedy variants, and the
+// envelope-extension algorithm), and a discrete-event simulator with
+// closed- and open-queuing workloads. See README.md for a
 // quickstart and DESIGN.md for the architecture.
 
 #ifndef TAPEJUKE_CORE_TAPEJUKE_H_
@@ -27,7 +28,6 @@
 #include "sched/validating_scheduler.h"  // IWYU pragma: export
 #include "sim/lifecycle.h"           // IWYU pragma: export
 #include "sim/metrics.h"             // IWYU pragma: export
-#include "sim/multi_drive.h"         // IWYU pragma: export
 #include "sim/simulator.h"           // IWYU pragma: export
 #include "sim/trace.h"               // IWYU pragma: export
 #include "sim/workload.h"            // IWYU pragma: export

@@ -41,7 +41,7 @@ struct DecisionRecord {
   std::string scheduler;
   /// True for a background (repair-class) reschedule of an idle drive.
   bool background = false;
-  /// Which drive the decision is for (always 0 in the single-drive sim).
+  /// Which drive the decision is for (always 0 with one drive).
   int drive = 0;
   TapeId chosen = -1;   ///< tape selected for the next sweep; -1 = none
   TapeId mounted = -1;  ///< tape mounted when the decision was made

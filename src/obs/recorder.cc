@@ -278,7 +278,7 @@ Status TraceRecorder::Finalize(double end_time) {
     }
     TJ_CHECK(open_requests_.empty());
 
-    // Events are appended roughly in clock order, but multi-drive charge
+    // Events are appended roughly in clock order, but the drives' charge
     // points interleave; a stable sort by timestamp yields a
     // deterministic, monotone stream.
     std::stable_sort(

@@ -18,10 +18,9 @@
 //    p99} of the observations inside the interval (per-tenant-class
 //    delay, from which goodput per interval = count / interval).
 //
-// Sampling is driven by the simulators' existing event machinery: the
-// single-drive simulator interleaves SampleUpTo with the calendar-queue
-// expiry stream, the multi-drive simulator samples up to each main-loop
-// event before processing it. Rows are pure observation — a sample never
+// Sampling is driven by the simulator's existing event machinery: it
+// interleaves SampleUpTo with the calendar-queue expiry stream while it
+// delivers client events up to each drive action. Rows are pure observation — a sample never
 // advances the simulation clock, marks warm-up, or wakes a drive — and
 // all timestamps come from the simulated clock, so output is
 // byte-identical at any --threads and results JSON is byte-identical

@@ -677,20 +677,21 @@ TapeId EnvelopeScheduler::TryEpochReschedule() {
   // re-derives servability from live replicas only.
   BuildTapeCandidates(*jukebox_, *catalog_, pending_, &envelope_,
                       &candidates_);
+  DropClaimedCandidates();
   const TapeId tape =
       SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
   if (tape == kInvalidTape) return kInvalidTape;
   RecordDecision(/*background=*/false, tape, candidates_.tapes());
   ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
-                      &sweep_);
-  TJ_CHECK(!sweep_.empty());
+                      &served_sweep());
+  TJ_CHECK(!served_sweep().empty());
   PiggybackBackground(tape);
   return tape;
 }
 
 TapeId EnvelopeScheduler::MajorReschedule() {
-  TJ_CHECK(sweep_.empty());
+  TJ_CHECK(served_sweep().empty());
   // Batched arrivals join the pending list through the normal incremental
   // path before anything is decided from it.
   FlushArrivals();
@@ -732,16 +733,21 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // assignment built above).
   BuildTapeCandidates(*jukebox_, *catalog_, pending_, &result.envelope,
                       &candidates_);
+  DropClaimedCandidates();
   const TapeId tape =
       SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
-  TJ_CHECK_NE(tape, kInvalidTape);
+  if (tape == kInvalidTape) {
+    // Every tape with in-envelope work is held by another drive.
+    TJ_CHECK_GT(jukebox_->num_drives(), 1);
+    return kInvalidTape;
+  }
   RecordDecision(/*background=*/false, tape, candidates_.tapes(),
                  counters_.extension_rounds - rounds_before,
                  counters_.tapes_rescored - rescored_before);
   ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
-                      &sweep_);
-  TJ_CHECK(!sweep_.empty());
+                      &served_sweep());
+  TJ_CHECK(!served_sweep().empty());
   // Background riders may lie beyond the envelope edge: the mount is paid
   // for anyway, and client insertions never depend on riders (the sweep
   // edge check in ShrinkActiveSweep compares against the envelope, which
@@ -775,19 +781,20 @@ void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
   const TapeId mounted = jukebox_->mounted_tape();
   if (mounted == kInvalidTape || mounted == extended_tape) return;
   const int64_t block_mb = jukebox_->config().block_size_mb;
-  while (!sweep_.empty()) {
+  Sweep& sweep = served_sweep();
+  while (!sweep.empty()) {
     // The sweep's outermost block: end of the forward phase or start of the
     // reverse phase, whichever is farther out.
     Position edge_pos = -1;
     BlockId edge_block = kInvalidBlock;
-    if (!sweep_.forward().empty()) {
-      edge_pos = sweep_.forward().back().position;
-      edge_block = sweep_.forward().back().block;
+    if (!sweep.forward().empty()) {
+      edge_pos = sweep.forward().back().position;
+      edge_block = sweep.forward().back().block;
     }
-    if (!sweep_.reverse().empty() &&
-        sweep_.reverse().front().position > edge_pos) {
-      edge_pos = sweep_.reverse().front().position;
-      edge_block = sweep_.reverse().front().block;
+    if (!sweep.reverse().empty() &&
+        sweep.reverse().front().position > edge_pos) {
+      edge_pos = sweep.reverse().front().position;
+      edge_block = sweep.reverse().front().block;
     }
     // Shrinking only applies when the envelope edge is a scheduled block.
     if (edge_pos + block_mb !=
@@ -803,18 +810,18 @@ void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
     }
     // Move the edge block's requests off the active sweep; they will be
     // rescheduled (normally on `extended_tape`) at the next reschedule.
-    std::optional<ServiceEntry> removed = sweep_.RemoveBlock(edge_block);
+    std::optional<ServiceEntry> removed = sweep.RemoveBlock(edge_block);
     TJ_CHECK(removed.has_value());
     ++counters_.sweep_trims;
     for (const Request& request : removed->requests) DeferInOrder(request);
     Position new_edge = std::max<Position>(committed_head, 0);
-    if (!sweep_.forward().empty()) {
+    if (!sweep.forward().empty()) {
       new_edge = std::max(new_edge,
-                          sweep_.forward().back().position + block_mb);
+                          sweep.forward().back().position + block_mb);
     }
-    if (!sweep_.reverse().empty()) {
+    if (!sweep.reverse().empty()) {
       new_edge = std::max(new_edge,
-                          sweep_.reverse().front().position + block_mb);
+                          sweep.reverse().front().position + block_mb);
     }
     envelope_[static_cast<size_t>(mounted)] = new_edge;
   }
@@ -823,7 +830,8 @@ void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
 void EnvelopeScheduler::OnArrivalNow(const Request& request,
                                      Position committed_head) {
   const TapeId mounted = jukebox_->mounted_tape();
-  if (!envelope_valid_ || sweep_.empty() || mounted == kInvalidTape) {
+  Sweep& sweep = served_sweep();
+  if (!envelope_valid_ || sweep.empty() || mounted == kInvalidTape) {
     pending_.push_back(request);
     return;
   }
@@ -836,7 +844,7 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
   if (on_mounted != nullptr &&
       on_mounted->position + block_mb <=
           envelope_[static_cast<size_t>(mounted)] &&
-      sweep_.InsertRequest(request, on_mounted->position, committed_head,
+      sweep.InsertRequest(request, on_mounted->position, committed_head,
                            options_.allow_reverse_phase)) {
     ++counters_.incremental_inserts;
     return;
@@ -873,7 +881,7 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
   TJ_CHECK(best != nullptr);
 
   if (best->tape == mounted) {
-    if (sweep_.InsertRequest(request, best->position, committed_head,
+    if (sweep.InsertRequest(request, best->position, committed_head,
                              options_.allow_reverse_phase)) {
       ++counters_.incremental_inserts;
       ++counters_.incremental_extensions;

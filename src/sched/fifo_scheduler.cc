@@ -17,23 +17,36 @@ void FifoScheduler::OnArrivalNow(const Request& request,
 TapeId FifoScheduler::MajorReschedule() {
   FlushArrivals();
   if (pending_.empty()) return BackgroundReschedule();
-  const Request oldest = pending_.front();
-  pending_.pop_front();
-
-  // Prefer a live replica on the mounted tape; otherwise the first live
-  // replica. The simulator evicts requests with no live replica before any
-  // reschedule, so one always exists.
-  const Replica* chosen =
-      catalog_->LiveReplicaOn(oldest.block, jukebox_->mounted_tape());
-  if (chosen == nullptr) {
-    for (const Replica& replica : catalog_->ReplicasOf(oldest.block)) {
-      if (catalog_->IsAlive(replica)) {
-        chosen = &replica;
-        break;
+  // Prefer a live replica on the mounted tape, otherwise the first live
+  // replica on a tape no other drive holds.
+  const auto pick_replica = [this](BlockId block) -> const Replica* {
+    const Replica* mounted =
+        catalog_->LiveReplicaOn(block, jukebox_->mounted_tape());
+    if (mounted != nullptr) return mounted;
+    for (const Replica& replica : catalog_->ReplicasOf(block)) {
+      if (catalog_->IsAlive(replica) &&
+          !jukebox_->HeldByOtherDrive(replica.tape)) {
+        return &replica;
       }
     }
+    return nullptr;
+  };
+  // Serve the oldest request this drive can reach. With one drive that is
+  // the oldest request: the simulator evicts requests with no live
+  // replica before any reschedule.
+  const Replica* chosen = nullptr;
+  auto it = pending_.begin();
+  while (it != pending_.end() &&
+         (chosen = pick_replica(it->block)) == nullptr) {
+    ++it;
   }
-  TJ_CHECK(chosen != nullptr) << "pending request with no live replica";
+  if (chosen == nullptr) {
+    TJ_CHECK_GT(jukebox_->num_drives(), 1)
+        << "pending request with no live replica";
+    return kInvalidTape;
+  }
+  const Request oldest = *it;
+  pending_.erase(it);
 
   if (decision_sink_ != nullptr) {
     // FIFO considers exactly one candidate: the replica it picked.
@@ -58,12 +71,10 @@ TapeId FifoScheduler::MajorReschedule() {
   }
   pending_ = std::move(keep);
 
-  const Position start_head =
-      (chosen->tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
-  if (entry.position >= start_head) {
-    sweep_.AppendForward(entry);
+  if (entry.position >= StartHead(chosen->tape)) {
+    served_sweep().AppendForward(entry);
   } else {
-    sweep_.AppendReverse(entry);
+    served_sweep().AppendReverse(entry);
   }
   PiggybackBackground(chosen->tape);
   return chosen->tape;

@@ -3,9 +3,9 @@
 // The major rescheduler selects a tape with one of the five tape-selection
 // policies and greedily schedules *all* pending requests satisfiable by that
 // tape, sorted into a single sweep. Static variants defer every new arrival
-// to the pending list; dynamic variants insert arrivals for the mounted
-// tape into the running sweep when the requested block still lies ahead of
-// the head.
+// to the pending list; dynamic variants insert arrivals for a mounted
+// tape into its drive's running sweep when the requested block still lies
+// ahead of the head.
 
 #ifndef TAPEJUKE_SCHED_GREEDY_SCHEDULER_H_
 #define TAPEJUKE_SCHED_GREEDY_SCHEDULER_H_

@@ -100,9 +100,23 @@ Scheduler::Scheduler(const Jukebox* jukebox, const Catalog* catalog,
     : jukebox_(jukebox),
       catalog_(catalog),
       options_(options),
-      cost_(&jukebox->model(), jukebox->config().block_size_mb) {
+      cost_(&jukebox->model(), jukebox->config().block_size_mb),
+      sweeps_(static_cast<size_t>(jukebox->num_drives())) {
   TJ_CHECK(jukebox != nullptr);
   TJ_CHECK(catalog != nullptr);
+}
+
+size_t Scheduler::sweep_size() const {
+  size_t size = 0;
+  for (const Sweep& sweep : sweeps_) size += sweep.size();
+  return size;
+}
+
+void Scheduler::DropClaimedCandidates() {
+  if (sweeps_.size() == 1) return;
+  for (TapeCandidate& c : candidates_.tapes()) {
+    if (jukebox_->HeldByOtherDrive(c.tape)) c.Clear();
+  }
 }
 
 void Scheduler::OnArrival(const Request& request, Position committed_head) {
@@ -141,6 +155,7 @@ void Scheduler::RecordDecision(bool background, TapeId chosen,
   if (decision_sink_ == nullptr) return;
   obs::DecisionRecord record;
   record.scheduler = name();
+  record.drive = jukebox_->served_drive();
   record.background = background;
   record.chosen = chosen;
   record.mounted = jukebox_->mounted_tape();
@@ -169,7 +184,7 @@ std::vector<Request> Scheduler::DrainSweep() {
   // work — the drain would hand them right back).
   AbsorbStagedToPending();
   std::vector<Request> drained;
-  while (std::optional<ServiceEntry> entry = sweep_.Pop()) {
+  while (std::optional<ServiceEntry> entry = served_sweep().Pop()) {
     for (const Request& request : entry->requests) drained.push_back(request);
   }
   return drained;
@@ -232,27 +247,32 @@ TapeId Scheduler::BackgroundReschedule() {
   BuildTapeCandidates(*jukebox_, *catalog_, background_, /*envelope=*/nullptr,
                       &candidates_);
   for (TapeCandidate& c : candidates_.tapes()) c.serves_oldest = false;
+  DropClaimedCandidates();
   const TapeId tape =
       SelectTape(TapePolicy::kMaxRequests, candidates_.tapes(),
                  jukebox_->mounted_tape(), jukebox_->head(),
                  jukebox_->num_tapes(), cost_);
-  TJ_CHECK_NE(tape, kInvalidTape)
-      << "background request with no live replica";
+  if (tape == kInvalidTape) {
+    TJ_CHECK_GT(sweeps_.size(), 1u)
+        << "background request with no live replica";
+    return kInvalidTape;
+  }
   RecordDecision(/*background=*/true, tape, candidates_.tapes());
   ExtractSweepForTape(&candidates_, tape, StartHead(tape), &background_,
-                      &sweep_);
-  TJ_CHECK(!sweep_.empty());
+                      &served_sweep());
+  TJ_CHECK(!served_sweep().empty());
   return tape;
 }
 
 void Scheduler::PiggybackBackground(TapeId tape) {
   if (background_.empty()) return;
   const Position start_head = StartHead(tape);
+  Sweep& sweep = served_sweep();
   std::deque<Request> keep;
   for (const Request& request : background_) {
     const Replica* replica = catalog_->LiveReplicaOn(request.block, tape);
     if (replica == nullptr ||
-        !sweep_.InsertRequest(request, replica->position, start_head,
+        !sweep.InsertRequest(request, replica->position, start_head,
                               options_.allow_reverse_phase)) {
       keep.push_back(request);
     }

@@ -7,6 +7,11 @@
 // inserting them into the running sweep or deferring them to the pending
 // list. The simulator drives this interface through the four-step service
 // cycle.
+//
+// A multi-drive jukebox keeps one scheduler with one sweep per drive. Every
+// call acts for the jukebox's served drive (Jukebox::Serve): the major
+// rescheduler builds that drive's sweep and skips tapes loaded in another
+// drive (the tape-claim check), and PopNext pops from it.
 
 #ifndef TAPEJUKE_SCHED_SCHEDULER_H_
 #define TAPEJUKE_SCHED_SCHEDULER_H_
@@ -121,16 +126,19 @@ class Scheduler {
   /// nothing is staged.
   void FlushArrivals();
 
-  /// Major rescheduler: called when the service list is empty. Chooses the
-  /// next tape, moves the requests it will serve from the pending list into
-  /// the sweep, and returns the tape to mount (kInvalidTape if there is no
-  /// pending work).
+  /// Major rescheduler: called when the served drive's service list is
+  /// empty. Chooses the next tape, moves the requests it will serve from
+  /// the pending list into the sweep, and returns the tape to mount
+  /// (kInvalidTape if there is no pending work, or with several drives
+  /// when every tape with work is held by another drive).
   virtual TapeId MajorReschedule() = 0;
 
-  /// Pops the next service entry of the active sweep. (Virtual so
+  /// Pops the next service entry of the served drive's sweep. (Virtual so
   /// decorators like ValidatingScheduler can intercept the execution
   /// stream.)
-  virtual std::optional<ServiceEntry> PopNext() { return sweep_.Pop(); }
+  virtual std::optional<ServiceEntry> PopNext() {
+    return served_sweep().Pop();
+  }
 
   /// Enqueues a background (repair-source) read. Background requests are
   /// never handed to OnArrival: they are ordered strictly behind client
@@ -139,23 +147,26 @@ class Scheduler {
   /// visits a tape holding a live replica of their block.
   virtual void EnqueueBackground(const Request& request);
 
-  virtual bool sweep_empty() const { return sweep_.empty(); }
-  virtual size_t sweep_size() const { return sweep_.size(); }
+  /// The served drive's sweep is empty.
+  virtual bool sweep_empty() const { return served_sweep().empty(); }
+  /// Entries queued across every drive's sweep.
+  virtual size_t sweep_size() const;
   virtual size_t pending_size() const {
     return pending_.size() + staged_.size();
   }
   virtual size_t background_size() const { return background_.size(); }
+  /// Queued work, or entries left in the served drive's sweep.
   virtual bool HasWork() const {
-    return !pending_.empty() || !staged_.empty() || !sweep_.empty() ||
+    return !pending_.empty() || !staged_.empty() || !sweep_empty() ||
            !background_.empty();
   }
 
   /// Arrivals staged by the batching layer but not yet applied.
   size_t staged_size() const { return staged_.size(); }
 
-  /// Fault recovery: abandons the active sweep and returns every request it
-  /// held, so the simulator can fail them over (the mounted tape died or
-  /// its drive failed). Subclasses with derived sweep state override to
+  /// Fault recovery: abandons the served drive's sweep and returns every
+  /// request it held, so the simulator can fail them over (the mounted
+  /// tape died). Subclasses with derived sweep state override to
   /// invalidate it.
   virtual std::vector<Request> DrainSweep();
 
@@ -171,14 +182,15 @@ class Scheduler {
   /// normally. Background requests never carry deadlines.
   virtual std::vector<Request> EvictExpired(double now);
 
-  /// The active sweep (virtual so decorators expose the wrapped one; the
-  /// simulator reads it to trace scheduled-into-sweep transitions).
-  virtual const Sweep& sweep() const { return sweep_; }
+  /// The served drive's sweep (virtual so decorators expose the wrapped
+  /// one; the simulator reads it to trace scheduled-into-sweep
+  /// transitions).
+  virtual const Sweep& sweep() const { return served_sweep(); }
   const std::deque<Request>& pending() const { return pending_; }
   const std::deque<Request>& background() const { return background_; }
 
   /// Observability: attaches a sink that receives one DecisionRecord per
-  /// major reschedule (candidates, scores, the chosen tape). Null (the
+  /// major reschedule (drive, candidates, scores, the chosen tape). Null (the
   /// default) detaches; with no sink attached the hook costs one branch.
   /// Decorators override to forward to the wrapped scheduler.
   virtual void set_decision_sink(obs::DecisionSink* sink) {
@@ -200,16 +212,28 @@ class Scheduler {
   /// MajorReschedule fallback when no client work is pending: picks the
   /// tape satisfying the most background requests (ties in jukebox order)
   /// and builds their sweep. Returns kInvalidTape when the background
-  /// queue is empty too.
+  /// queue is empty too, or every tape it needs is held by another drive.
   TapeId BackgroundReschedule();
+
+  /// The tape-claim check (LTFS-DM's `tapeResAvail`): clears the
+  /// candidates on tapes loaded in another drive, which the served drive
+  /// cannot mount. No-op with one drive.
+  void DropClaimedCandidates();
+
+  Sweep& served_sweep() {
+    return sweeps_[static_cast<size_t>(jukebox_->served_drive())];
+  }
+  const Sweep& served_sweep() const {
+    return sweeps_[static_cast<size_t>(jukebox_->served_drive())];
+  }
 
   /// Folds every queued background request with a live replica on `tape`
   /// into the just-built sweep (free piggyback riders on the client pass);
   /// the rest stay queued.
   void PiggybackBackground(TapeId tape);
 
-  /// Where a sweep on `tape` starts: the drive head if `tape` is mounted,
-  /// else 0.
+  /// Where a sweep on `tape` starts: the served drive's head if `tape` is
+  /// mounted there, else 0.
   Position StartHead(TapeId tape) const {
     return tape == jukebox_->mounted_tape() ? jukebox_->head() : 0;
   }
@@ -229,7 +253,8 @@ class Scheduler {
   ScheduleCost cost_;
   std::deque<Request> pending_;
   std::deque<Request> background_;
-  Sweep sweep_;
+  /// One sweep per drive, sized from the jukebox at construction.
+  std::vector<Sweep> sweeps_;
   /// The major reschedule's candidate walk (BuildTapeCandidates), which
   /// ExtractSweepForTape then consumes.
   TapeCandidateSet candidates_;

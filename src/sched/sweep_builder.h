@@ -6,7 +6,7 @@
 // index, replica slot) pairs. Once a tape is chosen, ExtractSweepForTape
 // builds its sweep from that tape's member list alone and compacts the
 // queue, so the catalog is walked once per reschedule. Used by the
-// single-drive Scheduler subclasses and by the multi-drive dispatcher.
+// Scheduler subclasses.
 
 #ifndef TAPEJUKE_SCHED_SWEEP_BUILDER_H_
 #define TAPEJUKE_SCHED_SWEEP_BUILDER_H_

@@ -11,7 +11,8 @@ ValidatingScheduler::ValidatingScheduler(std::unique_ptr<Scheduler> inner,
                                          const Jukebox* jukebox,
                                          const Catalog* catalog)
     : Scheduler(jukebox, catalog, SchedulerOptions{}),
-      inner_(std::move(inner)) {
+      inner_(std::move(inner)),
+      sweep_states_(static_cast<size_t>(jukebox->num_drives())) {
   TJ_CHECK(inner_ != nullptr);
 }
 
@@ -55,17 +56,19 @@ TapeId ValidatingScheduler::MajorReschedule() {
   }
   const TapeId tape = inner_->MajorReschedule();
   if (tape == kInvalidTape) {
-    TJ_CHECK(!inner_->HasWork())
+    // With several drives the work may all sit on tapes other drives hold.
+    TJ_CHECK(jukebox_->num_drives() > 1 || !inner_->HasWork())
         << "scheduler declined to schedule while work was pending";
     return tape;
   }
   TJ_CHECK(tape >= 0 && tape < jukebox_->num_tapes());
+  TJ_CHECK(!jukebox_->HeldByOtherDrive(tape))
+      << "tape" << tape << "is held by another drive";
   TJ_CHECK(!inner_->sweep_empty())
       << "major rescheduler chose a tape but built no sweep";
-  sweep_tape_ = tape;
-  mount_head_ = (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
-  last_position_ = -1;
-  in_reverse_ = false;
+  served_state() = SweepState{
+      tape, (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0, -1,
+      false};
   return tape;
 }
 
@@ -77,7 +80,7 @@ std::vector<Request> ValidatingScheduler::DrainSweep() {
         << "drained request" << request.id << "was not outstanding";
   }
   // The sweep is gone; any pop before the next major reschedule is a bug.
-  sweep_tape_ = kInvalidTape;
+  served_state().tape = kInvalidTape;
   return drained;
 }
 
@@ -104,14 +107,14 @@ std::vector<Request> ValidatingScheduler::EvictExpired(double now) {
 std::optional<ServiceEntry> ValidatingScheduler::PopNext() {
   std::optional<ServiceEntry> entry = inner_->PopNext();
   if (!entry.has_value()) return entry;
-  TJ_CHECK_NE(sweep_tape_, kInvalidTape)
+  SweepState& state = served_state();
+  TJ_CHECK_NE(state.tape, kInvalidTape)
       << "entry popped before any major reschedule";
 
   // The read must target a real replica of the block on the chosen tape.
-  const Replica* replica =
-      catalog_->ReplicaOn(entry->block, sweep_tape_);
+  const Replica* replica = catalog_->ReplicaOn(entry->block, state.tape);
   TJ_CHECK(replica != nullptr)
-      << "block" << entry->block << "has no replica on tape" << sweep_tape_;
+      << "block" << entry->block << "has no replica on tape" << state.tape;
   TJ_CHECK_EQ(replica->position, entry->position);
 
   // Single-sweep order: ascending positions >= the mount head, then a
@@ -119,20 +122,21 @@ std::optional<ServiceEntry> ValidatingScheduler::PopNext() {
   // A request arriving while a block is being read may legally trigger a
   // second read of the same position (a one-block reverse locate), so the
   // descent checks are <=, not <.
-  if (!in_reverse_) {
-    const bool forward_ok =
-        entry->position >= mount_head_ && entry->position > last_position_;
+  if (!state.in_reverse) {
+    const bool forward_ok = entry->position >= state.mount_head &&
+                            entry->position > state.last_position;
     if (!forward_ok) {
-      in_reverse_ = true;  // the sweep turned around
-      TJ_CHECK(last_position_ == -1 || entry->position <= last_position_)
+      state.in_reverse = true;  // the sweep turned around
+      TJ_CHECK(state.last_position == -1 ||
+               entry->position <= state.last_position)
           << "reverse phase must descend: " << entry->position << " after "
-          << last_position_;
+          << state.last_position;
     }
   } else {
-    TJ_CHECK_LE(entry->position, last_position_)
+    TJ_CHECK_LE(entry->position, state.last_position)
         << "reverse phase must descend";
   }
-  last_position_ = entry->position;
+  state.last_position = entry->position;
 
   // Every satisfied request must be outstanding, exactly once.
   TJ_CHECK(!entry->requests.empty()) << "service entry with no requests";

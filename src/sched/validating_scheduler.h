@@ -5,13 +5,14 @@
 //
 //  * every popped service entry reads a block that actually has a replica
 //    at that position on the tape the major rescheduler chose;
-//  * the entries popped between two major reschedules form one legal sweep:
-//    a forward phase of ascending positions starting at or after the mount
-//    head, followed by a reverse phase of descending positions;
+//  * the entries each drive pops between two of its major reschedules form
+//    one legal sweep: a forward phase of ascending positions starting at or
+//    after the mount head, followed by a reverse phase of descending
+//    positions;
 //  * every request enters the scheduler exactly once and leaves exactly
 //    once (no losses, no duplicates);
-//  * the major rescheduler only reports a tape when work exists, and the
-//    sweep it builds is non-empty;
+//  * the major rescheduler only reports a tape when work exists, never one
+//    held by another drive, and the sweep it builds is non-empty;
 //  * when the inner scheduler is an EnvelopeScheduler, the incremental
 //    extension kernel and the from-scratch reference computation agree on
 //    every major reschedule (the envelope oracle).
@@ -25,6 +26,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sched/scheduler.h"
 #include "util/flat_hash.h"
@@ -89,10 +91,17 @@ class ValidatingScheduler : public Scheduler {
   int64_t arrivals_seen_ = 0;
   int64_t requests_served_ = 0;
 
-  TapeId sweep_tape_ = kInvalidTape;
-  Position mount_head_ = 0;
-  Position last_position_ = -1;
-  bool in_reverse_ = false;
+  /// The sweep each drive is executing, for the sweep-order check.
+  struct SweepState {
+    TapeId tape = kInvalidTape;
+    Position mount_head = 0;
+    Position last_position = -1;
+    bool in_reverse = false;
+  };
+  SweepState& served_state() {
+    return sweep_states_[static_cast<size_t>(jukebox_->served_drive())];
+  }
+  std::vector<SweepState> sweep_states_;
 };
 
 }  // namespace tapejuke

@@ -1,5 +1,7 @@
-// Background drive work: the one channel through which the single-drive
-// Simulator interleaves non-client work with client reads.
+// Background drive work: the one channel through which the Simulator
+// interleaves non-client work with client reads, on whichever drive is at
+// a sweep boundary or idle. With several drives a producer must not mount
+// a tape another drive holds (Jukebox::HeldByOtherDrive).
 //
 // Three producers feed it: scrub/repair (RepairManager), the delta write
 // path's dirty-block flushes (WriteBuffer), and the §4.8 gradual replica

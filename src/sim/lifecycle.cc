@@ -153,14 +153,17 @@ double ReplicaFiller::AtSweepBoundary(double now) {
 double ReplicaFiller::NextIdleWorkTime(double now) {
   // A tape to fill implies the fill target is not yet met.
   const bool fill = config_.fill_on_idle && config_.fill_budget_seconds > 0 &&
-                    NeediestTape() != kInvalidTape;
+                    NeediestTape() != kInvalidTape &&
+                    !jukebox_->HeldByOtherDrive(NeediestTape());
   return fill ? now : std::numeric_limits<double>::infinity();
 }
 
 BackgroundWork::Quantum ReplicaFiller::IdleQuantum(double now) {
   Quantum quantum;
   const TapeId tape = NeediestTape();
-  if (tape == kInvalidTape) return quantum;
+  if (tape == kInvalidTape || jukebox_->HeldByOtherDrive(tape)) {
+    return quantum;
+  }
   quantum.seconds = jukebox_->SwitchTo(tape);
   quantum.seconds += FillMountedTape(now + quantum.seconds);
   return quantum;

@@ -121,7 +121,7 @@ class ReplicaFiller : public BackgroundWork {
   std::vector<double> delay_sum_;
 };
 
-/// Single-drive simulator that grows hot-data replicas while serving
+/// Jukebox simulator that grows hot-data replicas while serving
 /// reads: a Simulator driving a ReplicaFiller.
 class LifecycleSimulator {
  public:

@@ -1,45 +1,13 @@
-// Multi-drive jukebox simulation (extension; paper §2 names multi-drive
-// scheduling as future work).
-//
-// One cabinet holds D drives, one robotic arm, and the shared tape pool.
-// Drives serve a common pending list: when a drive's service list empties,
-// a per-drive major reschedule picks a tape *not claimed by any other
-// drive* with the usual tape-selection policies and extracts that tape's
-// requests into the drive's sweep. Drive-local mechanics (rewind, eject,
-// locate, read, load) proceed in parallel across drives, but the robot arm
-// is a serialized resource: concurrent tape swaps queue on it. The dynamic
-// incremental scheduler inserts arrivals into whichever drive's running
-// sweep can still satisfy them.
-//
-// Scaling is sub-linear for three reasons the bench quantifies: robot
-// contention, tape-claim conflicts (two drives cannot mount one tape), and
-// the fragmentation of each tape's batch across more frequent visits.
+// Multi-drive facade: the pre-unification MultiDriveSimulator interface,
+// kept only for the benchmark package. D-drive jukeboxes run on Simulator
+// (Jukebox::SetNumDrives); this adapter builds the greedy scheduler the old
+// dispatcher hard-wired and a D-drive Simulator around it.
 
 #ifndef TAPEJUKE_SIM_MULTI_DRIVE_H_
 #define TAPEJUKE_SIM_MULTI_DRIVE_H_
 
-#include <deque>
-#include <optional>
-#include <utility>
-#include <vector>
-
-#include "layout/catalog.h"
-#include "obs/recorder.h"
-#include "obs/time_in_state.h"
-#include "sched/schedule_cost.h"
-#include "sched/scheduler.h"
-#include "sched/sweep.h"
-#include "sched/sweep_builder.h"
-#include "sim/admission.h"
-#include "sim/event_queue.h"
-#include "sim/fault_model.h"
-#include "sim/metrics.h"
+#include "sched/greedy_scheduler.h"
 #include "sim/simulator.h"
-#include "sim/workload.h"
-#include "tape/drive.h"
-#include "tape/jukebox.h"
-#include "util/flat_hash.h"
-#include "util/status.h"
 
 namespace tapejuke {
 
@@ -50,211 +18,29 @@ struct MultiDriveConfig {
   /// Insert arrivals into running sweeps (the dynamic incremental rule).
   bool dynamic_insertion = true;
   SchedulerOptions options;
-
-  Status Validate() const;
 };
 
-/// Extra observability for the multi-drive run.
-struct MultiDriveStats {
-  /// Seconds tape swaps spent queued waiting for the robot arm.
-  double robot_wait_seconds = 0;
-  /// Reschedule attempts that found work only on tapes claimed by other
-  /// drives (the drive idled despite a non-empty pending list).
-  int64_t claim_conflicts = 0;
-};
-
-/// Simulates D drives over one jukebox's tape pool.
+/// A greedy scheduler and a Simulator over `num_drives` drives of one
+/// jukebox (fault-free: the catalog is const).
 class MultiDriveSimulator {
  public:
-  /// `jukebox` supplies the tape pool, timing model, and layout geometry
-  /// (its built-in single drive is unused). All pointers must outlive the
-  /// simulator. This overload is fault-free only: sim.faults must be
-  /// disabled (permanent media errors mask catalog replicas, which needs
-  /// the mutable-catalog overload below).
   MultiDriveSimulator(Jukebox* jukebox, const Catalog* catalog,
                       const MultiDriveConfig& drives,
-                      const SimulationConfig& sim);
+                      const SimulationConfig& sim)
+      : scheduler_(WithDrives(jukebox, drives.num_drives), catalog,
+                   drives.policy, drives.dynamic_insertion, drives.options),
+        sim_(jukebox, catalog, &scheduler_, sim) {}
 
-  /// Mutable-catalog overload: enables fault injection per sim.faults.
-  /// Drive failures reroute queued and in-flight requests to surviving
-  /// drives; permanent media errors mask replicas in `catalog`.
-  MultiDriveSimulator(Jukebox* jukebox, Catalog* catalog,
-                      const MultiDriveConfig& drives,
-                      const SimulationConfig& sim);
-
-  /// Runs to completion; call once.
-  SimulationResult Run();
-
-  const MultiDriveStats& stats() const { return stats_; }
-
-  /// Raw metrics collector and cumulative activity counters, for callers
-  /// that aggregate several runs into one result (the farm merges per-box
-  /// collectors). Valid after Run.
-  const MetricsCollector& metrics() const { return metrics_; }
-  const JukeboxCounters& counters() const { return counters_; }
-
-  /// Buffered timeline rows/summary, for callers that merge per-box
-  /// timelines (the farm). Null unless sim.timeline is enabled; valid
-  /// after Run.
-  const obs::TimelineSampler* timeline() const {
-    return timeline_.has_value() ? &*timeline_ : nullptr;
-  }
+  SimulationResult Run() { return sim_.Run(); }
 
  private:
-  struct DriveState {
-    explicit DriveState(const TimingModel* model) : unit(model) {}
-    Drive unit;
-    Sweep sweep;
-    /// Tape this drive has claimed (mounted or switching to).
-    TapeId claim = kInvalidTape;
-    /// Head position after the in-flight operation completes.
-    Position committed_head = 0;
-    /// In-flight service entry (completions fire when the op ends).
-    std::optional<ServiceEntry> in_flight;
-    /// Fault draw for the in-flight read, processed at completion.
-    ReadOutcome in_flight_outcome;
-    /// Next failure epoch for this drive (meaningful only with drive
-    /// faults enabled; processed lazily when the drive next acts).
-    double next_failure = 0;
-    bool busy = false;
-    /// Time-in-state segments of the in-flight operation, in temporal
-    /// order as (activity, absolute end time). Charged to the accounting
-    /// when the operation's completion event fires — never before — so
-    /// drive cursors never outrun the simulation clock and a run that
-    /// ends mid-operation clips the charge at the final clock.
-    std::vector<std::pair<obs::DriveActivity, double>> pending_charge;
-  };
+  static Jukebox* WithDrives(Jukebox* jukebox, int32_t num_drives) {
+    jukebox->SetNumDrives(num_drives);
+    return jukebox;
+  }
 
-  /// True if `tape` is claimed by any drive other than `self`.
-  bool ClaimedElsewhere(TapeId tape, int self) const;
-
-  /// Attempts to give idle drive `d` work at time `now`; schedules its
-  /// next completion event if successful.
-  void Dispatch(int d, double now);
-
-  /// Starts the next sweep entry on drive `d` (sweep must be non-empty).
-  void BeginNextRead(int d, double now);
-
-  /// Routes one request through the incremental rule (no metrics side
-  /// effects; the caller has already counted the arrival).
-  void Route(const Request& request, double now);
-
-  /// Counts the arrival and routes it. With faults on, an arrival whose
-  /// every replica is dead completes instantly with an error instead.
-  /// Returns true if the request was routed.
-  bool DeliverOrFail(const Request& request, double now);
-
-  /// Closed model under faults: draws until a servable request is issued
-  /// (dead draws count as issued + failed), or the whole archive is lost.
-  void IssueClosedRequest(double now);
-
-  /// Completes `request` with an error; in the closed model the issuing
-  /// process then issues its next request.
-  void FailRequest(const Request& request, double now);
-
-  /// Hands requests back to the shared pending list (a failover) or fails
-  /// those whose every replica is dead.
-  void Requeue(const std::vector<Request>& requests, double now);
-
-  /// Fails every pending request whose last live replica is gone.
-  void EvictUnservablePending(double now);
-
-  /// Registers `request`'s deadline with the expiry queue (no-op when it
-  /// has none).
-  void TrackDeadline(const Request& request);
-
-  /// Completes `request` as expired at `now`; in the closed model the
-  /// issuing process then issues its next request.
-  void ExpireRequest(const Request& request, double now);
-
-  /// Evicts every pending request whose deadline has passed (requests
-  /// already extracted into a drive's sweep are committed and complete
-  /// normally) and settles each as expired.
-  void ExpirePendingPastDeadline(double now);
-
-  /// Masks the media under drive `d`'s failed read and fails the affected
-  /// requests over to surviving replicas.
-  void HandlePermanentError(int d, const ServiceEntry& entry,
-                            bool whole_tape, double now);
-
-  /// Takes drive `d` down for an Exponential(MTTR) repair: voids its
-  /// in-flight read, hands its sweep back to the pending list, and
-  /// schedules the repair-complete event (payload num_drives + d).
-  void FailDrive(int d, double now);
-
-  /// Wakes every idle drive (called after arrivals and completions).
-  void WakeIdleDrives(double now);
-
-  /// Charges drive `d`'s pending time-in-state segments, each clipped at
-  /// `limit`, and clears them.
-  void FlushCharges(int d, double limit);
-
-  /// Pushes one DecisionRecord for drive `d`'s tape selection (the
-  /// multi-drive dispatcher does its own selection, so it builds records
-  /// itself instead of going through a Scheduler). Call with the recorder
-  /// engaged, after SelectTape but before extracting the sweep.
-  void RecordDispatchDecision(int d, TapeId chosen, TapeId mounted,
-                              const std::vector<TapeCandidate>& candidates,
-                              double now);
-
-  /// Emits scheduled-into-sweep instants for drive `d`'s just-built sweep.
-  void TraceSweepContents(int d, TapeId tape, double now);
-
-  /// Engages the timeline sampler and registers every probe. Must run
-  /// last in both constructors, after the optional subsystems are engaged.
-  void SetupTimeline();
-
-  Jukebox* jukebox_;
-  const Catalog* catalog_;
-  /// Non-null only via the mutable-catalog constructor (fault injection).
-  Catalog* mutable_catalog_ = nullptr;
-  MultiDriveConfig drives_config_;
-  SimulationConfig sim_config_;
-  WorkloadGenerator workload_;
-  MetricsCollector metrics_;
-  ScheduleCost cost_;
-
-  std::vector<DriveState> drives_;
-  std::deque<Request> pending_;
-  /// Dispatch's candidate walk, consumed by its sweep extraction.
-  TapeCandidateSet candidates_;
-  EventQueue<int> events_;  ///< payload: drive index
-  double robot_free_at_ = 0;
-  double clock_ = 0;
-  double next_arrival_ = 0;
-  bool warmup_marked_ = false;
-  bool ran_ = false;
-  bool closed_ = false;
-
-  /// Engaged by the mutable-catalog constructor when any fault rate is set.
-  std::optional<FaultModel> faults_;
-  FaultStats fault_stats_;
-  bool drive_faults_ = false;
-
-  /// Overload protection (mirrors Simulator): admission_ is engaged iff
-  /// sim.admission.enabled(); expiry events carry the request id and
-  /// deadline_live_ filters events whose request already settled;
-  /// deadlines_possible_ gates the machinery so deadline-free runs make no
-  /// extra queue operations.
-  std::optional<AdmissionController> admission_;
-  EventQueue<RequestId> expiries_;
-  FlatSet<RequestId> deadline_live_;
-  bool deadlines_possible_ = false;
-
-  JukeboxCounters counters_;
-  MultiDriveStats stats_;
-
-  /// Per-drive time-in-state accounting (always on; folded into the
-  /// result). Cursors advance only at event-processing time via
-  /// FlushCharges, so they track the clock exactly.
-  obs::TimeInStateAccounting accounting_;
-  /// Engaged only when sim.obs asks for output (tracing is opt-in).
-  std::optional<obs::TraceRecorder> recorder_;
-  /// Engaged iff sim.timeline.enabled(). Samples are emitted before each
-  /// main-loop event is processed — pure observation, never a clock
-  /// advance, drive wake-up, or warm-up mark, so enabling the timeline
-  /// cannot change simulation results.
-  std::optional<obs::TimelineSampler> timeline_;
+  GreedyScheduler scheduler_;
+  Simulator sim_;
 };
 
 }  // namespace tapejuke

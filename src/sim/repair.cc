@@ -281,7 +281,9 @@ TapeId RepairManager::BestStagedTarget() const {
   }
   TapeId best = kInvalidTape;
   for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    if (staged[static_cast<size_t>(t)] == 0) continue;
+    if (staged[static_cast<size_t>(t)] == 0 || jukebox_->HeldByOtherDrive(t)) {
+      continue;
+    }
     if (best == kInvalidTape ||
         staged[static_cast<size_t>(t)] > staged[static_cast<size_t>(best)]) {
       best = t;
@@ -292,7 +294,10 @@ TapeId RepairManager::BestStagedTarget() const {
 
 bool RepairManager::HasStagedPayload() const {
   for (const auto& [block, state] : tasks_) {
-    if (state.payload_buffered && !state.tasks.empty()) return true;
+    if (!state.payload_buffered) continue;
+    for (const RepairTask& task : state.tasks) {
+      if (!jukebox_->HeldByOtherDrive(task.target_tape)) return true;
+    }
   }
   return false;
 }
@@ -388,7 +393,10 @@ void RepairManager::MaybeStartScrubPass(double now) {
   const TapeId num_tapes = jukebox_->num_tapes();
   for (TapeId i = 0; i < num_tapes; ++i) {
     const TapeId t = (scrub_cursor_ + i) % num_tapes;
-    if (dead_tape_[static_cast<size_t>(t)] != 0) continue;
+    if (dead_tape_[static_cast<size_t>(t)] != 0 ||
+        jukebox_->HeldByOtherDrive(t)) {
+      continue;
+    }
     const Tape& tape = jukebox_->tape(t);
     bool has_live = false;
     for (int64_t slot = 0; slot < tape.num_slots(); ++slot) {
@@ -490,7 +498,10 @@ double RepairManager::NextIdleWorkTime(double now) {
   const double block_mb = static_cast<double>(block_mb_);
   const double token_ready = TokenReadyTime(now, block_mb);
   if (config_.enable_repair && HasStagedPayload()) best = token_ready;
-  if (config_.scrub_interval_seconds > 0.0 && catalog_->HasAnyLive()) {
+  // A pass whose tape another drive holds waits for it to move on.
+  if (config_.scrub_interval_seconds > 0.0 && catalog_->HasAnyLive() &&
+      (scrub_tape_ == kInvalidTape ||
+       !jukebox_->HeldByOtherDrive(scrub_tape_))) {
     const double scrub_at =
         scrub_tape_ != kInvalidTape ? now : next_scrub_due_;
     best = std::min(best, std::max(scrub_at, token_ready));
@@ -521,6 +532,7 @@ RepairManager::Quantum RepairManager::IdleQuantum(double now) {
     MaybeStartScrubPass(now);
     if (scrub_tape_ != kInvalidTape) {
       if (jukebox_->mounted_tape() != scrub_tape_) {
+        if (jukebox_->HeldByOtherDrive(scrub_tape_)) return quantum;
         quantum.seconds = Mount(scrub_tape_, &stats_.scrub_mounts);
         return quantum;
       }

@@ -97,8 +97,8 @@ struct RepairStats {
   double reprotect_seconds_max = 0.0;
 };
 
-/// Drives scrub passes and replica re-replication for one single-drive
-/// simulation run. Owned by the Simulator; all hooks are called from the
+/// Drives scrub passes and replica re-replication for one simulation run
+/// (any drive count). Owned by the Simulator; all hooks are called from the
 /// simulation loop with the current simulated clock.
 class RepairManager : public BackgroundWork {
  public:

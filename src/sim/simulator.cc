@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <iostream>
 #include <limits>
 
@@ -60,8 +61,9 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
       config_(config),
       workload_(catalog, config.workload),
       metrics_(config.warmup_seconds, jukebox->config().block_size_mb),
-      accounting_(/*num_drives=*/1, config.warmup_seconds),
-      background_(background) {
+      accounting_(jukebox->num_drives(), config.warmup_seconds),
+      background_(background),
+      drives_(static_cast<size_t>(jukebox->num_drives())) {
   TJ_CHECK(jukebox != nullptr);
   TJ_CHECK(catalog != nullptr);
   TJ_CHECK(scheduler != nullptr);
@@ -72,7 +74,7 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
          "constructor (permanent media errors mask catalog replicas)";
   if (config_.obs.enabled()) {
     recorder_.emplace(config_.obs);
-    recorder_->SetTopology("jukebox", /*num_drives=*/1);
+    recorder_->SetTopology("jukebox", jukebox_->num_drives());
     accounting_.set_recorder(&*recorder_);
     scheduler_->set_decision_sink(&*recorder_);
   }
@@ -80,7 +82,10 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
     faults_.emplace(config_.faults, config_.workload.seed);
     if (config_.faults.drive_mtbf_seconds > 0) {
       drive_faults_ = true;
-      next_drive_failure_ = faults_->NextFailureGap();
+      // Epochs drawn in drive order so the fault stream is deterministic.
+      for (DriveState& drive : drives_) {
+        drive.next_failure = faults_->NextFailureGap();
+      }
     }
     if (config_.repair.enabled()) {
       repair_.emplace(config_.repair, jukebox_, mutable_catalog_, scheduler_,
@@ -277,24 +282,6 @@ void Simulator::EvictUnservable() {
   }
 }
 
-void Simulator::AdvancePastDriveRepairs() {
-  if (!drive_faults_) return;
-  // Failure epochs are processed lazily, when the drive next starts work:
-  // each one the clock has passed charges a repair interval during which
-  // the drive is down. Arrivals keep flowing while it is repaired.
-  while (next_drive_failure_ <= clock_) {
-    const double repair = faults_->NextRepairTime();
-    ++fault_stats_.drive_failures;
-    fault_stats_.drive_repair_seconds += repair;
-    const double end = clock_ + repair;
-    DeliverArrivalsUpTo(end, jukebox_->head());
-    clock_ = end;
-    accounting_.ChargeTo(0, obs::DriveActivity::kDown, clock_);
-    MaybeMarkWarmup();
-    next_drive_failure_ = clock_ + faults_->NextFailureGap();
-  }
-}
-
 void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
   // Closed-model think-time expirations: the process issues its next
   // request when its think period ends.
@@ -434,17 +421,289 @@ void Simulator::MaybeMarkWarmup() {
   }
 }
 
+double Simulator::NextClientEvent() const {
+  if (closed_) {
+    return thinking_.empty() ? std::numeric_limits<double>::infinity()
+                             : thinking_.NextTime();
+  }
+  return next_arrival_;
+}
+
+void Simulator::Wait(size_t d, double until) {
+  DriveState& drive = drives_[d];
+  drive.waiting = true;
+  drive.ready_at = until <= config_.duration_seconds
+                       ? until
+                       : std::numeric_limits<double>::infinity();
+}
+
+bool Simulator::BeginDriveRepair(size_t d, Resume resume) {
+  DriveState& drive = drives_[d];
+  if (!drive_faults_ || drive.next_failure > clock_) return false;
+  // Failure epochs are processed lazily, when the drive next starts work:
+  // each one the clock has passed charges a repair interval during which
+  // the drive is down. Arrivals keep flowing while it is repaired.
+  const double repair = faults_->NextRepairTime();
+  ++fault_stats_.drive_failures;
+  fault_stats_.drive_repair_seconds += repair;
+  const double end = clock_ + repair;
+  drive.charges.emplace_back(obs::DriveActivity::kDown, end);
+  drive.next_failure = end + faults_->NextFailureGap();
+  drive.ready_at = end;
+  drive.resume = resume;
+  return true;
+}
+
+void Simulator::Act(size_t d) {
+  DriveState& drive = drives_[d];
+  drive.waiting = false;
+  Resume at = drive.resume;
+  drive.resume = Resume::kTop;
+  if (at == Resume::kTop) {
+    at = !scheduler_->sweep_empty() ? Resume::kRead
+         : scheduler_->HasWork()    ? Resume::kBoundary
+                                    : Resume::kIdle;
+  }
+  // A failed drive must be repaired before it works again. An idle drive
+  // without background work is only checked once it has work.
+  const bool may_work = at != Resume::kReschedule &&
+                        (at != Resume::kIdle || background_ != nullptr);
+  if (may_work && BeginDriveRepair(d, at)) return;
+  switch (at) {
+    case Resume::kIdle:
+      BeginIdle(d);
+      return;
+    case Resume::kBoundary:
+      if (background_ != nullptr) {
+        // Tape-switch boundary: background work on the mounted tape
+        // before the schedule switches away from it.
+        const double flush = background_->AtSweepBoundary(clock_);
+        if (flush > 0) {
+          drive.ready_at = clock_ + flush;
+          drive.charges.emplace_back(obs::DriveActivity::kBackground,
+                                     drive.ready_at);
+          drive.resume = Resume::kReschedule;
+          return;
+        }
+      }
+      [[fallthrough]];
+    case Resume::kReschedule:
+      BeginSwitch(d);
+      return;
+    case Resume::kRead:
+    case Resume::kTop:  // resolved above
+      BeginRead(d);
+      return;
+  }
+}
+
+void Simulator::BeginIdle(size_t d) {
+  DriveState& drive = drives_[d];
+  const double next_event = NextClientEvent();
+  if (background_ != nullptr) {
+    // Background quanta use the idle drive until the next client event;
+    // arrivals during a quantum are delivered at their own timestamps.
+    const double next_work = background_->NextIdleWorkTime(clock_);
+    if (next_work <= clock_ && clock_ < config_.duration_seconds) {
+      const BackgroundWork::Quantum quantum =
+          background_->IdleQuantum(clock_);
+      drive.ready_at = clock_ + quantum.seconds;
+      drive.charges.emplace_back(obs::DriveActivity::kBackground,
+                                 drive.ready_at);
+      drive.masked = quantum.masked_replicas;
+      return;
+    }
+    if (next_work < next_event && next_work <= config_.duration_seconds) {
+      // Background work is due before the next client event: wake for it
+      // (e.g. a scrub pass, a refilled token bucket, a write).
+      Wait(d, next_work);
+      return;
+    }
+  }
+  // Wait for an arrival (or a thinking process to wake).
+  Wait(d, next_event);
+}
+
+void Simulator::BeginSwitch(size_t d) {
+  DriveState& drive = drives_[d];
+  if (recorder_.has_value()) recorder_->SetNow(clock_);
+  const TapeId tape = scheduler_->MajorReschedule();
+  if (tape == kInvalidTape) {
+    TJ_CHECK_GT(drives_.size(), 1u)
+        << "scheduler reported work but produced no schedule";
+    // Every tape with work is loaded in another drive.
+    ++claim_conflicts_;
+    Wait(d, NextClientEvent());
+    return;
+  }
+  TraceSweepContents(tape);
+  SwitchBreakdown breakdown;
+  double switch_seconds = jukebox_->SwitchTo(tape, &breakdown);
+  double robot_seconds = breakdown.robot_wait + breakdown.robot;
+  if (faults_.has_value() && switch_seconds > 0) {
+    // Robot handoff faults: each slip repeats the robot move.
+    const int slips = faults_->NextRobotFaults();
+    if (slips > 0) {
+      const double extra = jukebox_->ChargeRobotRetries(slips);
+      fault_stats_.robot_faults += slips;
+      fault_stats_.robot_retry_seconds += extra;
+      switch_seconds += extra;
+      robot_seconds += extra;
+    }
+  }
+  // The switch components in temporal order (rewind, eject, robot queue +
+  // move + retries, load); the final segment ends exactly at the switch's
+  // end.
+  const double end = clock_ + switch_seconds;
+  double t = clock_ + breakdown.rewind;
+  drive.charges.emplace_back(obs::DriveActivity::kRewinding, t);
+  t += breakdown.eject;
+  drive.charges.emplace_back(obs::DriveActivity::kSwitching, t);
+  t += robot_seconds;
+  drive.charges.emplace_back(obs::DriveActivity::kRobot, t);
+  drive.charges.emplace_back(obs::DriveActivity::kSwitching, end);
+  drive.ready_at = end;
+}
+
+void Simulator::BeginRead(size_t d) {
+  DriveState& drive = drives_[d];
+  std::optional<ServiceEntry> entry = scheduler_->PopNext();
+  TJ_CHECK(entry.has_value());
+  ReadBreakdown read_breakdown;
+  double op_seconds = jukebox_->ReadBlockAt(entry->position, &read_breakdown);
+  // Locate/read segments of every attempt, in temporal order.
+  double op_t = clock_ + read_breakdown.locate;
+  drive.charges.emplace_back(obs::DriveActivity::kLocating, op_t);
+  op_t += read_breakdown.read;
+  drive.charges.emplace_back(obs::DriveActivity::kReading, op_t);
+  ReadOutcome outcome;
+  if (faults_.has_value()) {
+    outcome = faults_->NextReadOutcome();
+    // Each transient retry waits out its (jittered, exponentially
+    // growing) backoff, then locates back to the block start and
+    // re-reads. Backoff waits are charged as locating time.
+    for (int r = 0; r < outcome.retries; ++r) {
+      const double backoff = faults_->NextRetryBackoff(r);
+      if (backoff > 0) {
+        op_seconds += backoff;
+        op_t += backoff;
+        drive.charges.emplace_back(obs::DriveActivity::kLocating, op_t);
+      }
+      op_seconds += jukebox_->ReadBlockAt(entry->position, &read_breakdown);
+      op_t += read_breakdown.locate;
+      drive.charges.emplace_back(obs::DriveActivity::kLocating, op_t);
+      op_t += read_breakdown.read;
+      drive.charges.emplace_back(obs::DriveActivity::kReading, op_t);
+    }
+    fault_stats_.transient_read_errors +=
+        outcome.retries + (outcome.escalated ? 1 : 0);
+    fault_stats_.read_retries += outcome.retries;
+    if (outcome.escalated) ++fault_stats_.reads_escalated;
+  }
+  drive.ready_at = clock_ + op_seconds;
+  // Absorb any accumulation drift between the per-segment charges and
+  // op_seconds into the final reading segment.
+  drive.charges.emplace_back(obs::DriveActivity::kReading, drive.ready_at);
+  drive.in_flight = std::move(entry);
+  drive.outcome = outcome;
+}
+
+void Simulator::Finish(size_t d) {
+  DriveState& drive = drives_[d];
+  for (const auto& [activity, until] : drive.charges) {
+    accounting_.ChargeTo(static_cast<int>(d), activity, until);
+  }
+  drive.charges.clear();
+  // An operation's segments end at clock_; a wait is idle up to it.
+  if (drive.waiting) {
+    accounting_.ChargeTo(static_cast<int>(d), obs::DriveActivity::kIdle,
+                         clock_);
+  }
+  MaybeMarkWarmup();
+  if (drive.masked) {
+    drive.masked = false;
+    EvictUnservable();
+  }
+  if (drive.in_flight.has_value()) {
+    CompleteRead(*drive.in_flight, drive.outcome);
+    drive.in_flight.reset();
+  }
+}
+
+void Simulator::CompleteRead(const ServiceEntry& entry,
+                             const ReadOutcome& outcome) {
+  if (recorder_.has_value() && outcome.retries > 0) {
+    for (const Request& request : entry.requests) {
+      recorder_->RequestRetry(request.id, outcome.retries, clock_);
+    }
+  }
+
+  if (outcome.permanent_error) {
+    // The media under this read is gone: mask it and fail the requests
+    // over to surviving replicas (or fail them outright).
+    HandlePermanentError(entry, outcome.whole_tape);
+    return;
+  }
+
+  for (const Request& request : entry.requests) {
+    if (request.cls == RequestClass::kBackground) {
+      // A repair source read finished: its payload is buffered. Not a
+      // client completion — no metrics, no closed-model reissue.
+      if (recorder_.has_value()) {
+        recorder_->RequestDone(request.id, obs::RequestOutcome::kCompleted,
+                               clock_);
+      }
+      repair_->OnSourceReadComplete(request.block, clock_);
+      continue;
+    }
+    if (faults_.has_value() &&
+        catalog_->LiveReplicaCount(request.block) <
+            static_cast<int64_t>(catalog_->ReplicasOf(request.block).size())) {
+      ++fault_stats_.degraded_reads;
+    }
+    metrics_.OnCompletion(request.arrival_time, clock_, request.tenant);
+    if (background_ != nullptr) {
+      background_->OnClientCompletion(request, clock_);
+    }
+    if (admission_.has_value()) {
+      admission_->OnCompletion(request.tenant, clock_ - request.arrival_time,
+                               clock_);
+    }
+    if (deadlines_possible_) deadline_live_.erase(request.id);
+    if (recorder_.has_value()) {
+      recorder_->RequestDone(request.id, obs::RequestOutcome::kCompleted,
+                             clock_);
+    }
+    if (closed_) {
+      // The completing process issues its next request, immediately (the
+      // paper's I/O-bound processes) or after a think period.
+      if (config_.workload.think_time_seconds > 0) {
+        thinking_.Schedule(clock_ + workload_.NextThinkTime(), 0);
+      } else if (faults_.has_value()) {
+        IssueClosedRequest(clock_, jukebox_->head());
+      } else {
+        const Request next = workload_.NextRequest(clock_);
+        metrics_.OnArrival(clock_);
+        if (recorder_.has_value()) {
+          recorder_->RequestArrived(next.id, next.block,
+                                    /*background=*/false, clock_);
+        }
+        scheduler_->OnArrival(next, jukebox_->head());
+        TrackDeadline(next);
+      }
+    }
+  }
+}
+
 SimulationResult Simulator::Run() {
   TJ_CHECK(!ran_) << "Simulator::Run may be called once";
   ran_ = true;
 
-  const bool closed =
-      !trace_mode_ && config_.workload.model == QueuingModel::kClosed;
-  closed_ = closed;
+  closed_ = !trace_mode_ && config_.workload.model == QueuingModel::kClosed;
   if (trace_mode_) {
     next_arrival_ = trace_.empty() ? config_.duration_seconds + 1
                                    : trace_.front().arrival_time;
-  } else if (closed) {
+  } else if (closed_) {
     // A fixed population of I/O-bound processes, all requesting at t = 0.
     for (int64_t i = 0; i < config_.workload.queue_length; ++i) {
       const Request request = workload_.NextRequest(0.0);
@@ -461,219 +720,45 @@ SimulationResult Simulator::Run() {
   }
   MaybeMarkWarmup();
 
-  while (clock_ < config_.duration_seconds) {
-    if (scheduler_->sweep_empty()) {
-      if (!scheduler_->HasWork()) {
-        // Step 4: the drive is idle. Background quanta use the idle drive
-        // until the next client event; arrivals during a quantum are
-        // delivered at their own timestamps.
-        if (background_ != nullptr) {
-          AdvancePastDriveRepairs();
-          const double next_event =
-              closed ? (thinking_.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : thinking_.NextTime())
-                     : next_arrival_;
-          const double next_work = background_->NextIdleWorkTime(clock_);
-          if (next_work <= clock_ && clock_ < config_.duration_seconds) {
-            const BackgroundWork::Quantum quantum =
-                background_->IdleQuantum(clock_);
-            const double end = clock_ + quantum.seconds;
-            DeliverArrivalsUpTo(end, jukebox_->head());
-            clock_ = end;
-            accounting_.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
-            MaybeMarkWarmup();
-            if (quantum.masked_replicas) EvictUnservable();
-            continue;
-          }
-          if (next_work < next_event &&
-              next_work <= config_.duration_seconds) {
-            // Background work is due before the next client event: wake
-            // for it (e.g. a scrub pass, a refilled token bucket, a write).
-            clock_ = next_work;
-            accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
-            DeliverArrivalsUpTo(clock_, jukebox_->head());
-            MaybeMarkWarmup();
-            continue;
-          }
-        }
-        // Wait for an arrival (or a thinking process to wake).
-        if (closed) {
-          if (thinking_.empty() ||
-              thinking_.NextTime() > config_.duration_seconds) {
-            break;
-          }
-          clock_ = thinking_.NextTime();
-          accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
-          DeliverArrivalsUpTo(clock_, jukebox_->head());
-          MaybeMarkWarmup();
-          continue;
-        }
-        if (next_arrival_ > config_.duration_seconds) break;
-        clock_ = next_arrival_;
-        accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
-        DeliverArrivalsUpTo(clock_, jukebox_->head());
-        MaybeMarkWarmup();
-        continue;
-      }
-      // Step 1: major reschedule; step 2: switch if needed. A failed drive
-      // must be repaired before it can work again.
-      AdvancePastDriveRepairs();
-      if (background_ != nullptr) {
-        // Tape-switch boundary: background work on the mounted tape before
-        // the schedule switches away from it.
-        const double flush = background_->AtSweepBoundary(clock_);
-        if (flush > 0) {
-          const double end = clock_ + flush;
-          DeliverArrivalsUpTo(end, jukebox_->head());
-          clock_ = end;
-          accounting_.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
-          MaybeMarkWarmup();
-        }
-      }
-      if (recorder_.has_value()) recorder_->SetNow(clock_);
-      const TapeId tape = scheduler_->MajorReschedule();
-      TJ_CHECK_NE(tape, kInvalidTape)
-          << "scheduler reported work but produced no schedule";
-      TraceSweepContents(tape);
-      SwitchBreakdown breakdown;
-      double switch_seconds = jukebox_->SwitchTo(tape, &breakdown);
-      double robot_seconds = breakdown.robot;
-      if (faults_.has_value() && switch_seconds > 0) {
-        // Robot handoff faults: each slip repeats the robot move.
-        const int slips = faults_->NextRobotFaults();
-        if (slips > 0) {
-          const double extra = jukebox_->ChargeRobotRetries(slips);
-          fault_stats_.robot_faults += slips;
-          fault_stats_.robot_retry_seconds += extra;
-          switch_seconds += extra;
-          robot_seconds += extra;
-        }
-      }
-      const double end = clock_ + switch_seconds;
-      // During the switch the committed head is the post-load position.
-      DeliverArrivalsUpTo(end, jukebox_->head());
-      // Charge the switch components in temporal order (rewind, eject,
-      // robot + retries, load); the final segment is charged to the
-      // absolute end so the cursor tracks the clock exactly.
-      double t = clock_ + breakdown.rewind;
-      accounting_.ChargeTo(0, obs::DriveActivity::kRewinding, t);
-      t += breakdown.eject;
-      accounting_.ChargeTo(0, obs::DriveActivity::kSwitching, t);
-      t += robot_seconds;
-      accounting_.ChargeTo(0, obs::DriveActivity::kRobot, t);
-      accounting_.ChargeTo(0, obs::DriveActivity::kSwitching, end);
-      clock_ = end;
-      MaybeMarkWarmup();
-      continue;
+  const size_t num_drives = drives_.size();
+  for (size_t d = 0; d < num_drives; ++d) {
+    jukebox_->Serve(static_cast<int32_t>(d), 0.0);
+    Act(d);
+  }
+  while (true) {
+    size_t d = 0;
+    for (size_t e = 1; e < num_drives; ++e) {
+      if (drives_[e].ready_at < drives_[d].ready_at) d = e;
     }
-
-    // Step 3: execute the next service-list entry.
-    AdvancePastDriveRepairs();
-    const std::optional<ServiceEntry> entry = scheduler_->PopNext();
-    TJ_CHECK(entry.has_value());
-    ReadBreakdown read_breakdown;
-    double op_seconds = jukebox_->ReadBlockAt(entry->position,
-                                              &read_breakdown);
-    // Locate/read segments of every attempt, in temporal order.
-    double op_t = clock_ + read_breakdown.locate;
-    accounting_.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
-    op_t += read_breakdown.read;
-    accounting_.ChargeTo(0, obs::DriveActivity::kReading, op_t);
-    ReadOutcome outcome;
-    if (faults_.has_value()) {
-      outcome = faults_->NextReadOutcome();
-      // Each transient retry waits out its (jittered, exponentially
-      // growing) backoff, then locates back to the block start and
-      // re-reads. Backoff waits are charged as locating time.
-      for (int r = 0; r < outcome.retries; ++r) {
-        const double backoff = faults_->NextRetryBackoff(r);
-        if (backoff > 0) {
-          op_seconds += backoff;
-          op_t += backoff;
-          accounting_.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
-        }
-        op_seconds += jukebox_->ReadBlockAt(entry->position,
-                                            &read_breakdown);
-        op_t += read_breakdown.locate;
-        accounting_.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
-        op_t += read_breakdown.read;
-        accounting_.ChargeTo(0, obs::DriveActivity::kReading, op_t);
-      }
-      fault_stats_.transient_read_errors +=
-          outcome.retries + (outcome.escalated ? 1 : 0);
-      fault_stats_.read_retries += outcome.retries;
-      if (outcome.escalated) ++fault_stats_.reads_escalated;
+    DriveState& drive = drives_[d];
+    if (drive.ready_at == std::numeric_limits<double>::infinity()) break;
+    jukebox_->Serve(static_cast<int32_t>(d), drive.ready_at);
+    // Arrivals during the drive's operation see the head it is committed
+    // to.
+    DeliverArrivalsUpTo(drive.ready_at, jukebox_->head());
+    clock_ = drive.ready_at;
+    const bool was_waiting = drive.waiting;
+    Finish(d);
+    if (drive.resume == Resume::kTop &&
+        clock_ >= config_.duration_seconds) {
+      break;
     }
-    const double end = clock_ + op_seconds;
-    // Arrivals during the operation see the head the drive is committed to.
-    DeliverArrivalsUpTo(end, jukebox_->head());
-    // Absorb any accumulation drift between the per-segment charges and
-    // op_seconds into the final reading segment.
-    accounting_.ChargeTo(0, obs::DriveActivity::kReading, end);
-    clock_ = end;
-    MaybeMarkWarmup();
-    if (recorder_.has_value() && outcome.retries > 0) {
-      for (const Request& request : entry->requests) {
-        recorder_->RequestRetry(request.id, outcome.retries, clock_);
+    Act(d);
+    if (was_waiting && drive.waiting) continue;
+    // The drive changed what the others can do (new requests, a released
+    // tape): waiting drives look again now.
+    for (size_t e = 0; e < num_drives; ++e) {
+      DriveState& other = drives_[e];
+      if (e != d && other.waiting && other.ready_at > clock_) {
+        other.ready_at = clock_;
       }
     }
-
-    if (outcome.permanent_error) {
-      // The media under this read is gone: mask it and fail the requests
-      // over to surviving replicas (or fail them outright).
-      HandlePermanentError(*entry, outcome.whole_tape);
-      continue;
-    }
-
-    for (const Request& request : entry->requests) {
-      if (request.cls == RequestClass::kBackground) {
-        // A repair source read finished: its payload is buffered. Not a
-        // client completion — no metrics, no closed-model reissue.
-        if (recorder_.has_value()) {
-          recorder_->RequestDone(request.id,
-                                 obs::RequestOutcome::kCompleted, clock_);
-        }
-        repair_->OnSourceReadComplete(request.block, clock_);
-        continue;
-      }
-      if (faults_.has_value() &&
-          catalog_->LiveReplicaCount(request.block) <
-              static_cast<int64_t>(
-                  catalog_->ReplicasOf(request.block).size())) {
-        ++fault_stats_.degraded_reads;
-      }
-      metrics_.OnCompletion(request.arrival_time, clock_, request.tenant);
-      if (background_ != nullptr) {
-        background_->OnClientCompletion(request, clock_);
-      }
-      if (admission_.has_value()) {
-        admission_->OnCompletion(request.tenant,
-                                 clock_ - request.arrival_time, clock_);
-      }
-      if (deadlines_possible_) deadline_live_.erase(request.id);
-      if (recorder_.has_value()) {
-        recorder_->RequestDone(request.id,
-                               obs::RequestOutcome::kCompleted, clock_);
-      }
-      if (closed) {
-        // The completing process issues its next request, immediately
-        // (the paper's I/O-bound processes) or after a think period.
-        if (config_.workload.think_time_seconds > 0) {
-          thinking_.Schedule(clock_ + workload_.NextThinkTime(), 0);
-        } else if (faults_.has_value()) {
-          IssueClosedRequest(clock_, jukebox_->head());
-        } else {
-          const Request next = workload_.NextRequest(clock_);
-          metrics_.OnArrival(clock_);
-          if (recorder_.has_value()) {
-            recorder_->RequestArrived(next.id, next.block,
-                                      /*background=*/false, clock_);
-          }
-          scheduler_->OnArrival(next, jukebox_->head());
-          TrackDeadline(next);
-        }
-      }
+  }
+  // Operations still in flight are clipped at the final clock.
+  for (size_t d = 0; d < num_drives; ++d) {
+    for (const auto& [activity, until] : drives_[d].charges) {
+      accounting_.ChargeTo(static_cast<int>(d), activity,
+                           std::min(until, clock_));
     }
   }
   MaybeMarkWarmup();

@@ -1,5 +1,6 @@
 // The jukebox simulator: drives a Scheduler through the paper's four-step
-// service model (§2.2) under a closed- or open-queuing workload.
+// service model (§2.2) under a closed- or open-queuing workload, on every
+// drive of the jukebox. Each drive runs this cycle:
 //
 //   1. When the service list is empty, invoke the major rescheduler, which
 //      picks a tape and builds the retrieval sweep from the pending list.
@@ -14,6 +15,13 @@
 // §4.8 replica fill) may add work right before step 1 and on the idle
 // drive in step 4; its seconds are charged to the `background` state.
 //
+// With D drives (Jukebox::SetNumDrives; the paper's future work) the
+// drives share the scheduler, the tapes and the robot arm. The drive whose
+// next action is earliest acts first, ties to the lowest index; client
+// events up to that time are delivered before it acts. A drive that finds
+// no work it can take (every tape with work is loaded in another drive)
+// waits until another drive acts or a client event arrives.
+//
 // Arrivals that occur while a locate/read/switch is in flight are delivered
 // at their exact timestamps with the *committed head* — the head position
 // the drive will have when the in-flight operation completes — so the
@@ -23,6 +31,8 @@
 #define TAPEJUKE_SIM_SIMULATOR_H_
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "layout/catalog.h"
 #include "obs/recorder.h"
@@ -75,14 +85,15 @@ struct SimulationConfig {
   Status Validate() const;
 };
 
-/// Single-jukebox, single-drive discrete-event simulator.
+/// Single-jukebox discrete-event simulator, for any number of drives.
 class Simulator {
  public:
   /// All pointers must outlive the simulator. The jukebox must already hold
-  /// the layout the catalog describes. This overload cannot mutate the
-  /// catalog, so `config.faults` must be disabled (TJ_CHECK). A non-null
-  /// `background` is the run's background-work producer (the write path's
-  /// flushes, the §4.8 replica fill).
+  /// the layout the catalog describes, and the drive count the scheduler
+  /// was built for. This overload cannot mutate the catalog, so
+  /// `config.faults` must be disabled (TJ_CHECK). A non-null `background`
+  /// is the run's background-work producer (the write path's flushes, the
+  /// §4.8 replica fill).
   Simulator(Jukebox* jukebox, const Catalog* catalog, Scheduler* scheduler,
             const SimulationConfig& config,
             BackgroundWork* background = nullptr);
@@ -117,7 +128,38 @@ class Simulator {
     return timeline_.has_value() ? &*timeline_ : nullptr;
   }
 
+  /// Major reschedules that found work only on tapes loaded in other
+  /// drives (the drive waited despite queued work). Always 0 with one
+  /// drive. Valid after Run.
+  int64_t claim_conflicts() const { return claim_conflicts_; }
+
  private:
+  /// Where a drive's cycle resumes when it next acts: the top (step 1, 3
+  /// or 4 by the queue state), or the point a repair interval or a
+  /// sweep-boundary flush interrupted.
+  enum class Resume { kTop, kIdle, kBoundary, kReschedule, kRead };
+
+  /// One drive's progress through the service cycle.
+  struct DriveState {
+    /// When the drive next acts (+infinity: only another drive's action
+    /// can give it work).
+    double ready_at = 0;
+    Resume resume = Resume::kTop;
+    /// The drive found no work it could take and is waiting.
+    bool waiting = false;
+    /// Next failure epoch (only with drive faults).
+    double next_failure = 0;
+    /// The read in flight, settled when the drive next acts.
+    std::optional<ServiceEntry> in_flight;
+    ReadOutcome outcome;
+    /// The background quantum in flight masked replicas.
+    bool masked = false;
+    /// Time-in-state segments of the operation in flight, in temporal
+    /// order as (activity, absolute end). Charged when it ends, so a run
+    /// that stops mid-operation clips them at the final clock.
+    std::vector<std::pair<obs::DriveActivity, double>> charges;
+  };
+
   /// The public constructors' shared body; `mutable_catalog` is `catalog`
   /// or null.
   Simulator(Jukebox* jukebox, const Catalog* catalog,
@@ -174,10 +216,39 @@ class Simulator {
   /// on the mounted tape and fails over every displaced request.
   void HandlePermanentError(const ServiceEntry& entry, bool whole_tape);
 
-  /// Lazily processes drive-failure epochs that the clock has passed: each
-  /// charges an Exponential(MTTR) repair during which the drive is down
-  /// (arrivals are still delivered). Called before the drive starts work.
-  void AdvancePastDriveRepairs();
+  /// Drive `d` acts at clock_ (client events up to it delivered): starts
+  /// its next operation, or waits.
+  void Act(size_t d);
+
+  /// Drive `d`'s operation ended at clock_: charges its segments and
+  /// settles its read or background quantum.
+  void Finish(size_t d);
+
+  /// Lazily processes a drive-failure epoch the clock has passed: starts
+  /// an Exponential(MTTR) repair during which the drive is down (arrivals
+  /// are still delivered), after which it resumes at `resume`. Returns
+  /// false when the drive has not failed.
+  bool BeginDriveRepair(size_t d, Resume resume);
+
+  /// Step 4: background quanta on the idle drive, else a wait for the next
+  /// client event.
+  void BeginIdle(size_t d);
+
+  /// Steps 1-2: major reschedule and the tape switch.
+  void BeginSwitch(size_t d);
+
+  /// Step 3: the next service-list entry.
+  void BeginRead(size_t d);
+
+  /// Settles the served drive's finished read of `entry`: completions, or
+  /// failover after a permanent error.
+  void CompleteRead(const ServiceEntry& entry, const ReadOutcome& outcome);
+
+  /// Drive `d` waits, until `until` or until another drive acts.
+  void Wait(size_t d, double until);
+
+  /// The next arrival or think-time wake-up (+infinity when none).
+  double NextClientEvent() const;
 
   /// Emits a "scheduled" trace instant for every request in the active
   /// sweep (called right after a major reschedule); no-op unless tracing.
@@ -215,8 +286,9 @@ class Simulator {
   /// The run's one background producer: &*repair_, the constructor's
   /// `background`, or null.
   BackgroundWork* background_ = nullptr;
-  double next_drive_failure_ = 0;  ///< absolute time; only with MTBF > 0
   bool drive_faults_ = false;
+  std::vector<DriveState> drives_;
+  int64_t claim_conflicts_ = 0;
   bool closed_ = false;
 
   double clock_ = 0;

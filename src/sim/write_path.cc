@@ -86,15 +86,20 @@ double WriteBuffer::FlushTape(TapeId tape) {
   return elapsed;
 }
 
-double WriteBuffer::FlushDirtiest(int64_t* flushes) {
+TapeId WriteBuffer::DirtiestTape() const {
   TapeId tape = kInvalidTape;
   size_t most = 0;
   for (const auto& [t, positions] : dirty_) {
-    if (positions.size() > most) {
+    if (positions.size() > most && !jukebox_->HeldByOtherDrive(t)) {
       most = positions.size();
       tape = t;
     }
   }
+  return tape;
+}
+
+double WriteBuffer::FlushDirtiest(int64_t* flushes) {
+  const TapeId tape = DirtiestTape();
   TJ_CHECK_NE(tape, kInvalidTape);
   ++*flushes;
   const double switch_seconds = jukebox_->SwitchTo(tape);
@@ -115,7 +120,10 @@ double WriteBuffer::AtSweepBoundary(double now) {
   }
   // Forced flush: the staging buffer is over capacity; reads wait.
   StageUpTo(now + seconds);
-  while (OverCapacity() && now + seconds < run_seconds_) {
+  while (OverCapacity() && now + seconds < run_seconds_ &&
+         DirtiestTape() != kInvalidTape) {
+    // The mount starts after the flushes so far (the robot arm queue).
+    jukebox_->Serve(jukebox_->served_drive(), now + seconds);
     seconds += FlushDirtiest(&stats_.forced_flushes);
     StageUpTo(now + seconds);
   }
@@ -124,7 +132,8 @@ double WriteBuffer::AtSweepBoundary(double now) {
 
 double WriteBuffer::NextIdleWorkTime(double now) {
   StageUpTo(now);
-  const bool due = OverCapacity() || (config_.idle_flush && occupancy_ > 0);
+  const bool due = (OverCapacity() || (config_.idle_flush && occupancy_ > 0)) &&
+                   DirtiestTape() != kInvalidTape;
   return due ? now : next_write_;
 }
 

@@ -109,8 +109,12 @@ class WriteBuffer : public BackgroundWork {
   /// it); returns elapsed seconds.
   double FlushTape(TapeId tape);
 
-  /// Mounts the dirtiest tape and flushes it; bumps *flushes. Returns
-  /// elapsed seconds.
+  /// The tape with the most dirty blocks among those no other drive
+  /// holds, or kInvalidTape.
+  TapeId DirtiestTape() const;
+
+  /// Mounts DirtiestTape() (which must exist) and flushes it; bumps
+  /// *flushes. Returns elapsed seconds.
   double FlushDirtiest(int64_t* flushes);
 
   Jukebox* jukebox_;
@@ -125,7 +129,7 @@ class WriteBuffer : public BackgroundWork {
   WritePathStats stats_;
 };
 
-/// Single-drive simulator with a read scheduler plus the delta write path:
+/// Jukebox simulator with a read scheduler plus the delta write path:
 /// a Simulator driving a WriteBuffer.
 class WritebackSimulator {
  public:

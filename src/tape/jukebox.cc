@@ -1,5 +1,7 @@
 #include "tape/jukebox.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace tapejuke {
@@ -18,7 +20,7 @@ Status JukeboxConfig::Validate() const {
 }
 
 Jukebox::Jukebox(const JukeboxConfig& config)
-    : config_(config), model_(config.timing), drive_(&model_) {
+    : config_(config), model_(config.timing), drives_(1, Drive(&model_)) {
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
   tapes_.reserve(static_cast<size_t>(config.num_tapes));
@@ -38,18 +40,41 @@ const Tape& Jukebox::tape(TapeId id) const {
   return tapes_[static_cast<size_t>(id)];
 }
 
+void Jukebox::SetNumDrives(int32_t num_drives) {
+  TJ_CHECK_GE(num_drives, 1) << "need at least one drive";
+  TJ_CHECK_LE(num_drives, num_tapes()) << "more drives than tapes";
+  for (const Drive& d : drives_) {
+    TJ_CHECK(!d.has_tape()) << "SetNumDrives on a jukebox in use";
+  }
+  drives_.assign(static_cast<size_t>(num_drives), Drive(&model_));
+  served_ = 0;
+}
+
+bool Jukebox::HeldByOtherDrive(TapeId tape) const {
+  for (size_t d = 0; d < drives_.size(); ++d) {
+    if (static_cast<int32_t>(d) != served_ &&
+        drives_[d].loaded_tape() == tape) {
+      return true;
+    }
+  }
+  return false;
+}
+
 double Jukebox::SwitchTo(TapeId target, SwitchBreakdown* breakdown) {
   TJ_CHECK(target >= 0 && target < num_tapes()) << "bad tape id" << target;
   if (breakdown != nullptr) *breakdown = SwitchBreakdown{};
-  if (drive_.loaded_tape() == target) return 0.0;
+  Drive& unit = drive();
+  if (unit.loaded_tape() == target) return 0.0;
+  TJ_CHECK(!HeldByOtherDrive(target))
+      << "tape" << target << "is loaded in another drive";
   double elapsed = 0.0;
-  if (drive_.has_tape()) {
-    if (config_.rewind_before_eject || drive_.head() == 0) {
-      const double rewind = drive_.Rewind();
+  if (unit.has_tape()) {
+    if (config_.rewind_before_eject || unit.head() == 0) {
+      const double rewind = unit.Rewind();
       counters_.rewind_seconds += rewind;
       elapsed += rewind;
       if (breakdown != nullptr) breakdown->rewind = rewind;
-      const double eject = drive_.Eject();
+      const double eject = unit.Eject();
       counters_.switch_seconds += eject;
       elapsed += eject;
       if (breakdown != nullptr) breakdown->eject = eject;
@@ -57,21 +82,31 @@ double Jukebox::SwitchTo(TapeId target, SwitchBreakdown* breakdown) {
       // Hypothetical eject-anywhere drive: skip the rewind. Reset the head
       // through a free rewind so Drive's eject precondition holds; no time
       // is charged.
-      drive_.Rewind();
-      const double eject = drive_.Eject();
+      unit.Rewind();
+      const double eject = unit.Eject();
       counters_.switch_seconds += eject;
       elapsed += eject;
       if (breakdown != nullptr) breakdown->eject = eject;
     }
   }
+  // The swap queues behind the arm's earlier swaps; a lone drive never
+  // finds it busy.
+  double wait = 0.0;
+  if (drives_.size() > 1) {
+    wait = std::max(0.0, robot_free_at_ - (now_ + elapsed));
+    counters_.robot_wait_seconds += wait;
+    elapsed += wait;
+  }
   const double robot = model_.params().robot_seconds;
   counters_.switch_seconds += robot;
   elapsed += robot;
-  const double load = drive_.Load(target);
+  robot_free_at_ = now_ + elapsed;
+  const double load = unit.Load(target);
   counters_.switch_seconds += load;
   elapsed += load;
   ++counters_.tape_switches;
   if (breakdown != nullptr) {
+    breakdown->robot_wait = wait;
     breakdown->robot = robot;
     breakdown->load = load;
   }
@@ -79,10 +114,11 @@ double Jukebox::SwitchTo(TapeId target, SwitchBreakdown* breakdown) {
 }
 
 double Jukebox::ReadBlockAt(Position position, ReadBreakdown* breakdown) {
-  TJ_CHECK(drive_.has_tape()) << "read with no tape mounted";
-  const double locate = drive_.LocateTo(position);
+  Drive& unit = drive();
+  TJ_CHECK(unit.has_tape()) << "read with no tape mounted";
+  const double locate = unit.LocateTo(position);
   counters_.locate_seconds += locate;
-  const double read = drive_.Read(config_.block_size_mb);
+  const double read = unit.Read(config_.block_size_mb);
   counters_.read_seconds += read;
   ++counters_.blocks_read;
   counters_.mb_read += config_.block_size_mb;
@@ -97,12 +133,14 @@ double Jukebox::ChargeRobotRetries(int count) {
   TJ_CHECK_GE(count, 0);
   const double extra = count * model_.params().robot_seconds;
   counters_.switch_seconds += extra;
+  robot_free_at_ += extra;
   return extra;
 }
 
 double Jukebox::Rewind() {
-  TJ_CHECK(drive_.has_tape()) << "rewind with no tape mounted";
-  const double rewind = drive_.Rewind();
+  Drive& unit = drive();
+  TJ_CHECK(unit.has_tape()) << "rewind with no tape mounted";
+  const double rewind = unit.Rewind();
   counters_.rewind_seconds += rewind;
   return rewind;
 }

@@ -1,7 +1,7 @@
 // Cross-fault interaction tests: permanent media errors co-occurring with
-// drive failures and whole-tape loss in the multi-drive simulator, the
+// drive failures and whole-tape loss on a multi-drive jukebox, the
 // scrub-detects-then-client-reads race under an invariant-checking
-// scheduler, and the single-drive-only gate on scrub/repair.
+// scheduler, and scrub/repair under every fault class on two drives.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "core/experiment.h"
 #include "sched/validating_scheduler.h"
-#include "sim/multi_drive.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -42,18 +41,12 @@ TEST(CrossFault, MultiDriveSurvivesMediaErrorsDuringDriveFailures) {
   // tapes currently jammed in a failed drive. Conservation and forward
   // progress must hold through all of it, across seeds.
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    JukeboxConfig jukebox_config;
-    Jukebox jukebox(jukebox_config);
     LayoutSpec layout;
     layout.num_replicas = 2;
     layout.start_position = 1.0;
-    Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
-    MultiDriveConfig drives;
-    drives.num_drives = 3;
-
-    MultiDriveSimulator simulator(&jukebox, &catalog, drives,
-                                  CrossFaultSim(seed));
-    const SimulationResult result = simulator.Run();
+    DriveRig rig(3, layout);
+    const Catalog& catalog = rig.catalog;
+    const SimulationResult result = rig.Run(CrossFaultSim(seed));
     ASSERT_TRUE(result.fault_injection) << "seed " << seed;
     EXPECT_EQ(result.completed_total + result.failed_requests +
                   result.outstanding_at_end,
@@ -115,17 +108,37 @@ TEST(CrossFault, ScrubClientRaceHoldsSchedulerInvariants) {
   EXPECT_GE(scheduler.outstanding(), result.outstanding_at_end);
 }
 
-TEST(CrossFaultDeathTest, MultiDriveRejectsScrubAndRepair) {
-  JukeboxConfig jukebox_config;
-  Jukebox jukebox(jukebox_config);
+TEST(CrossFault, MultiDriveScrubRepairSurvivesEveryFaultClass) {
+  // Scrub and repair share two drives with client reads while every fault
+  // class fires: repair mounts and scrub passes skip tapes the other drive
+  // holds, and the scheduler invariants and conservation must hold.
   LayoutSpec layout;
   layout.num_replicas = 1;
-  Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+  layout.start_position = 1.0;
+  DriveRig rig(2, layout);
+  ValidatingScheduler scheduler(
+      CreateScheduler(AlgorithmSpec::Parse("dynamic-max-bandwidth").value(),
+                      &rig.jukebox, &rig.catalog),
+      &rig.jukebox, &rig.catalog);
   SimulationConfig sim = CrossFaultSim(1);
+  // Light open load: scrub only uses idle drives.
+  sim.workload.model = QueuingModel::kOpen;
+  sim.workload.mean_interarrival_seconds = 400;
   sim.repair.enable_repair = true;
-  EXPECT_DEATH(
-      MultiDriveSimulator(&jukebox, &catalog, MultiDriveConfig{}, sim),
-      "single-drive");
+  sim.repair.scrub_interval_seconds = 20'000;
+  sim.repair.repair_bandwidth_mb_per_s = 20;
+
+  Simulator simulator(&rig.jukebox, &rig.catalog, &scheduler, sim);
+  const SimulationResult result = simulator.Run();
+  ASSERT_TRUE(result.repair_enabled);
+  EXPECT_GT(result.repair.scrub_blocks_read, 0);
+  EXPECT_GT(result.faults.drive_failures, 0);
+  EXPECT_GT(result.faults.permanent_media_errors, 0);
+  EXPECT_EQ(result.completed_total + result.failed_requests +
+                result.outstanding_at_end,
+            result.issued_requests);
+  EXPECT_GT(scheduler.requests_served(), 0);
+  EXPECT_GE(scheduler.outstanding(), result.outstanding_at_end);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(FarmConfig, Validation) {
 }
 
 // A box cannot run more drives than it has tapes; the farm reports it as
-// an invalid config instead of aborting in MultiDriveSimulator.
+// an invalid config instead of aborting in Jukebox::SetNumDrives.
 TEST(FarmConfig, RejectsMoreDrivesThanTapes) {
   FarmConfig config = BaseFarm(2, 60);
   config.per_jukebox.jukebox.num_tapes = 4;
@@ -58,32 +58,36 @@ TEST(FarmConfig, RejectsMoreDrivesThanTapes) {
             std::string::npos);
 }
 
-// Multi-drive boxes dispatch by tape policy: FIFO is rejected like the
-// envelope algorithms, and either is fine on a single drive.
-TEST(FarmConfig, MultiDriveRejectsFifo) {
-  FarmConfig config = BaseFarm(2, 60);
+// Multi-drive boxes run FIFO like any other algorithm.
+TEST(FarmConfig, MultiDriveRunsFifo) {
+  FarmConfig config = BaseFarm(2, 12);
   config.per_jukebox.algorithm = AlgorithmSpec::Parse("fifo").value();
-  EXPECT_TRUE(config.Validate().ok());
   config.drives_per_jukebox = 2;
-  const Status status = config.Validate();
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("static"), std::string::npos);
-  config.per_jukebox.algorithm =
-      AlgorithmSpec::Parse("static-max-requests").value();
-  EXPECT_TRUE(config.Validate().ok());
+  ASSERT_TRUE(config.Validate().ok());
+  const SimulationResult result = FarmSimulator(config).Run().aggregate;
+  EXPECT_GT(result.completed_requests, 0);
+  EXPECT_EQ(result.completed_total + result.failed_requests +
+                result.outstanding_at_end,
+            result.issued_requests);
 }
 
-// ValidateDrives is the rule run_experiment --drives applies too.
-TEST(ValidateDrives, CountsAndAlgorithms) {
+// ValidateDrives is the rule run_experiment --drives applies too: drive
+// counts only, reported as InvalidArgument; every algorithm and scrub/
+// repair run at any valid count.
+TEST(ValidateDrives, CountsOnly) {
   ExperimentConfig config;
   config.jukebox.num_tapes = 10;
   EXPECT_TRUE(ValidateDrives(config, 1).ok());
   EXPECT_TRUE(ValidateDrives(config, 10).ok());
-  EXPECT_FALSE(ValidateDrives(config, 0).ok());
-  EXPECT_FALSE(ValidateDrives(config, 11).ok());
-  config.algorithm = AlgorithmSpec::Parse("envelope-max-bandwidth").value();
-  EXPECT_TRUE(ValidateDrives(config, 1).ok());
-  EXPECT_FALSE(ValidateDrives(config, 2).ok());
+  EXPECT_EQ(ValidateDrives(config, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateDrives(config, 11).code(), StatusCode::kInvalidArgument);
+  for (const AlgorithmSpec& spec : AlgorithmSpec::AllPaperAlgorithms()) {
+    config.algorithm = spec;
+    EXPECT_TRUE(ValidateDrives(config, 2).ok()) << spec.Name();
+  }
+  config.sim.faults.permanent_media_error_prob = 0.01;
+  config.sim.repair.enable_repair = true;
+  EXPECT_TRUE(ValidateDrives(config, 2).ok());
 }
 
 TEST(Farm, SingleBoxMatchesPlainSimulator) {
@@ -189,6 +193,33 @@ TEST(Farm, MultiDriveBoxesRunAndOutperformSingleDrive) {
   dual_parallel.threads = 4;
   EXPECT_EQ(FarmJson(FarmSimulator(dual).Run()),
             FarmJson(FarmSimulator(dual_parallel).Run()));
+}
+
+// Multi-drive boxes run the envelope scheduler with scrub/repair under
+// faults, deterministically at any thread count.
+TEST(Farm, MultiDriveEnvelopeBoxesWithRepairRun) {
+  FarmConfig serial = BaseFarm(2, 40);
+  serial.drives_per_jukebox = 2;
+  serial.per_jukebox.algorithm =
+      AlgorithmSpec::Parse("envelope-max-bandwidth").value();
+  serial.per_jukebox.layout.num_replicas = 2;
+  serial.per_jukebox.layout.start_position = 1.0;
+  serial.per_jukebox.sim.duration_seconds = 200'000;
+  serial.per_jukebox.sim.warmup_seconds = 20'000;
+  serial.per_jukebox.sim.faults.permanent_media_error_prob = 0.005;
+  serial.per_jukebox.sim.repair.enable_repair = true;
+  serial.per_jukebox.sim.repair.scrub_interval_seconds = 20'000;
+  serial.threads = 1;
+  FarmConfig parallel = serial;
+  parallel.threads = 2;
+  const FarmResult a = FarmSimulator(serial).Run();
+  const SimulationResult& result = a.aggregate;
+  EXPECT_GT(result.completed_requests, 0);
+  EXPECT_TRUE(result.repair_enabled);
+  EXPECT_EQ(result.completed_total + result.failed_requests +
+                result.outstanding_at_end,
+            result.issued_requests);
+  EXPECT_EQ(FarmJson(a), FarmJson(FarmSimulator(parallel).Run()));
 }
 
 TEST(Farm, FaultInjectionAggregatesAcrossBoxes) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "layout/placement.h"
-#include "sim/multi_drive.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -25,22 +27,16 @@ SimulationConfig ShortSim(int64_t queue) {
   return config;
 }
 
-SimulationResult RunWith(const MultiDriveConfig& drives, int64_t queue,
-                         const LayoutSpec& layout = LayoutSpec{}) {
-  Jukebox jukebox(PaperJukebox());
-  const Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
-  MultiDriveSimulator sim(&jukebox, &catalog, drives, ShortSim(queue));
-  return sim.Run();
+SimulationResult RunWith(int32_t num_drives, int64_t queue,
+                         const std::string& algorithm =
+                             "dynamic-max-bandwidth") {
+  return DriveRig(num_drives, LayoutSpec{}, algorithm, PaperJukebox())
+      .Run(ShortSim(queue));
 }
 
 TEST(MultiDriveOptions, DynamicInsertionHelps) {
-  MultiDriveConfig with;
-  with.num_drives = 2;
-  with.dynamic_insertion = true;
-  MultiDriveConfig without = with;
-  without.dynamic_insertion = false;
-  const SimulationResult a = RunWith(with, 120);
-  const SimulationResult b = RunWith(without, 120);
+  const SimulationResult a = RunWith(2, 120, "dynamic-max-bandwidth");
+  const SimulationResult b = RunWith(2, 120, "static-max-bandwidth");
   EXPECT_GT(a.requests_per_minute, b.requests_per_minute);
 }
 
@@ -49,10 +45,8 @@ TEST(MultiDriveOptions, AllPoliciesMakeProgress) {
        {TapePolicy::kRoundRobin, TapePolicy::kMaxRequests,
         TapePolicy::kMaxBandwidth, TapePolicy::kOldestMaxRequests,
         TapePolicy::kOldestMaxBandwidth}) {
-    MultiDriveConfig drives;
-    drives.num_drives = 2;
-    drives.policy = policy;
-    const SimulationResult result = RunWith(drives, 60);
+    const SimulationResult result =
+        RunWith(2, 60, std::string("dynamic-") + TapePolicyName(policy));
     EXPECT_GT(result.completed_requests, 500)
         << TapePolicyName(policy);
   }
@@ -61,33 +55,21 @@ TEST(MultiDriveOptions, AllPoliciesMakeProgress) {
 TEST(MultiDriveOptions, AsManyDrivesAsTapesStillWorks) {
   JukeboxConfig config = PaperJukebox();
   config.num_tapes = 3;
-  Jukebox jukebox(config);
-  const Catalog catalog =
-      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
-  MultiDriveConfig drives;
-  drives.num_drives = 3;
-  MultiDriveSimulator sim(&jukebox, &catalog, drives, ShortSim(30));
-  const SimulationResult result = sim.Run();
+  const SimulationResult result =
+      DriveRig(3, LayoutSpec{}, "dynamic-max-bandwidth", config)
+          .Run(ShortSim(30));
   EXPECT_GT(result.completed_requests, 200);
 }
 
 TEST(MultiDriveOptions, TinyPopulationDoesNotDeadlock) {
-  MultiDriveConfig drives;
-  drives.num_drives = 4;
-  const SimulationResult result = RunWith(drives, /*queue=*/2);
+  const SimulationResult result = RunWith(4, /*queue=*/2);
   // Fewer requests than drives: some drives idle, the rest serve.
   EXPECT_GT(result.completed_requests, 100);
   EXPECT_NEAR(result.mean_outstanding, 2.0, 0.1);
 }
 
 TEST(MultiDriveOptions, CountersAreConsistent) {
-  MultiDriveConfig drives;
-  drives.num_drives = 3;
-  Jukebox jukebox(PaperJukebox());
-  const Catalog catalog =
-      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
-  MultiDriveSimulator sim(&jukebox, &catalog, drives, ShortSim(60));
-  const SimulationResult result = sim.Run();
+  const SimulationResult result = RunWith(3, 60);
   EXPECT_EQ(result.counters.mb_read, result.counters.blocks_read * 16);
   // One read can satisfy several requests for the same block, so blocks
   // read is at most (and normally close to) the completion count.

@@ -1,21 +1,20 @@
-// Tests for the multi-drive jukebox extension.
-
-#include "sim/multi_drive.h"
+// Tests for multi-drive jukeboxes: D drives sharing one Simulator, one
+// scheduler, the tape pool and the robot arm.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
+#include "sched/validating_scheduler.h"
+#include "sim/lifecycle.h"
+#include "sim/write_path.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
-
-JukeboxConfig PaperJukebox() {
-  JukeboxConfig config;
-  config.num_tapes = 10;
-  config.block_size_mb = 16;
-  return config;
-}
 
 SimulationConfig ShortSim(int64_t queue = 60) {
   SimulationConfig config;
@@ -26,46 +25,52 @@ SimulationConfig ShortSim(int64_t queue = 60) {
   return config;
 }
 
-struct Rig {
-  explicit Rig(const LayoutSpec& layout = LayoutSpec{})
-      : jukebox(PaperJukebox()),
-        catalog(LayoutBuilder::Build(&jukebox, layout).value()) {}
-  Jukebox jukebox;
-  Catalog catalog;
-};
-
 SimulationResult RunMulti(int32_t num_drives, int64_t queue = 60,
-                          MultiDriveStats* stats = nullptr) {
-  Rig rig;
-  MultiDriveConfig drives;
-  drives.num_drives = num_drives;
-  MultiDriveSimulator sim(&rig.jukebox, &rig.catalog, drives,
-                          ShortSim(queue));
-  const SimulationResult result = sim.Run();
-  if (stats != nullptr) *stats = sim.stats();
+                          double* robot_wait_seconds = nullptr) {
+  DriveRig rig(num_drives);
+  const SimulationResult result = rig.Run(ShortSim(queue));
+  if (robot_wait_seconds != nullptr) {
+    *robot_wait_seconds = rig.jukebox.counters().robot_wait_seconds;
+  }
   return result;
 }
 
-TEST(MultiDriveConfig, Validation) {
-  MultiDriveConfig config;
-  EXPECT_TRUE(config.Validate().ok());
-  config.num_drives = 0;
-  EXPECT_FALSE(config.Validate().ok());
+/// Request conservation and the per-drive time-in-state identity.
+void ExpectSound(const SimulationResult& result, int num_drives) {
+  EXPECT_EQ(result.completed_total + result.failed_requests +
+                result.expired_requests + result.shed_requests +
+                result.outstanding_at_end,
+            result.issued_requests);
+  ASSERT_EQ(result.time_in_state.size(), static_cast<size_t>(num_drives));
+  for (const obs::DriveTimeInState& tis : result.time_in_state) {
+    EXPECT_NEAR(tis.Total(), result.measured_seconds,
+                1e-9 * result.measured_seconds);
+  }
 }
 
-TEST(MultiDrive, SingleDriveMatchesSingleDriveSimulatorClosely) {
+/// Runs `run` twice with the same seed: the results must be byte-equal.
+/// Returns the first result.
+SimulationResult RunTwiceIdentical(
+    const std::function<SimulationResult()>& run) {
+  const SimulationResult first = run();
+  EXPECT_EQ(ResultsJson(first), ResultsJson(run()));
+  return first;
+}
+
+TEST(MultiDriveDeathTest, ZeroDrivesAborts) {
+  Jukebox jukebox(JukeboxConfig{});
+  EXPECT_DEATH(jukebox.SetNumDrives(0), "at least one drive");
+}
+
+TEST(MultiDrive, SingleDriveMatchesSingleDriveSimulatorExactly) {
   const SimulationResult multi = RunMulti(1);
-  Rig rig;
-  GreedyScheduler sched(&rig.jukebox, &rig.catalog,
-                        TapePolicy::kMaxBandwidth, /*dynamic=*/true);
-  Simulator sim(&rig.jukebox, &rig.catalog, &sched, ShortSim());
-  const SimulationResult single = sim.Run();
-  // Same model, same policy; small differences are allowed because the
-  // multi-drive dispatcher wakes at slightly different instants.
-  EXPECT_NEAR(multi.throughput_mb_per_s / single.throughput_mb_per_s, 1.0,
-              0.05);
-  EXPECT_NEAR(multi.mean_delay_seconds / single.mean_delay_seconds, 1.0,
-              0.10);
+  Jukebox jukebox(JukeboxConfig{});
+  const Catalog catalog =
+      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  GreedyScheduler sched(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
+                        /*dynamic=*/true);
+  Simulator sim(&jukebox, &catalog, &sched, ShortSim());
+  EXPECT_EQ(ResultsJson(multi), ResultsJson(sim.Run()));
 }
 
 TEST(MultiDrive, MoreDrivesMoreThroughputLessDelay) {
@@ -92,9 +97,12 @@ TEST(MultiDrive, ScalingIsRoughlyLinearAtHighLoad) {
 }
 
 TEST(MultiDrive, RobotContentionIsObserved) {
-  MultiDriveStats stats;
-  RunMulti(4, 120, &stats);
-  EXPECT_GT(stats.robot_wait_seconds, 0.0);
+  double one_drive_wait = -1;
+  RunMulti(1, 120, &one_drive_wait);
+  EXPECT_EQ(one_drive_wait, 0.0);
+  double wait = 0;
+  RunMulti(4, 120, &wait);
+  EXPECT_GT(wait, 0.0);
 }
 
 TEST(MultiDrive, Deterministic) {
@@ -109,15 +117,25 @@ TEST(MultiDrive, ClosedPopulationIsConserved) {
   EXPECT_NEAR(result.mean_outstanding, 50.0, 0.5);
 }
 
+// Completed processes think before their next request at any drive
+// count, so fewer requests are outstanding and fewer complete.
+TEST(MultiDrive, ThinkTimeHoldsAtTwoDrives) {
+  SimulationConfig busy = ShortSim(60);
+  SimulationConfig thinking = busy;
+  thinking.workload.think_time_seconds = 20'000;
+  const SimulationResult eager = DriveRig(2).Run(busy);
+  const SimulationResult idle = DriveRig(2).Run(thinking);
+  EXPECT_LT(idle.mean_outstanding, 60.0);
+  EXPECT_LT(idle.requests_per_minute, eager.requests_per_minute);
+  ExpectSound(idle, 2);
+}
+
 TEST(MultiDrive, OpenModelWorks) {
-  Rig rig;
-  MultiDriveConfig drives;
-  drives.num_drives = 2;
+  DriveRig rig(2);
   SimulationConfig sim_config = ShortSim();
   sim_config.workload.model = QueuingModel::kOpen;
   sim_config.workload.mean_interarrival_seconds = 60;
-  MultiDriveSimulator sim(&rig.jukebox, &rig.catalog, drives, sim_config);
-  const SimulationResult result = sim.Run();
+  const SimulationResult result = rig.Run(sim_config);
   EXPECT_GT(result.completed_requests, 100);
   // Two drives comfortably absorb a 1-per-minute stream.
   EXPECT_NEAR(result.requests_per_minute, 1.0, 0.2);
@@ -127,26 +145,134 @@ TEST(MultiDrive, ReplicationHelpsHereToo) {
   LayoutSpec replicated;
   replicated.num_replicas = 9;
   replicated.start_position = 1.0;
-  Rig plain;
-  Rig full(replicated);
-  MultiDriveConfig drives;
-  drives.num_drives = 2;
-  MultiDriveSimulator sim_plain(&plain.jukebox, &plain.catalog, drives,
-                                ShortSim(120));
-  MultiDriveSimulator sim_full(&full.jukebox, &full.catalog, drives,
-                               ShortSim(120));
-  const SimulationResult a = sim_plain.Run();
-  const SimulationResult b = sim_full.Run();
+  const SimulationResult a = DriveRig(2).Run(ShortSim(120));
+  const SimulationResult b = DriveRig(2, replicated).Run(ShortSim(120));
   EXPECT_GT(b.requests_per_minute, a.requests_per_minute);
 }
 
 TEST(MultiDriveDeathTest, MoreDrivesThanTapesAborts) {
-  Rig rig;
-  MultiDriveConfig drives;
-  drives.num_drives = 99;
-  EXPECT_DEATH(MultiDriveSimulator(&rig.jukebox, &rig.catalog, drives,
-                                   ShortSim()),
-               "more drives than tapes");
+  Jukebox jukebox(JukeboxConfig{});
+  EXPECT_DEATH(jukebox.SetNumDrives(99), "more drives than tapes");
+}
+
+// --- Every scheduler and background producer on two drives ---------------
+
+TEST(MultiDriveCombos, FifoRunsOnTwoDrives) {
+  const SimulationResult result = RunTwiceIdentical(
+      [] { return DriveRig(2, LayoutSpec{}, "fifo").Run(ShortSim(60)); });
+  EXPECT_GT(result.completed_requests, 100);
+  ExpectSound(result, 2);
+}
+
+TEST(MultiDriveCombos, FifoSmallPopulationDoesNotDeadlock) {
+  // Two requests often wait on one tape: the drive holding it serves them
+  // while the other idles, and neither stalls.
+  const SimulationResult result =
+      DriveRig(2, LayoutSpec{}, "fifo").Run(ShortSim(/*queue=*/2));
+  EXPECT_GT(result.completed_requests, 100);
+  EXPECT_NEAR(result.mean_outstanding, 2.0, 0.1);
+  ExpectSound(result, 2);
+}
+
+TEST(MultiDriveCombos, ValidatedEnvelopeRunsOnTwoDrives) {
+  LayoutSpec layout;
+  layout.num_replicas = 2;
+  layout.start_position = 1.0;
+  int64_t served = 0;
+  const SimulationResult result = RunTwiceIdentical([&] {
+    DriveRig rig(2, layout);
+    AlgorithmSpec spec =
+        AlgorithmSpec::Parse("envelope-max-bandwidth").value();
+    spec.options.validate_envelope = true;
+    ValidatingScheduler scheduler(
+        CreateScheduler(spec, &rig.jukebox, &rig.catalog), &rig.jukebox,
+        &rig.catalog);
+    Simulator sim(&rig.jukebox, &rig.catalog, &scheduler, ShortSim(60));
+    const SimulationResult out = sim.Run();
+    served = scheduler.requests_served();
+    EXPECT_EQ(scheduler.outstanding(), out.outstanding_at_end);
+    return out;
+  });
+  EXPECT_GT(served, 100);
+  ExpectSound(result, 2);
+}
+
+TEST(MultiDriveCombos, ScrubRepairUnderFaultsRunsOnTwoDrives) {
+  LayoutSpec layout;
+  layout.num_replicas = 2;
+  layout.start_position = 1.0;
+  SimulationConfig sim = ShortSim();
+  // Light open load: scrub only uses idle drives.
+  sim.workload.model = QueuingModel::kOpen;
+  sim.workload.mean_interarrival_seconds = 600;
+  sim.faults.permanent_media_error_prob = 0.01;
+  sim.faults.transient_read_error_prob = 0.02;
+  sim.faults.robot_fault_prob = 0.01;
+  sim.faults.drive_mtbf_seconds = 40'000;
+  sim.faults.drive_mttr_seconds = 2'000;
+  sim.repair.enable_repair = true;
+  sim.repair.scrub_interval_seconds = 20'000;
+  const SimulationResult result =
+      RunTwiceIdentical([&] { return DriveRig(2, layout).Run(sim); });
+  ASSERT_TRUE(result.repair_enabled);
+  EXPECT_GT(result.repair.scrub_blocks_read, 0);
+  EXPECT_GT(result.faults.drive_failures, 0);
+  EXPECT_GT(result.completed_requests, 100);
+  ExpectSound(result, 2);
+  double background = 0;
+  for (const obs::DriveTimeInState& tis : result.time_in_state) {
+    background += tis[obs::DriveActivity::kBackground];
+  }
+  EXPECT_GT(background, 0.0);
+}
+
+TEST(MultiDriveCombos, WritePathRunsOnTwoDrives) {
+  WritePathConfig writes;
+  writes.mean_write_interarrival_seconds = 200;
+  int64_t flushed = 0;
+  const SimulationResult result = RunTwiceIdentical([&] {
+    DriveRig rig(2);
+    WriteBuffer buffer(&rig.jukebox, &rig.catalog, writes, /*seed=*/7,
+                       ShortSim().duration_seconds);
+    Simulator sim(&rig.jukebox, &rig.catalog, rig.scheduler.get(),
+                  ShortSim(40), &buffer);
+    const SimulationResult out = sim.Run();
+    flushed = buffer.stats().blocks_flushed;
+    return out;
+  });
+  EXPECT_GT(flushed, 0);
+  EXPECT_GT(result.completed_requests, 100);
+  ExpectSound(result, 2);
+}
+
+TEST(MultiDriveCombos, LifecycleFillRunsOnTwoDrives) {
+  // Spare capacity at every tape's end for the replicas (the §4.8 start).
+  LayoutSpec replicated;
+  replicated.layout = HotLayout::kVertical;
+  replicated.num_replicas = 9;
+  replicated.start_position = 1.0;
+  LayoutSpec spare;
+  spare.layout = HotLayout::kVertical;
+  spare.logical_blocks_override =
+      LayoutBuilder::MaxLogicalBlocks(Jukebox(JukeboxConfig{}), replicated);
+  LifecycleConfig lifecycle;
+  lifecycle.fill_budget_seconds = 240;
+  int64_t written = 0;
+  const SimulationResult result = RunTwiceIdentical([&] {
+    DriveRig rig(2, spare);
+    const SimulationConfig sim = ShortSim();
+    ReplicaFiller filler(&rig.jukebox, &rig.catalog, lifecycle,
+                         sim.duration_seconds);
+    Simulator simulator(&rig.jukebox,
+                        static_cast<const Catalog*>(&rig.catalog),
+                        rig.scheduler.get(), sim, &filler);
+    const SimulationResult out = simulator.Run();
+    written = filler.replicas_written();
+    return out;
+  });
+  EXPECT_GT(written, 0);
+  EXPECT_GT(result.completed_requests, 100);
+  ExpectSound(result, 2);
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 #include "core/results_io.h"
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
-#include "sim/multi_drive.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 #include "util/json.h"
 
 namespace tapejuke {
@@ -170,13 +170,10 @@ TEST(ObsTrace, MultiDriveTraceCoversEveryDrive) {
   obs::TraceConfig obs_config;
   obs_config.trace_out = dir + "obs_trace_multi.json";
   obs_config.decision_log = dir + "obs_trace_multi.jsonl";
-  Rig rig(PaperJukebox(), LayoutSpec{});
-  MultiDriveConfig drives;
-  drives.num_drives = 3;
+  DriveRig rig(3, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
   SimulationConfig config = ShortSim();
   config.obs = obs_config;
-  MultiDriveSimulator sim(&rig.jukebox, &rig.catalog, drives, config);
-  const SimulationResult result = sim.Run();
+  const SimulationResult result = rig.Run(config);
   EXPECT_GT(result.completed_requests, 0);
   const std::string trace = ReadFile(obs_config.trace_out);
   EXPECT_NE(trace.find("\"name\":\"drive 0\""), std::string::npos);
@@ -186,8 +183,11 @@ TEST(ObsTrace, MultiDriveTraceCoversEveryDrive) {
             CountOccurrences(trace, "\"ph\":\"e\""));
   // Robot contention is visible as robot-state slices.
   EXPECT_NE(trace.find("\"name\":\"robot\""), std::string::npos);
+  // Every drive's reschedules are logged under its own index.
   const std::string decisions = ReadFile(obs_config.decision_log);
-  EXPECT_GT(CountOccurrences(decisions, "\"scheduler\":\"multi-drive"), 0);
+  EXPECT_GT(CountOccurrences(decisions, "\"drive\":0"), 0);
+  EXPECT_GT(CountOccurrences(decisions, "\"drive\":1"), 0);
+  EXPECT_GT(CountOccurrences(decisions, "\"drive\":2"), 0);
 }
 
 // --- recorder unit behaviour ------------------------------------------

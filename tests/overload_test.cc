@@ -13,8 +13,8 @@
 #include "core/experiment.h"
 #include "core/results_io.h"
 #include "sim/fault_model.h"
-#include "sim/multi_drive.h"
 #include "sim/workload.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -211,12 +211,7 @@ SimulationConfig OverloadSim() {
 }
 
 TEST(OverloadConservation, HoldsWithDeadlinesAndAdmission) {
-  Rig rig;
-  MultiDriveConfig drives;
-  drives.num_drives = 2;
-  MultiDriveSimulator simulator(&rig.jukebox, &*rig.catalog, drives,
-                                OverloadSim());
-  const SimulationResult result = simulator.Run();
+  const SimulationResult result = DriveRig(2).Run(OverloadSim());
   ASSERT_TRUE(result.overload_enabled);
   // Saturated open queue with short deadlines: both exits must fire.
   EXPECT_GT(result.expired_requests, 0);
@@ -234,14 +229,7 @@ TEST(OverloadConservation, HoldsWithDeadlinesAndAdmission) {
 }
 
 TEST(OverloadConservation, DeterministicAcrossRuns) {
-  auto run = []() {
-    Rig rig;
-    MultiDriveConfig drives;
-    drives.num_drives = 2;
-    MultiDriveSimulator simulator(&rig.jukebox, &*rig.catalog, drives,
-                                  OverloadSim());
-    return simulator.Run();
-  };
+  auto run = []() { return DriveRig(2).Run(OverloadSim()); };
   const SimulationResult a = run();
   const SimulationResult b = run();
   EXPECT_EQ(a.completed_requests, b.completed_requests);
@@ -258,16 +246,12 @@ std::string ToJson(const SimulationResult& result) {
 }
 
 TEST(OverloadJson, GatedOffForOverloadFreeRuns) {
-  Rig rig;
   SimulationConfig sim;
   sim.duration_seconds = 60'000;
   sim.warmup_seconds = 6'000;
   sim.workload.model = QueuingModel::kClosed;
   sim.workload.queue_length = 20;
-  MultiDriveConfig drives;
-  drives.num_drives = 2;
-  MultiDriveSimulator simulator(&rig.jukebox, &*rig.catalog, drives, sim);
-  const std::string json = ToJson(simulator.Run());
+  const std::string json = ToJson(DriveRig(2).Run(sim));
   // No overload knob was set, so none of the new keys may appear: the
   // document must stay byte-identical to pre-overload builds.
   EXPECT_EQ(json.find("expired_requests"), std::string::npos);
@@ -281,12 +265,8 @@ TEST(OverloadJson, GatedOffForOverloadFreeRuns) {
 }
 
 TEST(OverloadJson, EmittedForOverloadRuns) {
-  Rig rig;
-  MultiDriveConfig drives;
-  drives.num_drives = 2;
   const SimulationConfig sim = OverloadSim();
-  MultiDriveSimulator simulator(&rig.jukebox, &*rig.catalog, drives, sim);
-  const std::string json = ToJson(simulator.Run());
+  const std::string json = ToJson(DriveRig(2).Run(sim));
   EXPECT_NE(json.find("\"expired_requests\""), std::string::npos);
   EXPECT_NE(json.find("\"shed_requests\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant_classes\""), std::string::npos);

@@ -1,15 +1,24 @@
-// Shared test helpers: a tiny hand-built jukebox + catalog rig.
+// Shared test helpers: a tiny hand-built jukebox + catalog rig, and a
+// multi-drive box rig.
 
 #ifndef TAPEJUKE_TESTS_TEST_UTIL_H_
 #define TAPEJUKE_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/experiment.h"
+#include "core/results_io.h"
 #include "layout/catalog.h"
+#include "layout/placement.h"
+#include "sim/simulator.h"
 #include "tape/jukebox.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace tapejuke {
 
@@ -64,6 +73,48 @@ class TinyRig {
   }
 
   Jukebox jukebox_;
+};
+
+/// `result` as the results JSON writes it (byte-level comparisons).
+inline std::string ResultsJson(const SimulationResult& result) {
+  std::ostringstream os;
+  JsonWriter w(&os);
+  WriteJson(&w, result);
+  return os.str();
+}
+
+/// One jukebox with `num_drives` drives, its layout, and the scheduler for
+/// `algorithm` — the box every multi-drive test runs. The drive count is
+/// set before the layout and the scheduler are built.
+struct DriveRig {
+  explicit DriveRig(int32_t num_drives, const LayoutSpec& layout = {},
+                    const std::string& algorithm = "dynamic-max-bandwidth",
+                    const JukeboxConfig& config = {})
+      : jukebox(config),
+        catalog(LayoutBuilder::Build(WithDrives(&jukebox, num_drives),
+                                     layout)
+                    .value()),
+        scheduler(CreateScheduler(AlgorithmSpec::Parse(algorithm).value(),
+                                  &jukebox, &catalog)) {}
+
+  /// Runs `sim` to completion (mutable catalog, so faults may be on);
+  /// call once.
+  SimulationResult Run(const SimulationConfig& sim) {
+    Simulator simulator(&jukebox, &catalog, scheduler.get(), sim);
+    const SimulationResult result = simulator.Run();
+    claim_conflicts = simulator.claim_conflicts();
+    return result;
+  }
+
+  static Jukebox* WithDrives(Jukebox* jukebox, int32_t num_drives) {
+    jukebox->SetNumDrives(num_drives);
+    return jukebox;
+  }
+
+  Jukebox jukebox;
+  Catalog catalog;
+  std::unique_ptr<Scheduler> scheduler;
+  int64_t claim_conflicts = 0;
 };
 
 }  // namespace tapejuke

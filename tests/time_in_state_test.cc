@@ -15,8 +15,8 @@
 #include "sched/envelope_scheduler.h"
 #include "sched/fifo_scheduler.h"
 #include "sched/greedy_scheduler.h"
-#include "sim/multi_drive.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -195,12 +195,8 @@ TEST(IdentityFaults, HoldsWithScrubAndRepair) {
 }
 
 TEST(IdentityMultiDrive, HoldsPerDriveFaultFree) {
-  Rig rig(PaperJukebox(), LayoutSpec{});
-  MultiDriveConfig drives;
-  drives.num_drives = 3;
-  MultiDriveSimulator sim(&rig.jukebox, &rig.catalog, drives,
-                          ShortSim(QueuingModel::kClosed));
-  const SimulationResult result = sim.Run();
+  DriveRig rig(3, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
+  const SimulationResult result = rig.Run(ShortSim(QueuingModel::kClosed));
   EXPECT_GT(result.completed_requests, 0);
   ExpectIdentity(result, /*num_drives=*/3);
   for (const obs::DriveTimeInState& tis : result.time_in_state) {
@@ -211,17 +207,14 @@ TEST(IdentityMultiDrive, HoldsPerDriveFaultFree) {
 TEST(IdentityMultiDrive, HoldsPerDriveUnderFaults) {
   LayoutSpec layout;
   layout.num_replicas = 2;
-  Rig rig(PaperJukebox(), layout);
-  MultiDriveConfig drives;
-  drives.num_drives = 2;
+  DriveRig rig(2, layout, "dynamic-max-bandwidth", PaperJukebox());
   SimulationConfig config = ShortSim(QueuingModel::kClosed);
   config.faults.transient_read_error_prob = 0.05;
   config.faults.permanent_media_error_prob = 0.01;
   config.faults.drive_mtbf_seconds = 30'000;
   config.faults.drive_mttr_seconds = 2'000;
   config.faults.robot_fault_prob = 0.02;
-  MultiDriveSimulator sim(&rig.jukebox, &rig.catalog, drives, config);
-  const SimulationResult result = sim.Run();
+  const SimulationResult result = rig.Run(config);
   ExpectIdentity(result, /*num_drives=*/2);
   double down = 0;
   for (const obs::DriveTimeInState& tis : result.time_in_state) {

@@ -16,8 +16,8 @@
 
 #include "core/farm.h"
 #include "sched/greedy_scheduler.h"
-#include "sim/multi_drive.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -303,23 +303,21 @@ TEST(SimulatorTimeline, TenantClassesGetPerClassStats) {
             std::string::npos);
 }
 
-// --- MultiDriveSimulator integration ---
+// --- Multi-drive integration ---
 
 TEST(MultiDriveTimeline, ResultsIdenticalWithTimelineOn) {
   const SimulationConfig off = ShortSim(QueuingModel::kClosed);
   SimulationConfig on = off;
   on.timeline = BufferedTimeline(10'000.0);
-  MultiDriveConfig drive_config;
-  drive_config.num_drives = 2;
 
-  Rig rig_a(PaperJukebox(), LayoutSpec{});
-  MultiDriveSimulator sim_a(&rig_a.jukebox, &rig_a.catalog, drive_config,
-                            off);
+  DriveRig rig_a(2, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
+  Simulator sim_a(&rig_a.jukebox, &rig_a.catalog, rig_a.scheduler.get(),
+                  off);
   const SimulationResult a = sim_a.Run();
 
-  Rig rig_b(PaperJukebox(), LayoutSpec{});
-  MultiDriveSimulator sim_b(&rig_b.jukebox, &rig_b.catalog, drive_config,
-                            on);
+  DriveRig rig_b(2, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
+  Simulator sim_b(&rig_b.jukebox, &rig_b.catalog, rig_b.scheduler.get(),
+                  on);
   const SimulationResult b = sim_b.Run();
 
   EXPECT_EQ(a.completed_requests, b.completed_requests);
@@ -327,7 +325,7 @@ TEST(MultiDriveTimeline, ResultsIdenticalWithTimelineOn) {
   EXPECT_DOUBLE_EQ(a.throughput_mb_per_s, b.throughput_mb_per_s);
   EXPECT_DOUBLE_EQ(a.mean_delay_seconds, b.mean_delay_seconds);
   EXPECT_DOUBLE_EQ(a.simulated_seconds, b.simulated_seconds);
-  EXPECT_EQ(sim_a.stats().claim_conflicts, sim_b.stats().claim_conflicts);
+  EXPECT_EQ(sim_a.claim_conflicts(), sim_b.claim_conflicts());
 
   const TimelineSampler* timeline = sim_b.timeline();
   ASSERT_NE(timeline, nullptr);

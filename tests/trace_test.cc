@@ -10,6 +10,7 @@
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -145,6 +146,36 @@ TEST(TraceReplay, EquivalentToGeneratorDrivenOpenRun) {
   EXPECT_EQ(a.completed_requests, b.completed_requests);
   EXPECT_DOUBLE_EQ(a.throughput_mb_per_s, b.throughput_mb_per_s);
   EXPECT_DOUBLE_EQ(a.mean_delay_seconds, b.mean_delay_seconds);
+}
+
+TEST(TraceReplay, TwoDriveReplayConservesArrivals) {
+  Jukebox probe(PaperJukebox());
+  const Catalog catalog_probe =
+      LayoutBuilder::Build(&probe, LayoutSpec{}).value();
+  WorkloadConfig config;
+  config.mean_interarrival_seconds = 45;
+  config.seed = 91;
+  const auto trace = SynthesizeTrace(catalog_probe, config, 300'000);
+
+  DriveRig rig(2, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
+  SimulationConfig sim_config;
+  sim_config.duration_seconds = 300'000;
+  sim_config.warmup_seconds = 30'000;
+  Simulator sim(&rig.jukebox, &rig.catalog, rig.scheduler.get(), sim_config,
+                TraceToRequests(trace));
+  const SimulationResult result = sim.Run();
+  // Every trace arrival up to the end of the run is issued exactly once,
+  // and each issued request is settled or still outstanding.
+  int64_t arrived = 0;
+  for (const TraceRecord& record : trace) {
+    if (record.arrival_seconds <= result.simulated_seconds) ++arrived;
+  }
+  EXPECT_GT(arrived, 5000);
+  EXPECT_EQ(result.issued_requests, arrived);
+  EXPECT_EQ(result.completed_total + result.failed_requests +
+                result.outstanding_at_end,
+            result.issued_requests);
+  ASSERT_EQ(result.time_in_state.size(), 2u);
 }
 
 TEST(TraceReplayDeathTest, RejectsUnknownBlocks) {

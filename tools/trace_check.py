@@ -18,7 +18,9 @@ Checks the structural invariants docs/OBSERVABILITY.md promises:
   * the per-drive metadata threads announced by "M" events exist.
 
 Optionally validates a decision JSONL stream (--decision-log): one JSON
-object per line carrying the documented keys.
+object per line carrying the documented keys, whose "drive" names a
+"drive N" thread of the trace and whose "chosen" tape is one of its
+"candidates".
 
 Usage: trace_check.py TRACE.json [--decision-log DECISIONS.jsonl]
 Exits nonzero with a message on the first violation.
@@ -79,6 +81,7 @@ def check_trace(path):
         fail("empty traceEvents")
 
     drive_threads = set()
+    drive_indices = set()
     named_threads = {}
     last_ts = None
     last_slice_end = {}  # tid -> end of the previous X slice, microseconds
@@ -100,8 +103,10 @@ def check_trace(path):
             args = event.get("args", {})
             if name == "thread_name":
                 named_threads[event.get("tid")] = args.get("name", "")
-                if str(args.get("name", "")).startswith("drive "):
+                thread = str(args.get("name", ""))
+                if thread.startswith("drive "):
                     drive_threads.add(event.get("tid"))
+                    drive_indices.add(thread[len("drive "):])
             continue
 
         ts = event.get("ts")
@@ -156,17 +161,26 @@ def check_trace(path):
     if counts["b"] != counts["e"]:
         fail("unbalanced spans: %d 'b' vs %d 'e'" % (counts["b"], counts["e"]))
 
-    return counts, outcomes
+    return counts, outcomes, drive_indices
 
 
-def check_decision_log(path):
+def check_decision_log(path, drive_indices):
     lines = 0
     for number, record in iter_jsonl(TOOL, path):
+        where = "%s:%d" % (path, number)
         missing = DECISION_KEYS - set(record)
         if missing:
-            fail("%s:%d: missing keys %s" % (path, number, sorted(missing)))
+            fail("%s: missing keys %s" % (where, sorted(missing)))
         if not isinstance(record["candidates"], list):
-            fail("%s:%d: candidates is not a list" % (path, number))
+            fail("%s: candidates is not a list" % where)
+        if str(record["drive"]) not in drive_indices:
+            fail("%s: drive %r has no 'drive N' thread in the trace"
+                 % (where, record["drive"]))
+        tapes = [c.get("tape") for c in record["candidates"]
+                 if isinstance(c, dict)]
+        if record["chosen"] not in tapes:
+            fail("%s: chosen tape %r is not among the candidates %r"
+                 % (where, record["chosen"], tapes))
         lines += 1
     return lines
 
@@ -179,7 +193,7 @@ def main():
                         help="decision JSONL path to validate too")
     args = parser.parse_args()
 
-    counts, outcomes = check_trace(args.trace)
+    counts, outcomes, drive_indices = check_trace(args.trace)
     summary = ("trace_check: OK: %d slices, %d spans, %d span instants, "
                "%d scheduler instants"
                % (counts["X"], counts["b"], counts["n"], counts["i"]))
@@ -188,7 +202,7 @@ def main():
         summary += ", outcomes " + " ".join(
             "%s=%d" % item for item in lifecycle.items())
     if args.decision_log is not None:
-        decisions = check_decision_log(args.decision_log)
+        decisions = check_decision_log(args.decision_log, drive_indices)
         summary += ", %d decisions" % decisions
     print(summary)
 
