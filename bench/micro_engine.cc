@@ -1,15 +1,10 @@
 // Microbenchmark: the DES engine at farm scale.
 //
-// Three measurements, emitted into results/micro_engine.json (schema in
+// Two measurements, emitted into results/micro_engine.json (schema in
 // docs/RESULTS.md, methodology in docs/PERFORMANCE.md):
 //
-//  * queue_churn — hold-model schedule/pop churn on the calendar-queue
-//    EventQueue vs a bench-local binary heap (the pre-calendar engine,
-//    kept here as the measurement baseline), at steady sizes from 1k to
-//    256k pending events. The heap pays O(log n) per op; the calendar
-//    queue is O(1) amortized, so the gap widens with depth.
 //  * farm_scale — whole-farm simulation throughput: the sharded
-//    FarmSimulator (per-box calendar queues, boxes fanned over the thread
+//    FarmSimulator (one Simulator per box, boxes fanned over the thread
 //    pool) vs a bench-local reimplementation of the pre-PR serial farm
 //    (one global event loop over every box, binary-heap queue, migrating
 //    closed population). Reported as simulated events per wall second
@@ -17,11 +12,11 @@
 //    wall second. The sharded/serial ratio scales with the worker count,
 //    so absolute speedups are machine-dependent; the serial baseline is
 //    timed on the same machine in the same process.
-//  * --check — the CI determinism gate: the calendar queue must pop a
-//    churn trace in exactly the binary heap's order, and a multi-drive
-//    farm must serialize byte-identical FarmResult JSON at --threads 1
-//    vs 4. Fails (TJ_CHECK abort) on divergence; timings are reported
-//    but never gate the build.
+//  * --check — the CI determinism gate: EventQueue must pop a churn trace
+//    in exactly the order of a std::priority_queue reference, and a
+//    multi-drive farm must serialize byte-identical FarmResult JSON at
+//    --threads 1 vs 4. Fails (TJ_CHECK abort) on divergence; timings are
+//    reported but never gate the build.
 
 #include <algorithm>
 #include <chrono>
@@ -48,7 +43,7 @@ namespace tapejuke {
 namespace {
 
 // ---------------------------------------------------------------------------
-// The pre-calendar engine, bench-local: a (time, seq)-ordered binary heap
+// The reference queue, bench-local: a (time, seq)-ordered std::priority_queue
 // with the same Schedule/NextTime/Pop surface as EventQueue.
 // ---------------------------------------------------------------------------
 
@@ -89,72 +84,10 @@ double NowSeconds() {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// queue_churn: hold-model schedule/pop at constant size.
-// ---------------------------------------------------------------------------
-
-struct ChurnRow {
-  int size = 0;
-  double calendar_ns_per_op = 0;
-  double heap_ns_per_op = 0;
-  double speedup = 0;
-};
-
-/// One hold-model pass: pop the earliest event, reschedule it a random
-/// exponential-ish gap ahead. `ops` pops+pushes; returns wall ns per op.
-/// Three passes, minimum reported (interference only ever adds time).
-template <typename Queue>
-double ChurnNsPerOp(int size, int64_t ops) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    Queue queue;
-    Rng rng(1 + rep);
-    for (int i = 0; i < size; ++i) {
-      queue.Schedule(rng.UniformDouble() * 1e6, i);
-    }
-    const double start = NowSeconds();
-    for (int64_t i = 0; i < ops; ++i) {
-      auto [time, payload] = queue.Pop();
-      queue.Schedule(time + rng.UniformDouble() * 100.0, payload);
-    }
-    best = std::min(best, (NowSeconds() - start) * 1e9 /
-                              static_cast<double>(ops));
-  }
-  return best;
-}
-
-std::vector<ChurnRow> RunQueueChurn(const std::vector<int>& sizes) {
-  std::vector<ChurnRow> rows;
-  for (const int size : sizes) {
-    ChurnRow row;
-    row.size = size;
-    const int64_t ops = std::max<int64_t>(4 * size, 1 << 20);
-    row.calendar_ns_per_op = ChurnNsPerOp<EventQueue<int>>(size, ops);
-    row.heap_ns_per_op = ChurnNsPerOp<LegacyHeapQueue<int>>(size, ops);
-    row.speedup = row.heap_ns_per_op / row.calendar_ns_per_op;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-void PrintQueueChurn(const std::vector<ChurnRow>& rows) {
-  std::cout << "\nEvent-queue hold-model churn (pop + reschedule, steady "
-               "size)\n";
-  std::cout << std::setw(10) << "size" << std::setw(18) << "calendar ns/op"
-            << std::setw(16) << "heap ns/op" << std::setw(10) << "speedup"
-            << "\n";
-  for (const ChurnRow& row : rows) {
-    std::cout << std::setw(10) << row.size << std::setw(18) << std::fixed
-              << std::setprecision(1) << row.calendar_ns_per_op
-              << std::setw(16) << row.heap_ns_per_op << std::setw(10)
-              << std::setprecision(2) << row.speedup << "\n";
-  }
-}
-
-/// Determinism cross-check: the calendar queue must pop a random
-/// schedule/pop trace in exactly the heap's (time, FIFO-seq) order.
+/// Determinism cross-check: EventQueue must pop a random schedule/pop
+/// trace in exactly the reference heap's (time, FIFO-seq) order.
 void CheckQueueOrderAgainstHeap() {
-  EventQueue<int> calendar;
+  EventQueue<int> queue;
   LegacyHeapQueue<int> heap;
   Rng rng(2024);
   double clock = 0;
@@ -164,7 +97,7 @@ void CheckQueueOrderAgainstHeap() {
     const auto burst = static_cast<int>(rng.UniformUint64(4));
     for (int i = 0; i < burst; ++i) {
       // Mix of equal-time events (FIFO tie-break must agree), near-future
-      // events, and sparse far-future spikes (calendar direct-jump path).
+      // events, and sparse far-future spikes.
       double when = clock;
       const uint64_t kind = rng.UniformUint64(8);
       if (kind < 5) {
@@ -174,23 +107,23 @@ void CheckQueueOrderAgainstHeap() {
       } else {
         when += 1e5 + rng.UniformDouble() * 1e7;
       }
-      calendar.Schedule(when, payload);
+      queue.Schedule(when, payload);
       heap.Schedule(when, payload);
       ++payload;
     }
     while (!heap.empty() &&
            (heap.size() > 512 || rng.UniformUint64(3) == 0)) {
       const auto [heap_time, heap_payload] = heap.Pop();
-      const auto [cal_time, cal_payload] = calendar.Pop();
-      TJ_CHECK_EQ(heap_time, cal_time) << "event-queue order diverged";
-      TJ_CHECK_EQ(heap_payload, cal_payload)
+      const auto [queue_time, queue_payload] = queue.Pop();
+      TJ_CHECK_EQ(heap_time, queue_time) << "event-queue order diverged";
+      TJ_CHECK_EQ(heap_payload, queue_payload)
           << "event-queue FIFO tie-break diverged at t=" << heap_time;
       clock = heap_time;
       ++compared;
     }
   }
   std::cout << "queue order check: PASS (" << compared
-            << " pops bit-identical to the binary-heap reference)\n";
+            << " pops bit-identical to the priority_queue reference)\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +399,6 @@ CheckStats RunDeterminismCheck() {
 }
 
 void WriteResults(const std::string& results_dir,
-                  const std::vector<ChurnRow>& churn_rows,
                   const std::vector<FarmScaleRow>& farm_rows,
                   const CheckStats* check) {
   if (results_dir.empty()) return;
@@ -474,17 +406,6 @@ void WriteResults(const std::string& results_dir,
   JsonWriter w(&os);
   w.BeginObject();
   w.Field("bench", "micro_engine");
-  w.Key("queue_churn");
-  w.BeginArray();
-  for (const ChurnRow& row : churn_rows) {
-    w.BeginObject();
-    w.Field("size", static_cast<int64_t>(row.size));
-    w.Field("calendar_ns_per_op", row.calendar_ns_per_op);
-    w.Field("heap_ns_per_op", row.heap_ns_per_op);
-    w.Field("speedup", row.speedup);
-    w.EndObject();
-  }
-  w.EndArray();
   w.Key("farm_scale");
   w.BeginArray();
   for (const FarmScaleRow& row : farm_rows) {
@@ -544,24 +465,18 @@ int main(int argc, char** argv) {
 
   // --check trims the grids to one quick point each (the CI artifact) and
   // runs the determinism gate; the full grids are for local measurement.
-  const std::vector<int> churn_sizes =
-      check_only ? std::vector<int>{32768}
-                 : std::vector<int>{1024, 32768, 262144};
   const std::vector<int> box_counts =
       check_only ? std::vector<int>{16}
                  : std::vector<int>{32, 128, 256, 512};
   const double duration = check_only ? 50'000 : 200'000;
 
-  const std::vector<tapejuke::ChurnRow> churn_rows =
-      tapejuke::RunQueueChurn(churn_sizes);
-  tapejuke::PrintQueueChurn(churn_rows);
   const std::vector<tapejuke::FarmScaleRow> farm_rows =
       tapejuke::RunFarmScale(box_counts, duration, threads);
   tapejuke::PrintFarmScale(farm_rows);
 
   tapejuke::CheckStats check;
   if (check_only) check = tapejuke::RunDeterminismCheck();
-  tapejuke::WriteResults(results_dir, churn_rows, farm_rows,
+  tapejuke::WriteResults(results_dir, farm_rows,
                          check_only ? &check : nullptr);
   return 0;
 }

@@ -19,7 +19,7 @@
 //    delay, from which goodput per interval = count / interval).
 //
 // Sampling is driven by the simulator's existing event machinery: it
-// interleaves SampleUpTo with the calendar-queue expiry stream while it
+// interleaves SampleUpTo with the deadline-expiry stream while it
 // delivers client events up to each drive action. Rows are pure observation — a sample never
 // advances the simulation clock, marks warm-up, or wakes a drive — and
 // all timestamps come from the simulated clock, so output is

@@ -810,7 +810,7 @@ void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
     }
     // Move the edge block's requests off the active sweep; they will be
     // rescheduled (normally on `extended_tape`) at the next reschedule.
-    std::optional<ServiceEntry> removed = sweep.RemoveBlock(edge_block);
+    std::optional<ServiceEntry> removed = sweep.RemoveAt(edge_pos);
     TJ_CHECK(removed.has_value());
     ++counters_.sweep_trims;
     for (const Request& request : removed->requests) DeferInOrder(request);

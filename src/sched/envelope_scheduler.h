@@ -37,10 +37,10 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sched/scheduler.h"
-#include "util/flat_hash.h"
 
 namespace tapejuke {
 
@@ -69,7 +69,7 @@ class EnvelopeScheduler : public Scheduler {
     /// traversed; block-aligned).
     std::vector<Position> envelope;
     /// Chosen replica for every input request.
-    FlatMap<RequestId, Replica> assignment;
+    std::unordered_map<RequestId, Replica> assignment;
     /// Number of requests assigned per tape.
     std::vector<int64_t> scheduled_per_tape;
     /// Per-tape envelope at the end of step 2 (before any extension) and

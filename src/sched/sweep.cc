@@ -9,39 +9,26 @@ namespace tapejuke {
 void Sweep::Clear() {
   forward_.clear();
   reverse_.clear();
-  index_.clear();
 }
 
 void Sweep::AppendForward(ServiceEntry entry) {
   TJ_CHECK(forward_.empty() || forward_.back().position < entry.position)
       << "forward phase must be appended in ascending position order";
-  const bool inserted = index_.insert(entry.block, entry.position);
-  TJ_DCHECK(inserted) << "block scheduled twice";
   forward_.push_back(std::move(entry));
 }
 
 void Sweep::AppendReverse(ServiceEntry entry) {
   TJ_CHECK(reverse_.empty() || reverse_.back().position > entry.position)
       << "reverse phase must be appended in descending position order";
-  const bool inserted = index_.insert(entry.block, entry.position);
-  TJ_DCHECK(inserted) << "block scheduled twice";
   reverse_.push_back(std::move(entry));
 }
 
 std::optional<ServiceEntry> Sweep::Pop() {
-  if (!forward_.empty()) {
-    ServiceEntry entry = std::move(forward_.front());
-    forward_.pop_front();
-    index_.erase(entry.block);
-    return entry;
-  }
-  if (!reverse_.empty()) {
-    ServiceEntry entry = std::move(reverse_.front());
-    reverse_.pop_front();
-    index_.erase(entry.block);
-    return entry;
-  }
-  return std::nullopt;
+  std::deque<ServiceEntry>& phase = forward_.empty() ? reverse_ : forward_;
+  if (phase.empty()) return std::nullopt;
+  ServiceEntry entry = std::move(phase.front());
+  phase.pop_front();
+  return entry;
 }
 
 bool Sweep::IsAhead(Position position, Position committed_head,
@@ -55,49 +42,42 @@ bool Sweep::IsAhead(Position position, Position committed_head,
   return allow_reverse && position < committed_head;
 }
 
-ServiceEntry* Sweep::EntryAt(Position position) {
-  const auto fit = std::lower_bound(
+Sweep::Iterator Sweep::ForwardBound(Position position) {
+  return std::lower_bound(
       forward_.begin(), forward_.end(), position,
       [](const ServiceEntry& e, Position p) { return e.position < p; });
-  if (fit != forward_.end() && fit->position == position) return &*fit;
-  const auto rit = std::lower_bound(
+}
+
+Sweep::Iterator Sweep::ReverseBound(Position position) {
+  return std::lower_bound(
       reverse_.begin(), reverse_.end(), position,
       [](const ServiceEntry& e, Position p) { return e.position > p; });
-  if (rit != reverse_.end() && rit->position == position) return &*rit;
-  return nullptr;
 }
 
 bool Sweep::InsertRequest(const Request& request, Position position,
                           Position committed_head, bool allow_reverse) {
-  // A read already scheduled for this block satisfies the request for free.
-  if (const auto it = index_.find(request.block); it != index_.end()) {
-    ServiceEntry* entry = EntryAt(it->second);
-    TJ_CHECK(entry != nullptr && entry->block == request.block)
-        << "sweep block index out of sync for block" << request.block;
-    entry->requests.push_back(request);
+  // A read already scheduled at this position satisfies the request for
+  // free; it reads this very block, since no two blocks share a position.
+  const Iterator fit = ForwardBound(position);
+  const Iterator rit = ReverseBound(position);
+  ServiceEntry* scheduled =
+      fit != forward_.end() && fit->position == position   ? &*fit
+      : rit != reverse_.end() && rit->position == position ? &*rit
+                                                           : nullptr;
+  if (scheduled != nullptr) {
+    TJ_CHECK_EQ(scheduled->block, request.block)
+        << "two blocks cannot share position" << position;
+    scheduled->requests.push_back(request);
     return true;
   }
   if (!IsAhead(position, committed_head, allow_reverse)) return false;
 
   ServiceEntry entry{position, request.block, {request}};
   if (phase() == Phase::kForward && position >= committed_head) {
-    auto it = std::lower_bound(
-        forward_.begin(), forward_.end(), position,
-        [](const ServiceEntry& e, Position p) { return e.position < p; });
-    TJ_CHECK(it == forward_.end() || it->position != position)
-        << "two blocks cannot share position" << position;
-    forward_.insert(it, std::move(entry));
-    index_.insert(request.block, position);
-    return true;
+    forward_.insert(fit, std::move(entry));
+  } else {
+    reverse_.insert(rit, std::move(entry));
   }
-  // Reverse phase insertion (descending order).
-  auto it = std::lower_bound(
-      reverse_.begin(), reverse_.end(), position,
-      [](const ServiceEntry& e, Position p) { return e.position > p; });
-  TJ_CHECK(it == reverse_.end() || it->position != position)
-      << "two blocks cannot share position" << position;
-  reverse_.insert(it, std::move(entry));
-  index_.insert(request.block, position);
   return true;
 }
 
@@ -107,35 +87,16 @@ std::vector<ServiceEntry> Sweep::Entries() const {
   return all;
 }
 
-const ServiceEntry* Sweep::FindBlock(BlockId block) const {
-  const auto it = index_.find(block);
-  if (it == index_.end()) return nullptr;
-  const ServiceEntry* entry = const_cast<Sweep*>(this)->EntryAt(it->second);
-  TJ_CHECK(entry != nullptr && entry->block == block)
-      << "sweep block index out of sync for block" << block;
-  return entry;
-}
-
-std::optional<ServiceEntry> Sweep::RemoveBlock(BlockId block) {
-  const auto it = index_.find(block);
-  if (it == index_.end()) return std::nullopt;
-  const Position position = it->second;
-  index_.erase(block);
-  const auto fit = std::lower_bound(
-      forward_.begin(), forward_.end(), position,
-      [](const ServiceEntry& e, Position p) { return e.position < p; });
-  if (fit != forward_.end() && fit->position == position) {
-    ServiceEntry entry = std::move(*fit);
-    forward_.erase(fit);
-    return entry;
+std::optional<ServiceEntry> Sweep::RemoveAt(Position position) {
+  Iterator it = ForwardBound(position);
+  std::deque<ServiceEntry>* phase = &forward_;
+  if (it == forward_.end() || it->position != position) {
+    it = ReverseBound(position);
+    phase = &reverse_;
+    if (it == reverse_.end() || it->position != position) return std::nullopt;
   }
-  const auto rit = std::lower_bound(
-      reverse_.begin(), reverse_.end(), position,
-      [](const ServiceEntry& e, Position p) { return e.position > p; });
-  TJ_CHECK(rit != reverse_.end() && rit->position == position)
-      << "sweep block index out of sync for block" << block;
-  ServiceEntry entry = std::move(*rit);
-  reverse_.erase(rit);
+  ServiceEntry entry = std::move(*it);
+  phase->erase(it);
   return entry;
 }
 

@@ -16,7 +16,6 @@
 
 #include "sched/request.h"
 #include "tape/types.h"
-#include "util/flat_hash.h"
 
 namespace tapejuke {
 
@@ -56,12 +55,13 @@ class Sweep {
   /// Removes and returns the next entry to service (forward first).
   std::optional<ServiceEntry> Pop();
 
-  /// Inserts `request` (for its block at `position` on the mounted tape)
+  /// Inserts `request` (for its block at `position` on the sweep's tape)
   /// if that point still lies ahead of `committed_head` in the remaining
   /// trajectory of the sweep: ahead in the forward phase (position >=
   /// committed_head while the forward phase is active), or ahead in the
-  /// reverse phase (position < committed_head). If the block is already
-  /// scheduled, the request joins the existing entry for free. If
+  /// reverse phase (position < committed_head). If an entry is already
+  /// scheduled at `position` (a tape holds at most one copy of a block, so
+  /// it reads this block), the request joins it for free. If
   /// `allow_reverse` is false, insertion into the reverse phase is refused
   /// (ablation knob). Returns true if the request was absorbed.
   bool InsertRequest(const Request& request, Position position,
@@ -75,12 +75,9 @@ class Sweep {
   /// All entries in execution order (forward then reverse); for inspection.
   std::vector<ServiceEntry> Entries() const;
 
-  /// Finds the scheduled entry for `block`, if any (either phase).
-  const ServiceEntry* FindBlock(BlockId block) const;
-
-  /// Removes the entry for `block` (either phase); returns the removed
-  /// entry's requests, or nullopt if not scheduled.
-  std::optional<ServiceEntry> RemoveBlock(BlockId block);
+  /// Removes the entry at `position` (either phase) and returns it, or
+  /// nullopt if nothing is scheduled there.
+  std::optional<ServiceEntry> RemoveAt(Position position);
 
   /// Positions of all remaining entries in execution order.
   std::vector<Position> Positions() const;
@@ -89,18 +86,15 @@ class Sweep {
   const std::deque<ServiceEntry>& reverse() const { return reverse_; }
 
  private:
-  /// The entry holding `position`, in either phase (both phases are
-  /// position-sorted, so this is two binary searches). nullptr if absent.
-  ServiceEntry* EntryAt(Position position);
+  using Iterator = std::deque<ServiceEntry>::iterator;
+
+  /// First forward entry at or above `position` (the phase ascends).
+  Iterator ForwardBound(Position position);
+  /// First reverse entry at or below `position` (the phase descends).
+  Iterator ReverseBound(Position position);
 
   std::deque<ServiceEntry> forward_;  ///< ascending positions
   std::deque<ServiceEntry> reverse_;  ///< descending positions
-  /// Block index: block -> its entry's position. Keyed by position (not
-  /// deque index) so pops and mid-phase insertions never invalidate it;
-  /// the entry itself is recovered with a binary search. Makes the
-  /// scheduled-block test in InsertRequest/FindBlock/RemoveBlock O(log n)
-  /// instead of a linear walk of both phases.
-  FlatMap<BlockId, Position> index_;
 };
 
 }  // namespace tapejuke

@@ -24,7 +24,7 @@ void ValidatingScheduler::OnArrivalNow(const Request& request,
                                        Position committed_head) {
   TJ_CHECK(request.cls == RequestClass::kClient)
       << "background requests must use EnqueueBackground";
-  TJ_CHECK(outstanding_.insert(request.id))
+  TJ_CHECK(outstanding_.insert(request.id).second)
       << "request" << request.id << "enqueued twice";
   ++arrivals_seen_;
   inner_->OnArrival(request, committed_head);
@@ -33,7 +33,7 @@ void ValidatingScheduler::OnArrivalNow(const Request& request,
 void ValidatingScheduler::EnqueueBackground(const Request& request) {
   TJ_CHECK(request.cls == RequestClass::kBackground)
       << "client requests must use OnArrival";
-  TJ_CHECK(outstanding_.insert(request.id))
+  TJ_CHECK(outstanding_.insert(request.id).second)
       << "request" << request.id << "enqueued twice";
   ++arrivals_seen_;
   inner_->EnqueueBackground(request);

@@ -26,10 +26,10 @@
 
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "sched/scheduler.h"
-#include "util/flat_hash.h"
 
 namespace tapejuke {
 
@@ -87,7 +87,7 @@ class ValidatingScheduler : public Scheduler {
 
  private:
   std::unique_ptr<Scheduler> inner_;
-  FlatSet<RequestId> outstanding_;
+  std::unordered_set<RequestId> outstanding_;
   int64_t arrivals_seen_ = 0;
   int64_t requests_served_ = 0;
 

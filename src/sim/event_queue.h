@@ -4,25 +4,12 @@
 // increasing sequence number breaks ties), which keeps simulations
 // reproducible regardless of queue implementation details.
 //
-// Implementation: a calendar queue (Brown 1988). Time is divided into
-// fixed-width "days"; day d hashes to bucket d % nbuckets, so one pass over
-// the bucket array covers one "year". Pop scans forward from the cursor day
-// for the first bucket holding an event of the current day and takes that
-// bucket's minimum; when a whole year is empty, it jumps directly to the
-// globally earliest event. For the near-stationary event populations a
-// discrete-event simulation produces (a hold model: one pop, one push), both
-// enqueue and dequeue are O(1) amortized, versus O(log n) for the binary
-// heap this replaced (bench/micro_engine measures the difference).
-//
-// Event state lives in pooled SoA storage: timestamps and sequence numbers
-// in their own contiguous arrays (the only fields ordering ever touches),
-// payloads in a third, and freed slots recycled through a free list — no
-// per-event heap allocation, and no payload moves during bucket upkeep.
-//
-// Determinism: ordering depends only on (time, seq), never on bucket
-// geometry, so any resize schedule yields the same pop order. Scheduling in
-// the past (before the last popped timestamp) would silently corrupt the
-// order and is rejected by a TJ_DCHECK.
+// Implementation: a binary min-heap on (time, seq) in a std::vector. The
+// simulator keeps only client timers here (think-time wake-ups, deadline
+// expiries), a few hundred at most per jukebox, where a plain heap is the
+// cheapest structure (docs/PERFORMANCE.md). Scheduling in the past (before
+// the last popped timestamp) would silently corrupt the order and is
+// rejected by a TJ_DCHECK.
 
 #ifndef TAPEJUKE_SIM_EVENT_QUEUE_H_
 #define TAPEJUKE_SIM_EVENT_QUEUE_H_
@@ -37,14 +24,12 @@
 
 namespace tapejuke {
 
-/// Calendar queue of timestamped events carrying a payload of type T.
+/// Min-heap of timestamped events carrying a payload of type T.
 template <typename T>
 class EventQueue {
  public:
-  EventQueue() : buckets_(kMinBuckets) {}
-
-  bool empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
   /// Schedules `payload` at simulation time `time` (seconds). Times may not
   /// be NaN, and may not precede the last popped timestamp: the queue only
@@ -54,169 +39,48 @@ class EventQueue {
     TJ_DCHECK(time >= last_popped_)
         << "scheduling in the past: " << time << " < last popped "
         << last_popped_;
-    const uint32_t slot = AllocSlot(time, std::move(payload));
-    const uint64_t day = DayOf(time);
-    // An event earlier than the cursor day would be skipped for a whole
-    // year; pull the cursor back so the next search starts at or before it.
-    if (day < day_) day_ = day;
-    InsertSorted(&buckets_[BucketOf(day)], slot);
-    ++size_;
-    if (size_ > buckets_.size() * 2) Resize(buckets_.size() * 2);
+    heap_.push_back(Event{time, next_seq_++, std::move(payload)});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
   }
 
   /// Timestamp of the earliest event; queue must be non-empty.
   double NextTime() const {
-    TJ_CHECK(size_ > 0);
-    return time_[FindEarliest()];
+    TJ_CHECK(!heap_.empty());
+    return heap_.front().time;
   }
 
   /// Pops the earliest event; queue must be non-empty.
   std::pair<double, T> Pop() {
-    TJ_CHECK(size_ > 0);
-    const uint32_t slot = FindEarliest();
-    buckets_[BucketOf(day_)].pop_back();
-    --size_;
-    const double time = time_[slot];
-    last_popped_ = time;
-    std::pair<double, T> event{time, std::move(payload_[slot])};
-    free_.push_back(slot);
-    if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 4) {
-      Resize(buckets_.size() / 2);
-    }
-    return event;
+    TJ_CHECK(!heap_.empty());
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    Event event = std::move(heap_.back());
+    heap_.pop_back();
+    last_popped_ = event.time;
+    return {event.time, std::move(event.payload)};
   }
 
   /// Pops the earliest event if its time is <= `time`.
   std::optional<std::pair<double, T>> PopUntil(double time) {
-    if (size_ == 0 || time_[FindEarliest()] > time) return std::nullopt;
+    if (heap_.empty() || heap_.front().time > time) return std::nullopt;
     return Pop();
   }
 
  private:
-  static constexpr size_t kMinBuckets = 16;
-  static constexpr double kMinWidth = 1e-9;
+  struct Event {
+    double time;
+    uint64_t seq;
+    T payload;
+  };
 
-  uint64_t DayOf(double time) const {
-    return static_cast<uint64_t>(time / width_);
-  }
-  size_t BucketOf(uint64_t day) const { return day & (buckets_.size() - 1); }
-
-  /// True if slot `a` orders strictly before slot `b`.
-  bool Earlier(uint32_t a, uint32_t b) const {
-    if (time_[a] != time_[b]) return time_[a] < time_[b];
-    return seq_[a] < seq_[b];
-  }
-
-  uint32_t AllocSlot(double time, T payload) {
-    if (!free_.empty()) {
-      const uint32_t slot = free_.back();
-      free_.pop_back();
-      time_[slot] = time;
-      seq_[slot] = next_seq_++;
-      payload_[slot] = std::move(payload);
-      return slot;
-    }
-    const auto slot = static_cast<uint32_t>(time_.size());
-    time_.push_back(time);
-    seq_.push_back(next_seq_++);
-    payload_.push_back(std::move(payload));
-    return slot;
+  /// Heap order: std::*_heap keep the greatest element in front, so
+  /// "greater" here means later in (time, seq).
+  static bool Later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
   }
 
-  /// Buckets are kept sorted descending by (time, seq): back() is the
-  /// bucket minimum, so the common dequeue is a pop_back. Average bucket
-  /// occupancy is held near constant by Resize, so the insertion scan is
-  /// O(1) amortized.
-  void InsertSorted(std::vector<uint32_t>* bucket, uint32_t slot) {
-    const auto pos = std::upper_bound(
-        bucket->begin(), bucket->end(), slot,
-        [this](uint32_t a, uint32_t b) { return Earlier(b, a); });
-    bucket->insert(pos, slot);
-  }
-
-  /// Positions the cursor day so that buckets_[BucketOf(day_)].back() is
-  /// the globally earliest event, and returns that slot. Cursor motion is
-  /// logical search state, not observable queue content, hence `mutable`
-  /// day_ and the const qualifier (NextTime must not mutate the queue).
-  uint32_t FindEarliest() const {
-    while (true) {
-      // One year's worth of buckets forward from the cursor: the first
-      // event dated in its bucket's current day is the global minimum
-      // (earlier buckets held nothing current, later ones start no
-      // earlier than this day ends).
-      for (size_t i = 0; i < buckets_.size(); ++i) {
-        const std::vector<uint32_t>& bucket = buckets_[BucketOf(day_)];
-        if (!bucket.empty() && DayOf(time_[bucket.back()]) <= day_) {
-          return bucket.back();
-        }
-        ++day_;
-      }
-      // A whole year is empty: jump straight to the earliest event
-      // instead of walking rotation by rotation toward it.
-      uint32_t best = UINT32_MAX;
-      for (const std::vector<uint32_t>& bucket : buckets_) {
-        if (bucket.empty()) continue;
-        if (best == UINT32_MAX || Earlier(bucket.back(), best)) {
-          best = bucket.back();
-        }
-      }
-      TJ_CHECK(best != UINT32_MAX);
-      day_ = DayOf(time_[best]);
-      // Loop once more so the normal scan re-establishes its invariant.
-    }
-  }
-
-  /// Rebuilds the bucket array at `new_count` buckets (a power of two) and
-  /// recalibrates the day width to ~3x the mean gap between live events,
-  /// estimated from a deterministic sample. Ordering is unaffected: only
-  /// (time, seq) ever decide pop order.
-  void Resize(size_t new_count) {
-    std::vector<uint32_t> slots;
-    slots.reserve(size_);
-    for (const std::vector<uint32_t>& bucket : buckets_) {
-      slots.insert(slots.end(), bucket.begin(), bucket.end());
-    }
-    double sample_lo = 0, sample_hi = 0;
-    const size_t sample = std::min<size_t>(slots.size(), 64);
-    for (size_t i = 0; i < sample; ++i) {
-      const double t = time_[slots[i]];
-      if (i == 0) {
-        sample_lo = sample_hi = t;
-      } else {
-        sample_lo = std::min(sample_lo, t);
-        sample_hi = std::max(sample_hi, t);
-      }
-    }
-    if (!slots.empty() && sample_hi > sample_lo) {
-      width_ = std::max(
-          kMinWidth, 3.0 * (sample_hi - sample_lo) /
-                         static_cast<double>(slots.size()));
-    }
-    buckets_.assign(new_count, {});
-    uint64_t min_day = 0;
-    bool have_min = false;
-    for (const uint32_t slot : slots) {
-      const uint64_t day = DayOf(time_[slot]);
-      if (!have_min || day < min_day) {
-        min_day = day;
-        have_min = true;
-      }
-      InsertSorted(&buckets_[BucketOf(day)], slot);
-    }
-    day_ = min_day;
-  }
-
-  // Pooled event state (SoA): parallel arrays indexed by slot id.
-  std::vector<double> time_;
-  std::vector<uint64_t> seq_;
-  std::vector<T> payload_;
-  std::vector<uint32_t> free_;
-
-  std::vector<std::vector<uint32_t>> buckets_;  ///< size is a power of two
-  double width_ = 1.0;          ///< seconds per day (bucket time span)
-  mutable uint64_t day_ = 0;    ///< search cursor: absolute day index
-  double last_popped_ = 0;      ///< monotone floor for Schedule
-  size_t size_ = 0;
+  std::vector<Event> heap_;
+  double last_popped_ = 0;  ///< monotone floor for Schedule
   uint64_t next_seq_ = 0;
 };
 

@@ -453,9 +453,11 @@ RepairManager::Quantum RepairManager::ScrubStep(double now) {
   Drive& drive = jukebox_->drive();
   double seconds = drive.LocateTo(position) + drive.Read(block_mb_);
   // Scrub reads draw from the same fault stream and charge the same retry
-  // costs as client reads — that is the whole point of scrubbing.
+  // costs as client reads — that is the whole point of scrubbing. Each
+  // transient retry waits out its backoff, then locates back and re-reads.
   const ReadOutcome outcome = faults_->NextReadOutcome();
   for (int retry = 0; retry < outcome.retries; ++retry) {
+    seconds += faults_->NextRetryBackoff(retry);
     seconds += drive.LocateTo(position) + drive.Read(block_mb_);
   }
   fault_stats_->transient_read_errors +=

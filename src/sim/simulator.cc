@@ -147,25 +147,31 @@ bool Simulator::DeliverOrFail(const Request& request,
 
 void Simulator::TrackDeadline(const Request& request) {
   if (request.deadline <= 0) return;
-  deadline_live_.insert(request.id);
+  // Client ids are dense from 0; a background id (>= 2^40) would grow the
+  // live set to terabits.
+  TJ_CHECK(request.id >= 0 && request.id < kBackgroundIdBase)
+      << "deadline on non-client request" << request.id;
+  const auto id = static_cast<size_t>(request.id);
+  if (id >= deadline_live_.size()) deadline_live_.resize(id + 1);
+  deadline_live_[id] = true;
   expiries_.Schedule(request.deadline, request.id);
+}
+
+void Simulator::SettleDeadline(RequestId id) {
+  if (id >= 0 && static_cast<size_t>(id) < deadline_live_.size()) {
+    deadline_live_[static_cast<size_t>(id)] = false;
+  }
 }
 
 void Simulator::ExpireRequest(const Request& request, double now,
                               Position committed_head) {
-  deadline_live_.erase(request.id);
+  SettleDeadline(request.id);
   metrics_.OnExpired(request.arrival_time, now, request.tenant);
   if (recorder_.has_value()) {
     recorder_->RequestDone(request.id, obs::RequestOutcome::kExpired, now);
   }
-  if (closed_) {
-    // The issuing process moves on exactly as it would after a completion.
-    if (config_.workload.think_time_seconds > 0) {
-      thinking_.Schedule(now + workload_.NextThinkTime(), 0);
-    } else {
-      IssueClosedRequest(now, committed_head);
-    }
-  }
+  // The issuing process moves on exactly as it would after a completion.
+  ContinueClosedProcess(now, committed_head);
 }
 
 void Simulator::ProcessExpiriesUpTo(double until, Position committed_head) {
@@ -178,7 +184,7 @@ void Simulator::ProcessExpiriesUpTo(double until, Position committed_head) {
       // Stale events (the request completed, failed, or was evicted by an
       // earlier sweep) are skipped; requests currently inside the active
       // sweep are left to finish and their event simply expires unused.
-      if (!deadline_live_.contains(event->second)) continue;
+      if (!deadline_live_[static_cast<size_t>(event->second)]) continue;
       for (const Request& request : scheduler_->EvictExpired(event->first)) {
         ExpireRequest(request, event->first, committed_head);
       }
@@ -203,21 +209,23 @@ void Simulator::IssueClosedRequest(double now, Position committed_head) {
   }
 }
 
+void Simulator::ContinueClosedProcess(double now, Position committed_head) {
+  if (!closed_) return;
+  if (config_.workload.think_time_seconds > 0) {
+    thinking_.Schedule(now + workload_.NextThinkTime(), 0);
+  } else {
+    IssueClosedRequest(now, committed_head);
+  }
+}
+
 void Simulator::FailRequest(const Request& request) {
-  if (deadlines_possible_) deadline_live_.erase(request.id);
+  SettleDeadline(request.id);
   metrics_.OnFailure(request.arrival_time, clock_);
   if (recorder_.has_value()) {
     recorder_->RequestDone(request.id, obs::RequestOutcome::kFailed, clock_);
   }
-  if (closed_) {
-    // The issuing process continues: it issues its next request,
-    // immediately or after a think period, exactly as on completion.
-    if (config_.workload.think_time_seconds > 0) {
-      thinking_.Schedule(clock_ + workload_.NextThinkTime(), 0);
-    } else {
-      IssueClosedRequest(clock_, jukebox_->head());
-    }
-  }
+  // The issuing process continues exactly as on completion.
+  ContinueClosedProcess(clock_, jukebox_->head());
 }
 
 void Simulator::Requeue(const Request& request) {
@@ -287,18 +295,7 @@ void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
   // request when its think period ends.
   while (auto expired = thinking_.PopUntil(until)) {
     ProcessExpiriesUpTo(expired->first, committed_head);
-    if (faults_.has_value()) {
-      IssueClosedRequest(expired->first, committed_head);
-    } else {
-      const Request request = workload_.NextRequest(expired->first);
-      metrics_.OnArrival(expired->first);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false, expired->first);
-      }
-      scheduler_->OnArrival(request, committed_head);
-      TrackDeadline(request);
-    }
+    IssueClosedRequest(expired->first, committed_head);
   }
   if (trace_mode_) {
     while (trace_pos_ < trace_.size() &&
@@ -669,29 +666,14 @@ void Simulator::CompleteRead(const ServiceEntry& entry,
       admission_->OnCompletion(request.tenant, clock_ - request.arrival_time,
                                clock_);
     }
-    if (deadlines_possible_) deadline_live_.erase(request.id);
+    SettleDeadline(request.id);
     if (recorder_.has_value()) {
       recorder_->RequestDone(request.id, obs::RequestOutcome::kCompleted,
                              clock_);
     }
-    if (closed_) {
-      // The completing process issues its next request, immediately (the
-      // paper's I/O-bound processes) or after a think period.
-      if (config_.workload.think_time_seconds > 0) {
-        thinking_.Schedule(clock_ + workload_.NextThinkTime(), 0);
-      } else if (faults_.has_value()) {
-        IssueClosedRequest(clock_, jukebox_->head());
-      } else {
-        const Request next = workload_.NextRequest(clock_);
-        metrics_.OnArrival(clock_);
-        if (recorder_.has_value()) {
-          recorder_->RequestArrived(next.id, next.block,
-                                    /*background=*/false, clock_);
-        }
-        scheduler_->OnArrival(next, jukebox_->head());
-        TrackDeadline(next);
-      }
-    }
+    // The completing process issues its next request, immediately (the
+    // paper's I/O-bound processes) or after a think period.
+    ContinueClosedProcess(clock_, jukebox_->head());
   }
 }
 
@@ -706,14 +688,7 @@ SimulationResult Simulator::Run() {
   } else if (closed_) {
     // A fixed population of I/O-bound processes, all requesting at t = 0.
     for (int64_t i = 0; i < config_.workload.queue_length; ++i) {
-      const Request request = workload_.NextRequest(0.0);
-      metrics_.OnArrival(0.0);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false, 0.0);
-      }
-      scheduler_->OnArrival(request, jukebox_->head());
-      TrackDeadline(request);
+      IssueClosedRequest(0.0, jukebox_->head());
     }
   } else {
     next_arrival_ = workload_.NextArrivalGap(0.0);

@@ -46,7 +46,6 @@
 #include "sim/repair.h"
 #include "sim/workload.h"
 #include "tape/jukebox.h"
-#include "util/flat_hash.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -185,6 +184,9 @@ class Simulator {
   /// has none).
   void TrackDeadline(const Request& request);
 
+  /// Marks `id`'s deadline settled, so its expiry event is stale.
+  void SettleDeadline(RequestId id);
+
   /// Marks the metrics warm-up boundary the first time the clock passes it.
   void MaybeMarkWarmup();
 
@@ -198,6 +200,11 @@ class Simulator {
   /// issued + failed, so conservation holds). Stops issuing when the whole
   /// archive is lost.
   void IssueClosedRequest(double now, Position committed_head);
+
+  /// Closed model: the process whose request settled at `now` moves on,
+  /// after a think period when one is configured, else at once. No-op in
+  /// the open model and trace replay.
+  void ContinueClosedProcess(double now, Position committed_head);
 
   /// Completes `request` with an error (every replica of its block is
   /// dead) and, in the closed model, lets the issuing process continue.
@@ -305,12 +312,14 @@ class Simulator {
 
   /// Overload protection. admission_ is engaged iff
   /// config_.admission.enabled(). Expiry events carry the request id;
-  /// deadline_live_ filters events whose request already settled (the
-  /// calendar queue has no random deletion). deadlines_possible_ gates the
-  /// whole machinery so deadline-free runs make no extra queue operations.
+  /// deadline_live_ (indexed by client request id, which the workload
+  /// generator and trace replay both number densely from 0) filters events
+  /// whose request already settled, since the heap has no random deletion.
+  /// deadlines_possible_ gates the whole machinery so deadline-free runs
+  /// make no extra queue operations.
   std::optional<AdmissionController> admission_;
   EventQueue<RequestId> expiries_;
-  FlatSet<RequestId> deadline_live_;
+  std::vector<bool> deadline_live_;
   bool deadlines_possible_ = false;
 };
 

@@ -2,13 +2,17 @@
 // (metrics window clipping), expiry of a request still staged in the
 // scheduler's arrival batch, and expiry racing a failover re-enqueue —
 // the latter two under the ValidatingScheduler with validate_envelope, so
-// any contract violation aborts the test.
+// any contract violation aborts the test — and the metamorphic relation
+// "a deadline that never fires changes nothing".
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/experiment.h"
+#include "core/results_io.h"
 #include "sched/validating_scheduler.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
@@ -132,6 +136,66 @@ TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
                 result.expired_requests + result.shed_requests +
                 result.outstanding_at_end,
             result.issued_requests);
+}
+
+/// One open-model run with a three-class tenant mix, every class carrying
+/// `deadline_seconds` (0 = none), serialized to JSON. The load keeps mean
+/// delays under 1000 s, yet sweeps run often enough that arrivals sit
+/// staged in a batch while later requests' expiry events come due (at a
+/// 1000 s mean gap they almost never coincide, and the test goes blind).
+std::string StaleExpiryRun(int32_t drives, int32_t arrival_batch,
+                           double deadline_seconds) {
+  JukeboxConfig jukebox_config;
+  jukebox_config.num_tapes = 10;
+  jukebox_config.block_size_mb = 16;
+  Jukebox jukebox(jukebox_config);
+  jukebox.SetNumDrives(drives);
+  const Catalog catalog =
+      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  AlgorithmSpec spec = AlgorithmSpec::Parse("dynamic-max-bandwidth").value();
+  spec.options.arrival_batch = arrival_batch;
+  const std::unique_ptr<Scheduler> scheduler =
+      CreateScheduler(spec, &jukebox, &catalog);
+
+  SimulationConfig sim;
+  sim.duration_seconds = 2'000'000;
+  sim.warmup_seconds = 100'000;
+  sim.workload.model = QueuingModel::kOpen;
+  sim.workload.mean_interarrival_seconds = 250;
+  sim.workload.seed = 31;
+  for (const double weight : {0.2, 0.3, 0.5}) {
+    TenantClassConfig cls;
+    cls.weight = weight;
+    cls.deadline_seconds = deadline_seconds;
+    sim.workload.tenant_classes.push_back(cls);
+  }
+  const SimulationResult result =
+      Simulator(&jukebox, &catalog, scheduler.get(), sim).Run();
+  if (deadline_seconds > 0) {
+    EXPECT_EQ(result.expired_requests, 0)
+        << "the deadline must be long enough never to fire";
+  }
+  EXPECT_GT(result.completed_requests, 1000);
+  std::ostringstream os;
+  JsonWriter w(&os);
+  WriteJson(&w, result);
+  return os.str();
+}
+
+TEST(DeadlineMetamorphic, StaleExpiriesChangeNothing) {
+  // Every request settles long before its deadline, so every expiry event
+  // is stale: the live filter must drop each one without touching the
+  // scheduler. A filter that failed to clear would call EvictExpired on a
+  // stale event, which flushes arrival_batch-staged arrivals early and
+  // changes the schedule.
+  for (const int32_t drives : {1, 2}) {
+    for (const int32_t batch : {0, 8}) {
+      SCOPED_TRACE("drives=" + std::to_string(drives) +
+                   " arrival_batch=" + std::to_string(batch));
+      EXPECT_EQ(StaleExpiryRun(drives, batch, /*deadline_seconds=*/500'000),
+                StaleExpiryRun(drives, batch, /*deadline_seconds=*/0));
+    }
+  }
 }
 
 }  // namespace

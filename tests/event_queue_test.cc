@@ -37,8 +37,7 @@ TEST(EventQueue, EqualTimesPreserveInsertionOrder) {
 
 TEST(EventQueue, EqualTimeFifoInterleavedWithOtherTimes) {
   // The FIFO tie-break must hold when equal-time events are interleaved
-  // with earlier and later ones (they share a calendar bucket with
-  // different-day events).
+  // with earlier and later ones.
   EventQueue<int> q;
   q.Schedule(7.0, 1);
   q.Schedule(3.0, 0);
@@ -55,8 +54,8 @@ TEST(EventQueue, EqualTimeFifoInterleavedWithOtherTimes) {
 }
 
 TEST(EventQueue, EqualTimeFifoSurvivesResize) {
-  // Push enough events to force bucket-array growth and then drain: the
-  // insertion-order tie-break must be unaffected by resizes.
+  // Push a large batch of ties and then drain: the insertion-order
+  // tie-break must survive the heap's reordering and storage growth.
   EventQueue<int> q;
   constexpr int kBatch = 500;
   for (int i = 0; i < kBatch; ++i) q.Schedule(10.0, i);
@@ -70,7 +69,7 @@ TEST(EventQueue, EqualTimeFifoSurvivesResize) {
 TEST(EventQueue, HoldModelMatchesReferenceOrdering) {
   // A deterministic hold-model churn (pop one, push one with a pseudo-
   // random future offset) against a sorted-reference model, through
-  // several grow/shrink cycles.
+  // bursts that grow and drains that shrink the population.
   EventQueue<int> q;
   std::vector<std::pair<double, int>> reference;  // (time, payload)
   uint64_t state = 12345;
@@ -111,8 +110,7 @@ TEST(EventQueue, HoldModelMatchesReferenceOrdering) {
 }
 
 TEST(EventQueue, SparseFarFutureEventsPopInOrder) {
-  // Events many "years" apart exercise the direct-jump path (a full
-  // bucket rotation finds nothing).
+  // Events many orders of magnitude apart still pop in time order.
   EventQueue<int> q;
   q.Schedule(0.5, 0);
   q.Schedule(1e6, 1);

@@ -197,6 +197,28 @@ TEST(RepairEndToEnd, DetectionOnlyScrubRepairsNothing) {
   EXPECT_GT(sim.faults.replicas_masked, 0);
 }
 
+TEST(RepairEndToEnd, ScrubRetriesWaitOutTheRetryBackoff) {
+  // Scrub reads are the only reads: no client request arrives within the
+  // run. Every transient retry must wait out its backoff, as a client
+  // retry does: with base = cap = 10000 s and jitter in [0.5, 1.0], each
+  // retry adds at least 5000 s of drive time to the scrub.
+  ExperimentConfig config = RepairExperiment(3);
+  config.sim.duration_seconds = 300'000;
+  config.sim.workload.mean_interarrival_seconds = 1e15;
+  config.sim.faults.permanent_media_error_prob = 0;
+  config.sim.faults.transient_read_error_prob = 0.5;
+  config.sim.faults.retry_backoff_base_seconds = 10'000;
+  config.sim.faults.retry_backoff_max_seconds = 10'000;
+  config.sim.repair.enable_repair = false;  // detection-only scrub
+  config.sim.repair.scrub_interval_seconds = 1000;
+  const SimulationResult sim = ExperimentRunner::Run(config).value().sim;
+  EXPECT_EQ(sim.issued_requests, 0);
+  EXPECT_GT(sim.repair.scrub_blocks_read, 0);
+  ASSERT_GT(sim.faults.read_retries, 0);
+  EXPECT_GE(sim.repair.scrub_seconds,
+            5000.0 * static_cast<double>(sim.faults.read_retries));
+}
+
 TEST(RepairEndToEnd, TokenBucketBoundsBackgroundIO) {
   // A hard token-bucket invariant: total background I/O (scrub reads +
   // repair writes, in MB) never exceeds burst + rate * elapsed.

@@ -97,6 +97,13 @@ TEST(Sweep, InsertJoinsExistingBlockEntry) {
   EXPECT_EQ(entry.requests.size(), 2u);
 }
 
+TEST(SweepDeathTest, JoiningAnotherBlocksPositionAborts) {
+  Sweep sweep;
+  sweep.AppendForward(Entry(100, 7, 1));
+  EXPECT_DEATH(sweep.InsertRequest(Req(2, 8), 100, 50, true),
+               "cannot share position");
+}
+
 TEST(Sweep, IsAheadMirrorsInsertability) {
   Sweep sweep;
   sweep.AppendForward(Entry(200, 1, 1));
@@ -112,21 +119,29 @@ TEST(Sweep, RemoveBlock) {
   sweep.AppendForward(Entry(100, 1, 1));
   sweep.AppendForward(Entry(200, 2, 2));
   sweep.AppendReverse(Entry(50, 3, 3));
-  const auto removed = sweep.RemoveBlock(2);
+  const auto removed = sweep.RemoveAt(200);
   ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->block, 2);
   EXPECT_EQ(removed->position, 200);
   EXPECT_EQ(sweep.size(), 2u);
-  EXPECT_FALSE(sweep.RemoveBlock(99).has_value());
-  EXPECT_TRUE(sweep.RemoveBlock(3).has_value());
+  EXPECT_FALSE(sweep.RemoveAt(990).has_value());
+  EXPECT_TRUE(sweep.RemoveAt(50).has_value());
 }
 
 TEST(Sweep, FindBlockSearchesBothPhases) {
+  // A block is found by its position in either phase: a request for a
+  // scheduled block joins its entry even where a fresh insert would be
+  // refused (head past it, reverse phase disallowed).
   Sweep sweep;
   sweep.AppendForward(Entry(100, 1, 1));
   sweep.AppendReverse(Entry(50, 2, 2));
-  ASSERT_NE(sweep.FindBlock(1), nullptr);
-  ASSERT_NE(sweep.FindBlock(2), nullptr);
-  EXPECT_EQ(sweep.FindBlock(3), nullptr);
+  EXPECT_TRUE(sweep.InsertRequest(Req(11, 1), 100, 150, false));
+  EXPECT_TRUE(sweep.InsertRequest(Req(12, 2), 50, 150, false));
+  // An absent key gives nothing.
+  EXPECT_FALSE(sweep.InsertRequest(Req(13, 3), 75, 150, false));
+  EXPECT_EQ(sweep.size(), 2u);
+  EXPECT_EQ(sweep.forward().front().requests.size(), 2u);
+  EXPECT_EQ(sweep.reverse().front().requests.size(), 2u);
 }
 
 TEST(Sweep, EntriesAndPositionsInExecutionOrder) {
