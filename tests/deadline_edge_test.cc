@@ -138,6 +138,44 @@ TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
             result.issued_requests);
 }
 
+TEST(DeadlineEdge, ClosedModelExpiriesReissueAtOnce) {
+  // In the closed model without think time every settled request, expired
+  // or completed, is replaced at once, so the whole population stays
+  // outstanding.
+  JukeboxConfig jukebox_config;
+  jukebox_config.num_tapes = 10;
+  jukebox_config.block_size_mb = 16;
+  Jukebox jukebox(jukebox_config);
+  const Catalog catalog =
+      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  const std::unique_ptr<Scheduler> scheduler = CreateScheduler(
+      AlgorithmSpec::Parse("dynamic-max-bandwidth").value(), &jukebox,
+      &catalog);
+
+  SimulationConfig sim;
+  sim.duration_seconds = 200'000;
+  sim.warmup_seconds = 20'000;
+  sim.workload.model = QueuingModel::kClosed;
+  sim.workload.queue_length = 40;
+  sim.workload.seed = 19;
+  TenantClassConfig strict;
+  strict.weight = 0.5;
+  strict.deadline_seconds = 1000;
+  TenantClassConfig loose;
+  loose.weight = 0.5;
+  sim.workload.tenant_classes = {strict, loose};
+  const SimulationResult result =
+      Simulator(&jukebox, &catalog, scheduler.get(), sim).Run();
+  EXPECT_GT(result.expired_requests, 100);
+  EXPECT_GT(result.completed_requests, 100);
+  EXPECT_EQ(result.outstanding_at_end, 40);
+  EXPECT_NEAR(result.mean_outstanding, 40.0, 1e-6);
+  EXPECT_EQ(result.completed_total + result.failed_requests +
+                result.expired_requests + result.shed_requests +
+                result.outstanding_at_end,
+            result.issued_requests);
+}
+
 /// One open-model run with a three-class tenant mix, every class carrying
 /// `deadline_seconds` (0 = none), serialized to JSON. The load keeps mean
 /// delays under 1000 s, yet sweeps run often enough that arrivals sit

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -163,6 +164,58 @@ TEST(EventQueue, MovesPayload) {
   auto [time, payload] = q.Pop();
   EXPECT_DOUBLE_EQ(time, 1.0);
   EXPECT_EQ(*payload, 7);
+}
+
+TEST(EventQueue, NextTimePeeksWithoutPopping) {
+  EventQueue<int> q;
+  q.Schedule(3.0, 3);
+  q.Schedule(1.0, 1);
+  q.Schedule(2.0, 2);
+  EXPECT_DOUBLE_EQ(q.NextTime(), 1.0);
+  EXPECT_DOUBLE_EQ(q.NextTime(), 1.0);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.Pop().second, 1);
+  EXPECT_DOUBLE_EQ(q.NextTime(), 2.0);
+  EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(EventQueue, TieHeavyChurnWithPopUntilMatchesReference) {
+  // Times drawn from a handful of values, so most events tie, scheduled
+  // in bursts and drained through PopUntil horizons: every pop must be the
+  // reference minimum on (time, insertion order).
+  EventQueue<int> q;
+  std::vector<std::tuple<double, int, int>> reference;  // (time, seq, id)
+  uint64_t state = 777;
+  auto next = [&state](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  double now = 0;
+  int seq = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int burst = static_cast<int>(next(6));
+    for (int i = 0; i < burst; ++i) {
+      const double time = now + static_cast<double>(next(4));
+      q.Schedule(time, seq);
+      reference.emplace_back(time, seq, seq);
+      ++seq;
+    }
+    const double horizon = now + static_cast<double>(next(3));
+    while (auto event = q.PopUntil(horizon)) {
+      ASSERT_FALSE(reference.empty());
+      const auto min =
+          std::min_element(reference.begin(), reference.end());
+      EXPECT_EQ(event->first, std::get<0>(*min));
+      EXPECT_EQ(event->second, std::get<2>(*min));
+      reference.erase(min);
+      now = event->first;
+    }
+    ASSERT_EQ(q.size(), reference.size());
+    if (!q.empty()) {
+      EXPECT_GT(q.NextTime(), horizon);
+    }
+    now = std::max(now, horizon);
+  }
 }
 
 TEST(EventQueueDeathTest, PopEmptyAborts) {

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/experiment.h"
 
@@ -103,6 +104,46 @@ TEST(ValidatingSchedulerDeathTest, DoubleEnqueueAborts) {
   scheduler.OnArrival(Request{1, 0, 0.0}, 0);
   EXPECT_DEATH(scheduler.OnArrival(Request{1, 5, 1.0}, 0),
                "enqueued twice");
+}
+
+TEST(ValidatingSchedulerDeathTest, DoubleBackgroundEnqueueAborts) {
+  JukeboxConfig config;
+  config.num_tapes = 2;
+  Jukebox jukebox(config);
+  const Catalog catalog =
+      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  ValidatingScheduler scheduler(
+      CreateScheduler(AlgorithmSpec::Parse("fifo").value(), &jukebox,
+                      &catalog),
+      &jukebox, &catalog);
+  Request background{kBackgroundIdBase, 0, 0.0, RequestClass::kBackground};
+  scheduler.EnqueueBackground(background);
+  EXPECT_DEATH(scheduler.EnqueueBackground(background), "enqueued twice");
+}
+
+TEST(ValidatingScheduler, SettledIdMayBeEnqueuedAgain) {
+  // Settling a request (here by expiry) takes its id out of the
+  // outstanding set, so the id is free for a later enqueue.
+  JukeboxConfig config;
+  config.num_tapes = 2;
+  Jukebox jukebox(config);
+  const Catalog catalog =
+      LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  ValidatingScheduler scheduler(
+      CreateScheduler(AlgorithmSpec::Parse("fifo").value(), &jukebox,
+                      &catalog),
+      &jukebox, &catalog);
+  Request request{1, 0, 0.0};
+  request.deadline = 5.0;
+  scheduler.OnArrival(request, 0);
+  const std::vector<Request> expired = scheduler.EvictExpired(10.0);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired.front().id, 1);
+  request.arrival_time = 10.0;
+  request.deadline = 0;
+  scheduler.OnArrival(request, 0);
+  EXPECT_TRUE(scheduler.HasWork());
+  EXPECT_TRUE(scheduler.EvictExpired(20.0).empty());
 }
 
 }  // namespace

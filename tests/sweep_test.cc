@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 namespace tapejuke {
 namespace {
 
@@ -142,6 +147,92 @@ TEST(Sweep, FindBlockSearchesBothPhases) {
   EXPECT_EQ(sweep.size(), 2u);
   EXPECT_EQ(sweep.forward().front().requests.size(), 2u);
   EXPECT_EQ(sweep.reverse().front().requests.size(), 2u);
+}
+
+TEST(Sweep, RemoveAtFromReversePhaseKeepsOrder) {
+  Sweep sweep;
+  sweep.AppendForward(Entry(400, 4, 4));
+  sweep.AppendReverse(Entry(300, 3, 3));
+  sweep.AppendReverse(Entry(200, 2, 2));
+  sweep.AppendReverse(Entry(100, 1, 1));
+  const auto removed = sweep.RemoveAt(200);
+  ASSERT_TRUE(removed.has_value());
+  EXPECT_EQ(removed->block, 2);
+  EXPECT_EQ(sweep.Positions(), (std::vector<Position>{400, 300, 100}));
+  // A second remove at the same position finds nothing.
+  EXPECT_FALSE(sweep.RemoveAt(200).has_value());
+  EXPECT_EQ(sweep.size(), 3u);
+}
+
+TEST(Sweep, InsertAtRemovedPositionCreatesFreshEntry) {
+  // With no block index there is nothing stale to consult: once the entry
+  // at a position is removed, a request there opens a new entry.
+  Sweep sweep;
+  sweep.AppendForward(Entry(100, 1, 1));
+  sweep.AppendForward(Entry(200, 2, 2));
+  ASSERT_TRUE(sweep.RemoveAt(100).has_value());
+  EXPECT_TRUE(sweep.InsertRequest(Req(7, 9), 100, 50, true));
+  ASSERT_EQ(sweep.size(), 2u);
+  const ServiceEntry& entry = sweep.forward().front();
+  EXPECT_EQ(entry.position, 100);
+  EXPECT_EQ(entry.block, 9);
+  ASSERT_EQ(entry.requests.size(), 1u);
+  EXPECT_EQ(entry.requests.front().id, 7);
+}
+
+TEST(Sweep, RandomizedInsertRemoveMatchesPositionMap) {
+  // Random inserts and position-keyed removes against two std::map phase
+  // models. A sentinel forward entry that is never removed keeps the
+  // forward phase active, so with the head at kHead a fresh position at or
+  // above it lands in the forward phase and one below it in the reverse
+  // phase; a position already scheduled joins its entry. Block ids are
+  // position + kBlockOffset, so no two blocks share a position.
+  constexpr Position kHead = 500;
+  constexpr Position kSentinel = 10'000;
+  constexpr BlockId kBlockOffset = 1'000'000;
+  Sweep sweep;
+  sweep.AppendForward(Entry(kSentinel, kSentinel + kBlockOffset, 0));
+  std::map<Position, size_t> forward;  // position -> request count
+  std::map<Position, size_t> reverse;
+  uint64_t state = 2024;
+  auto next = [&state](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  RequestId id = 1;
+  for (int step = 0; step < 4000; ++step) {
+    const Position position = static_cast<Position>(next(1000));
+    if (next(3) != 0) {
+      ASSERT_TRUE(sweep.InsertRequest(Req(id++, position + kBlockOffset),
+                                      position, kHead, true));
+      auto& phase = position >= kHead ? forward : reverse;
+      ++phase[position];
+    } else {
+      const auto removed = sweep.RemoveAt(position);
+      auto& phase = position >= kHead ? forward : reverse;
+      const auto it = phase.find(position);
+      ASSERT_EQ(removed.has_value(), it != phase.end()) << position;
+      if (removed.has_value()) {
+        EXPECT_EQ(removed->position, position);
+        EXPECT_EQ(removed->block, position + kBlockOffset);
+        EXPECT_EQ(removed->requests.size(), it->second);
+        phase.erase(it);
+      }
+    }
+    ASSERT_EQ(sweep.size(), forward.size() + reverse.size() + 1);
+  }
+  // Execution order: ascending forward (sentinel last), then descending
+  // reverse, each entry carrying every request that joined it.
+  std::vector<std::pair<Position, size_t>> expected(forward.begin(),
+                                                    forward.end());
+  expected.emplace_back(kSentinel, 1);
+  expected.insert(expected.end(), reverse.rbegin(), reverse.rend());
+  const std::vector<ServiceEntry> entries = sweep.Entries();
+  ASSERT_EQ(entries.size(), expected.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].position, expected[i].first) << i;
+    EXPECT_EQ(entries[i].requests.size(), expected[i].second) << i;
+  }
 }
 
 TEST(Sweep, EntriesAndPositionsInExecutionOrder) {
