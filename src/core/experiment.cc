@@ -117,9 +117,7 @@ Status ExperimentConfig::Validate() const {
   TJ_RETURN_IF_ERROR(jukebox.Validate());
   TJ_RETURN_IF_ERROR(sim.Validate());
   TJ_RETURN_IF_ERROR(algorithm.options.Validate());
-  // Layout validation needs jukebox geometry; construct a throwaway.
-  const Jukebox probe(jukebox);
-  return layout.Validate(probe);
+  return layout.Validate(jukebox.num_tapes);
 }
 
 Status ValidateDrives(const ExperimentConfig& config, int64_t num_drives) {

@@ -1,32 +1,63 @@
 #include "layout/catalog.h"
 
-#include <set>
+#include <utility>
 
 namespace tapejuke {
 
-Catalog::Catalog(std::vector<std::vector<Replica>> replicas, int64_t num_hot)
-    : num_hot_(num_hot) {
-  TJ_CHECK_GE(num_hot_, 0);
-  TJ_CHECK_LE(num_hot_, static_cast<int64_t>(replicas.size()));
-  size_t total = 0;
-  for (const auto& copies : replicas) total += copies.size();
-  flat_.reserve(total);
-  offsets_.reserve(replicas.size() + 1);
-  offsets_.push_back(0);
+namespace {
+
+std::vector<Replica> Flatten(
+    const std::vector<std::vector<Replica>>& replicas) {
+  std::vector<Replica> flat;
   for (const auto& copies : replicas) {
-    TJ_CHECK(!copies.empty()) << "every block needs at least one replica";
-    std::set<TapeId> tapes;
-    for (const Replica& r : copies) {
+    flat.insert(flat.end(), copies.begin(), copies.end());
+  }
+  return flat;
+}
+
+std::vector<size_t> OffsetsOf(
+    const std::vector<std::vector<Replica>>& replicas) {
+  std::vector<size_t> offsets;
+  offsets.reserve(replicas.size() + 1);
+  offsets.push_back(0);
+  for (const auto& copies : replicas) {
+    offsets.push_back(offsets.back() + copies.size());
+  }
+  return offsets;
+}
+
+}  // namespace
+
+Catalog::Catalog(std::vector<Replica> flat, std::vector<size_t> offsets,
+                 int64_t num_hot)
+    : flat_(std::move(flat)), offsets_(std::move(offsets)), num_hot_(num_hot) {
+  TJ_CHECK(!offsets_.empty() && offsets_.front() == 0)
+      << "CSR offsets must start at 0";
+  TJ_CHECK_EQ(offsets_.back(), flat_.size())
+      << "CSR offsets must end at the replica count";
+  TJ_CHECK_GE(num_hot_, 0);
+  TJ_CHECK_LE(num_hot_, num_blocks());
+  for (size_t b = 0; b + 1 < offsets_.size(); ++b) {
+    const size_t begin = offsets_[b];
+    const size_t end = offsets_[b + 1];
+    TJ_CHECK(begin < end) << "every block needs at least one replica";
+    for (size_t i = begin; i < end; ++i) {
+      const Replica& r = flat_[i];
       TJ_CHECK_GE(r.tape, 0);
       TJ_CHECK_GE(r.slot, 0);
       TJ_CHECK_GE(r.position, 0);
-      TJ_CHECK(tapes.insert(r.tape).second)
-          << "duplicate replica tape" << r.tape;
-      flat_.push_back(r);
+      // A block has at most a handful of copies: scanning its own span is
+      // cheaper than any set.
+      for (size_t k = begin; k < i; ++k) {
+        TJ_CHECK(flat_[k].tape != r.tape) << "duplicate replica tape" << r.tape;
+      }
     }
-    offsets_.push_back(flat_.size());
   }
 }
+
+Catalog::Catalog(const std::vector<std::vector<Replica>>& replicas,
+                 int64_t num_hot)
+    : Catalog(Flatten(replicas), OffsetsOf(replicas), num_hot) {}
 
 const Replica* Catalog::ReplicaOn(BlockId block, TapeId tape) const {
   for (const Replica& r : ReplicasOf(block)) {

@@ -57,9 +57,16 @@ class ReplicaSpan {
 /// Replica directory produced by LayoutBuilder.
 class Catalog {
  public:
-  /// `replicas[b]` lists the copies of logical block b; blocks [0,
-  /// num_hot) are hot. Every block must have at least one replica.
-  Catalog(std::vector<std::vector<Replica>> replicas, int64_t num_hot);
+  /// CSR form: block b's copies are `flat[offsets[b], offsets[b+1])`, so
+  /// `offsets` has one entry per block plus one, starts at 0 and ends at
+  /// `flat.size()`. Blocks [0, num_hot) are hot. Every block needs at least
+  /// one replica, and one block's replicas must be on distinct tapes.
+  Catalog(std::vector<Replica> flat, std::vector<size_t> offsets,
+          int64_t num_hot);
+
+  /// `replicas[b]` lists the copies of logical block b; flattened into the
+  /// CSR form above.
+  Catalog(const std::vector<std::vector<Replica>>& replicas, int64_t num_hot);
 
   /// Number of logical blocks L.
   int64_t num_blocks() const {

@@ -42,24 +42,44 @@ TapeId HotCopyTape(const LayoutSpec& spec, int32_t num_tapes,
       hot_tapes + (h * spec.num_replicas + (j - 1)) % others);
 }
 
-/// Per-tape count of hot copies for a dataset of `hot` hot blocks.
-std::vector<int64_t> HotCopiesPerTape(const LayoutSpec& spec,
-                                      int32_t num_tapes,
-                                      int64_t slots_per_tape, int64_t hot) {
-  std::vector<int64_t> counts(static_cast<size_t>(num_tapes), 0);
-  for (int64_t h = 0; h < hot; ++h) {
-    for (int32_t j = 0; j <= spec.num_replicas; ++j) {
-      ++counts[static_cast<size_t>(
-          HotCopyTape(spec, num_tapes, slots_per_tape, hot, h, j))];
+/// Number of hot copies on tape `t` for a dataset of `hot` hot blocks, the
+/// count HotCopyTape's per-copy placement puts there, computed in O(1).
+int64_t HotCopiesOnTape(const LayoutSpec& spec, int32_t num_tapes,
+                        int64_t slots_per_tape, int64_t hot, TapeId t) {
+  const int64_t nr = spec.num_replicas;
+  if (spec.layout == HotLayout::kHorizontal) {
+    // Copy j of block h sits on (h + j) mod T. Over h in [0, hot) each copy
+    // index j covers every tape hot / T times, plus the rem = hot mod T
+    // tapes j, j+1, ..., j+rem-1 (mod T) once more. Tape t is among those
+    // for each j whose (t - j) mod T is below rem; with NR + 1 <= T those
+    // values are the circular run [t - NR, t], distinct.
+    TJ_CHECK_LT(nr, num_tapes) << "horizontal layout needs NR + 1 <= tapes";
+    const int64_t rem = hot % num_tapes;
+    const int64_t lo = t - nr;
+    int64_t extra = 0;
+    if (lo >= 0) {
+      extra = std::max<int64_t>(0, std::min<int64_t>(t, rem - 1) - lo + 1);
+    } else {  // the run wraps: [0, t] and [T + lo, T)
+      extra = std::min<int64_t>(t + 1, rem) +
+              std::max<int64_t>(0, rem - (num_tapes + lo));
     }
+    return (nr + 1) * (hot / num_tapes) + extra;
   }
-  return counts;
+  // Vertical: originals fill the leading hot tapes in order; replica
+  // k = h * NR + j - 1 (k runs over [0, hot * NR) once each) goes to the
+  // (k mod others)-th of the remaining tapes.
+  const int32_t hot_tapes = VerticalHotTapes(hot, slots_per_tape);
+  if (t < hot_tapes) {
+    return std::min(slots_per_tape, hot - t * slots_per_tape);
+  }
+  const int64_t replicas = hot * nr;
+  const int64_t others = num_tapes - hot_tapes;
+  return replicas / others + (t - hot_tapes < replicas % others ? 1 : 0);
 }
 
-/// True if a dataset of `logical` blocks fits the layout.
-bool Fits(const Jukebox& jukebox, const LayoutSpec& spec, int64_t logical) {
-  const int32_t num_tapes = jukebox.num_tapes();
-  const int64_t slots = jukebox.slots_per_tape();
+/// True if a dataset of `logical` blocks fits the layout. O(tapes).
+bool Fits(int32_t num_tapes, int64_t slots, const LayoutSpec& spec,
+          int64_t logical) {
   const int64_t hot = HotCount(logical, spec.hot_fraction);
   const int64_t cold = logical - hot;
   if (hot < 0 || cold < 0) return false;
@@ -71,11 +91,9 @@ bool Fits(const Jukebox& jukebox, const LayoutSpec& spec, int64_t logical) {
     if (hot_tapes >= num_tapes && cold > 0) return false;
     if (spec.num_replicas > num_tapes - hot_tapes) return false;
   }
-  const std::vector<int64_t> hot_counts =
-      HotCopiesPerTape(spec, num_tapes, slots, hot);
   int64_t cold_capacity = 0;
   for (TapeId t = 0; t < num_tapes; ++t) {
-    const int64_t used = hot_counts[static_cast<size_t>(t)];
+    const int64_t used = HotCopiesOnTape(spec, num_tapes, slots, hot, t);
     if (used > slots) return false;
     // Vertical dedicates the hot tapes; cold lives elsewhere.
     if (spec.layout == HotLayout::kVertical && t < hot_tapes) continue;
@@ -84,9 +102,28 @@ bool Fits(const Jukebox& jukebox, const LayoutSpec& spec, int64_t logical) {
   return cold <= cold_capacity;
 }
 
+/// One tape's regions during Build: the hot region is slots
+/// [hot_start, hot_start + hot_count); cold data fills the other slots in
+/// ascending order.
+struct TapeRegions {
+  int64_t hot_start = 0;
+  int64_t hot_count = 0;
+  int64_t hot_placed = 0;
+  int64_t cold_placed = 0;
+
+  /// The i-th slot outside the hot region.
+  int64_t FreeSlot(int64_t i) const {
+    return i < hot_start ? i : i + hot_count;
+  }
+};
+
 }  // namespace
 
 Status LayoutSpec::Validate(const Jukebox& jukebox) const {
+  return Validate(jukebox.num_tapes());
+}
+
+Status LayoutSpec::Validate(int32_t num_tapes) const {
   if (hot_fraction < 0.0 || hot_fraction > 1.0) {
     return Status::InvalidArgument("hot_fraction must be in [0, 1]");
   }
@@ -96,7 +133,6 @@ Status LayoutSpec::Validate(const Jukebox& jukebox) const {
   if (num_replicas < 0) {
     return Status::InvalidArgument("num_replicas must be >= 0");
   }
-  const int32_t num_tapes = jukebox.num_tapes();
   if (layout == HotLayout::kHorizontal && num_replicas + 1 > num_tapes) {
     return Status::InvalidArgument(
         "horizontal layout needs num_replicas + 1 <= num_tapes (one copy "
@@ -124,13 +160,15 @@ Status LayoutSpec::Validate(const Jukebox& jukebox) const {
 
 int64_t LayoutBuilder::MaxLogicalBlocks(const Jukebox& jukebox,
                                         const LayoutSpec& spec) {
+  const int32_t num_tapes = jukebox.num_tapes();
+  const int64_t slots = jukebox.slots_per_tape();
   int64_t lo = 0;
   int64_t hi = jukebox.total_slots();
   // Largest L with Fits(L). Fits is monotone in L for these layouts (adding
   // blocks only adds copies), so binary search applies.
   while (lo < hi) {
     const int64_t mid = lo + (hi - lo + 1) / 2;
-    if (Fits(jukebox, spec, mid)) {
+    if (Fits(num_tapes, slots, spec, mid)) {
       lo = mid;
     } else {
       hi = mid - 1;
@@ -158,81 +196,77 @@ StatusOr<Catalog> LayoutBuilder::Build(Jukebox* jukebox,
     if (logical == 0) {
       return Status::CapacityExceeded("no dataset fits this layout");
     }
-  } else if (!Fits(*jukebox, spec, logical)) {
+  } else if (!Fits(num_tapes, slots, spec, logical)) {
     return Status::CapacityExceeded(
         "requested dataset of " + std::to_string(logical) +
         " blocks does not fit the layout");
   }
   const int64_t hot = HotCount(logical, spec.hot_fraction);
-  const int64_t cold = logical - hot;
+  const int64_t copies = int64_t{spec.num_replicas} + 1;
 
-  // Gather hot copies per tape (block ids, ascending).
-  std::vector<std::vector<BlockId>> hot_on_tape(
-      static_cast<size_t>(num_tapes));
-  for (int64_t h = 0; h < hot; ++h) {
-    for (int32_t j = 0; j <= spec.num_replicas; ++j) {
-      hot_on_tape[static_cast<size_t>(
-                      HotCopyTape(spec, num_tapes, slots, hot, h, j))]
-          .push_back(h);
-    }
+  // The catalog's CSR arrays, written in place: a hot block has NR + 1
+  // copies, a cold block one.
+  std::vector<size_t> offsets(static_cast<size_t>(logical) + 1);
+  for (int64_t b = 0; b <= logical; ++b) {
+    offsets[static_cast<size_t>(b)] =
+        static_cast<size_t>(b <= hot ? b * copies : hot * copies + b - hot);
+  }
+  std::vector<Replica> flat(offsets.back());
+
+  double sp = spec.start_position;
+  if (spec.placement == PlacementScheme::kOrganPipe) sp = 0.5;
+  std::vector<TapeRegions> regions(static_cast<size_t>(num_tapes));
+  for (TapeId t = 0; t < num_tapes; ++t) {
+    TapeRegions& region = regions[static_cast<size_t>(t)];
+    region.hot_count = HotCopiesOnTape(spec, num_tapes, slots, hot, t);
+    TJ_CHECK_LE(region.hot_count, slots);
+    region.hot_start = static_cast<int64_t>(
+        std::llround(sp * static_cast<double>(slots - region.hot_count)));
   }
 
-  std::vector<std::vector<Replica>> replicas(static_cast<size_t>(logical));
-  // Track which slots remain free on each tape after hot placement.
-  std::vector<std::vector<int64_t>> free_slots(
-      static_cast<size_t>(num_tapes));
-
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    auto& hot_blocks = hot_on_tape[static_cast<size_t>(t)];
-    const auto n_hot = static_cast<int64_t>(hot_blocks.size());
-    TJ_CHECK_LE(n_hot, slots);
-    // Hot region start slot within this tape.
-    double sp = spec.start_position;
-    if (spec.placement == PlacementScheme::kOrganPipe) sp = 0.5;
-    const auto hot_start = static_cast<int64_t>(
-        std::llround(sp * static_cast<double>(slots - n_hot)));
+  const auto place = [&](BlockId block, TapeId t, int64_t slot) {
     Tape& tape = jukebox->tape(t);
-    for (int64_t i = 0; i < n_hot; ++i) {
-      const int64_t slot = hot_start + i;
-      const BlockId block = hot_blocks[static_cast<size_t>(i)];
-      const Status placed = tape.PlaceBlock(block, slot);
-      TJ_CHECK(placed.ok()) << placed.ToString();
-      replicas[static_cast<size_t>(block)].push_back(
-          Replica{t, slot, tape.PositionOfSlot(slot)});
+    const Status placed = tape.PlaceBlock(block, slot);
+    TJ_CHECK(placed.ok()) << placed.ToString();
+    return Replica{t, slot, tape.PositionOfSlot(slot)};
+  };
+
+  // Hot copies. Each tape's hot region takes its blocks in ascending id
+  // order; each block's span is sorted by tape.
+  for (int64_t h = 0; h < hot; ++h) {
+    Replica* span = flat.data() + offsets[static_cast<size_t>(h)];
+    for (int32_t j = 0; j <= spec.num_replicas; ++j) {
+      const TapeId t = HotCopyTape(spec, num_tapes, slots, hot, h, j);
+      TapeRegions& region = regions[static_cast<size_t>(t)];
+      span[j] = place(h, t, region.hot_start + region.hot_placed++);
     }
-    for (int64_t s = 0; s < slots; ++s) {
-      if (s < hot_start || s >= hot_start + n_hot) {
-        free_slots[static_cast<size_t>(t)].push_back(s);
-      }
-    }
+    std::sort(span, span + copies, [](const Replica& a, const Replica& b) {
+      return a.tape < b.tape;
+    });
+  }
+  // The arithmetic counts sized each hot region; the per-copy placement
+  // must have filled each exactly.
+  for (const TapeRegions& region : regions) {
+    TJ_CHECK_EQ(region.hot_placed, region.hot_count);
   }
 
   // Place cold blocks. Round-robin over eligible tapes (spread), or packed
-  // tape-by-tape (§4.8 spare-capacity variant). Vertical skips tape 0.
-  std::vector<TapeId> eligible;
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    if (spec.layout == HotLayout::kVertical &&
-        t < static_cast<TapeId>((hot + slots - 1) / slots)) {
-      continue;  // dedicated hot tapes hold no cold data
-    }
-    eligible.push_back(t);
-  }
-  std::vector<size_t> next_free(static_cast<size_t>(num_tapes), 0);
-  size_t cursor = 0;
+  // tape-by-tape (§4.8 spare-capacity variant). Vertical skips the
+  // dedicated hot tapes.
+  const TapeId first_eligible =
+      spec.layout == HotLayout::kVertical ? VerticalHotTapes(hot, slots) : 0;
+  const int64_t num_eligible = num_tapes - first_eligible;
+  int64_t cursor = 0;
   for (BlockId c = hot; c < logical; ++c) {
     // Find the next eligible tape with a free slot.
     bool placed_block = false;
-    for (size_t tries = 0; tries < eligible.size(); ++tries) {
-      const TapeId t = eligible[cursor % eligible.size()];
-      auto& free = free_slots[static_cast<size_t>(t)];
-      size_t& idx = next_free[static_cast<size_t>(t)];
-      if (idx < free.size()) {
-        const int64_t slot = free[idx++];
-        Tape& tape = jukebox->tape(t);
-        const Status placed = tape.PlaceBlock(c, slot);
-        TJ_CHECK(placed.ok()) << placed.ToString();
-        replicas[static_cast<size_t>(c)].push_back(
-            Replica{t, slot, tape.PositionOfSlot(slot)});
+    for (int64_t tries = 0; tries < num_eligible; ++tries) {
+      const auto t =
+          static_cast<TapeId>(first_eligible + cursor % num_eligible);
+      TapeRegions& region = regions[static_cast<size_t>(t)];
+      if (region.cold_placed < slots - region.hot_count) {
+        flat[offsets[static_cast<size_t>(c)]] =
+            place(c, t, region.FreeSlot(region.cold_placed++));
         placed_block = true;
         // Spread mode advances to the next tape per block; packed mode
         // stays on the current tape until it fills.
@@ -246,8 +280,7 @@ StatusOr<Catalog> LayoutBuilder::Build(Jukebox* jukebox,
     }
   }
 
-  TJ_CHECK_EQ(cold, logical - hot);
-  return Catalog(std::move(replicas), hot);
+  return Catalog(std::move(flat), std::move(offsets), hot);
 }
 
 LayoutStats LayoutBuilder::ComputeStats(const Jukebox& jukebox,

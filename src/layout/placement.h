@@ -57,8 +57,11 @@ struct LayoutSpec {
   /// possible instead of spreading it round-robin.
   bool pack_cold = false;
 
-  /// Checks the spec against a jukebox geometry.
+  /// Checks the spec against a jukebox geometry: the tape count, which is
+  /// all the checks need, so a config can be checked before any jukebox is
+  /// built.
   Status Validate(const Jukebox& jukebox) const;
+  Status Validate(int32_t num_tapes) const;
 };
 
 /// Summary of a constructed layout.
@@ -77,11 +80,15 @@ struct LayoutStats {
 class LayoutBuilder {
  public:
   /// Populates the (empty) jukebox tapes per `spec` and returns the
-  /// catalog. Fails on invalid specs or infeasible overrides.
+  /// catalog, whose CSR arrays it writes in place: each block's replicas
+  /// in ascending tape order. Fails on invalid specs or infeasible
+  /// overrides.
   static StatusOr<Catalog> Build(Jukebox* jukebox, const LayoutSpec& spec);
 
   /// The largest logical dataset (block count) that fits `spec` in the
-  /// jukebox geometry. Returns 0 if nothing fits.
+  /// jukebox geometry. Returns 0 if nothing fits. A binary search whose
+  /// probes count each tape's hot copies arithmetically, O(tapes) each.
+  /// `spec` must pass Validate for the geometry.
   static int64_t MaxLogicalBlocks(const Jukebox& jukebox,
                                   const LayoutSpec& spec);
 

@@ -30,6 +30,7 @@ void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
   set->queue_size_ = requests.size();
   if (requests.empty()) return;
   TJ_DCHECK(requests.size() <= std::numeric_limits<uint32_t>::max());
+  // JukeboxConfig::Validate bounds the slot count.
   TJ_DCHECK(slots <= std::numeric_limits<int32_t>::max());
   // One bit per (tape, slot); a tape's bits are read back a word at a time,
   // so the read costs slots / 64 words per tape plus one step per position.

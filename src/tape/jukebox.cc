@@ -1,6 +1,7 @@
 #include "tape/jukebox.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
@@ -15,6 +16,13 @@ Status JukeboxConfig::Validate() const {
   }
   if (block_size_mb > timing.tape_capacity_mb) {
     return Status::InvalidArgument("block size exceeds tape capacity");
+  }
+  // The scheduler's candidate index keeps a slot in 32 bits
+  // (CandidateMember::slot), so a tape may hold at most INT32_MAX slots.
+  if (timing.tape_capacity_mb / block_size_mb >
+      std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument(
+        "tape capacity / block size exceeds 2^31 - 1 slots per tape");
   }
   return timing.Validate();
 }

@@ -1,5 +1,6 @@
 #include "tape/tape.h"
 
+#include <algorithm>
 #include <string>
 
 #include "util/check.h"
@@ -28,14 +29,17 @@ Status Tape::PlaceBlock(BlockId block, int64_t slot) {
                                     " already occupied on tape " +
                                     std::to_string(id_));
   }
-  if (slot_of_.contains(block)) {
+  if (Holds(block)) {
     return Status::InvalidArgument(
         "block " + std::to_string(block) +
         " already has a copy on tape " + std::to_string(id_) +
         " (at most one copy per tape)");
   }
   slots_[static_cast<size_t>(slot)] = block;
-  slot_of_.emplace(block, slot);
+  const auto word = static_cast<size_t>(block / 64);
+  if (word >= held_.size()) held_.resize(word + 1, 0);
+  held_[word] |= uint64_t{1} << (block % 64);
+  ++num_blocks_;
   return Status::Ok();
 }
 
@@ -43,7 +47,8 @@ void Tape::ClearSlot(int64_t slot) {
   TJ_CHECK(slot >= 0 && slot < num_slots());
   const BlockId block = slots_[static_cast<size_t>(slot)];
   if (block != kInvalidBlock) {
-    slot_of_.erase(block);
+    held_[static_cast<size_t>(block / 64)] &= ~(uint64_t{1} << (block % 64));
+    --num_blocks_;
     slots_[static_cast<size_t>(slot)] = kInvalidBlock;
   }
 }
@@ -54,9 +59,10 @@ BlockId Tape::BlockAtSlot(int64_t slot) const {
 }
 
 std::optional<int64_t> Tape::SlotOf(BlockId block) const {
-  auto it = slot_of_.find(block);
-  if (it == slot_of_.end()) return std::nullopt;
-  return it->second;
+  if (block < 0 || !Holds(block)) return std::nullopt;
+  const auto it = std::find(slots_.begin(), slots_.end(), block);
+  TJ_DCHECK(it != slots_.end());
+  return it - slots_.begin();
 }
 
 int64_t Tape::SlotOfPosition(Position position) const {

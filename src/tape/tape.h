@@ -2,14 +2,14 @@
 //
 // Blocks are stored in consecutively numbered physical slots; slot s starts
 // at position s * block_size_mb. A logical block appears at most once per
-// tape (the paper's replication model allows at most one copy per tape).
+// tape (the paper's replication model allows at most one copy per tape),
+// which one bit per block id enforces.
 
 #ifndef TAPEJUKE_TAPE_TAPE_H_
 #define TAPEJUKE_TAPE_TAPE_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "tape/types.h"
@@ -32,7 +32,7 @@ class Tape {
   int64_t num_slots() const { return static_cast<int64_t>(slots_.size()); }
 
   /// Number of occupied slots.
-  int64_t num_blocks() const { return static_cast<int64_t>(slot_of_.size()); }
+  int64_t num_blocks() const { return num_blocks_; }
 
   /// Places a copy of `block` in `slot`. Fails if the slot is occupied, the
   /// slot is out of range, or the block already has a copy on this tape.
@@ -44,7 +44,8 @@ class Tape {
   /// The block stored in `slot`, or kInvalidBlock if empty.
   BlockId BlockAtSlot(int64_t slot) const;
 
-  /// The slot holding `block` on this tape, if present.
+  /// The slot holding `block` on this tape, if present. Scans the slots
+  /// when the block is here (repair is the only caller).
   std::optional<int64_t> SlotOf(BlockId block) const;
 
   /// Physical start position (MB) of `slot`.
@@ -65,8 +66,17 @@ class Tape {
   TapeId id_;
   int64_t capacity_mb_;
   int64_t block_size_mb_;
+  /// True if a copy of `block` (>= 0) is on this tape.
+  bool Holds(BlockId block) const {
+    const auto word = static_cast<size_t>(block / 64);
+    return word < held_.size() && ((held_[word] >> (block % 64)) & 1) != 0;
+  }
+
   std::vector<BlockId> slots_;
-  std::unordered_map<BlockId, int64_t> slot_of_;
+  /// One bit per block id, set while a copy of the block is on this tape;
+  /// grown on demand to the largest id placed.
+  std::vector<uint64_t> held_;
+  int64_t num_blocks_ = 0;
 };
 
 }  // namespace tapejuke

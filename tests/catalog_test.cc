@@ -154,6 +154,46 @@ TEST(CatalogDeathTest, RejectsBadHotCount) {
   EXPECT_DEATH(Catalog(std::move(replicas), 2), "");
 }
 
+// The CSR constructor the layout builder uses: block b's copies are
+// flat[offsets[b], offsets[b + 1]).
+TEST(CatalogDeathTest, CsrRejectsOffsetsNotEndingAtFlatSize) {
+  const std::vector<Replica> flat = {{0, 0, 0}, {1, 0, 0}, {2, 3, 48}};
+  EXPECT_DEATH(Catalog(flat, {0, 2}, 0), "end at the replica count");
+  EXPECT_DEATH(Catalog(flat, {0, 2, 4}, 0), "end at the replica count");
+  EXPECT_DEATH(Catalog(flat, {1, 3}, 0), "start at 0");
+}
+
+TEST(CatalogDeathTest, CsrRejectsEmptySpan) {
+  const std::vector<Replica> flat = {{0, 0, 0}, {1, 0, 0}};
+  EXPECT_DEATH(Catalog(flat, {0, 1, 1, 2}, 0), "at least one replica");
+}
+
+TEST(CatalogDeathTest, CsrRejectsDuplicateTapeInsideSpan) {
+  // Tape 1 twice in block 1's span.
+  const std::vector<Replica> flat = {
+      {0, 0, 0}, {1, 1, 16}, {2, 4, 64}, {1, 2, 32}};
+  EXPECT_DEATH(Catalog(flat, {0, 1, 4}, 0), "duplicate replica tape");
+}
+
+TEST(Catalog, CsrConstructorMatchesNested) {
+  // Tape 0 holds copies of blocks 0 and 2: distinct tapes are required
+  // within a block only.
+  const std::vector<std::vector<Replica>> nested = {
+      {{0, 0, 0}, {2, 1, 16}}, {{1, 4, 64}}, {{0, 3, 48}, {1, 5, 80}}};
+  const Catalog from_nested(nested, 1);
+  const Catalog from_csr({{0, 0, 0}, {2, 1, 16}, {1, 4, 64}, {0, 3, 48},
+                          {1, 5, 80}},
+                         {0, 2, 3, 5}, 1);
+  ASSERT_EQ(from_csr.num_blocks(), from_nested.num_blocks());
+  EXPECT_EQ(from_csr.num_hot_blocks(), 1);
+  for (BlockId b = 0; b < from_csr.num_blocks(); ++b) {
+    const ReplicaSpan csr = from_csr.ReplicasOf(b);
+    const ReplicaSpan expected = from_nested.ReplicasOf(b);
+    ASSERT_EQ(csr.size(), expected.size());
+    for (size_t i = 0; i < csr.size(); ++i) EXPECT_EQ(csr[i], expected[i]);
+  }
+}
+
 // The scheduler groups replicas by slot and reads slot order as position
 // order, so every replica must sit at position == slot * block size,
 // whichever path placed it: the layout builder, a repair write, or the

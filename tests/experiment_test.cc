@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/cost_performance.h"
 #include "core/farm.h"
 
@@ -93,6 +96,26 @@ TEST(ExperimentRunner, InvalidConfigFails) {
   config = QuickConfig();
   config.sim.duration_seconds = -1;
   EXPECT_FALSE(ExperimentRunner::Run(config).ok());
+}
+
+// A slot index must fit the scheduler's 32-bit candidate slot, so both
+// validators reject more than INT32_MAX slots per tape. Only the validators
+// run here: a jukebox of that size would allocate 8 bytes per slot.
+TEST(ExperimentRunner, ValidateBoundsSlotsPerTape) {
+  ExperimentConfig config = QuickConfig();
+  config.jukebox.block_size_mb = 1;
+  config.jukebox.timing.tape_capacity_mb = int64_t{1} << 33;
+  // Stop here if the bound is missing, before a validator might build it.
+  ASSERT_EQ(config.jukebox.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.jukebox.timing.tape_capacity_mb = std::numeric_limits<int32_t>::max();
+  EXPECT_TRUE(config.jukebox.Validate().ok());
+  EXPECT_TRUE(config.Validate().ok());
+  config.jukebox.timing.tape_capacity_mb += 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  // The bound is on slots, not megabytes: bigger blocks bring it back.
+  config.jukebox.block_size_mb = 2;
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 // The batching knobs have no "off" encoding below their legacy values:

@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <tuple>
+#include <vector>
 
 namespace tapejuke {
 namespace {
@@ -269,39 +269,165 @@ TEST(LayoutBuilder, VerticalReplicationBoundedByNonHotTapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Property sweep: every layout in a PH x NR x SP x layout grid satisfies the
-// structural invariants.
+// Capacity oracle: MaxLogicalBlocks counts each tape's hot copies
+// arithmetically. The reference below places every copy with the per-copy
+// rule and binary-searches over that count; the two must agree everywhere.
 // ---------------------------------------------------------------------------
 
-using LayoutCase = std::tuple<double, int, double, HotLayout>;
+// Per-tape hot-copy counts from placing every copy by the layout rule:
+// horizontal puts copy j of block h on tape (h + j) mod T; vertical packs
+// the originals onto the leading hot tapes and deals replica
+// k = h * NR + j - 1 round-robin over the remaining tapes. The copies are
+// visited in that order with running tape cursors, which is the rule
+// without a division per copy.
+std::vector<int64_t> ReferenceHotCopies(const LayoutSpec& spec,
+                                        int32_t num_tapes, int64_t slots,
+                                        int64_t hot) {
+  std::vector<int64_t> counts(static_cast<size_t>(num_tapes), 0);
+  if (spec.layout == HotLayout::kHorizontal) {
+    for (int64_t h = 0; h < hot; ++h) {
+      int32_t t = static_cast<int32_t>(h % num_tapes);
+      for (int32_t j = 0; j <= spec.num_replicas; ++j) {
+        ++counts[static_cast<size_t>(t)];
+        if (++t == num_tapes) t = 0;
+      }
+    }
+    return counts;
+  }
+  const auto hot_tapes = static_cast<int32_t>((hot + slots - 1) / slots);
+  int32_t replica_tape = hot_tapes;  // tape of replica k = 0, 1, ...
+  for (int64_t h = 0; h < hot; ++h) {
+    ++counts[static_cast<size_t>(h / slots)];
+    for (int32_t j = 1; j <= spec.num_replicas; ++j) {
+      ++counts[static_cast<size_t>(replica_tape)];
+      if (++replica_tape == num_tapes) replica_tape = hot_tapes;
+    }
+  }
+  return counts;
+}
+
+bool ReferenceFits(int32_t num_tapes, int64_t slots, const LayoutSpec& spec,
+                   int64_t logical) {
+  const int64_t hot =
+      std::llround(spec.hot_fraction * static_cast<double>(logical));
+  const int64_t cold = logical - hot;
+  if (hot < 0 || cold < 0) return false;
+  int32_t hot_tapes = 0;
+  if (spec.layout == HotLayout::kVertical) {
+    hot_tapes = static_cast<int32_t>((hot + slots - 1) / slots);
+    if (hot_tapes >= num_tapes && cold > 0) return false;
+    if (spec.num_replicas > num_tapes - hot_tapes) return false;
+  }
+  const std::vector<int64_t> counts =
+      ReferenceHotCopies(spec, num_tapes, slots, hot);
+  int64_t cold_capacity = 0;
+  for (TapeId t = 0; t < num_tapes; ++t) {
+    const int64_t used = counts[static_cast<size_t>(t)];
+    if (used > slots) return false;
+    if (spec.layout == HotLayout::kVertical && t < hot_tapes) continue;
+    cold_capacity += slots - used;
+  }
+  return cold <= cold_capacity;
+}
+
+int64_t ReferenceMaxLogicalBlocks(int32_t num_tapes, int64_t slots,
+                                  const LayoutSpec& spec) {
+  int64_t lo = 0;
+  int64_t hi = num_tapes * slots;
+  while (lo < hi) {
+    const int64_t mid = lo + (hi - lo + 1) / 2;
+    if (ReferenceFits(num_tapes, slots, spec, mid)) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+TEST(LayoutBuilder, MaxLogicalBlocksMatchesPerCopyReference) {
+  int64_t checked = 0;
+  for (const int64_t block_mb : {1, 16, 64}) {
+    for (int32_t tapes = 2; tapes <= 20; ++tapes) {
+      JukeboxConfig config;
+      config.num_tapes = tapes;
+      config.block_size_mb = block_mb;
+      const Jukebox jukebox(config);
+      for (const HotLayout layout :
+           {HotLayout::kHorizontal, HotLayout::kVertical}) {
+        for (const double ph : {0.0, 0.05, 0.1, 0.5, 1.0}) {
+          for (int32_t nr = 0;; ++nr) {
+            LayoutSpec spec;
+            spec.layout = layout;
+            spec.hot_fraction = ph;
+            spec.num_replicas = nr;
+            if (!spec.Validate(jukebox).ok()) break;
+            const int64_t expected = ReferenceMaxLogicalBlocks(
+                tapes, jukebox.slots_per_tape(), spec);
+            // Capacity does not depend on how cold data is spread.
+            for (const bool pack_cold : {false, true}) {
+              spec.pack_cold = pack_cold;
+              ASSERT_EQ(LayoutBuilder::MaxLogicalBlocks(jukebox, spec),
+                        expected)
+                  << "block " << block_mb << " MB, " << tapes << " tapes, "
+                  << (layout == HotLayout::kHorizontal ? "horizontal"
+                                                       : "vertical")
+                  << ", PH " << ph << ", NR " << nr << ", pack_cold "
+                  << pack_cold;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Property sweep: every layout in a PH x NR x SP x layout x cold packing x
+// placement x block size grid satisfies the structural invariants.
+// ---------------------------------------------------------------------------
+
+using LayoutCase = std::tuple<double, int, double, HotLayout, bool,
+                              PlacementScheme, int64_t>;
 
 class LayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {};
 
 TEST_P(LayoutPropertyTest, StructuralInvariantsHold) {
-  const auto [ph, nr, sp, layout] = GetParam();
-  Jukebox jukebox(PaperJukebox());
+  const auto [ph, nr, sp, layout, pack_cold, placement, block_mb] =
+      GetParam();
+  JukeboxConfig config = PaperJukebox();
+  config.block_size_mb = block_mb;
+  Jukebox jukebox(config);
   LayoutSpec spec;
   spec.hot_fraction = ph;
   spec.num_replicas = nr;
   spec.start_position = sp;
   spec.layout = layout;
+  spec.pack_cold = pack_cold;
+  spec.placement = placement;
   if (!spec.Validate(jukebox).ok()) {
     GTEST_SKIP() << "spec invalid for this geometry";
   }
   const Catalog catalog = LayoutBuilder::Build(&jukebox, spec).value();
 
-  // Hot blocks have NR+1 copies on distinct tapes; cold blocks one copy.
+  // Hot blocks have NR+1 copies on distinct tapes, listed in ascending tape
+  // order (the order the schedulers see); cold blocks one copy.
   for (BlockId b = 0; b < catalog.num_blocks(); ++b) {
     const auto& replicas = catalog.ReplicasOf(b);
     const size_t expected = catalog.IsHot(b) ? static_cast<size_t>(nr) + 1
                                              : 1u;
     ASSERT_EQ(replicas.size(), expected) << "block " << b;
-    std::set<TapeId> tapes;
+    TapeId previous = kInvalidTape;
     for (const Replica& r : replicas) {
-      ASSERT_TRUE(tapes.insert(r.tape).second);
+      ASSERT_GT(r.tape, previous) << "block " << b;
+      previous = r.tape;
       // Catalog and tape contents agree.
-      ASSERT_EQ(jukebox.tape(r.tape).BlockAtSlot(r.slot), b);
-      ASSERT_EQ(r.position, jukebox.tape(r.tape).PositionOfSlot(r.slot));
+      const Tape& tape = jukebox.tape(r.tape);
+      ASSERT_EQ(tape.BlockAtSlot(r.slot), b);
+      ASSERT_EQ(tape.SlotOf(b), r.slot) << "block " << b;
+      ASSERT_EQ(r.position, tape.PositionOfSlot(r.slot));
     }
   }
 
@@ -332,7 +458,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 3, 9),
                        ::testing::Values(0.0, 0.5, 1.0),
                        ::testing::Values(HotLayout::kHorizontal,
-                                         HotLayout::kVertical)));
+                                         HotLayout::kVertical),
+                       ::testing::Bool(),
+                       ::testing::Values(PlacementScheme::kStartPosition,
+                                         PlacementScheme::kOrganPipe),
+                       ::testing::Values(int64_t{16}, int64_t{64})));
 
 }  // namespace
 }  // namespace tapejuke

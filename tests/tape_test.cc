@@ -60,6 +60,37 @@ TEST(Tape, ClearSlotFreesBlock) {
   EXPECT_EQ(tape.num_blocks(), 0);
   EXPECT_FALSE(tape.SlotOf(7).has_value());
   EXPECT_TRUE(tape.PlaceBlock(7, 4).ok());
+  // Clearing an empty slot changes nothing.
+  tape.ClearSlot(5);
+  EXPECT_EQ(tape.num_blocks(), 1);
+  // A cleared block may come back in another slot.
+  tape.ClearSlot(4);
+  ASSERT_TRUE(tape.PlaceBlock(7, 9).ok());
+  EXPECT_EQ(tape.SlotOf(7), 9);
+}
+
+TEST(Tape, BlockIdsFarApartKeepOneCopyEach) {
+  // Block ids are not bounded by the tape's slot count: the per-block
+  // membership bits grow to the largest id placed.
+  Tape tape(0, 160, 16);
+  const BlockId ids[] = {0, 63, 64, 1'000'003, 5};
+  for (int64_t slot = 0; slot < 5; ++slot) {
+    ASSERT_TRUE(tape.PlaceBlock(ids[slot], slot).ok());
+  }
+  EXPECT_EQ(tape.num_blocks(), 5);
+  for (int64_t slot = 0; slot < 5; ++slot) {
+    EXPECT_EQ(tape.SlotOf(ids[slot]), slot);
+    EXPECT_EQ(tape.PlaceBlock(ids[slot], 9).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(tape.SlotOf(62).has_value());
+  EXPECT_FALSE(tape.SlotOf(65).has_value());
+  EXPECT_FALSE(tape.SlotOf(2'000'000).has_value());
+  EXPECT_FALSE(tape.SlotOf(-1).has_value());
+  tape.ClearSlot(3);
+  EXPECT_FALSE(tape.SlotOf(1'000'003).has_value());
+  EXPECT_EQ(tape.SlotOf(64), 2);
+  EXPECT_EQ(tape.num_blocks(), 4);
 }
 
 class DriveTest : public ::testing::Test {
