@@ -105,7 +105,6 @@ int Main(int argc, char** argv) {
   machinery.set_precision(4);
   foreground.set_precision(4);
 
-  const size_t num_modes = std::size(modes);
   for (size_t i = 0; i < grid.size(); ++i) {
     const SimulationResult& sim = results[i].sim;
     const RepairStats& repair = sim.repair;

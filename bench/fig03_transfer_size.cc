@@ -46,15 +46,15 @@ int Main(int argc, char** argv) {
   Table table({"block_mb", "q20_kb_s", "q60_kb_s", "q100_kb_s",
                "q140_kb_s"});
   table.set_precision(1);
+  // One column per queue length, in the grid's order.
+  static_assert(std::size(queues) == 4);
   size_t point = 0;
   for (const int64_t block : block_sizes) {
-    std::vector<Table::Cell> row;
-    row.reserve(1 + std::size(queues));
-    row.emplace_back(static_cast<int64_t>(block));
-    for (size_t q = 0; q < std::size(queues); ++q) {
-      row.push_back(results[point++].sim.throughput_kb_per_s);
-    }
-    table.AddRow(std::move(row));
+    const auto kb_s = [&](size_t q) {
+      return results[point + q].sim.throughput_kb_per_s;
+    };
+    table.AddRow({block, kb_s(0), kb_s(1), kb_s(2), kb_s(3)});
+    point += std::size(queues);
   }
   ctx.Emit("throughput (KB/s) vs transfer size", &table);
 

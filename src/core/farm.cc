@@ -56,12 +56,13 @@ struct FarmSimulator::BoxOutput {
   JukeboxCounters counters;
   /// Buffered timeline capture (empty unless the farm timeline is on).
   /// Boxes run with buffer_only so the farm can write per-box files plus
-  /// one merged, fixed-order farm timeline after the parallel phase.
-  std::string timeline_header;
-  std::vector<obs::TimelineSampler::Row> timeline_rows;
-  std::string timeline_summary_json;
-  obs::TimelineSummary timeline_summary;
-  std::vector<std::string> timeline_counter_names;
+  /// one merged, fixed-order farm timeline after the parallel phase. The
+  /// initializers let RunBox brace-initialize the three fields above.
+  std::string timeline_header{};
+  std::vector<obs::TimelineSampler::Row> timeline_rows{};
+  std::string timeline_summary_json{};
+  obs::TimelineSummary timeline_summary{};
+  std::vector<std::string> timeline_counter_names{};
 
   void CaptureTimeline(const Simulator& sim) {
     const obs::TimelineSampler* timeline = sim.timeline();

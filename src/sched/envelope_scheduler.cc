@@ -715,17 +715,17 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     // Nothing pending is inside the stale envelope: recompute below.
   }
 
-  const std::vector<Request> requests(pending_.begin(), pending_.end());
   ++counters_.major_reschedules;
   const int64_t rounds_before = counters_.extension_rounds;
   const int64_t rescored_before = counters_.tapes_rescored;
-  // The assignment map is only materialized for the oracle comparison;
-  // the reschedule itself consumes the envelope alone.
+  // The kernels read the pending list in place (nothing mutates it before
+  // ExtractSweepForTape). The assignment map is only materialized for the
+  // oracle comparison; the reschedule itself consumes the envelope alone.
   EnvelopeResult result = RunIncrementalKernel(
-      requests, &counters_, /*want_assignment=*/options_.validate_envelope);
+      pending_, &counters_, /*want_assignment=*/options_.validate_envelope);
   if (options_.validate_envelope) {
     EnvelopeCounters scratch;
-    CheckEnvelopeResultsEqual(result, RunReferenceKernel(requests, &scratch));
+    CheckEnvelopeResultsEqual(result, RunReferenceKernel(pending_, &scratch));
   }
 
   // Tape choice: apply the policy to the set of requests each tape can
@@ -768,7 +768,7 @@ std::vector<Request> EnvelopeScheduler::DrainSweep() {
 void EnvelopeScheduler::DeferInOrder(const Request& request) {
   // A trimmed block's riders go back to the background queue, not the
   // client pending list (they must never pin a client envelope).
-  std::deque<Request>& queue =
+  std::vector<Request>& queue =
       request.cls == RequestClass::kBackground ? background_ : pending_;
   auto it = std::lower_bound(
       queue.begin(), queue.end(), request.id,
@@ -782,27 +782,14 @@ void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
   if (mounted == kInvalidTape || mounted == extended_tape) return;
   const int64_t block_mb = jukebox_->config().block_size_mb;
   Sweep& sweep = served_sweep();
-  while (!sweep.empty()) {
-    // The sweep's outermost block: end of the forward phase or start of the
-    // reverse phase, whichever is farther out.
-    Position edge_pos = -1;
-    BlockId edge_block = kInvalidBlock;
-    if (!sweep.forward().empty()) {
-      edge_pos = sweep.forward().back().position;
-      edge_block = sweep.forward().back().block;
-    }
-    if (!sweep.reverse().empty() &&
-        sweep.reverse().front().position > edge_pos) {
-      edge_pos = sweep.reverse().front().position;
-      edge_block = sweep.reverse().front().block;
-    }
+  while (const std::optional<Sweep::Read> edge = sweep.OuterEdge()) {
     // Shrinking only applies when the envelope edge is a scheduled block.
-    if (edge_pos + block_mb !=
+    if (edge->position + block_mb !=
         envelope_[static_cast<size_t>(mounted)]) {
       return;
     }
     const Replica* replica =
-        catalog_->LiveReplicaOn(edge_block, extended_tape);
+        catalog_->LiveReplicaOn(edge->block, extended_tape);
     if (replica == nullptr ||
         replica->position + block_mb >
             envelope_[static_cast<size_t>(extended_tape)]) {
@@ -810,18 +797,13 @@ void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
     }
     // Move the edge block's requests off the active sweep; they will be
     // rescheduled (normally on `extended_tape`) at the next reschedule.
-    std::optional<ServiceEntry> removed = sweep.RemoveAt(edge_pos);
+    const std::optional<ServiceEntry> removed = sweep.RemoveAt(edge->position);
     TJ_CHECK(removed.has_value());
     ++counters_.sweep_trims;
     for (const Request& request : removed->requests) DeferInOrder(request);
     Position new_edge = std::max<Position>(committed_head, 0);
-    if (!sweep.forward().empty()) {
-      new_edge = std::max(new_edge,
-                          sweep.forward().back().position + block_mb);
-    }
-    if (!sweep.reverse().empty()) {
-      new_edge = std::max(new_edge,
-                          sweep.reverse().front().position + block_mb);
+    if (const std::optional<Sweep::Read> next = sweep.OuterEdge()) {
+      new_edge = std::max(new_edge, next->position + block_mb);
     }
     envelope_[static_cast<size_t>(mounted)] = new_edge;
   }

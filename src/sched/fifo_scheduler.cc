@@ -59,23 +59,17 @@ TapeId FifoScheduler::MajorReschedule() {
     RecordDecision(/*background=*/false, chosen->tape, {only});
   }
 
-  ServiceEntry entry{chosen->position, oldest.block, {oldest}};
+  const Sweep::Phase phase = chosen->position >= StartHead(chosen->tape)
+                                ? Sweep::Phase::kForward
+                                : Sweep::Phase::kReverse;
+  Sweep& sweep = served_sweep();
+  sweep.Add(phase, chosen->position, oldest);
   // Other pending requests for the same block ride along for free.
-  std::deque<Request> keep;
-  for (const Request& request : pending_) {
-    if (request.block == oldest.block) {
-      entry.requests.push_back(request);
-    } else {
-      keep.push_back(request);
-    }
-  }
-  pending_ = std::move(keep);
-
-  if (entry.position >= StartHead(chosen->tape)) {
-    served_sweep().AppendForward(entry);
-  } else {
-    served_sweep().AppendReverse(entry);
-  }
+  TakeIf(&pending_, [&](const Request& request) {
+    if (request.block != oldest.block) return false;
+    sweep.Add(phase, chosen->position, request);
+    return true;
+  });
   PiggybackBackground(chosen->tape);
   return chosen->tape;
 }

@@ -101,7 +101,8 @@ Scheduler::Scheduler(const Jukebox* jukebox, const Catalog* catalog,
       catalog_(catalog),
       options_(options),
       cost_(&jukebox->model(), jukebox->config().block_size_mb),
-      sweeps_(static_cast<size_t>(jukebox->num_drives())) {
+      sweeps_(static_cast<size_t>(jukebox->num_drives()),
+              Sweep(jukebox->config().block_size_mb)) {
   TJ_CHECK(jukebox != nullptr);
   TJ_CHECK(catalog != nullptr);
 }
@@ -181,12 +182,11 @@ void Scheduler::RecordDecision(bool background, TapeId chosen,
 std::vector<Request> Scheduler::DrainSweep() {
   // A fault is forcing the sweep out mid-batch: staged arrivals go to the
   // pending list (inserting into the sweep being drained would be wasted
-  // work — the drain would hand them right back).
+  // work — the drain would hand them right back). Drain walks the runs
+  // instead of popping, so the entry in flight keeps its requests.
   AbsorbStagedToPending();
   std::vector<Request> drained;
-  while (std::optional<ServiceEntry> entry = served_sweep().Pop()) {
-    for (const Request& request : entry->requests) drained.push_back(request);
-  }
+  served_sweep().Drain(&drained);
   return drained;
 }
 
@@ -195,24 +195,13 @@ std::vector<Request> Scheduler::EvictUnservablePending() {
   // have just lost its last replica).
   AbsorbStagedToPending();
   std::vector<Request> evicted;
-  std::deque<Request> keep;
-  for (const Request& request : pending_) {
-    if (catalog_->HasLiveReplica(request.block)) {
-      keep.push_back(request);
-    } else {
-      evicted.push_back(request);
-    }
-  }
-  pending_ = std::move(keep);
-  keep.clear();
-  for (const Request& request : background_) {
-    if (catalog_->HasLiveReplica(request.block)) {
-      keep.push_back(request);
-    } else {
-      evicted.push_back(request);
-    }
-  }
-  background_ = std::move(keep);
+  const auto unservable = [&](const Request& request) {
+    if (catalog_->HasLiveReplica(request.block)) return false;
+    evicted.push_back(request);
+    return true;
+  };
+  TakeIf(&pending_, unservable);
+  TakeIf(&background_, unservable);
   return evicted;
 }
 
@@ -221,15 +210,11 @@ std::vector<Request> Scheduler::EvictExpired(double now) {
   // the scan sees every queued request.
   AbsorbStagedToPending();
   std::vector<Request> expired;
-  std::deque<Request> keep;
-  for (const Request& request : pending_) {
-    if (request.deadline > 0 && request.deadline <= now) {
-      expired.push_back(request);
-    } else {
-      keep.push_back(request);
-    }
-  }
-  pending_ = std::move(keep);
+  TakeIf(&pending_, [&](const Request& request) {
+    if (request.deadline <= 0 || request.deadline > now) return false;
+    expired.push_back(request);
+    return true;
+  });
   return expired;
 }
 
@@ -268,16 +253,12 @@ void Scheduler::PiggybackBackground(TapeId tape) {
   if (background_.empty()) return;
   const Position start_head = StartHead(tape);
   Sweep& sweep = served_sweep();
-  std::deque<Request> keep;
-  for (const Request& request : background_) {
+  TakeIf(&background_, [&](const Request& request) {
     const Replica* replica = catalog_->LiveReplicaOn(request.block, tape);
-    if (replica == nullptr ||
-        !sweep.InsertRequest(request, replica->position, start_head,
-                              options_.allow_reverse_phase)) {
-      keep.push_back(request);
-    }
-  }
-  background_ = std::move(keep);
+    return replica != nullptr &&
+           sweep.InsertRequest(request, replica->position, start_head,
+                               options_.allow_reverse_phase);
+  });
 }
 
 }  // namespace tapejuke

@@ -17,7 +17,6 @@
 #define TAPEJUKE_SCHED_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -186,8 +185,8 @@ class Scheduler {
   /// one; the simulator reads it to trace scheduled-into-sweep
   /// transitions).
   virtual const Sweep& sweep() const { return served_sweep(); }
-  const std::deque<Request>& pending() const { return pending_; }
-  const std::deque<Request>& background() const { return background_; }
+  const std::vector<Request>& pending() const { return pending_; }
+  const std::vector<Request>& background() const { return background_; }
 
   /// Observability: attaches a sink that receives one DecisionRecord per
   /// major reschedule (drive, candidates, scores, the chosen tape). Null (the
@@ -238,6 +237,18 @@ class Scheduler {
     return tape == jukebox_->mounted_tape() ? jukebox_->head() : 0;
   }
 
+  /// Removes from `queue`, in one in-place pass, every request for which
+  /// `take(request)` returns true (`take` may move it elsewhere first);
+  /// the rest keep their order.
+  template <typename Take>
+  static void TakeIf(std::vector<Request>* queue, Take take) {
+    size_t kept = 0;
+    for (size_t i = 0; i < queue->size(); ++i) {
+      if (!take((*queue)[i])) (*queue)[kept++] = (*queue)[i];
+    }
+    queue->resize(kept);
+  }
+
   /// Pushes one DecisionRecord to the attached sink; no-op without one.
   /// Call after tape selection but before extracting the sweep, so queue
   /// depths reflect the decision's inputs. Candidates without work are
@@ -251,8 +262,8 @@ class Scheduler {
   const Catalog* catalog_;
   SchedulerOptions options_;
   ScheduleCost cost_;
-  std::deque<Request> pending_;
-  std::deque<Request> background_;
+  std::vector<Request> pending_;
+  std::vector<Request> background_;
   /// One sweep per drive, sized from the jukebox at construction.
   std::vector<Sweep> sweeps_;
   /// The major reschedule's candidate walk (BuildTapeCandidates), which

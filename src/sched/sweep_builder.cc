@@ -6,12 +6,11 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/counting_sort.h"
 
 namespace tapejuke {
 
 void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
-                         const std::deque<Request>& requests,
+                         const std::vector<Request>& requests,
                          const std::vector<Position>* envelope,
                          TapeCandidateSet* set) {
   TJ_CHECK(set != nullptr);
@@ -79,7 +78,7 @@ bool TapeCandidateSet::SlotMarksClear() const {
 }
 
 void ExtractSweepForTape(TapeCandidateSet* set, TapeId tape,
-                         Position start_head, std::deque<Request>* queue,
+                         Position start_head, std::vector<Request>* queue,
                          Sweep* sweep) {
   TJ_CHECK(set != nullptr);
   TJ_CHECK(queue != nullptr);
@@ -100,49 +99,14 @@ void ExtractSweepForTape(TapeCandidateSet* set, TapeId tape,
   set->queue_ = nullptr;
   if (members.empty()) return;
 
-  // Group the members by position with one stable counting sort on the
-  // slot (position == slot * block size): same result as a position-keyed
-  // ordered map, in linear time. Stability keeps each entry's requests in
-  // queue order.
-  std::vector<CandidateMember>& order = set->by_slot_;
-  order.assign(members.begin(), members.end());
-  StableCountingSort(
-      &order, [](const CandidateMember& m) { return int64_t{m.slot}; },
-      &set->sort_counts_, &set->sort_buffer_);
-
-  // One entry per distinct position (one block per position per tape).
-  // Forward phase: ascending positions >= the start head; reverse phase:
-  // descending positions below it.
+  // Members arrive in queue order, so adding each to its slot's run keeps
+  // every entry's requests in queue order.
   const int64_t block_mb = set->block_mb_;
-  const auto position = [&](size_t k) { return order[k].slot * block_mb; };
-  const auto build_entry = [&](size_t begin, size_t end) {
-    ServiceEntry entry;
-    entry.position = position(begin);
-    entry.block = (*queue)[order[begin].index].block;
-    entry.requests.reserve(end - begin);
-    for (size_t k = begin; k < end; ++k) {
-      entry.requests.push_back((*queue)[order[k].index]);
-    }
-    return entry;
-  };
-  size_t reverse_end = 0;  // first index with position >= start_head
-  for (size_t i = 0; i < order.size();) {
-    size_t j = i + 1;
-    while (j < order.size() && order[j].slot == order[i].slot) ++j;
-    if (position(i) >= start_head) {
-      sweep->AppendForward(build_entry(i, j));
-    } else {
-      reverse_end = j;
-    }
-    i = j;
-  }
-  for (size_t end = reverse_end; end > 0;) {
-    size_t begin = end - 1;
-    while (begin > 0 && order[begin - 1].slot == order[end - 1].slot) {
-      --begin;
-    }
-    sweep->AppendReverse(build_entry(begin, end));
-    end = begin;
+  for (const CandidateMember& m : members) {
+    const Position position = m.slot * block_mb;
+    sweep->Add(position >= start_head ? Sweep::Phase::kForward
+                                      : Sweep::Phase::kReverse,
+               position, (*queue)[m.index]);
   }
 
   // Compact the queue in place: the members' indices ascend, so one pass

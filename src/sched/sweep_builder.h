@@ -12,7 +12,6 @@
 #define TAPEJUKE_SCHED_SWEEP_BUILDER_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "layout/catalog.h"
@@ -64,18 +63,20 @@ class TapeCandidateSet;
 /// == slot * block size. Once the set's buffers have grown, a call
 /// allocates nothing.
 void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
-                         const std::deque<Request>& requests,
+                         const std::vector<Request>& requests,
                          const std::vector<Position>* envelope,
                          TapeCandidateSet* set);
 
 /// Removes from `queue` every member of `tape`'s candidate in `set` and
-/// appends them to `sweep` as a single forward+reverse pass starting from
-/// `start_head`. Requests for the same block share one entry, in queue
-/// order. `queue` must be the queue `set` was built from, unchanged since,
-/// with the catalog unchanged too; the extraction uses up the set. `sweep`
-/// must be empty on entry.
+/// adds them to `sweep` as a single forward+reverse pass starting from
+/// `start_head`: forward if the position is at or past it, else reverse.
+/// Requests for the same block share one entry, in queue order (members
+/// are added in queue order, so no sort is needed). `queue` must be the
+/// queue `set` was built from, unchanged since, with the catalog unchanged
+/// too; the extraction uses up the set. `sweep` must be empty on entry, and
+/// its block size must divide the jukebox's.
 void ExtractSweepForTape(TapeCandidateSet* set, TapeId tape,
-                         Position start_head, std::deque<Request>* queue,
+                         Position start_head, std::vector<Request>* queue,
                          Sweep* sweep);
 
 /// Reusable output of BuildTapeCandidates, plus the scratch both halves of
@@ -92,24 +93,20 @@ class TapeCandidateSet {
 
  private:
   friend void BuildTapeCandidates(const Jukebox&, const Catalog&,
-                                  const std::deque<Request>&,
+                                  const std::vector<Request>&,
                                   const std::vector<Position>*,
                                   TapeCandidateSet*);
   friend void ExtractSweepForTape(TapeCandidateSet*, TapeId, Position,
-                                  std::deque<Request>*, Sweep*);
+                                  std::vector<Request>*, Sweep*);
 
   std::vector<TapeCandidate> tapes_;
   /// A bit per tape x slot, all zero between builds.
   std::vector<uint64_t> slot_marks_;
-  /// Extraction scratch: the chosen tape's members in slot order.
-  std::vector<CandidateMember> by_slot_;
-  std::vector<CandidateMember> sort_buffer_;
-  std::vector<size_t> sort_counts_;
   int64_t block_mb_ = 0;
   /// What the last build walked, for ExtractSweepForTape's debug checks
   /// (queue_ is reset once an extraction uses the set up).
   const Catalog* catalog_ = nullptr;
-  const std::deque<Request>* queue_ = nullptr;
+  const std::vector<Request>* queue_ = nullptr;
   size_t queue_size_ = 0;
 };
 

@@ -51,8 +51,7 @@ TapeId ValidatingScheduler::MajorReschedule() {
   if (const auto* envelope =
           dynamic_cast<const EnvelopeScheduler*>(inner_.get());
       envelope != nullptr && !inner_->pending().empty()) {
-    envelope->CrossCheckEnvelope(std::vector<Request>(
-        inner_->pending().begin(), inner_->pending().end()));
+    envelope->CrossCheckEnvelope(inner_->pending());
   }
   const TapeId tape = inner_->MajorReschedule();
   if (tape == kInvalidTape) {

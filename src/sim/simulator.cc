@@ -358,17 +358,9 @@ void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
 
 void Simulator::TraceSweepContents(TapeId tape) {
   if (!recorder_.has_value() || !recorder_->trace_enabled()) return;
-  const Sweep& sweep = scheduler_->sweep();
-  for (const ServiceEntry& entry : sweep.forward()) {
-    for (const Request& request : entry.requests) {
-      recorder_->RequestScheduled(request.id, tape, clock_);
-    }
-  }
-  for (const ServiceEntry& entry : sweep.reverse()) {
-    for (const Request& request : entry.requests) {
-      recorder_->RequestScheduled(request.id, tape, clock_);
-    }
-  }
+  scheduler_->sweep().ForEach([&](const Request& request) {
+    recorder_->RequestScheduled(request.id, tape, clock_);
+  });
 }
 
 void Simulator::SetupTimeline() {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -142,7 +141,7 @@ class BuildTapeCandidatesTest : public ::testing::Test {
   }
 
   const std::vector<TapeCandidate>& Build(
-      const std::deque<Request>& requests,
+      const std::vector<Request>& requests,
       const std::vector<Position>* envelope) {
     BuildTapeCandidates(rig_.jukebox(), *catalog_, requests, envelope, &set_);
     // Every build leaves the slot marks clear for the next one.
@@ -157,7 +156,7 @@ class BuildTapeCandidatesTest : public ::testing::Test {
 
 TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
   // Block 0 three times (the oldest request among them), block 1 once.
-  const std::deque<Request> requests = {
+  const std::vector<Request> requests = {
       {0, 0, 0.0}, {1, 1, 1.0}, {2, 0, 2.0}, {3, 0, 3.0}};
   const std::vector<TapeCandidate> c = Build(requests, nullptr);
   ASSERT_EQ(c.size(), 2u);
@@ -170,7 +169,7 @@ TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
   EXPECT_EQ(c[1].positions, (std::vector<Position>{32}));
   EXPECT_TRUE(c[1].serves_oldest);
   // A second call sees no stale marks or members from the first.
-  const std::deque<Request> only_block2 = {{4, 2, 4.0}};
+  const std::vector<Request> only_block2 = {{4, 2, 4.0}};
   const std::vector<TapeCandidate> again = Build(only_block2, nullptr);
   EXPECT_EQ(again[0].num_requests(), 0);
   EXPECT_TRUE(again[0].positions.empty());
@@ -180,7 +179,7 @@ TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
 }
 
 TEST_F(BuildTapeCandidatesTest, EnvelopeAndDeadReplicasFilter) {
-  const std::deque<Request> requests = {{0, 1, 0.0}, {1, 0, 1.0},
+  const std::vector<Request> requests = {{0, 1, 0.0}, {1, 0, 1.0},
                                         {2, 0, 2.0}, {3, 2, 3.0}};
   // Tape 0's envelope ends before block 0's slot 7; tape 1's covers all.
   const std::vector<Position> envelope = {64, 160};
@@ -208,7 +207,7 @@ TEST_F(BuildTapeCandidatesTest, MemberListsFollowTheQueue) {
   std::vector<const CandidateMember*> members_data;
   std::vector<const Position*> positions_data;
   for (int call = 0; call < 30; ++call) {
-    std::deque<Request> requests;
+    std::vector<Request> requests;
     // The first call is the largest, so the later ones fit its buffers.
     const uint64_t size = call == 0 ? 40 : 1 + rng.UniformUint64(40);
     for (uint64_t i = 0; i < size; ++i) {
