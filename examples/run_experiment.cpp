@@ -181,6 +181,13 @@ int main(int argc, char** argv) {
   }
 
   // One path for every drive count, with or without a replayed trace.
+  Jukebox jukebox(config.jukebox);
+  jukebox.SetNumDrives(static_cast<int32_t>(drives));
+  StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, config.layout);
+  if (!catalog.ok()) {
+    std::cerr << catalog.status() << "\n";
+    return 1;
+  }
   std::vector<Request> replay;
   std::string label;
   if (!replay_trace.empty()) {
@@ -190,15 +197,14 @@ int main(int argc, char** argv) {
       std::cerr << trace.status() << "\n";
       return 1;
     }
-    replay = TraceToRequests(*trace);
+    StatusOr<std::vector<Request>> requests =
+        TraceToRequests(*catalog, *trace);
+    if (!requests.ok()) {
+      std::cerr << requests.status() << "\n";
+      return 1;
+    }
+    replay = std::move(*requests);
     label = " (trace replay, " + std::to_string(trace->size()) + " arrivals)";
-  }
-  Jukebox jukebox(config.jukebox);
-  jukebox.SetNumDrives(static_cast<int32_t>(drives));
-  StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, config.layout);
-  if (!catalog.ok()) {
-    std::cerr << catalog.status() << "\n";
-    return 1;
   }
   const auto scheduler =
       CreateScheduler(config.algorithm, &jukebox, &catalog.value());

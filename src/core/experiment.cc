@@ -157,40 +157,4 @@ double DefaultSimSeconds() {
   return 2'000'000.0;
 }
 
-StatusOr<std::vector<CurvePoint>> ThroughputDelayCurve(
-    ExperimentConfig base, const std::vector<int64_t>& queue_lengths) {
-  std::vector<CurvePoint> curve;
-  base.sim.workload.model = QueuingModel::kClosed;
-  for (const int64_t queue : queue_lengths) {
-    base.sim.workload.queue_length = queue;
-    StatusOr<ExperimentResult> result = ExperimentRunner::Run(base);
-    if (!result.ok()) return result.status();
-    CurvePoint point;
-    point.queue_length = queue;
-    point.throughput_req_per_min = result->sim.requests_per_minute;
-    point.mean_delay_minutes = result->sim.mean_delay_minutes;
-    point.sim = result->sim;
-    curve.push_back(point);
-  }
-  return curve;
-}
-
-StatusOr<std::vector<CurvePoint>> OpenThroughputDelayCurve(
-    ExperimentConfig base, const std::vector<double>& interarrivals) {
-  std::vector<CurvePoint> curve;
-  base.sim.workload.model = QueuingModel::kOpen;
-  for (const double gap : interarrivals) {
-    base.sim.workload.mean_interarrival_seconds = gap;
-    StatusOr<ExperimentResult> result = ExperimentRunner::Run(base);
-    if (!result.ok()) return result.status();
-    CurvePoint point;
-    point.interarrival_seconds = gap;
-    point.throughput_req_per_min = result->sim.requests_per_minute;
-    point.mean_delay_minutes = result->sim.mean_delay_minutes;
-    point.sim = result->sim;
-    curve.push_back(point);
-  }
-  return curve;
-}
-
 }  // namespace tapejuke

@@ -91,25 +91,6 @@ class ExperimentRunner {
 /// 10,000,000; see DESIGN.md for the substitution note).
 double DefaultSimSeconds();
 
-/// One point of a paper-style parametric curve (load intensity traces the
-/// curve; throughput and delay are the two output axes).
-struct CurvePoint {
-  int64_t queue_length = 0;             ///< closed model intensity knob
-  double interarrival_seconds = 0;      ///< open model intensity knob
-  double throughput_req_per_min = 0;
-  double mean_delay_minutes = 0;
-  SimulationResult sim;
-};
-
-/// Runs `base` at each closed-model queue length and returns the
-/// throughput/delay curve (the paper's parametric-graph format).
-StatusOr<std::vector<CurvePoint>> ThroughputDelayCurve(
-    ExperimentConfig base, const std::vector<int64_t>& queue_lengths);
-
-/// Open-model variant: sweeps mean interarrival times instead.
-StatusOr<std::vector<CurvePoint>> OpenThroughputDelayCurve(
-    ExperimentConfig base, const std::vector<double>& interarrivals);
-
 }  // namespace tapejuke
 
 #endif  // TAPEJUKE_CORE_EXPERIMENT_H_

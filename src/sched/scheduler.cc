@@ -136,11 +136,16 @@ void Scheduler::OnArrival(const Request& request, Position committed_head) {
 void Scheduler::FlushArrivals() {
   if (staged_.empty()) return;
   // OnArrivalNow may re-enter scheduling paths that flush again (e.g. a
-  // subclass deferring to pending); swap the buffer out first.
+  // subclass deferring to pending); swap the buffer out first, and hand its
+  // capacity back afterwards so steady-state batching allocates nothing.
   std::vector<Request> batch;
   batch.swap(staged_);
   for (const Request& request : batch) {
     OnArrivalNow(request, staged_head_);
+  }
+  if (staged_.empty()) {
+    batch.clear();
+    staged_.swap(batch);
   }
 }
 

@@ -105,7 +105,9 @@ ReadOutcome FaultModel::NextReadOutcome() {
   // Each attempt independently suffers a transient error; the retry budget
   // bounds the chain, and exhausting it escalates to a permanent error.
   while (rng_.Bernoulli(config_.transient_read_error_prob)) {
+    ++stats_.transient_read_errors;
     if (outcome.retries == config_.max_read_retries) {
+      ++stats_.reads_escalated;
       outcome.permanent_error = true;
       outcome.escalated = true;
       outcome.whole_tape = config_.whole_tape_fraction > 0.0 &&
@@ -113,6 +115,7 @@ ReadOutcome FaultModel::NextReadOutcome() {
       return outcome;
     }
     ++outcome.retries;
+    ++stats_.read_retries;
   }
   return outcome;
 }
@@ -131,7 +134,38 @@ double FaultModel::NextFailureGap() {
 
 double FaultModel::NextRepairTime() {
   TJ_CHECK_GT(config_.drive_mttr_seconds, 0.0);
-  return rng_.Exponential(config_.drive_mttr_seconds);
+  const double repair = rng_.Exponential(config_.drive_mttr_seconds);
+  ++stats_.drive_failures;
+  stats_.drive_repair_seconds += repair;
+  return repair;
+}
+
+double FaultModel::ChargeRobotSlips(Jukebox* jukebox) {
+  const int slips = NextRobotFaults();
+  const double extra = jukebox->ChargeRobotRetries(slips);
+  stats_.robot_faults += slips;
+  stats_.robot_retry_seconds += extra;
+  return extra;
+}
+
+bool FaultModel::MaskPermanentError(Catalog* catalog, BlockId block,
+                                    TapeId tape, bool whole_tape,
+                                    std::vector<BlockId>* newly_masked) {
+  ++stats_.permanent_media_errors;
+  const size_t first = newly_masked->size();
+  if (whole_tape) {
+    ++stats_.dead_tapes;
+    stats_.replicas_masked += catalog->MarkTapeDead(tape, newly_masked);
+  } else if (catalog->MarkReplicaDead(block, tape)) {
+    ++stats_.replicas_masked;
+    newly_masked->push_back(block);
+  } else {
+    return false;
+  }
+  for (size_t i = first; i < newly_masked->size(); ++i) {
+    if (!catalog->HasLiveReplica((*newly_masked)[i])) ++stats_.blocks_lost;
+  }
+  return true;
 }
 
 double FaultModel::NextRetryBackoff(int attempt) {

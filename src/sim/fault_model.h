@@ -27,7 +27,10 @@
 #define TAPEJUKE_SIM_FAULT_MODEL_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "layout/catalog.h"
+#include "tape/jukebox.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -130,9 +133,10 @@ struct ReadOutcome {
   bool escalated = false;
 };
 
-/// Draws fault events from a private RNG stream. One FaultModel per
-/// simulation run; the stream is independent of the workload stream so
-/// enabling faults never perturbs which blocks are requested.
+/// Draws, applies and counts fault events for client reads, scrub reads and
+/// mounts alike. One FaultModel per simulation run; its private RNG stream
+/// is independent of the workload stream, so enabling faults never
+/// perturbs which blocks are requested.
 class FaultModel {
  public:
   /// `config` must already be validated. `workload_seed` seeds the stream
@@ -140,8 +144,8 @@ class FaultModel {
   /// even then).
   FaultModel(const FaultConfig& config, uint64_t workload_seed);
 
-  /// Draws the fault outcome for one block read. Never draws from the RNG
-  /// for fault classes whose rate is zero.
+  /// Draws and counts the fault outcome for one block read (its permanent
+  /// error is counted by MaskPermanentError). Zero-rate classes draw nothing.
   ReadOutcome NextReadOutcome();
 
   /// Draws the number of robot handoff slips for one load/eject cycle
@@ -152,7 +156,8 @@ class FaultModel {
   /// Requires drive_mtbf_seconds > 0.
   double NextFailureGap();
 
-  /// Draws a repair duration, seconds. Requires drive_mttr_seconds > 0.
+  /// Draws a repair duration, seconds, counting one drive failure and its
+  /// downtime. Requires drive_mttr_seconds > 0.
   double NextRepairTime();
 
   /// Backoff wait before transient-read retry `attempt` (0-based):
@@ -161,11 +166,28 @@ class FaultModel {
   /// existing fault runs stay bit-identical.
   double NextRetryBackoff(int attempt);
 
+  /// Draws the robot handoff slips of the swap `jukebox` just made and
+  /// charges them to it. Returns the extra robot seconds (0 when clean).
+  double ChargeRobotSlips(Jukebox* jukebox);
+
+  /// Masks the replica of `block` on `tape`, or with `whole_tape` every
+  /// replica on it, appends the newly masked blocks to `newly_masked`, and
+  /// counts the error, dead tape, masked replicas and lost blocks. False
+  /// only for a region error on an already dead replica.
+  bool MaskPermanentError(Catalog* catalog, BlockId block, TapeId tape,
+                          bool whole_tape,
+                          std::vector<BlockId>* newly_masked);
+
   const FaultConfig& config() const { return config_; }
+
+  /// Every fault so far; the simulator adds failovers and degraded reads.
+  const FaultStats& stats() const { return stats_; }
+  FaultStats& stats() { return stats_; }
 
  private:
   FaultConfig config_;
   Rng rng_;
+  FaultStats stats_;
 };
 
 }  // namespace tapejuke

@@ -34,17 +34,15 @@ Status RepairConfig::Validate() const {
 
 RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
                              Catalog* catalog, Scheduler* scheduler,
-                             FaultModel* faults, FaultStats* fault_stats)
+                             FaultModel* faults)
     : config_(config),
       jukebox_(jukebox),
       catalog_(catalog),
       scheduler_(scheduler),
       faults_(faults),
-      fault_stats_(fault_stats),
       block_mb_(jukebox->config().block_size_mb) {
   TJ_CHECK(jukebox_ != nullptr && catalog_ != nullptr &&
-           scheduler_ != nullptr && faults_ != nullptr &&
-           fault_stats_ != nullptr);
+           scheduler_ != nullptr && faults_ != nullptr);
   TJ_CHECK(config_.enabled());
   TJ_CHECK(config_.Validate().ok()) << config_.Validate().message();
   if (config_.repair_bandwidth_mb_per_s > 0.0) {
@@ -374,16 +372,7 @@ double RepairManager::AtSweepBoundary(double now) {
 double RepairManager::Mount(TapeId tape, int64_t* mounts) {
   TJ_CHECK_NE(tape, jukebox_->mounted_tape());
   double seconds = jukebox_->SwitchTo(tape);
-  if (seconds > 0) {
-    // Mirror the simulator's robot-fault accounting for client mounts.
-    const int slips = faults_->NextRobotFaults();
-    if (slips > 0) {
-      const double extra = jukebox_->ChargeRobotRetries(slips);
-      fault_stats_->robot_faults += slips;
-      fault_stats_->robot_retry_seconds += extra;
-      seconds += extra;
-    }
-  }
+  if (seconds > 0) seconds += faults_->ChargeRobotSlips(jukebox_);
   ++*mounts;
   return seconds;
 }
@@ -460,10 +449,6 @@ RepairManager::Quantum RepairManager::ScrubStep(double now) {
     seconds += faults_->NextRetryBackoff(retry);
     seconds += drive.LocateTo(position) + drive.Read(block_mb_);
   }
-  fault_stats_->transient_read_errors +=
-      outcome.retries + (outcome.escalated ? 1 : 0);
-  fault_stats_->read_retries += outcome.retries;
-  if (outcome.escalated) ++fault_stats_->reads_escalated;
   ++stats_.scrub_blocks_read;
   stats_.scrub_seconds += seconds;
   SpendTokens(now, static_cast<double>(block_mb_));
@@ -471,25 +456,18 @@ RepairManager::Quantum RepairManager::ScrubStep(double now) {
   if (!outcome.permanent_error) return quantum;
 
   // A latent error, found before any client tripped over it.
-  ++fault_stats_->permanent_media_errors;
   ++stats_.scrub_errors_detected;
   quantum.masked_replicas = true;
   const double end = now + seconds;
+  std::vector<BlockId> newly_masked;
+  const bool masked = faults_->MaskPermanentError(
+      catalog_, block, scrubbed, outcome.whole_tape, &newly_masked);
   if (outcome.whole_tape) {
-    ++fault_stats_->dead_tapes;
-    std::vector<BlockId> newly_masked;
-    fault_stats_->replicas_masked +=
-        catalog_->MarkTapeDead(scrubbed, &newly_masked);
-    for (const BlockId b : newly_masked) {
-      if (!catalog_->HasLiveReplica(b)) ++fault_stats_->blocks_lost;
-    }
     // The pass dies with the tape.
     scrub_tape_ = kInvalidTape;
     next_scrub_due_ = end + config_.scrub_interval_seconds;
     OnTapeDead(scrubbed, newly_masked, end);
-  } else if (catalog_->MarkReplicaDead(block, scrubbed)) {
-    ++fault_stats_->replicas_masked;
-    if (!catalog_->HasLiveReplica(block)) ++fault_stats_->blocks_lost;
+  } else if (masked) {
     OnReplicaDead(block, scrubbed, end);
   }
   return quantum;

@@ -104,11 +104,10 @@ class RepairManager : public BackgroundWork {
  public:
   /// All pointers must outlive the manager. `catalog` is the mutable
   /// catalog faults mask into; `scheduler` receives background source
-  /// reads; `faults`/`fault_stats` are the run's fault stream and shared
-  /// counters (scrub outcomes are accounted there too).
+  /// reads; `faults` is the run's fault model, which applies and counts
+  /// the faults of scrub reads and background mounts too.
   RepairManager(const RepairConfig& config, Jukebox* jukebox,
-                Catalog* catalog, Scheduler* scheduler, FaultModel* faults,
-                FaultStats* fault_stats);
+                Catalog* catalog, Scheduler* scheduler, FaultModel* faults);
 
   /// A replica of `block` on `tape` was newly masked dead (by a client
   /// read or by scrub). Enqueues a repair task when possible.
@@ -198,8 +197,8 @@ class RepairManager : public BackgroundWork {
   TapeId BestStagedTarget() const;
   bool HasStagedPayload() const;
 
-  /// Mounts `tape` for background work, mirroring the simulator's robot
-  /// fault accounting. Returns seconds; bumps *mounts.
+  /// Mounts `tape` for background work, robot slips included. Returns
+  /// seconds; bumps *mounts.
   double Mount(TapeId tape, int64_t* mounts);
 
   /// One scrub step on the mounted scrub tape: reads the next live slot
@@ -219,7 +218,6 @@ class RepairManager : public BackgroundWork {
   Catalog* catalog_;
   Scheduler* scheduler_;
   FaultModel* faults_;
-  FaultStats* fault_stats_;
   obs::TraceRecorder* recorder_ = nullptr;
   RepairStats stats_;
 

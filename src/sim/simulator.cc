@@ -89,7 +89,7 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
     }
     if (config_.repair.enabled()) {
       repair_.emplace(config_.repair, jukebox_, mutable_catalog_, scheduler_,
-                      &*faults_, &fault_stats_);
+                      &*faults_);
       if (recorder_.has_value()) repair_->set_recorder(&*recorder_);
       background_ = &*repair_;
     }
@@ -243,7 +243,7 @@ void Simulator::Requeue(const Request& request) {
     return;
   }
   if (catalog_->HasLiveReplica(request.block)) {
-    ++fault_stats_.failovers;
+    ++faults_->stats().failovers;
     if (recorder_.has_value()) recorder_->RequestFailover(request.id, clock_);
     scheduler_->OnArrival(request, jukebox_->head());
   } else {
@@ -254,25 +254,18 @@ void Simulator::Requeue(const Request& request) {
 void Simulator::HandlePermanentError(const ServiceEntry& entry,
                                      bool whole_tape) {
   const TapeId tape = jukebox_->mounted_tape();
-  ++fault_stats_.permanent_media_errors;
+  std::vector<BlockId> newly_masked;
+  const bool masked = faults_->MaskPermanentError(
+      mutable_catalog_, entry.block, tape, whole_tape, &newly_masked);
   if (whole_tape) {
-    ++fault_stats_.dead_tapes;
-    std::vector<BlockId> newly_masked;
-    fault_stats_.replicas_masked +=
-        mutable_catalog_->MarkTapeDead(tape, &newly_masked);
-    for (const BlockId block : newly_masked) {
-      if (!catalog_->HasLiveReplica(block)) ++fault_stats_.blocks_lost;
-    }
     // Every remaining sweep entry read this tape; drain them and fail each
     // request over to a surviving replica.
     for (const Request& request : scheduler_->DrainSweep()) {
       Requeue(request);
     }
     if (repair_.has_value()) repair_->OnTapeDead(tape, newly_masked, clock_);
-  } else if (mutable_catalog_->MarkReplicaDead(entry.block, tape)) {
-    ++fault_stats_.replicas_masked;
-    if (!catalog_->HasLiveReplica(entry.block)) ++fault_stats_.blocks_lost;
-    if (repair_.has_value()) repair_->OnReplicaDead(entry.block, tape, clock_);
+  } else if (masked && repair_.has_value()) {
+    repair_->OnReplicaDead(entry.block, tape, clock_);
   }
   // The requests this read was serving fail over (or fail outright).
   for (const Request& request : entry.requests) Requeue(request);
@@ -297,46 +290,13 @@ void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
     ProcessExpiriesUpTo(expired->first, committed_head);
     IssueClosedRequest(expired->first, committed_head);
   }
-  if (trace_mode_) {
-    while (trace_pos_ < trace_.size() &&
-           trace_[trace_pos_].arrival_time <= until) {
-      const Request& request = trace_[trace_pos_++];
-      ProcessExpiriesUpTo(request.arrival_time, committed_head);
-      if (admission_.has_value() &&
-          !admission_->Admit(request.tenant, request.arrival_time,
-                             metrics_.outstanding_now())) {
-        metrics_.OnShed(request.arrival_time, request.tenant);
-        if (recorder_.has_value()) {
-          recorder_->RequestArrived(request.id, request.block,
-                                    /*background=*/false,
-                                    request.arrival_time);
-          recorder_->RequestDone(request.id, obs::RequestOutcome::kShed,
-                                 request.arrival_time);
-        }
-        continue;
-      }
-      metrics_.OnArrival(request.arrival_time);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false,
-                                  request.arrival_time);
-      }
-      scheduler_->OnArrival(request, committed_head);
-      TrackDeadline(request);
-    }
-    next_arrival_ = trace_pos_ < trace_.size()
-                        ? trace_[trace_pos_].arrival_time
-                        : config_.duration_seconds + 1;
-    ProcessExpiriesUpTo(until, committed_head);
-    return;
-  }
-  if (config_.workload.model != QueuingModel::kOpen) {
-    ProcessExpiriesUpTo(until, committed_head);
-    return;
-  }
+  // Open model and trace replay: arrivals come from the generator or the
+  // trace, and are admitted, shed and delivered alike.
   while (next_arrival_ <= until) {
     ProcessExpiriesUpTo(next_arrival_, committed_head);
-    const Request request = workload_.NextRequest(next_arrival_);
+    const Request request = trace_mode_
+                                ? trace_[trace_pos_++]
+                                : workload_.NextRequest(next_arrival_);
     if (admission_.has_value() &&
         !admission_->Admit(request.tenant, next_arrival_,
                            metrics_.outstanding_now())) {
@@ -351,7 +311,13 @@ void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
       metrics_.OnArrival(next_arrival_);
       DeliverOrFail(request, committed_head);
     }
-    next_arrival_ += workload_.NextArrivalGap(next_arrival_);
+    if (!trace_mode_) {
+      next_arrival_ += workload_.NextArrivalGap(next_arrival_);
+    } else if (trace_pos_ < trace_.size()) {
+      next_arrival_ = trace_[trace_pos_].arrival_time;
+    } else {
+      next_arrival_ = std::numeric_limits<double>::infinity();
+    }
   }
   ProcessExpiriesUpTo(until, committed_head);
 }
@@ -432,10 +398,7 @@ bool Simulator::BeginDriveRepair(size_t d, Resume resume) {
   // Failure epochs are processed lazily, when the drive next starts work:
   // each one the clock has passed charges a repair interval during which
   // the drive is down. Arrivals keep flowing while it is repaired.
-  const double repair = faults_->NextRepairTime();
-  ++fault_stats_.drive_failures;
-  fault_stats_.drive_repair_seconds += repair;
-  const double end = clock_ + repair;
+  const double end = clock_ + faults_->NextRepairTime();
   drive.charges.emplace_back(obs::DriveActivity::kDown, end);
   drive.next_failure = end + faults_->NextFailureGap();
   drive.ready_at = end;
@@ -530,15 +493,9 @@ void Simulator::BeginSwitch(size_t d) {
   double switch_seconds = jukebox_->SwitchTo(tape, &breakdown);
   double robot_seconds = breakdown.robot_wait + breakdown.robot;
   if (faults_.has_value() && switch_seconds > 0) {
-    // Robot handoff faults: each slip repeats the robot move.
-    const int slips = faults_->NextRobotFaults();
-    if (slips > 0) {
-      const double extra = jukebox_->ChargeRobotRetries(slips);
-      fault_stats_.robot_faults += slips;
-      fault_stats_.robot_retry_seconds += extra;
-      switch_seconds += extra;
-      robot_seconds += extra;
-    }
+    const double extra = faults_->ChargeRobotSlips(jukebox_);
+    switch_seconds += extra;
+    robot_seconds += extra;
   }
   // The switch components in temporal order (rewind, eject, robot queue +
   // move + retries, load); the final segment ends exactly at the switch's
@@ -584,10 +541,6 @@ void Simulator::BeginRead(size_t d) {
       op_t += read_breakdown.read;
       drive.charges.emplace_back(obs::DriveActivity::kReading, op_t);
     }
-    fault_stats_.transient_read_errors +=
-        outcome.retries + (outcome.escalated ? 1 : 0);
-    fault_stats_.read_retries += outcome.retries;
-    if (outcome.escalated) ++fault_stats_.reads_escalated;
   }
   drive.ready_at = clock_ + op_seconds;
   // Absorb any accumulation drift between the per-segment charges and
@@ -648,7 +601,7 @@ void Simulator::CompleteRead(const ServiceEntry& entry,
     if (faults_.has_value() &&
         catalog_->LiveReplicaCount(request.block) <
             static_cast<int64_t>(catalog_->ReplicasOf(request.block).size())) {
-      ++fault_stats_.degraded_reads;
+      ++faults_->stats().degraded_reads;
     }
     metrics_.OnCompletion(request.arrival_time, clock_, request.tenant);
     if (background_ != nullptr) {
@@ -675,8 +628,7 @@ SimulationResult Simulator::Run() {
 
   closed_ = !trace_mode_ && config_.workload.model == QueuingModel::kClosed;
   if (trace_mode_) {
-    next_arrival_ = trace_.empty() ? config_.duration_seconds + 1
-                                   : trace_.front().arrival_time;
+    if (!trace_.empty()) next_arrival_ = trace_.front().arrival_time;
   } else if (closed_) {
     // A fixed population of I/O-bound processes, all requesting at t = 0.
     for (int64_t i = 0; i < config_.workload.queue_length; ++i) {
@@ -734,7 +686,7 @@ SimulationResult Simulator::Run() {
       metrics_.Finalize(clock_, jukebox_->counters(), &accounting_);
   if (faults_.has_value()) {
     result.fault_injection = true;
-    result.faults = fault_stats_;
+    result.faults = faults_->stats();
     const int64_t total = catalog_->TotalCopies();
     if (total > 0) {
       result.live_replica_fraction =

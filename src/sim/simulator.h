@@ -30,6 +30,7 @@
 #ifndef TAPEJUKE_SIM_SIMULATOR_H_
 #define TAPEJUKE_SIM_SIMULATOR_H_
 
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -165,8 +166,8 @@ class Simulator {
             Catalog* mutable_catalog, Scheduler* scheduler,
             const SimulationConfig& config, BackgroundWork* background);
 
-  /// Delivers every open-model arrival with timestamp <= `until` to the
-  /// incremental scheduler, interleaved in time order with deadline-expiry
+  /// Delivers every open-model or trace arrival with timestamp <= `until`
+  /// to the incremental scheduler, interleaved in time order with deadline-expiry
   /// events so the outstanding-population integral stays exact.
   void DeliverArrivalsUpTo(double until, Position committed_head);
 
@@ -287,7 +288,6 @@ class Simulator {
 
   /// Engaged iff config_.faults.enabled().
   std::optional<FaultModel> faults_;
-  FaultStats fault_stats_;
   /// Engaged iff config_.repair.enabled() (which implies faults_).
   std::optional<RepairManager> repair_;
   /// The run's one background producer: &*repair_, the constructor's
@@ -299,7 +299,8 @@ class Simulator {
   bool closed_ = false;
 
   double clock_ = 0;
-  double next_arrival_ = 0;  ///< open model only
+  /// The next open-model or trace arrival (+infinity: none is due).
+  double next_arrival_ = std::numeric_limits<double>::infinity();
   bool warmup_marked_ = false;
   bool ran_ = false;
 

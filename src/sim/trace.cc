@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace tapejuke {
 
@@ -86,11 +87,17 @@ std::vector<TraceRecord> SynthesizeTrace(const Catalog& catalog,
   return records;
 }
 
-std::vector<Request> TraceToRequests(
-    const std::vector<TraceRecord>& records) {
+StatusOr<std::vector<Request>> TraceToRequests(
+    const Catalog& catalog, const std::vector<TraceRecord>& records) {
   std::vector<Request> requests;
   requests.reserve(records.size());
   for (const TraceRecord& record : records) {
+    if (record.block < 0 || record.block >= catalog.num_blocks()) {
+      return Status::InvalidArgument(
+          "trace references unknown block " + std::to_string(record.block) +
+          " (the layout has " + std::to_string(catalog.num_blocks()) +
+          " blocks)");
+    }
     requests.push_back(Request{-1, record.block, record.arrival_seconds});
   }
   return requests;

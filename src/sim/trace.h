@@ -45,8 +45,10 @@ std::vector<TraceRecord> SynthesizeTrace(const Catalog& catalog,
                                          double duration_seconds);
 
 /// Converts trace records to simulator requests (ids assigned by the
-/// Simulator's trace constructor).
-std::vector<Request> TraceToRequests(const std::vector<TraceRecord>& records);
+/// Simulator's trace constructor). InvalidArgument if a record names a
+/// block outside `catalog`.
+StatusOr<std::vector<Request>> TraceToRequests(
+    const Catalog& catalog, const std::vector<TraceRecord>& records);
 
 }  // namespace tapejuke
 

@@ -94,7 +94,7 @@ TEST(CrossFeature, TraceReplayThroughEnvelopeWithReplication) {
     sim_config.duration_seconds = 300'000;
     sim_config.warmup_seconds = 30'000;
     Simulator sim(&jukebox, &catalog, scheduler.get(), sim_config,
-                  TraceToRequests(trace));
+                  TraceToRequests(catalog, trace).value());
     return sim.Run();
   };
   // The same trace replayed through two schedulers: identical offered

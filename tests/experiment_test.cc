@@ -1,5 +1,5 @@
 // Tests for the core experiment API: algorithm parsing, the factory, the
-// runner, parametric curves, and the cost-performance analysis.
+// runner under more and less load, and the cost-performance analysis.
 
 #include "core/experiment.h"
 
@@ -154,22 +154,26 @@ TEST(ExperimentRunner, IsDeterministic) {
   EXPECT_DOUBLE_EQ(a.sim.mean_delay_seconds, b.sim.mean_delay_seconds);
 }
 
-TEST(ThroughputDelayCurve, MoreLoadMoreThroughputAndDelay) {
-  const auto curve =
-      ThroughputDelayCurve(QuickConfig(), {20, 80}).value();
-  ASSERT_EQ(curve.size(), 2u);
-  EXPECT_GT(curve[1].throughput_req_per_min,
-            curve[0].throughput_req_per_min);
-  EXPECT_GT(curve[1].mean_delay_minutes, curve[0].mean_delay_minutes);
+TEST(ExperimentRunner, MoreLoadMoreThroughputAndDelay) {
+  ExperimentConfig config = QuickConfig();
+  config.sim.workload.queue_length = 20;
+  const SimulationResult light = ExperimentRunner::Run(config).value().sim;
+  config.sim.workload.queue_length = 80;
+  const SimulationResult heavy = ExperimentRunner::Run(config).value().sim;
+  EXPECT_GT(heavy.requests_per_minute, light.requests_per_minute);
+  EXPECT_GT(heavy.mean_delay_minutes, light.mean_delay_minutes);
 }
 
-TEST(OpenThroughputDelayCurve, ThroughputTracksArrivalRate) {
-  const auto curve =
-      OpenThroughputDelayCurve(QuickConfig(), {600.0, 300.0}).value();
-  ASSERT_EQ(curve.size(), 2u);
+TEST(ExperimentRunner, OpenThroughputTracksArrivalRate) {
+  ExperimentConfig config = QuickConfig();
+  config.sim.workload.model = QueuingModel::kOpen;
   // Light load: throughput ~ 60/interarrival requests per minute.
-  EXPECT_NEAR(curve[0].throughput_req_per_min, 0.1, 0.04);
-  EXPECT_NEAR(curve[1].throughput_req_per_min, 0.2, 0.05);
+  config.sim.workload.mean_interarrival_seconds = 600;
+  EXPECT_NEAR(ExperimentRunner::Run(config).value().sim.requests_per_minute,
+              0.1, 0.04);
+  config.sim.workload.mean_interarrival_seconds = 300;
+  EXPECT_NEAR(ExperimentRunner::Run(config).value().sim.requests_per_minute,
+              0.2, 0.05);
 }
 
 TEST(DefaultSimSeconds, EnvOverride) {

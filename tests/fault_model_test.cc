@@ -1,11 +1,15 @@
-// Tests for the fault-injection draw engine: config validation, draw
-// gating, determinism, and the retry-escalation chain.
+// Tests for the fault-injection engine: config validation, draw gating,
+// determinism, the retry-escalation chain, and how the model applies and
+// counts robot slips and permanent errors.
 
 #include "sim/fault_model.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -195,6 +199,94 @@ TEST(FaultModel, RetriesNeverExceedBudget) {
       EXPECT_TRUE(outcome.permanent_error);
     }
   }
+}
+
+TEST(FaultModel, StatsSumTheDrawnOutcomes) {
+  FaultConfig config = AllOn();
+  config.transient_read_error_prob = 0.5;  // escalations are common
+  FaultModel model(config, 13);
+  int64_t retries = 0;
+  int64_t escalated = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const ReadOutcome outcome = model.NextReadOutcome();
+    retries += outcome.retries;
+    if (outcome.escalated) ++escalated;
+  }
+  double downtime = 0;
+  for (int i = 0; i < 100; ++i) downtime += model.NextRepairTime();
+  const FaultStats& stats = model.stats();
+  EXPECT_GT(escalated, 0);
+  EXPECT_EQ(stats.read_retries, retries);
+  EXPECT_EQ(stats.reads_escalated, escalated);
+  EXPECT_EQ(stats.transient_read_errors,
+            stats.read_retries + stats.reads_escalated);
+  // A permanent error is counted when it is settled, not when drawn.
+  EXPECT_EQ(stats.permanent_media_errors, 0);
+  EXPECT_EQ(stats.drive_failures, 100);
+  EXPECT_EQ(stats.drive_repair_seconds, downtime);
+}
+
+TEST(FaultModel, ChargeRobotSlipsChargesAndCountsEachSlip) {
+  FaultConfig config;
+  config.robot_fault_prob = 0.5;
+  FaultModel model(config, 5);
+  FaultModel twin(config, 5);  // draws the same slips
+  TinyRig rig(2);
+  const double robot = rig.model().params().robot_seconds;
+  int64_t slips = 0;
+  double seconds = 0;
+  for (TapeId i = 0; i < 40; ++i) {
+    rig.jukebox().SwitchTo(i % 2);
+    const int expected = twin.NextRobotFaults();
+    const double extra = model.ChargeRobotSlips(&rig.jukebox());
+    EXPECT_EQ(extra, expected * robot);
+    slips += expected;
+    seconds += extra;
+  }
+  EXPECT_GT(slips, 0);
+  EXPECT_EQ(model.stats().robot_faults, slips);
+  EXPECT_EQ(model.stats().robot_retry_seconds, seconds);
+}
+
+TEST(FaultModel, MaskPermanentErrorMasksAndCounts) {
+  // Block 0 on tapes 0 and 1, block 1 only on tape 0, block 2 on tapes 1
+  // and 2.
+  TinyRig rig(3);
+  rig.Place(0, 0, 0);
+  rig.Place(0, 1, 0);
+  rig.Place(1, 0, 1);
+  rig.Place(2, 1, 1);
+  rig.Place(2, 2, 0);
+  Catalog catalog = rig.BuildCatalog();
+  FaultModel model(FaultConfig{}, 1);
+  std::vector<BlockId> masked;
+
+  // A region error masks one replica; the block survives on tape 2.
+  EXPECT_TRUE(model.MaskPermanentError(&catalog, 2, 1, false, &masked));
+  EXPECT_EQ(masked, (std::vector<BlockId>{2}));
+  EXPECT_EQ(model.stats().permanent_media_errors, 1);
+  EXPECT_EQ(model.stats().replicas_masked, 1);
+  EXPECT_EQ(model.stats().blocks_lost, 0);
+
+  // The same region again: the error counts, nothing new is masked.
+  masked.clear();
+  EXPECT_FALSE(model.MaskPermanentError(&catalog, 2, 1, false, &masked));
+  EXPECT_TRUE(masked.empty());
+  EXPECT_EQ(model.stats().permanent_media_errors, 2);
+  EXPECT_EQ(model.stats().replicas_masked, 1);
+
+  // Tape 0 dies whole: blocks 0 and 1 are masked, and only block 1 had
+  // its last copy there.
+  EXPECT_TRUE(model.MaskPermanentError(&catalog, 0, 0, true, &masked));
+  std::sort(masked.begin(), masked.end());
+  EXPECT_EQ(masked, (std::vector<BlockId>{0, 1}));
+  const FaultStats& stats = model.stats();
+  EXPECT_EQ(stats.permanent_media_errors, 3);
+  EXPECT_EQ(stats.dead_tapes, 1);
+  EXPECT_EQ(stats.replicas_masked, 3);
+  EXPECT_EQ(stats.blocks_lost, 1);
+  EXPECT_TRUE(catalog.HasLiveReplica(0));
+  EXPECT_FALSE(catalog.HasLiveReplica(1));
 }
 
 TEST(FaultStats, AccumulateAndCompare) {

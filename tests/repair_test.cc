@@ -219,6 +219,29 @@ TEST(RepairEndToEnd, ScrubRetriesWaitOutTheRetryBackoff) {
             5000.0 * static_cast<double>(sim.faults.read_retries));
 }
 
+TEST(RepairEndToEnd, WholeTapeLossRobotSlipsAndBackoffTogether) {
+  // Scrub and repair under every fault class they share with client
+  // reads: whole-tape loss, robot slips on client and background mounts,
+  // and retries that back off.
+  ExperimentConfig config = RepairExperiment(3);
+  config.sim.faults.whole_tape_fraction = 0.3;
+  config.sim.faults.robot_fault_prob = 0.05;
+  config.sim.faults.retry_backoff_base_seconds = 20;
+  config.sim.faults.retry_backoff_max_seconds = 200;
+  const SimulationResult sim = ExperimentRunner::Run(config).value().sim;
+  ASSERT_TRUE(sim.repair_enabled);
+  EXPECT_GT(sim.repair.scrub_errors_detected, 0);
+  EXPECT_GT(sim.repair.repair_mounts, 0);
+  EXPECT_GT(sim.faults.robot_faults, 0);
+  EXPECT_GT(sim.faults.dead_tapes, 0);
+  EXPECT_GT(sim.faults.read_retries, 0);
+  EXPECT_EQ(sim.faults.transient_read_errors,
+            sim.faults.read_retries + sim.faults.reads_escalated);
+  EXPECT_EQ(sim.completed_total + sim.failed_requests +
+                sim.outstanding_at_end,
+            sim.issued_requests);
+}
+
 TEST(RepairEndToEnd, TokenBucketBoundsBackgroundIO) {
   // A hard token-bucket invariant: total background I/O (scrub reads +
   // repair writes, in MB) never exceeds burst + rate * elapsed.

@@ -5,7 +5,8 @@
 // dynamic max-bandwidth GreedyScheduler on a small jukebox, and then checks
 // that a repeated service cycle allocates nothing: arrivals, a major
 // reschedule, pops with arrivals joining scheduled entries, opening new
-// ones and deferring to the pending list in between, and pops to empty.
+// ones and deferring to the pending list in between, and pops to empty;
+// and the same cycle with batched arrivals.
 
 #include <gtest/gtest.h>
 
@@ -139,6 +140,23 @@ TEST_F(SweepAllocTest, SteadyStateCycleAllocatesNothing) {
   EXPECT_GT(opened_, 0);
   EXPECT_GT(joined_, 0);
   EXPECT_GT(deferred_, 0);
+  EXPECT_EQ(allocations, 0) << "over 20 cycles serving " << served
+                            << " requests";
+}
+
+TEST_F(SweepAllocTest, BatchedArrivalsAllocateNothing) {
+  // Staged arrivals flush in batches of 8; the staging buffer keeps its
+  // capacity across flushes.
+  SchedulerOptions options;
+  options.arrival_batch = 8;
+  scheduler_.emplace(&jukebox_, &*catalog_, TapePolicy::kMaxBandwidth,
+                     /*dynamic=*/true, options);
+  for (int i = 0; i < 5; ++i) Cycle();
+  const int64_t before = g_allocations;
+  int64_t served = 0;
+  for (int i = 0; i < 20; ++i) served += Cycle();
+  const int64_t allocations = g_allocations - before;
+  EXPECT_GT(served, 20 * 40);
   EXPECT_EQ(allocations, 0) << "over 20 cycles serving " << served
                             << " requests";
 }

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
@@ -106,7 +108,7 @@ TEST(TraceReplay, SameTraceSameResults) {
     sim_config.duration_seconds = 300'000;
     sim_config.warmup_seconds = 30'000;
     Simulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler, sim_config,
-                  TraceToRequests(trace));
+                  TraceToRequests(rig.catalog, trace).value());
     return sim.Run();
   };
   const SimulationResult a = run();
@@ -140,7 +142,7 @@ TEST(TraceReplay, EquivalentToGeneratorDrivenOpenRun) {
   Rig replay_rig;
   Simulator replayed(&replay_rig.jukebox, &replay_rig.catalog,
                      &replay_rig.scheduler, sim_config,
-                     TraceToRequests(trace));
+                     TraceToRequests(replay_rig.catalog, trace).value());
   const SimulationResult b = replayed.Run();
 
   EXPECT_EQ(a.completed_requests, b.completed_requests);
@@ -162,7 +164,7 @@ TEST(TraceReplay, TwoDriveReplayConservesArrivals) {
   sim_config.duration_seconds = 300'000;
   sim_config.warmup_seconds = 30'000;
   Simulator sim(&rig.jukebox, &rig.catalog, rig.scheduler.get(), sim_config,
-                TraceToRequests(trace));
+                TraceToRequests(rig.catalog, trace).value());
   const SimulationResult result = sim.Run();
   // Every trace arrival up to the end of the run is issued exactly once,
   // and each issued request is settled or still outstanding.
@@ -176,6 +178,24 @@ TEST(TraceReplay, TwoDriveReplayConservesArrivals) {
                 result.outstanding_at_end,
             result.issued_requests);
   ASSERT_EQ(result.time_in_state.size(), 2u);
+}
+
+TEST(TraceReplay, UnknownBlockIsAnError) {
+  // A trace saved against a larger layout names blocks this one lacks: the
+  // conversion reports it instead of the simulator aborting.
+  Rig rig;
+  const BlockId past_end = rig.catalog.num_blocks();
+  const StatusOr<std::vector<Request>> requests = TraceToRequests(
+      rig.catalog, {TraceRecord{1.0, 0}, TraceRecord{2.0, past_end}});
+  ASSERT_FALSE(requests.ok());
+  EXPECT_EQ(requests.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(requests.status().message().find(std::to_string(past_end)),
+            std::string::npos);
+  EXPECT_FALSE(TraceToRequests(rig.catalog, {TraceRecord{1.0, -1}}).ok());
+  const StatusOr<std::vector<Request>> valid = TraceToRequests(
+      rig.catalog, {TraceRecord{1.0, 0}, TraceRecord{2.0, past_end - 1}});
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  EXPECT_EQ(valid->size(), 2u);
 }
 
 TEST(TraceReplayDeathTest, RejectsUnknownBlocks) {

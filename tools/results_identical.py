@@ -9,13 +9,17 @@ identical.
 
 Usage:
   results_identical.py --before BUILD_A --after BUILD_B \\
-      [--quick] [--sim-seconds N] [--seed S] [--bench NAME ...]
+      [--quick] [--sim-seconds N] [--seed S] [--bench NAME ...] \\
+      [--bench-flag=FLAG ...]
 
 BUILD_A/BUILD_B are CMake build directories (the binaries live in
 <build>/bench/). --bench restricts the run to the named benches
 (default: every fig*/abl_*/ext_* binary present in both trees; one
 present in only one tree is reported and skipped). Results land in a
 temporary directory, removed on success and kept on failure.
+--bench-flag passes one more flag through to every bench on both sides
+(e.g. --bench-flag=--fault-whole-tape=0.3); write it with "=" so a
+leading "--" is not read as an option of this script.
 
 Exits 0 when every results file matches, 1 on any difference, missing
 file, or bench failure.
@@ -93,6 +97,10 @@ def main():
     parser.add_argument("--seed", type=int, help="workload seed")
     parser.add_argument("--bench", action="append", default=[],
                         help="bench to run (repeatable; default: all)")
+    parser.add_argument("--bench-flag", action="append", default=[],
+                        metavar="FLAG",
+                        help="flag passed through to every bench "
+                             "(repeatable)")
     args = parser.parse_args()
 
     # Benches record their thread count in the results, so both sides
@@ -104,6 +112,7 @@ def main():
         flags.append("--sim-seconds=%g" % args.sim_seconds)
     if args.seed is not None:
         flags.append("--seed=%d" % args.seed)
+    flags.extend(args.bench_flag)
 
     benches = args.bench
     if not benches:
