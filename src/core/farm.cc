@@ -301,8 +301,10 @@ void FarmSimulator::WriteTimelines(
                         ",\"final_counters\":{";
   for (size_t c = 0; c < names.size(); ++c) {
     if (c > 0) summary += ",";
-    summary += "\"" + JsonEscape(names[c]) +
-               "\":" + std::to_string(farm.final_counters[c]);
+    summary += "\"";
+    summary += JsonEscape(names[c]);
+    summary += "\":";
+    summary += std::to_string(farm.final_counters[c]);
   }
   summary += "}}";
 

@@ -19,7 +19,9 @@ std::string NameArray(const std::vector<std::string>& names) {
   std::string out = "[";
   for (size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(names[i]) + "\"";
+    out += "\"";
+    out += JsonEscape(names[i]);
+    out += "\"";
   }
   out += "]";
   return out;
@@ -131,8 +133,10 @@ void TimelineSampler::EmitRow(double t) {
         << "counter \"" << registry_.counters_[i].name << "\" decreased";
     prev_counters_[i] = v;
     if (i > 0) row += ",";
-    row += "\"" + JsonEscape(registry_.counters_[i].name) +
-           "\":" + JsonInt(v);
+    row += "\"";
+    row += JsonEscape(registry_.counters_[i].name);
+    row += "\":";
+    row += JsonInt(v);
   }
 
   row += "},\"gauges\":{";
@@ -142,8 +146,10 @@ void TimelineSampler::EmitRow(double t) {
       summary_.peak_queue_depth = std::max(summary_.peak_queue_depth, v);
     }
     if (i > 0) row += ",";
-    row += "\"" + JsonEscape(registry_.gauges_[i].name) +
-           "\":" + JsonDouble(v);
+    row += "\"";
+    row += JsonEscape(registry_.gauges_[i].name);
+    row += "\":";
+    row += JsonDouble(v);
   }
 
   row += "},\"accums\":{";
@@ -152,8 +158,10 @@ void TimelineSampler::EmitRow(double t) {
     double delta = v - prev_accums_[i];
     prev_accums_[i] = v;
     if (i > 0) row += ",";
-    row += "\"" + JsonEscape(registry_.accums_[i].name) +
-           "\":" + JsonDouble(delta);
+    row += "\"";
+    row += JsonEscape(registry_.accums_[i].name);
+    row += "\":";
+    row += JsonDouble(delta);
   }
 
   row += "},\"windows\":{";
@@ -165,10 +173,15 @@ void TimelineSampler::EmitRow(double t) {
       summary_.worst_window_p99 = std::max(summary_.worst_window_p99, p99);
     }
     if (i > 0) row += ",";
-    row += "\"" + JsonEscape(registry_.windows_[i].name) +
-           "\":{\"count\":" + JsonInt(w->count()) +
-           ",\"p50\":" + JsonDouble(p50) + ",\"p99\":" + JsonDouble(p99) +
-           "}";
+    row += "\"";
+    row += JsonEscape(registry_.windows_[i].name);
+    row += "\":{\"count\":";
+    row += JsonInt(w->count());
+    row += ",\"p50\":";
+    row += JsonDouble(p50);
+    row += ",\"p99\":";
+    row += JsonDouble(p99);
+    row += "}";
     w->Reset();
   }
   row += "}}";
@@ -194,8 +207,10 @@ std::string TimelineSampler::RenderSummary() const {
   out += ",\"final_counters\":{";
   for (size_t i = 0; i < registry_.counters_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(registry_.counters_[i].name) +
-           "\":" + JsonInt(summary_.final_counters[i]);
+    out += "\"";
+    out += JsonEscape(registry_.counters_[i].name);
+    out += "\":";
+    out += JsonInt(summary_.final_counters[i]);
   }
   out += "}}";
   return out;

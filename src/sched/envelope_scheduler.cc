@@ -88,22 +88,30 @@ TapeId SelectBestTape(const std::vector<std::vector<Ext>>& ext,
 /// *max* element (the envelope edge), so a flat vector with a tracked max
 /// index is enough. Ties on position resolve to the latest insertion
 /// (matching multimap::rbegin, which lands on the last-inserted element
-/// among equal keys).
+/// among equal keys). Items name their request by its index in the
+/// kernel's input.
 struct AssignedList {
   struct Item {
     Position position;
-    int64_t seq;
-    Request request;
+    uint32_t seq;
+    uint32_t index;
   };
 
   std::vector<Item> items;
   size_t max_index = 0;
-  int64_t next_seq = 0;
+  uint32_t next_seq = 0;
 
   bool empty() const { return items.empty(); }
 
-  void Add(Position position, const Request& request) {
-    items.push_back(Item{position, next_seq++, request});
+  /// Empties the list, keeping its capacity.
+  void Clear() {
+    items.clear();
+    max_index = 0;
+    next_seq = 0;
+  }
+
+  void Add(Position position, uint32_t index) {
+    items.push_back(Item{position, next_seq++, index});
     // >= : among equal positions the later insertion wins (seq is higher).
     if (items.size() == 1 || position >= items[max_index].position) {
       max_index = items.size() - 1;
@@ -116,7 +124,7 @@ struct AssignedList {
   }
 
   void RemoveMax() {
-    items[max_index] = std::move(items.back());
+    items[max_index] = items.back();
     items.pop_back();
     max_index = 0;
     for (size_t i = 1; i < items.size(); ++i) {
@@ -161,34 +169,73 @@ void CheckEnvelopeResultsEqual(
 
 /// Mutable state shared by the two extension kernels: the result being
 /// built, the per-tape assigned lists consumed by step 5, and the stable
-/// post-step-2 unscheduled vector.
+/// post-step-2 unscheduled vector. Requests are named by their index in
+/// the kernel's input (`requests`). The incremental kernel keeps one state
+/// across calls and Reset() clears it keeping every buffer's capacity.
 struct EnvelopeScheduler::KernelState {
+  /// The kernel's input, set by Reset() for one call.
+  const std::vector<Request>* requests = nullptr;
   EnvelopeResult result;
   /// Per-tape assigned requests with their replica positions (several
   /// requests can name the same block; step 5 reads/removes the max).
   std::vector<AssignedList> assigned;
-  /// Requests left unscheduled by step 2, in arrival order. Never
-  /// reordered; the kernels track progress through side bitmaps.
-  std::vector<Request> unscheduled;
+  /// Indices of the requests left unscheduled by step 2, in arrival order.
+  /// Never reordered; the kernels track progress through side bitmaps.
+  std::vector<uint32_t> unscheduled;
+  /// Step 1's finding for each request: its only live replica, or null
+  /// when it has several (or none).
+  std::vector<const Replica*> sole_live;
+  /// When non-null, step 2 appends every live replica of each request it
+  /// leaves unscheduled to its tape's list here, with `uid` the request's
+  /// place in `unscheduled` (the incremental kernel's extension lists).
+  std::vector<std::vector<Ext>>* ext = nullptr;
   int64_t shrinks_done = 0;
   int64_t max_shrinks = 0;
-  /// When false, the per-request assignment map is not materialized (the
-  /// production reschedule path only consumes the envelope; the map is for
-  /// the oracle cross-check and the theory validation).
+  /// When false, the per-request assignment map and the step-2 snapshot
+  /// are not materialized (the production reschedule path only consumes
+  /// the envelope; they are for the oracle cross-check and the theory
+  /// validation).
   bool want_assignment = true;
   int64_t assigns_done = 0;  ///< Assign calls (reassignments included)
 
-  void Assign(const Request& request, const Replica& replica) {
-    if (want_assignment) result.assignment[request.id] = replica;
+  void Reset(const std::vector<Request>& input, int32_t num_tapes) {
+    const auto tapes = static_cast<size_t>(num_tapes);
+    requests = &input;
+    result.envelope.assign(tapes, 0);
+    result.scheduled_per_tape.assign(tapes, 0);
+    result.assignment.clear();
+    result.initial_envelope.clear();
+    result.initially_unscheduled.clear();
+    assigned.resize(tapes);
+    for (AssignedList& list : assigned) list.Clear();
+    unscheduled.clear();
+    sole_live.clear();
+    if (ext != nullptr) {
+      ext->resize(tapes);
+      for (std::vector<Ext>& list : *ext) list.clear();
+    }
+    shrinks_done = 0;
+    max_shrinks = static_cast<int64_t>(input.size()) * num_tapes + 16;
+    assigns_done = 0;
+    // Every request is assigned once and step 5 reassigns at most
+    // max_shrinks times, so request indices and AssignedList sequence
+    // numbers fit in 32 bits.
+    TJ_CHECK_LE(static_cast<int64_t>(input.size()) + max_shrinks,
+                int64_t{UINT32_MAX});
+  }
+
+  void Assign(uint32_t index, const Replica& replica) {
+    if (want_assignment) result.assignment[(*requests)[index].id] = replica;
     ++assigns_done;
     ++result.scheduled_per_tape[static_cast<size_t>(replica.tape)];
-    assigned[static_cast<size_t>(replica.tape)].Add(replica.position, request);
+    assigned[static_cast<size_t>(replica.tape)].Add(replica.position, index);
   }
 };
 
-/// Reusable kernel temporaries: survive across reschedules so the hot path
-/// performs no per-call vector allocation once the buffers are warm.
+/// Reusable kernel state and temporaries: survive across reschedules so
+/// the hot path performs no per-call allocation once the buffers are warm.
 struct EnvelopeScheduler::KernelScratch {
+  KernelState state;
   std::vector<std::vector<Ext>> ext;
   std::vector<TapeScore> score;
   std::vector<char> dirty;
@@ -197,9 +244,6 @@ struct EnvelopeScheduler::KernelScratch {
   /// Slot-bucketing scratch for BucketExtListBySlot.
   std::vector<size_t> slot_counts;
   std::vector<Ext> bucketed;
-  /// In-envelope replicas of the request being placed (step 2 absorb and
-  /// step 5 moves); refilled on every use.
-  std::vector<const Replica*> inside;
 };
 
 EnvelopeScheduler::EnvelopeScheduler(const Jukebox* jukebox,
@@ -219,58 +263,49 @@ std::string EnvelopeScheduler::name() const {
   return std::string(TapePolicyName(policy_)) + " envelope";
 }
 
-const Replica* EnvelopeScheduler::ChooseInsideReplica(
-    const std::vector<const Replica*>& inside,
+bool EnvelopeScheduler::PrefersInsideReplica(
+    const Replica& candidate, const Replica* best,
     const std::vector<int64_t>& scheduled_per_tape, TapeId mounted) const {
-  TJ_CHECK(!inside.empty());
+  if (best == nullptr) return true;
   if (!options_.paper_replica_tiebreak) {
     // Ablation: lowest tape id, ignoring drive state and schedule sizes.
-    return *std::min_element(inside.begin(), inside.end(),
-                             [](const Replica* a, const Replica* b) {
-                               return a->tape < b->tape;
-                             });
+    return candidate.tape < best->tape;
   }
+  // Paper: the mounted tape first.
+  if (best->tape == mounted) return false;
+  if (candidate.tape == mounted) return true;
+  const int64_t count =
+      scheduled_per_tape[static_cast<size_t>(candidate.tape)];
+  const int64_t best_count = scheduled_per_tape[static_cast<size_t>(best->tape)];
+  if (count != best_count) return count > best_count;
   const int32_t num_tapes = jukebox_->num_tapes();
-  const Replica* best = nullptr;
-  for (const Replica* replica : inside) {
-    if (replica->tape == mounted) return replica;  // paper: mounted first
-    if (best == nullptr) {
-      best = replica;
-      continue;
-    }
-    const int64_t count = scheduled_per_tape[static_cast<size_t>(
-        replica->tape)];
-    const int64_t best_count =
-        scheduled_per_tape[static_cast<size_t>(best->tape)];
-    if (count > best_count) {
-      best = replica;
-    } else if (count == best_count &&
-               ScanRankFrom(replica->tape, mounted + 1, num_tapes) <
-                   ScanRankFrom(best->tape, mounted + 1, num_tapes)) {
-      best = replica;
-    }
-  }
-  return best;
+  return ScanRankFrom(candidate.tape, mounted + 1, num_tapes) <
+         ScanRankFrom(best->tape, mounted + 1, num_tapes);
 }
 
-bool EnvelopeScheduler::TryAbsorb(const Request& request, KernelState* state,
+bool EnvelopeScheduler::TryAbsorb(uint32_t index, KernelState* state,
                                   EnvelopeCounters* counters) const {
   const int64_t block_mb = jukebox_->config().block_size_mb;
+  const TapeId mounted = jukebox_->mounted_tape();
   const auto& env = state->result.envelope;
-  std::vector<const Replica*>& inside = Scratch().inside;
-  inside.clear();
-  for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
+  const Replica* chosen = nullptr;
+  int inside = 0;
+  for (const Replica& replica :
+       catalog_->ReplicasOf((*state->requests)[index].block)) {
     if (!catalog_->IsAlive(replica)) continue;
-    if (replica.position + block_mb <=
+    if (replica.position + block_mb >
         env[static_cast<size_t>(replica.tape)]) {
-      inside.push_back(&replica);
+      continue;
+    }
+    ++inside;
+    if (PrefersInsideReplica(replica, chosen,
+                             state->result.scheduled_per_tape, mounted)) {
+      chosen = &replica;
     }
   }
-  if (inside.empty()) return false;
-  if (inside.size() > 1) ++counters->multi_replica_choices;
-  state->Assign(request,
-                *ChooseInsideReplica(inside, state->result.scheduled_per_tape,
-                                     jukebox_->mounted_tape()));
+  if (chosen == nullptr) return false;
+  if (inside > 1) ++counters->multi_replica_choices;
+  state->Assign(index, *chosen);
   return true;
 }
 
@@ -281,14 +316,10 @@ void EnvelopeScheduler::BuildInitialEnvelope(
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const TapeId mounted = jukebox_->mounted_tape();
 
-  state->result.envelope.assign(static_cast<size_t>(num_tapes), 0);
-  state->result.scheduled_per_tape.assign(static_cast<size_t>(num_tapes), 0);
+  state->Reset(requests, num_tapes);
   if (state->want_assignment) {
     state->result.assignment.reserve(requests.size());
   }
-  state->assigned.resize(static_cast<size_t>(num_tapes));
-  state->max_shrinks =
-      static_cast<int64_t>(requests.size()) * num_tapes + 16;
   auto& env = state->result.envelope;
 
   // Step 1: the highest non-replicated request on each tape pins the
@@ -310,23 +341,43 @@ void EnvelopeScheduler::BuildInitialEnvelope(
       Position& edge = env[static_cast<size_t>(sole_live->tape)];
       edge = std::max(edge, sole_live->position + block_mb);
     }
+    state->sole_live.push_back(multiple_live ? nullptr : sole_live);
   }
   if (mounted != kInvalidTape) {
     env[static_cast<size_t>(mounted)] =
         std::max(env[static_cast<size_t>(mounted)], jukebox_->head());
   }
 
-  // Step 2: absorb every request with a replica inside the envelope.
-  for (const Request& request : requests) {
-    if (!TryAbsorb(request, state, counters)) {
-      state->unscheduled.push_back(request);
+  // Step 2: absorb every request with a replica inside the envelope. Step
+  // 1 pinned the envelope past every sole live replica, so those requests
+  // are absorbed there without another walk. The envelope does not move
+  // during step 2, so the rest can go onto their extension lists right
+  // away; uids ascend, as slot bucketing requires.
+  const auto num_requests = static_cast<uint32_t>(requests.size());
+  for (uint32_t i = 0; i < num_requests; ++i) {
+    if (const Replica* only = state->sole_live[i]) {
+      state->Assign(i, *only);
+      continue;
     }
+    if (TryAbsorb(i, state, counters)) continue;
+    if (state->ext != nullptr) {
+      const size_t uid = state->unscheduled.size();
+      for (const Replica& replica : catalog_->ReplicasOf(requests[i].block)) {
+        if (!catalog_->IsAlive(replica)) continue;
+        TJ_DCHECK(replica.position >= env[static_cast<size_t>(replica.tape)]);
+        (*state->ext)[static_cast<size_t>(replica.tape)].push_back(
+            Ext{replica.position, uid, &replica});
+      }
+    }
+    state->unscheduled.push_back(i);
   }
-  state->result.initial_envelope = env;
   // Like the assignment map, the (S1, remaining) snapshot only feeds the
   // oracle and the theory checks.
   if (state->want_assignment) {
-    state->result.initially_unscheduled = state->unscheduled;
+    state->result.initial_envelope = env;
+    for (const uint32_t index : state->unscheduled) {
+      state->result.initially_unscheduled.push_back(requests[index]);
+    }
   }
 }
 
@@ -337,6 +388,7 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const TapeId mounted = jukebox_->mounted_tape();
   const Position head = jukebox_->head();
+  const std::vector<Request>& requests = *state->requests;
   auto& env = state->result.envelope;
   auto& counts = state->result.scheduled_per_tape;
 
@@ -356,7 +408,7 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
       if (edge.position + block_mb != env[static_cast<size_t>(a)]) continue;
       bool movable = false;
       for (const Replica& replica :
-           catalog_->ReplicasOf(edge.request.block)) {
+           catalog_->ReplicasOf(requests[edge.index].block)) {
         if (!catalog_->IsAlive(replica)) continue;
         if (replica.tape != a &&
             replica.position + block_mb <=
@@ -380,21 +432,23 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
     ++counters->shrink_moves;
 
     auto& on_a = state->assigned[static_cast<size_t>(shrink_tape)];
-    const Request moved = on_a.Max().request;
-    std::vector<const Replica*>& inside = Scratch().inside;
-    inside.clear();
-    for (const Replica& replica : catalog_->ReplicasOf(moved.block)) {
-      if (!catalog_->IsAlive(replica)) continue;
-      if (replica.tape != shrink_tape &&
-          replica.position + block_mb <=
-              env[static_cast<size_t>(replica.tape)]) {
-        inside.push_back(&replica);
-      }
-    }
-    TJ_CHECK(!inside.empty());
+    const uint32_t moved = on_a.Max().index;
     on_a.RemoveMax();
     --counts[static_cast<size_t>(shrink_tape)];
-    const Replica* target = ChooseInsideReplica(inside, counts, mounted);
+    // The move target: an in-envelope replica on another tape, picked by
+    // the step-2 tie-break.
+    const Replica* target = nullptr;
+    for (const Replica& replica : catalog_->ReplicasOf(requests[moved].block)) {
+      if (!catalog_->IsAlive(replica) || replica.tape == shrink_tape ||
+          replica.position + block_mb >
+              env[static_cast<size_t>(replica.tape)]) {
+        continue;
+      }
+      if (PrefersInsideReplica(replica, target, counts, mounted)) {
+        target = &replica;
+      }
+    }
+    TJ_CHECK(target != nullptr);
     state->Assign(moved, *target);
     // Retreat the donor envelope to its preceding scheduled request (or
     // the head / beginning of tape).
@@ -407,7 +461,7 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
   }
 }
 
-EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
+EnvelopeScheduler::EnvelopeResult& EnvelopeScheduler::RunIncrementalKernel(
     const std::vector<Request>& requests, EnvelopeCounters* counters,
     bool want_assignment) const {
   const int32_t num_tapes = jukebox_->num_tapes();
@@ -415,31 +469,22 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
   const TapeId mounted = jukebox_->mounted_tape();
   const TimingModel& model = jukebox_->model();
 
-  KernelState state;
+  KernelScratch& scratch = Scratch();
+  KernelState& state = scratch.state;
   state.want_assignment = want_assignment;
+  state.ext = &scratch.ext;
   BuildInitialEnvelope(requests, &state, counters);
   auto& env = state.result.envelope;
   auto& counts = state.result.scheduled_per_tape;
-  const std::vector<Request>& unscheduled = state.unscheduled;
+  const std::vector<uint32_t>& unscheduled = state.unscheduled;
   const size_t n = unscheduled.size();
-  if (n == 0) return std::move(state.result);
+  if (n == 0) return state.result;
 
-  // Steps 3-6, incremental form. The per-tape extension lists are built
-  // and sorted once; scheduled entries are lazily dropped, and a tape's
-  // prefix scan is re-run only when its envelope edge moved or its list
-  // lost entries (`dirty`).
-  KernelScratch& scratch = Scratch();
+  // Steps 3-6, incremental form. Step 2 built the per-tape extension
+  // lists; they are sorted once here, scheduled entries are lazily
+  // dropped, and a tape's prefix scan is re-run only when its envelope
+  // edge moved or its list lost entries (`dirty`).
   auto& ext = scratch.ext;
-  ext.resize(static_cast<size_t>(num_tapes));
-  for (auto& list : ext) list.clear();
-  for (size_t i = 0; i < n; ++i) {
-    for (const Replica& replica : catalog_->ReplicasOf(unscheduled[i].block)) {
-      if (!catalog_->IsAlive(replica)) continue;
-      TJ_DCHECK(replica.position >= env[static_cast<size_t>(replica.tape)]);
-      ext[static_cast<size_t>(replica.tape)].push_back(
-          Ext{replica.position, i, &replica});
-    }
-  }
   // Lists are built in ascending uid order, so bucketing by slot yields
   // the (position, uid) order the oracles reach with a comparator sort.
   for (auto& list : ext) {
@@ -461,7 +506,8 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
     done[uid] = 1;
     --remaining;
     state.Assign(unscheduled[uid], replica);
-    for (const Replica& r : catalog_->ReplicasOf(unscheduled[uid].block)) {
+    for (const Replica& r :
+         catalog_->ReplicasOf(requests[unscheduled[uid]].block)) {
       dirty[static_cast<size_t>(r.tape)] = 1;
     }
   };
@@ -493,7 +539,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
         for (size_t i = 0; i < n; ++i) {
           if (done[i]) continue;
           for (const Replica& replica :
-               catalog_->ReplicasOf(unscheduled[i].block)) {
+               catalog_->ReplicasOf(requests[unscheduled[i]].block)) {
             if (replica.tape != t || !catalog_->IsAlive(replica)) continue;
             fresh.push_back(Ext{replica.position, i, &replica});
           }
@@ -535,8 +581,8 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
     for (size_t k = 0; k < best_len; ++k) {
       const Replica& replica = *winner[k].replica;
       TJ_DCHECK(replica ==
-                *catalog_->ReplicaOn(unscheduled[winner[k].uid].block,
-                                     best_tape))
+                *catalog_->ReplicaOn(
+                    requests[unscheduled[winner[k].uid]].block, best_tape))
           << "extension entry does not match the catalog replica";
       schedule(winner[k].uid, replica);
     }
@@ -560,14 +606,14 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
       done[uid] = 1;
       --remaining;
       for (const Replica& r :
-           catalog_->ReplicasOf(unscheduled[uid].block)) {
+           catalog_->ReplicasOf(requests[unscheduled[uid]].block)) {
         dirty[static_cast<size_t>(r.tape)] = 1;
       }
     }
 
     RunShrinkLoop(&state, counters, &dirty);
   }
-  return std::move(state.result);
+  return state.result;
 }
 
 EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
@@ -581,7 +627,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
   BuildInitialEnvelope(requests, &state, counters);
   auto& env = state.result.envelope;
   auto& counts = state.result.scheduled_per_tape;
-  const std::vector<Request>& unscheduled = state.unscheduled;
+  const std::vector<uint32_t>& unscheduled = state.unscheduled;
   const size_t n = unscheduled.size();
 
   std::vector<bool> done(n, false);
@@ -594,7 +640,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
     for (size_t i = 0; i < n; ++i) {
       if (done[i]) continue;
       for (const Replica& replica :
-           catalog_->ReplicasOf(unscheduled[i].block)) {
+           catalog_->ReplicasOf(requests[unscheduled[i]].block)) {
         if (!catalog_->IsAlive(replica)) continue;
         TJ_DCHECK(replica.position >=
                   env[static_cast<size_t>(replica.tape)]);
@@ -647,7 +693,8 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
 
 EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::ComputeUpperEnvelope(
     const std::vector<Request>& requests) const {
-  return RunIncrementalKernel(requests, &counters_, /*want_assignment=*/true);
+  return std::move(
+      RunIncrementalKernel(requests, &counters_, /*want_assignment=*/true));
 }
 
 EnvelopeScheduler::EnvelopeResult
@@ -661,7 +708,7 @@ void EnvelopeScheduler::CrossCheckEnvelope(
     const std::vector<Request>& requests) const {
   EnvelopeCounters incremental_counters;
   EnvelopeCounters reference_counters;
-  const EnvelopeResult incremental = RunIncrementalKernel(
+  const EnvelopeResult& incremental = RunIncrementalKernel(
       requests, &incremental_counters, /*want_assignment=*/true);
   const EnvelopeResult reference =
       RunReferenceKernel(requests, &reference_counters);
@@ -720,8 +767,9 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   const int64_t rescored_before = counters_.tapes_rescored;
   // The kernels read the pending list in place (nothing mutates it before
   // ExtractSweepForTape). The assignment map is only materialized for the
-  // oracle comparison; the reschedule itself consumes the envelope alone.
-  EnvelopeResult result = RunIncrementalKernel(
+  // oracle comparison; the reschedule itself consumes the envelope alone,
+  // read in place from the kernel's scratch state.
+  EnvelopeResult& result = RunIncrementalKernel(
       pending_, &counters_, /*want_assignment=*/options_.validate_envelope);
   if (options_.validate_envelope) {
     EnvelopeCounters scratch;
@@ -753,7 +801,8 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // edge check in ShrinkActiveSweep compares against the envelope, which
   // riders by definition exceed, so shrinking simply stops there).
   PiggybackBackground(tape);
-  envelope_ = std::move(result.envelope);
+  // A swap, not a move: the scratch keeps a buffer for the next call.
+  envelope_.swap(result.envelope);
   envelope_valid_ = true;
   epoch_visits_ = 1;
   return tape;

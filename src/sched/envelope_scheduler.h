@@ -20,11 +20,14 @@
 // corresponding dynamic greedy algorithm.
 //
 // The extension kernel is *incremental*: the per-tape extension lists are
-// built once per call and maintained in place as requests are scheduled,
-// and per-tape prefix-bandwidth scores are cached and re-evaluated only for
-// tapes whose envelope edge or list contents changed since the last round;
-// the best tape is then a linear scan over the cached scores. Two policy
-// knobs amortize the kernel at deep queues (SchedulerOptions::
+// built once per call, during step 2, and maintained in place as requests
+// are scheduled, and per-tape prefix-bandwidth scores are cached and
+// re-evaluated only for tapes whose envelope edge or list contents changed
+// since the last round; the best tape is then a linear scan over the
+// cached scores. The kernel refers to requests by their index in its input
+// (the pending list on the production path) and keeps its state across
+// calls, so a warm reschedule copies no request and allocates nothing. Two
+// policy knobs amortize the kernel at deep queues (SchedulerOptions::
 // arrival_batch, reschedule_epoch); see docs/ALGORITHM.md.
 //
 // The original from-scratch computation is kept as
@@ -35,6 +38,7 @@
 #ifndef TAPEJUKE_SCHED_ENVELOPE_SCHEDULER_H_
 #define TAPEJUKE_SCHED_ENVELOPE_SCHEDULER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -74,7 +78,10 @@ class EnvelopeScheduler : public Scheduler {
     std::vector<int64_t> scheduled_per_tape;
     /// Per-tape envelope at the end of step 2 (before any extension) and
     /// the requests that were still unscheduled then — the (S1, remaining)
-    /// pair of Theorems 1-2.
+    /// pair of Theorems 1-2. Like `assignment`, filled only where the
+    /// result is materialized: ComputeUpperEnvelope, the reference kernel
+    /// and the oracle cross-checks. A production reschedule reads only the
+    /// envelope and skips all three (unless validate_envelope is on).
     std::vector<Position> initial_envelope;
     std::vector<Request> initially_unscheduled;
   };
@@ -128,15 +135,17 @@ class EnvelopeScheduler : public Scheduler {
   struct KernelState;
   struct KernelScratch;
 
-  /// Steps 1-2: pins the initial envelope and absorbs every request with
-  /// an in-envelope replica; fills state->unscheduled with the rest.
+  /// Steps 1-2: resets `state` for `requests`, pins the initial envelope
+  /// and absorbs every request with an in-envelope replica; fills
+  /// state->unscheduled with the indices of the rest (and their extension
+  /// lists, when the state has them).
   void BuildInitialEnvelope(const std::vector<Request>& requests,
                             KernelState* state,
                             EnvelopeCounters* counters) const;
 
-  /// If some replica of `request` lies inside the envelope, assigns the
-  /// request there (per the step-2 tie-break) and returns true.
-  bool TryAbsorb(const Request& request, KernelState* state,
+  /// If some replica of request `index` lies inside the envelope, assigns
+  /// the request there (per the step-2 tie-break) and returns true.
+  bool TryAbsorb(uint32_t index, KernelState* state,
                  EnvelopeCounters* counters) const;
 
   /// Step 5: moves redundant envelope-edge blocks to covered replicas and
@@ -145,21 +154,31 @@ class EnvelopeScheduler : public Scheduler {
   void RunShrinkLoop(KernelState* state, EnvelopeCounters* counters,
                      std::vector<char>* dirty) const;
 
-  /// Kernel bodies behind the public entry points. With `want_assignment`
-  /// false the per-request assignment map is not materialized (the
-  /// production reschedule path only reads the envelope; the map feeds the
-  /// oracle and the theory checks).
-  EnvelopeResult RunIncrementalKernel(const std::vector<Request>& requests,
-                                      EnvelopeCounters* counters,
-                                      bool want_assignment) const;
+  /// Kernel bodies behind the public entry points. The incremental kernel
+  /// works in the reusable scratch state and returns its result in place,
+  /// valid until the next call. With `want_assignment` false the
+  /// per-request assignment map and the step-2 snapshot are not
+  /// materialized (the production reschedule path only reads the
+  /// envelope; they feed the oracle and the theory checks). The reference
+  /// kernel builds a fresh state of its own on every call, so the oracle
+  /// shares nothing with the code it checks.
+  EnvelopeResult& RunIncrementalKernel(const std::vector<Request>& requests,
+                                       EnvelopeCounters* counters,
+                                       bool want_assignment) const;
   EnvelopeResult RunReferenceKernel(const std::vector<Request>& requests,
                                     EnvelopeCounters* counters) const;
 
-  /// Picks a replica for a request among `inside` (replicas inside the
-  /// envelope) per the step-2 tie-break. Requires `inside` non-empty.
-  const Replica* ChooseInsideReplica(
-      const std::vector<const Replica*>& inside,
-      const std::vector<int64_t>& scheduled_per_tape, TapeId mounted) const;
+  /// The tie-break between two in-envelope replicas of a request (step 2
+  /// absorbs and step 5 moves): true when `candidate` beats `best`
+  /// (always, when `best` is null). The mounted tape comes first, then
+  /// the tape with the most scheduled requests, then scan order from the
+  /// mounted tape; under the ablation (!paper_replica_tiebreak), the
+  /// lowest tape id. A block's replicas lie on distinct tapes, so this is
+  /// a strict order and a walk keeping each preferred replica picks the
+  /// same one in any walk order.
+  bool PrefersInsideReplica(const Replica& candidate, const Replica* best,
+                            const std::vector<int64_t>& scheduled_per_tape,
+                            TapeId mounted) const;
 
   /// Step 5: shrink the active sweep's envelope after `extended_tape` was
   /// extended (incremental variant): any block scheduled at the outer edge
@@ -175,8 +194,9 @@ class EnvelopeScheduler : public Scheduler {
   /// has an in-envelope replica (caller falls back to a full recompute).
   TapeId TryEpochReschedule();
 
-  /// Lazily allocated reusable scratch (kernel temporaries survive across
-  /// calls to avoid per-reschedule vector churn).
+  /// Lazily allocated reusable scratch (the incremental kernel's state and
+  /// temporaries survive across calls, so a warm reschedule allocates
+  /// nothing).
   KernelScratch& Scratch() const;
 
   TapePolicy policy_;

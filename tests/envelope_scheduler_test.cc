@@ -356,6 +356,101 @@ TEST_P(EnvelopeKernelFuzz, IncrementalMatchesReferenceKernel) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, EnvelopeKernelFuzz,
                          ::testing::Range<uint64_t>(1, 31));
 
+// The incremental kernel keeps its state across calls: the per-tape
+// assigned lists, the unscheduled indices, the extension lists and the
+// step-5 budget are cleared, not rebuilt. One scheduler runs a sequence of
+// calls whose input grows and shrinks (empty, one request, then 2k
+// requests over a few dozen blocks alternating with small inputs, so state
+// left over from a large call would show), with the mounted tape, the
+// head and the live replicas changing between calls; every call must
+// match the reference kernel, which starts from a fresh state each time.
+class EnvelopeKernelReuse : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EnvelopeKernelReuse, EveryCallMatchesFreshReference) {
+  Rng rng(GetParam());
+  constexpr int32_t kTapes = 5;
+  constexpr BlockId kBlocks = 40;
+  TinyRig rig(kTapes, /*capacity_mb=*/800, /*block_size_mb=*/16);
+  const int64_t slots = rig.jukebox().slots_per_tape();
+  std::set<std::pair<TapeId, int64_t>> used;
+  // Every fourth block has one copy; the rest have 2-4 on distinct tapes.
+  for (BlockId b = 0; b < kBlocks; ++b) {
+    const int copies =
+        b % 4 == 0 ? 1 : 2 + static_cast<int>(rng.UniformUint64(3));
+    std::set<TapeId> tapes;
+    while (static_cast<int>(tapes.size()) < copies) {
+      tapes.insert(static_cast<TapeId>(rng.UniformUint64(kTapes)));
+    }
+    for (const TapeId t : tapes) {
+      for (;;) {
+        const auto slot = static_cast<int64_t>(
+            rng.UniformUint64(static_cast<uint64_t>(slots)));
+        if (used.insert({t, slot}).second) {
+          rig.Place(b, t, slot);
+          break;
+        }
+      }
+    }
+  }
+  Catalog catalog = rig.BuildCatalog();
+  EnvelopeScheduler sched(&rig.jukebox(), &catalog,
+                          TapePolicy::kMaxBandwidth);
+
+  RequestId id = 0;
+  int call = 0;
+  for (const int size : {0, 1, 2000, 5, 2000, 12, 2000, 3, 2000, 25, 2000, 9,
+                         2000, 15}) {
+    SCOPED_TRACE(testing::Message() << "call " << call << ", " << size
+                                    << " requests");
+    if (call++ > 0) {
+      // Move the drive: another tape, the head somewhere in its first half.
+      rig.jukebox().SwitchTo(static_cast<TapeId>(rng.UniformUint64(kTapes)));
+      rig.jukebox().ReadBlockAt(
+          16 * static_cast<Position>(
+                   rng.UniformUint64(static_cast<uint64_t>(slots / 2))));
+      // Kill one copy of a block that keeps another live copy.
+      const auto victim =
+          static_cast<BlockId>(rng.UniformUint64(kBlocks));
+      if (catalog.LiveReplicaCount(victim) > 1) {
+        for (const Replica& replica : catalog.ReplicasOf(victim)) {
+          if (catalog.IsAlive(replica)) {
+            catalog.MarkReplicaDead(victim, replica.tape);
+            break;
+          }
+        }
+      }
+    }
+    std::vector<Request> requests;
+    for (int i = 0; i < size; ++i) {
+      requests.push_back(Request{
+          id++, static_cast<BlockId>(rng.UniformUint64(kBlocks)), 0.0});
+    }
+    // The oracle cross-check leaves its result in the reusable state, so
+    // the next call also starts from a fully populated one.
+    sched.CrossCheckEnvelope(requests);  // TJ_CHECK-fails on divergence
+    const auto incremental = sched.ComputeUpperEnvelope(requests);
+    const auto reference = sched.ComputeUpperEnvelopeReference(requests);
+    EXPECT_EQ(incremental.envelope, reference.envelope);
+    EXPECT_EQ(incremental.scheduled_per_tape, reference.scheduled_per_tape);
+    EXPECT_EQ(incremental.initial_envelope, reference.initial_envelope);
+    ASSERT_EQ(incremental.initially_unscheduled.size(),
+              reference.initially_unscheduled.size());
+    for (size_t i = 0; i < incremental.initially_unscheduled.size(); ++i) {
+      EXPECT_EQ(incremental.initially_unscheduled[i].id,
+                reference.initially_unscheduled[i].id);
+    }
+    ASSERT_EQ(incremental.assignment.size(), requests.size());
+    ASSERT_EQ(reference.assignment.size(), requests.size());
+    for (const auto& [rid, replica] : incremental.assignment) {
+      ASSERT_TRUE(reference.assignment.contains(rid));
+      EXPECT_EQ(replica, reference.assignment.at(rid)) << "request " << rid;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSequences, EnvelopeKernelReuse,
+                         ::testing::Range<uint64_t>(1, 21));
+
 // The incremental kernel orders its extension lists by slot bucketing; the
 // oracles keep the (position, uid) comparator sort. On lists built the way
 // the kernel builds them (ascending uid, dead replicas skipped, blocks

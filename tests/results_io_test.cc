@@ -100,8 +100,10 @@ TEST(WriteJson, ExperimentConfigCarriesEveryKnob) {
   for (const char* key :
        {"jukebox", "layout", "sim", "workload", "hot_fraction",
         "queue_length", "duration_seconds", "rewind_before_eject"}) {
-    EXPECT_NE(json.find("\"" + std::string(key) + "\""), std::string::npos)
-        << key;
+    std::string quoted = "\"";
+    quoted += key;
+    quoted += "\"";
+    EXPECT_NE(json.find(quoted), std::string::npos) << key;
   }
 }
 
@@ -119,8 +121,10 @@ TEST(WriteJson, SimulationResultCarriesEveryMetric) {
        {"throughput_mb_per_s", "mean_delay_seconds", "mean_delay_minutes",
         "p95_delay_seconds", "p99_delay_seconds", "tape_switches_per_hour",
         "counters"}) {
-    EXPECT_NE(json.find("\"" + std::string(key) + "\""), std::string::npos)
-        << key;
+    std::string quoted = "\"";
+    quoted += key;
+    quoted += "\"";
+    EXPECT_NE(json.find(quoted), std::string::npos) << key;
   }
   // The time-in-state block appears only when accounting was collected.
   EXPECT_EQ(json.find("\"time_in_state\""), std::string::npos);

@@ -6,7 +6,9 @@
 // that a repeated service cycle allocates nothing: arrivals, a major
 // reschedule, pops with arrivals joining scheduled entries, opening new
 // ones and deferring to the pending list in between, and pops to empty;
-// and the same cycle with batched arrivals.
+// and the same cycle with batched arrivals. A second fixture checks that a
+// warm envelope-extension reschedule (extension rounds and step-5 shrinks
+// included) allocates nothing either.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 
 #include "layout/catalog.h"
 #include "layout/placement.h"
+#include "sched/envelope_scheduler.h"
 #include "sched/greedy_scheduler.h"
 #include "tape/jukebox.h"
 #include "util/check.h"
@@ -157,6 +160,76 @@ TEST_F(SweepAllocTest, BatchedArrivalsAllocateNothing) {
   for (int i = 0; i < 20; ++i) served += Cycle();
   const int64_t allocations = g_allocations - before;
   EXPECT_GT(served, 20 * 40);
+  EXPECT_EQ(allocations, 0) << "over 20 cycles serving " << served
+                            << " requests";
+}
+
+class EnvelopeAllocTest : public ::testing::Test {
+ protected:
+  EnvelopeAllocTest() : jukebox_(Config()) {
+    // Fig. 8's shape: a vertical layout with the hot region at the end of
+    // every tape (SP 1) and two extra copies of each hot block, so hot
+    // requests lie past the envelopes the cold ones pin and need
+    // extension rounds, and extensions make edge blocks redundant.
+    LayoutSpec spec;
+    spec.num_replicas = 2;
+    spec.layout = HotLayout::kVertical;
+    spec.start_position = 1.0;
+    catalog_.emplace(LayoutBuilder::Build(&jukebox_, spec).value());
+    scheduler_.emplace(&jukebox_, &*catalog_, TapePolicy::kMaxBandwidth);
+  }
+
+  static JukeboxConfig Config() {
+    JukeboxConfig config;
+    config.num_tapes = 10;
+    config.timing.tape_capacity_mb = 1600;  // 100 slots of 16 MB
+    return config;
+  }
+
+  /// Refill, then reschedule and drain until the queue is empty. The same
+  /// blocks every cycle: two requests in three hot, the rest spread over
+  /// the cold blocks. Returns the requests served.
+  int64_t Cycle() {
+    const int64_t hot = catalog_->num_hot_blocks();
+    const int64_t cold = catalog_->num_cold_blocks();
+    for (int64_t i = 0; i < 60; ++i) {
+      const BlockId block =
+          i % 3 != 0 ? (i * 7) % hot : hot + (i * 13) % cold;
+      scheduler_->OnArrival(Request{id_++, block, 0.0}, jukebox_.head());
+    }
+    int64_t served = 0;
+    while (scheduler_->HasWork()) {
+      const TapeId tape = scheduler_->MajorReschedule();
+      TJ_CHECK_NE(tape, kInvalidTape);
+      jukebox_.SwitchTo(tape);
+      while (std::optional<ServiceEntry> entry = scheduler_->PopNext()) {
+        jukebox_.ReadBlockAt(entry->position);
+        served += static_cast<int64_t>(entry->requests.size());
+      }
+    }
+    return served;
+  }
+
+  Jukebox jukebox_;
+  std::optional<Catalog> catalog_;
+  std::optional<EnvelopeScheduler> scheduler_;
+  RequestId id_ = 0;
+};
+
+TEST_F(EnvelopeAllocTest, WarmRescheduleAllocatesNothing) {
+  for (int i = 0; i < 5; ++i) Cycle();
+  const EnvelopeScheduler::EnvelopeCounters warm = scheduler_->counters();
+  const int64_t before = g_allocations;
+  int64_t served = 0;
+  for (int i = 0; i < 20; ++i) served += Cycle();
+  const int64_t allocations = g_allocations - before;
+  const EnvelopeScheduler::EnvelopeCounters& after = scheduler_->counters();
+  // The measured cycles ran the whole kernel: extension rounds and step-5
+  // shrinks, not just step-2 absorbs.
+  EXPECT_EQ(served, 20 * 60);
+  EXPECT_GT(after.major_reschedules, warm.major_reschedules);
+  EXPECT_GT(after.extension_rounds, warm.extension_rounds);
+  EXPECT_GT(after.shrink_moves, warm.shrink_moves);
   EXPECT_EQ(allocations, 0) << "over 20 cycles serving " << served
                             << " requests";
 }
