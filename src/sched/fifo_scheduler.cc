@@ -52,9 +52,10 @@ TapeId FifoScheduler::MajorReschedule() {
     // FIFO considers exactly one candidate: the replica it picked.
     TapeCandidate only;
     only.tape = chosen->tape;
-    only.members.push_back(
-        CandidateMember{0, static_cast<int32_t>(chosen->slot)});
-    only.positions.push_back(chosen->position);
+    const auto slot = static_cast<size_t>(chosen->slot);
+    only.members.push_back(CandidateMember{0, static_cast<int32_t>(slot)});
+    only.slot_bits.assign(slot / 64 + 1, 0);
+    only.slot_bits.back() |= uint64_t{1} << (slot % 64);
     only.serves_oldest = true;
     RecordDecision(/*background=*/false, chosen->tape, {only});
   }

@@ -1,7 +1,7 @@
 #include "sched/schedule_cost.h"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "util/check.h"
 
@@ -43,7 +43,7 @@ std::vector<Position> ScheduleCost::SweepOrder(Position head,
 
 SweepCostBreakdown ScheduleCost::EstimateVisit(
     TapeId target, TapeId mounted, Position head,
-    const std::vector<Position>& positions) const {
+    std::span<const uint64_t> slot_bits) const {
   SweepCostBreakdown cost;
   Position start_head = head;
   if (target != mounted) {
@@ -52,32 +52,47 @@ SweepCostBreakdown ScheduleCost::EstimateVisit(
                               : model_->FullSwitchTime(head);
     start_head = 0;
   }
-  // Walk SweepOrder's sequence in place over ascending, distinct positions
-  // (forward from the split, then back down), adding the terms in
-  // ExecutionSeconds' order so the sum is bit-for-bit the same. Candidate
-  // positions already are ascending and distinct; other input is sorted
-  // and deduplicated into a copy first.
-  std::vector<Position> sorted;
-  const std::vector<Position>* walk = &positions;
-  if (std::adjacent_find(positions.begin(), positions.end(),
-                         std::greater_equal<Position>()) != positions.end()) {
-    sorted = positions;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    walk = &sorted;
-  }
-  const auto split = std::lower_bound(walk->begin(), walk->end(), start_head);
+  TJ_DCHECK(start_head >= 0);
+  const TimingModel& model = *model_;
+  const int64_t block_mb = block_size_mb_;
   double seconds = 0;
+  int64_t blocks = 0;
   Position at = start_head;
-  const auto visit = [&](Position p) {
-    seconds += model_->LocateAndReadTime(at, p, block_size_mb_);
-    at = p + block_size_mb_;
+  const auto visit = [&](size_t slot) {
+    const Position p = static_cast<Position>(slot) * block_mb;
+    seconds += model.LocateAndReadTime(at, p, block_mb);
+    at = p + block_mb;
+    ++blocks;
   };
-  for (auto it = split; it != walk->end(); ++it) visit(*it);
-  for (auto it = split; it != walk->begin();) visit(*--it);
+  // The split is the first slot whose position is at or past the start
+  // head; heads need not be block-aligned, hence the ceiling. Words are
+  // walked in place: forward from the split, then back down below it,
+  // adding the terms in ExecutionSeconds' order.
+  const auto split =
+      static_cast<size_t>((start_head + block_mb - 1) / block_mb);
+  const size_t split_word = split / 64;
+  const uint64_t below =
+      split % 64 == 0 ? 0 : ~uint64_t{0} >> (64 - split % 64);
+  const size_t words = slot_bits.size();
+  for (size_t w = split_word; w < words; ++w) {
+    uint64_t bits = slot_bits[w];
+    if (w == split_word) bits &= ~below;
+    for (; bits != 0; bits &= bits - 1) {
+      visit(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+  for (size_t w = std::min(split_word + 1, words); w-- > 0;) {
+    uint64_t bits = slot_bits[w];
+    if (w == split_word) bits &= below;
+    while (bits != 0) {
+      const int top = 63 - std::countl_zero(bits);
+      visit(w * 64 + static_cast<size_t>(top));
+      bits ^= uint64_t{1} << top;
+    }
+  }
   cost.execution_seconds = seconds;
-  cost.blocks = static_cast<int64_t>(walk->size());
-  cost.bytes_mb = cost.blocks * block_size_mb_;
+  cost.blocks = blocks;
+  cost.bytes_mb = blocks * block_mb;
   return cost;
 }
 

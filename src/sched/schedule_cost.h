@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tape/timing_model.h"
@@ -68,14 +69,18 @@ class ScheduleCost {
   static std::vector<Position> SweepOrder(Position head,
                                           std::vector<Position> positions);
 
-  /// Full cost of servicing the distinct `positions` on tape `target` when
-  /// `mounted` (with head at `head`) is currently in the drive: tape-switch
-  /// overhead if target differs, then a single sweep. Any order and
-  /// repeats are accepted; ascending, distinct input (what
-  /// TapeCandidate::positions holds) is walked in place without a copy.
-  SweepCostBreakdown EstimateVisit(
-      TapeId target, TapeId mounted, Position head,
-      const std::vector<Position>& positions) const;
+  /// Full cost of reading, on tape `target`, the blocks whose slots are
+  /// set in `slot_bits` when `mounted` (with head at `head`) is currently in
+  /// the drive: tape-switch overhead if target differs, then a single
+  /// sweep. Bit s % 64 of word s / 64 stands for slot s, at position
+  /// s * block_size_mb(); the words need not cover the whole tape. The
+  /// bits are walked in place in SweepOrder's order (set slots at or past
+  /// the start head ascending, then those below it descending), so the
+  /// cost is bit-for-bit ExecutionSeconds(SweepOrder(...)) of the
+  /// positions. `blocks` is the number of set bits.
+  SweepCostBreakdown EstimateVisit(TapeId target, TapeId mounted,
+                                   Position head,
+                                   std::span<const uint64_t> slot_bits) const;
 
  private:
   const TimingModel* model_;

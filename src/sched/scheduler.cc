@@ -79,7 +79,7 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
     if (!eligible(c)) continue;
     double score;
     if (by_bandwidth) {
-      score = cost.EstimateVisit(c.tape, mounted, head, c.positions)
+      score = cost.EstimateVisit(c.tape, mounted, head, c.slot_bits)
                   .BandwidthMBps();
     } else {
       score = static_cast<double>(c.num_requests());
@@ -176,7 +176,7 @@ void Scheduler::RecordDecision(bool background, TapeId chosen,
     score.tape = c.tape;
     score.num_requests = c.num_requests();
     score.bandwidth_mbps =
-        cost_.EstimateVisit(c.tape, record.mounted, head, c.positions)
+        cost_.EstimateVisit(c.tape, record.mounted, head, c.slot_bits)
             .BandwidthMBps();
     score.serves_oldest = c.serves_oldest;
     record.candidates.push_back(score);

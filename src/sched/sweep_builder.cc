@@ -1,7 +1,5 @@
 #include "sched/sweep_builder.h"
 
-#include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
@@ -17,11 +15,16 @@ void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
   const int32_t num_tapes = jukebox.num_tapes();
   const int64_t slots = jukebox.slots_per_tape();
   const int64_t block_mb = jukebox.config().block_size_mb;
+  // One bit per slot; JukeboxConfig::Validate bounds the slot count.
+  TJ_DCHECK(slots <= std::numeric_limits<int32_t>::max());
+  const auto words = static_cast<size_t>((slots + 63) / 64);
   std::vector<TapeCandidate>& candidates = set->tapes_;
   candidates.resize(static_cast<size_t>(num_tapes));
   for (TapeId t = 0; t < num_tapes; ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-    candidates[static_cast<size_t>(t)].Clear();
+    TapeCandidate& c = candidates[static_cast<size_t>(t)];
+    c.tape = t;
+    c.Clear();
+    c.slot_bits.resize(words);
   }
   set->block_mb_ = block_mb;
   set->catalog_ = &catalog;
@@ -29,13 +32,6 @@ void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
   set->queue_size_ = requests.size();
   if (requests.empty()) return;
   TJ_DCHECK(requests.size() <= std::numeric_limits<uint32_t>::max());
-  // JukeboxConfig::Validate bounds the slot count.
-  TJ_DCHECK(slots <= std::numeric_limits<int32_t>::max());
-  // One bit per (tape, slot); a tape's bits are read back a word at a time,
-  // so the read costs slots / 64 words per tape plus one step per position.
-  const auto words = static_cast<size_t>((slots + 63) / 64);
-  std::vector<uint64_t>& marks = set->slot_marks_;
-  marks.resize(static_cast<size_t>(num_tapes) * words);
   const RequestId oldest = requests.front().id;
   uint32_t index = 0;
   for (const Request& request : requests) {
@@ -52,29 +48,10 @@ void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
       c.members.push_back(
           CandidateMember{index, static_cast<int32_t>(replica.slot)});
       const auto slot = static_cast<size_t>(replica.slot);
-      marks[t * words + slot / 64] |= uint64_t{1} << (slot % 64);
+      c.slot_bits[slot / 64] |= uint64_t{1} << (slot % 64);
     }
     ++index;
   }
-  // Read the marks back in slot order (ascending positions, each once),
-  // clearing them for the next call.
-  for (size_t t = 0; t < candidates.size(); ++t) {
-    TapeCandidate& c = candidates[t];
-    if (c.members.empty()) continue;
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t& bits = marks[t * words + w];
-      for (; bits != 0; bits &= bits - 1) {
-        const int64_t slot =
-            static_cast<int64_t>(w * 64) + std::countr_zero(bits);
-        c.positions.push_back(slot * block_mb);
-      }
-    }
-  }
-}
-
-bool TapeCandidateSet::SlotMarksClear() const {
-  return std::all_of(slot_marks_.begin(), slot_marks_.end(),
-                     [](uint64_t word) { return word == 0; });
 }
 
 void ExtractSweepForTape(TapeCandidateSet* set, TapeId tape,

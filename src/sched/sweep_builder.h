@@ -1,16 +1,17 @@
 // The pending walk of a major reschedule, in two halves.
 //
 // BuildTapeCandidates walks a request queue once against the catalog and
-// records, per tape, what a visit could serve: the request count and the
-// distinct positions (for tape selection), plus a member list of (queue
-// index, replica slot) pairs. Once a tape is chosen, ExtractSweepForTape
-// builds its sweep from that tape's member list alone and compacts the
-// queue, so the catalog is walked once per reschedule. Used by the
-// Scheduler subclasses.
+// records, per tape, what a visit could serve: a bitmap of the slots it
+// would read (for tape selection, which scores the bits in place) and a
+// member list of (queue index, replica slot) pairs, whose length is the
+// request count. Once a tape is chosen, ExtractSweepForTape builds its
+// sweep from that tape's member list alone and compacts the queue, so the
+// catalog is walked once per reschedule. Used by the Scheduler subclasses.
 
 #ifndef TAPEJUKE_SCHED_SWEEP_BUILDER_H_
 #define TAPEJUKE_SCHED_SWEEP_BUILDER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,8 +33,11 @@ struct CandidateMember {
 /// Candidate work available on one tape, used for tape selection.
 struct TapeCandidate {
   TapeId tape = kInvalidTape;
-  std::vector<Position> positions;   ///< block positions (ascending, distinct)
-  bool serves_oldest = false;        ///< can satisfy the oldest request
+  /// The distinct slots a visit would read: bit s % 64 of word s / 64 is
+  /// slot s (the form ScheduleCost::EstimateVisit scores). A bit is set
+  /// only alongside a member, so a tape with no members has no bits set.
+  std::vector<uint64_t> slot_bits;
+  bool serves_oldest = false;  ///< can satisfy the oldest request
   /// The requests satisfiable here, in queue order.
   std::vector<CandidateMember> members;
 
@@ -42,10 +46,13 @@ struct TapeCandidate {
     return static_cast<int64_t>(members.size());
   }
 
-  /// Drops the tape's work, keeping the buffers' capacity.
+  /// Drops the tape's work, keeping the buffers' capacity. Only a tape
+  /// with members has bits to zero.
   void Clear() {
-    positions.clear();
-    members.clear();
+    if (!members.empty()) {
+      std::fill(slot_bits.begin(), slot_bits.end(), 0);
+      members.clear();
+    }
     serves_oldest = false;
   }
 };
@@ -54,13 +61,13 @@ class TapeCandidateSet;
 
 /// Fills `set` with one candidate per tape from `requests`: every live
 /// replica of every request joins its tape's `members` and counts toward
-/// `num_requests()` (a block requested twice counts twice), and the
-/// replica's position joins `positions` once. With `envelope` non-null only
-/// replicas whose block end is within the tape's envelope count.
-/// `serves_oldest` marks the tapes holding a counted replica of
-/// requests.front(). Positions are collected by setting one bit per replica
-/// slot and reading the bits back in slot order, which relies on position
-/// == slot * block size. Once the set's buffers have grown, a call
+/// `num_requests()` (a block requested twice counts twice), and sets its
+/// slot's bit in `slot_bits` (once, however often the block is requested).
+/// Each tape's bitmap has one word per 64 slots of the jukebox's tapes;
+/// only the tapes that had work in the previous build are zeroed. With
+/// `envelope` non-null only replicas whose block end is within the tape's
+/// envelope count. `serves_oldest` marks the tapes holding a counted
+/// replica of requests.front(). Once the set's buffers have grown, a call
 /// allocates nothing.
 void BuildTapeCandidates(const Jukebox& jukebox, const Catalog& catalog,
                          const std::vector<Request>& requests,
@@ -88,8 +95,6 @@ class TapeCandidateSet {
   /// Callers may withdraw a tape's work (TapeCandidate::Clear) or re-mark
   /// serves_oldest between the build and the extraction.
   std::vector<TapeCandidate>& tapes() { return tapes_; }
-  /// True when every slot mark is zero, as BuildTapeCandidates leaves them.
-  bool SlotMarksClear() const;
 
  private:
   friend void BuildTapeCandidates(const Jukebox&, const Catalog&,
@@ -100,8 +105,6 @@ class TapeCandidateSet {
                                   std::vector<Request>*, Sweep*);
 
   std::vector<TapeCandidate> tapes_;
-  /// A bit per tape x slot, all zero between builds.
-  std::vector<uint64_t> slot_marks_;
   int64_t block_mb_ = 0;
   /// What the last build walked, for ExtractSweepForTape's debug checks
   /// (queue_ is reset once an extraction uses the set up).

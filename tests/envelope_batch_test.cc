@@ -199,15 +199,6 @@ TEST_F(EnvelopeBatchTest, BackgroundPiggybacksOnEpochSweep) {
   EXPECT_FALSE(sched.HasWork());
 }
 
-// Captures every decision record a scheduler pushes.
-class DecisionLog : public obs::DecisionSink {
- public:
-  void RecordDecision(const obs::DecisionRecord& record) override {
-    records.push_back(record);
-  }
-  std::vector<obs::DecisionRecord> records;
-};
-
 // A catalog mutation mid-epoch (single-replica media error on another
 // tape: no sweep is drained, the victim block stays servable via its other
 // replica) must not leave the epoch visit counting the dead replica as

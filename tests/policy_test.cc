@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
+#include "sched/fifo_scheduler.h"
+#include "sched/greedy_scheduler.h"
 #include "sched/scheduler.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -12,19 +15,34 @@
 namespace tapejuke {
 namespace {
 
+constexpr int64_t kBlockMb = 16;
+
+// The slots set in `c`'s bitmap, ascending.
+std::vector<int64_t> SetSlots(const TapeCandidate& c) {
+  std::vector<int64_t> slots;
+  for (size_t w = 0; w < c.slot_bits.size(); ++w) {
+    for (int b = 0; b < 64; ++b) {
+      if ((c.slot_bits[w] >> b) & 1) {
+        slots.push_back(static_cast<int64_t>(w * 64) + b);
+      }
+    }
+  }
+  return slots;
+}
+
 class PolicyTest : public ::testing::Test {
  protected:
   TapeCandidate Cand(TapeId tape, int64_t requests,
                      std::vector<Position> positions,
                      bool serves_oldest = false) {
     // `requests` placeholder members: only their count matters here.
-    return TapeCandidate{tape, std::move(positions), serves_oldest,
-                         std::vector<CandidateMember>(
-                             static_cast<size_t>(requests))};
+    return TapeCandidate{
+        tape, SlotBitsAt(positions, kBlockMb), serves_oldest,
+        std::vector<CandidateMember>(static_cast<size_t>(requests))};
   }
 
   TimingModel model_{TimingParams::Exabyte8505XL()};
-  ScheduleCost cost_{&model_, 16};
+  ScheduleCost cost_{&model_, kBlockMb};
   static constexpr int32_t kTapes = 4;
 };
 
@@ -71,8 +89,8 @@ TEST_F(PolicyTest, MaxRequestsTieBreaksInScanOrderFromMounted) {
 
 TEST_F(PolicyTest, MaxBandwidthPrefersMountedTapeNoSwitchCost) {
   // Same request sets; the mounted tape avoids the 81 s switch.
-  std::vector<TapeCandidate> tapes = {Cand(0, 2, {100, 200}),
-                                      Cand(1, 2, {100, 200})};
+  std::vector<TapeCandidate> tapes = {Cand(0, 2, {96, 208}),
+                                      Cand(1, 2, {96, 208})};
   EXPECT_EQ(
       SelectTape(TapePolicy::kMaxBandwidth, tapes, 0, 0, kTapes, cost_), 0);
   EXPECT_EQ(
@@ -126,8 +144,8 @@ TEST_F(PolicyTest, PolicyNames) {
                "oldest-max-bandwidth");
 }
 
-// BuildTapeCandidates: positions come out ascending and distinct, while
-// num_requests() still counts every request, duplicates included.
+// BuildTapeCandidates: each slot's bit is set once, while num_requests()
+// still counts every request, duplicates included.
 class BuildTapeCandidatesTest : public ::testing::Test {
  protected:
   // Two tapes x 10 slots. Block 0 at slot 7 on tape 0 and slot 2 on tape
@@ -144,8 +162,14 @@ class BuildTapeCandidatesTest : public ::testing::Test {
       const std::vector<Request>& requests,
       const std::vector<Position>* envelope) {
     BuildTapeCandidates(rig_.jukebox(), *catalog_, requests, envelope, &set_);
-    // Every build leaves the slot marks clear for the next one.
-    EXPECT_TRUE(set_.SlotMarksClear());
+    // Every tape's bitmap covers its 10 slots, and a tape without work
+    // (say, one that had work in the previous build) has no bits set.
+    for (const TapeCandidate& c : set_.tapes()) {
+      EXPECT_EQ(c.slot_bits.size(), 1u);
+      if (c.members.empty()) {
+        EXPECT_TRUE(SetSlots(c).empty()) << c.tape;
+      }
+    }
     return set_.tapes();
   }
 
@@ -162,18 +186,18 @@ TEST_F(BuildTapeCandidatesTest, DuplicateRequestsCountButPositionsDoNot) {
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(c[0].tape, 0);
   EXPECT_EQ(c[0].num_requests(), 4);
-  EXPECT_EQ(c[0].positions, (std::vector<Position>{48, 112}));
+  EXPECT_EQ(SetSlots(c[0]), (std::vector<int64_t>{3, 7}));
   EXPECT_TRUE(c[0].serves_oldest);
   EXPECT_EQ(c[1].tape, 1);
   EXPECT_EQ(c[1].num_requests(), 3);
-  EXPECT_EQ(c[1].positions, (std::vector<Position>{32}));
+  EXPECT_EQ(SetSlots(c[1]), (std::vector<int64_t>{2}));
   EXPECT_TRUE(c[1].serves_oldest);
   // A second call sees no stale marks or members from the first.
   const std::vector<Request> only_block2 = {{4, 2, 4.0}};
   const std::vector<TapeCandidate> again = Build(only_block2, nullptr);
   EXPECT_EQ(again[0].num_requests(), 0);
-  EXPECT_TRUE(again[0].positions.empty());
-  EXPECT_EQ(again[1].positions, (std::vector<Position>{80}));
+  EXPECT_EQ(again[0].slot_bits, (std::vector<uint64_t>{0}));
+  EXPECT_EQ(SetSlots(again[1]), (std::vector<int64_t>{5}));
   EXPECT_FALSE(again[0].serves_oldest);
   EXPECT_TRUE(again[1].serves_oldest);
 }
@@ -185,18 +209,18 @@ TEST_F(BuildTapeCandidatesTest, EnvelopeAndDeadReplicasFilter) {
   const std::vector<Position> envelope = {64, 160};
   std::vector<TapeCandidate> c = Build(requests, &envelope);
   EXPECT_EQ(c[0].num_requests(), 1);
-  EXPECT_EQ(c[0].positions, (std::vector<Position>{48}));
+  EXPECT_EQ(SetSlots(c[0]), (std::vector<int64_t>{3}));
   EXPECT_TRUE(c[0].serves_oldest);
   EXPECT_EQ(c[1].num_requests(), 3);
-  EXPECT_EQ(c[1].positions, (std::vector<Position>{32, 80}));
+  EXPECT_EQ(SetSlots(c[1]), (std::vector<int64_t>{2, 5}));
   EXPECT_FALSE(c[1].serves_oldest);
 
   ASSERT_TRUE(catalog_->MarkReplicaDead(0, 1));
   c = Build(requests, nullptr);
   EXPECT_EQ(c[0].num_requests(), 3);
-  EXPECT_EQ(c[0].positions, (std::vector<Position>{48, 112}));
+  EXPECT_EQ(SetSlots(c[0]), (std::vector<int64_t>{3, 7}));
   EXPECT_EQ(c[1].num_requests(), 1);
-  EXPECT_EQ(c[1].positions, (std::vector<Position>{80}));
+  EXPECT_EQ(SetSlots(c[1]), (std::vector<int64_t>{5}));
 }
 
 // Member lists: one (queue index, slot) per counted request, in queue
@@ -205,7 +229,7 @@ TEST_F(BuildTapeCandidatesTest, EnvelopeAndDeadReplicasFilter) {
 TEST_F(BuildTapeCandidatesTest, MemberListsFollowTheQueue) {
   Rng rng(11);
   std::vector<const CandidateMember*> members_data;
-  std::vector<const Position*> positions_data;
+  std::vector<const uint64_t*> bits_data;
   for (int call = 0; call < 30; ++call) {
     std::vector<Request> requests;
     // The first call is the largest, so the later ones fit its buffers.
@@ -242,20 +266,106 @@ TEST_F(BuildTapeCandidatesTest, MemberListsFollowTheQueue) {
         ASSERT_NE(replica, nullptr);
         EXPECT_EQ(replica->slot, m.slot);
       }
+      // The bitmap holds exactly the members' distinct slots.
+      std::vector<int64_t> member_slots;
+      for (const CandidateMember& m : candidate.members) {
+        member_slots.push_back(m.slot);
+      }
+      std::sort(member_slots.begin(), member_slots.end());
+      member_slots.erase(
+          std::unique(member_slots.begin(), member_slots.end()),
+          member_slots.end());
+      EXPECT_EQ(SetSlots(candidate), member_slots);
     }
     if (call == 0) {
       for (const TapeCandidate& candidate : c) {
         members_data.push_back(candidate.members.data());
-        positions_data.push_back(candidate.positions.data());
+        bits_data.push_back(candidate.slot_bits.data());
       }
       continue;
     }
     for (size_t t = 0; t < c.size(); ++t) {
       if (c[t].members.empty()) continue;
       EXPECT_EQ(c[t].members.data(), members_data[t]) << "call " << call;
-      EXPECT_EQ(c[t].positions.data(), positions_data[t]) << "call " << call;
+      EXPECT_EQ(c[t].slot_bits.data(), bits_data[t]) << "call " << call;
     }
   }
+}
+
+// A greedy scheduler whose candidate set the tests can read.
+class CandidateProbe : public GreedyScheduler {
+ public:
+  using GreedyScheduler::GreedyScheduler;
+  const std::vector<TapeCandidate>& candidates() const {
+    return candidates_.tapes();
+  }
+};
+
+// With two drives, the tape the other drive holds is withdrawn before
+// selection: its bitmap is zeroed and the decision record leaves it out,
+// although it has the most requests.
+TEST(DropClaimedCandidatesTest, WithdrawnTapeHasNoBitsAndNoDecisionEntry) {
+  TinyRig rig(3);
+  rig.jukebox().SetNumDrives(2);
+  rig.Place(0, 0, 2);
+  rig.Place(1, 1, 3);
+  rig.Place(1, 2, 4);
+  rig.Place(2, 1, 5);
+  Catalog catalog = rig.BuildCatalog();
+  rig.jukebox().Serve(1, 0.0);
+  rig.jukebox().SwitchTo(1);
+  rig.jukebox().Serve(0, 0.0);
+  ASSERT_TRUE(rig.jukebox().HeldByOtherDrive(1));
+
+  CandidateProbe sched(&rig.jukebox(), &catalog, TapePolicy::kMaxRequests,
+                       /*dynamic=*/false);
+  DecisionLog log;
+  sched.set_decision_sink(&log);
+  for (RequestId id = 0; id < 3; ++id) {
+    sched.OnArrival(Request{id, static_cast<BlockId>(id), 0.0}, 0);
+  }
+  EXPECT_EQ(sched.MajorReschedule(), 0);
+
+  const std::vector<TapeCandidate>& c = sched.candidates();
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_TRUE(c[1].members.empty());
+  EXPECT_EQ(c[1].slot_bits, (std::vector<uint64_t>{0}));
+  EXPECT_EQ(SetSlots(c[2]), (std::vector<int64_t>{4}));
+  ASSERT_EQ(log.records.size(), 1u);
+  std::vector<TapeId> recorded;
+  for (const obs::TapeCandidateScore& score : log.records[0].candidates) {
+    recorded.push_back(score.tape);
+  }
+  EXPECT_EQ(recorded, (std::vector<TapeId>{0, 2}));
+}
+
+// FIFO records the one replica it picked: one request, scored as a
+// one-block visit. Slot 100 sits in the bitmap's second word.
+TEST(FifoDecisionTest, RecordsOneBlockAtItsVisitBandwidth) {
+  TinyRig rig(2, /*capacity_mb=*/16 * 130);
+  rig.Place(0, 1, 100);
+  Catalog catalog = rig.BuildCatalog();
+  rig.jukebox().SwitchTo(0);
+  rig.jukebox().ReadBlockAt(16 * 20);
+  const Position head = rig.jukebox().head();
+  ASSERT_GT(head, 0);
+
+  FifoScheduler sched(&rig.jukebox(), &catalog, SchedulerOptions{});
+  DecisionLog log;
+  sched.set_decision_sink(&log);
+  sched.OnArrival(Request{0, 0, 0.0}, head);
+  EXPECT_EQ(sched.MajorReschedule(), 1);
+
+  ASSERT_EQ(log.records.size(), 1u);
+  ASSERT_EQ(log.records[0].candidates.size(), 1u);
+  const obs::TapeCandidateScore& only = log.records[0].candidates[0];
+  EXPECT_EQ(only.tape, 1);
+  EXPECT_EQ(only.num_requests, 1);
+  EXPECT_TRUE(only.serves_oldest);
+  const ScheduleCost cost(&rig.model(), rig.block_mb());
+  const double seconds =
+      rig.model().FullSwitchTime(head) + cost.ExecutionSeconds(0, {1600});
+  EXPECT_EQ(only.bandwidth_mbps, 16.0 / seconds);
 }
 
 }  // namespace

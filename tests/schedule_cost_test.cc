@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace tapejuke {
 namespace {
+
+// The slot bitmap of block-aligned `positions` (16 MB blocks).
+std::vector<uint64_t> Bits(const std::vector<Position>& positions,
+                           size_t words = 0) {
+  return SlotBitsAt(positions, 16, words);
+}
 
 class ScheduleCostTest : public ::testing::Test {
  protected:
@@ -56,21 +62,21 @@ TEST_F(ScheduleCostTest, SweepOrderDeduplicates) {
 
 TEST_F(ScheduleCostTest, EstimateVisitSameTapeUsesHead) {
   const SweepCostBreakdown visit =
-      cost_.EstimateVisit(/*target=*/2, /*mounted=*/2, /*head=*/100,
-                          {100, 340});
+      cost_.EstimateVisit(/*target=*/2, /*mounted=*/2, /*head=*/96,
+                          Bits({96, 336}));
   EXPECT_DOUBLE_EQ(visit.switch_seconds, 0.0);
   EXPECT_EQ(visit.blocks, 2);
   EXPECT_EQ(visit.bytes_mb, 32);
   // First block is at the head: read with no locate, no startup.
-  const double expected = 1.77 * 16 +                    // read at 100
-                          (14.342 + 0.028 * (340 - 116))  // locate
-                          + (0.38 + 1.77 * 16);           // read at 340
+  const double expected = 1.77 * 16 +                    // read at 96
+                          (14.342 + 0.028 * (336 - 112))  // locate
+                          + (0.38 + 1.77 * 16);           // read at 336
   EXPECT_DOUBLE_EQ(visit.execution_seconds, expected);
 }
 
 TEST_F(ScheduleCostTest, EstimateVisitOtherTapePaysFullSwitch) {
-  const SweepCostBreakdown visit =
-      cost_.EstimateVisit(/*target=*/1, /*mounted=*/0, /*head=*/500, {64});
+  const SweepCostBreakdown visit = cost_.EstimateVisit(
+      /*target=*/1, /*mounted=*/0, /*head=*/500, Bits({64}));
   EXPECT_DOUBLE_EQ(visit.switch_seconds, model_.FullSwitchTime(500));
   // Sweep starts from position 0 after the load.
   EXPECT_DOUBLE_EQ(visit.execution_seconds,
@@ -79,70 +85,37 @@ TEST_F(ScheduleCostTest, EstimateVisitOtherTapePaysFullSwitch) {
 
 TEST_F(ScheduleCostTest, EstimateVisitNoMountedTape) {
   const SweepCostBreakdown visit =
-      cost_.EstimateVisit(1, kInvalidTape, 0, {64});
+      cost_.EstimateVisit(1, kInvalidTape, 0, Bits({64}));
   EXPECT_DOUBLE_EQ(visit.switch_seconds, model_.SwitchTime());
 }
 
 TEST_F(ScheduleCostTest, BandwidthImprovesWithBatchSize) {
   // Amortization: servicing more blocks in one visit raises the effective
   // bandwidth (same switch overhead, shared locates).
-  std::vector<Position> few = {1000};
+  std::vector<Position> few = {1008};
   std::vector<Position> many;
-  for (Position p = 1000; p < 1000 + 16 * 20; p += 16) many.push_back(p);
+  for (Position p = 1008; p < 1008 + 16 * 20; p += 16) many.push_back(p);
   const double bw_few =
-      cost_.EstimateVisit(1, 0, 0, few).BandwidthMBps();
+      cost_.EstimateVisit(1, 0, 0, Bits(few)).BandwidthMBps();
   const double bw_many =
-      cost_.EstimateVisit(1, 0, 0, many).BandwidthMBps();
+      cost_.EstimateVisit(1, 0, 0, Bits(many)).BandwidthMBps();
   EXPECT_GT(bw_many, bw_few);
 }
 
 TEST_F(ScheduleCostTest, NearbyBlocksBeatScatteredBlocks) {
-  std::vector<Position> clustered = {1000, 1016, 1032, 1048};
+  std::vector<Position> clustered = {1008, 1024, 1040, 1056};
   std::vector<Position> scattered = {0, 2000, 4000, 6000};
   const double bw_clustered =
-      cost_.EstimateVisit(1, 0, 0, clustered).BandwidthMBps();
+      cost_.EstimateVisit(1, 0, 0, Bits(clustered)).BandwidthMBps();
   const double bw_scattered =
-      cost_.EstimateVisit(1, 0, 0, scattered).BandwidthMBps();
+      cost_.EstimateVisit(1, 0, 0, Bits(scattered)).BandwidthMBps();
   EXPECT_GT(bw_clustered, bw_scattered);
 }
 
-// Candidate builders hand EstimateVisit ascending, distinct positions; any
-// other order of the same set, repeats included, must cost bit-for-bit the
-// same.
-TEST_F(ScheduleCostTest, EstimateVisitIgnoresOrderAndRepeats) {
-  Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<Position> sorted;
-    for (Position p = 0; p < 16 * 400; p += 16) {
-      if (rng.UniformUint64(4) == 0) sorted.push_back(p);
-    }
-    std::vector<Position> shuffled = sorted;
-    for (const Position p : sorted) {
-      if (rng.UniformUint64(3) == 0) shuffled.push_back(p);
-    }
-    for (size_t i = shuffled.size(); i > 1; --i) {
-      std::swap(shuffled[i - 1], shuffled[rng.UniformUint64(i)]);
-    }
-    const Position head = 16 * static_cast<Position>(rng.UniformUint64(400));
-    for (const TapeId mounted : {TapeId{1}, TapeId{0}, kInvalidTape}) {
-      const SweepCostBreakdown a = cost_.EstimateVisit(1, mounted, head,
-                                                       sorted);
-      const SweepCostBreakdown b = cost_.EstimateVisit(1, mounted, head,
-                                                       shuffled);
-      EXPECT_EQ(a.switch_seconds, b.switch_seconds);
-      EXPECT_EQ(a.execution_seconds, b.execution_seconds);
-      EXPECT_EQ(a.blocks, b.blocks);
-      EXPECT_EQ(a.bytes_mb, b.bytes_mb);
-      EXPECT_EQ(a.BandwidthMBps(), b.BandwidthMBps());
-      EXPECT_EQ(a.blocks, static_cast<int64_t>(sorted.size()));
-    }
-  }
-}
-
-// Ascending, distinct positions are walked in place; the sum must be
-// bit-for-bit the one ExecutionSeconds gives on SweepOrder's copy, with the
-// head below, inside and above the positions, and with the target mounted
-// (sweep from the head) or not (sweep from 0 after a switch).
+// The bits are walked in place; the sum must be bit-for-bit the one
+// ExecutionSeconds gives on SweepOrder's list of the same positions, with
+// the head below, inside and above the positions, and with the target
+// mounted (sweep from the head) or not (sweep from 0 after a switch).
 TEST_F(ScheduleCostTest, EstimateVisitInPlaceMatchesSweepOrder) {
   Rng rng(23);
   for (int trial = 0; trial < 40; ++trial) {
@@ -157,7 +130,7 @@ TEST_F(ScheduleCostTest, EstimateVisitInPlaceMatchesSweepOrder) {
     for (const Position head : {Position{0}, inside, Position{16 * 400}}) {
       for (const TapeId mounted : {TapeId{1}, TapeId{0}, kInvalidTape}) {
         const SweepCostBreakdown visit =
-            cost_.EstimateVisit(1, mounted, head, positions);
+            cost_.EstimateVisit(1, mounted, head, Bits(positions, 5));
         const Position start = mounted == 1 ? head : 0;
         EXPECT_EQ(visit.execution_seconds,
                   cost_.ExecutionSeconds(
@@ -166,6 +139,62 @@ TEST_F(ScheduleCostTest, EstimateVisitInPlaceMatchesSweepOrder) {
         EXPECT_EQ(visit.bytes_mb, visit.blocks * 16);
       }
     }
+  }
+}
+
+// Randomized check of the bit walk against the oracle on a 437-slot tape
+// (not a multiple of 64): word-edge slots (0, 63, 64, 127, 128, the last)
+// are always set, and the head sits at 0, on a slot boundary mid-tape,
+// inside a slot (unaligned, so the split rounds up), or past the last
+// slot; the target is mounted, not mounted, or no tape is.
+TEST_F(ScheduleCostTest, EstimateVisitBitWalkMatchesOracle) {
+  constexpr int64_t kSlots = 437;
+  const size_t words = (kSlots + 63) / 64;
+  Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Position> positions;
+    for (int64_t slot = 0; slot < kSlots; ++slot) {
+      const bool edge = slot == 0 || slot == 63 || slot == 64 ||
+                        slot == 127 || slot == 128 || slot == kSlots - 1;
+      if (edge || rng.UniformUint64(trial % 7 + 2) == 0) {
+        positions.push_back(16 * slot);
+      }
+    }
+    const std::vector<uint64_t> bits = Bits(positions, words);
+    ASSERT_EQ(bits.size(), words);
+    const Position k = static_cast<Position>(rng.UniformUint64(kSlots));
+    for (const Position head :
+         {Position{0}, 16 * k, 16 * k + 5, Position{16 * 64 + 5},
+          Position{16 * kSlots}, Position{16 * kSlots + 7}}) {
+      for (const TapeId mounted : {TapeId{1}, TapeId{0}, kInvalidTape}) {
+        const SweepCostBreakdown visit =
+            cost_.EstimateVisit(1, mounted, head, bits);
+        const Position start = mounted == 1 ? head : 0;
+        const std::vector<Position> order =
+            ScheduleCost::SweepOrder(start, positions);
+        EXPECT_EQ(visit.execution_seconds,
+                  cost_.ExecutionSeconds(start, order))
+            << "trial " << trial << " head " << head << " mounted "
+            << mounted;
+        EXPECT_EQ(visit.blocks, static_cast<int64_t>(positions.size()));
+        EXPECT_EQ(visit.bytes_mb, visit.blocks * 16);
+        const double switch_seconds =
+            mounted == 1 ? 0.0
+                         : (mounted == kInvalidTape
+                                ? model_.SwitchTime()
+                                : model_.FullSwitchTime(head));
+        EXPECT_EQ(visit.switch_seconds, switch_seconds);
+      }
+    }
+  }
+  // An empty bitmap reads nothing, whatever the head or mount.
+  for (const TapeId mounted : {TapeId{1}, TapeId{0}, kInvalidTape}) {
+    const SweepCostBreakdown visit = cost_.EstimateVisit(
+        1, mounted, 16 * 100 + 5, std::vector<uint64_t>(words));
+    EXPECT_EQ(visit.blocks, 0);
+    EXPECT_EQ(visit.bytes_mb, 0);
+    EXPECT_EQ(visit.execution_seconds, 0.0);
+    EXPECT_EQ(visit.BandwidthMBps(), 0.0);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "core/results_io.h"
 #include "layout/catalog.h"
 #include "layout/placement.h"
+#include "obs/decision.h"
 #include "sim/simulator.h"
 #include "tape/jukebox.h"
 #include "util/check.h"
@@ -74,6 +75,30 @@ class TinyRig {
 
   Jukebox jukebox_;
 };
+
+/// Captures every decision record a scheduler pushes.
+class DecisionLog : public obs::DecisionSink {
+ public:
+  void RecordDecision(const obs::DecisionRecord& record) override {
+    records.push_back(record);
+  }
+  std::vector<obs::DecisionRecord> records;
+};
+
+/// The slot bitmap (TapeCandidate::slot_bits form) of the block-aligned
+/// `positions`: at least `words` words long, and long enough to hold the
+/// last position.
+inline std::vector<uint64_t> SlotBitsAt(const std::vector<Position>& positions,
+                                        int64_t block_mb, size_t words = 0) {
+  std::vector<uint64_t> bits(words);
+  for (const Position p : positions) {
+    TJ_CHECK(p % block_mb == 0) << p;
+    const auto slot = static_cast<size_t>(p / block_mb);
+    if (bits.size() <= slot / 64) bits.resize(slot / 64 + 1);
+    bits[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
+  return bits;
+}
 
 /// `result` as the results JSON writes it (byte-level comparisons).
 inline std::string ResultsJson(const SimulationResult& result) {

@@ -10,7 +10,7 @@ identical.
 Usage:
   results_identical.py --before BUILD_A --after BUILD_B \\
       [--quick] [--sim-seconds N] [--seed S] [--bench NAME ...] \\
-      [--bench-flag=FLAG ...]
+      [--bench-flag=FLAG ...] [--decision-log]
 
 BUILD_A/BUILD_B are CMake build directories (the binaries live in
 <build>/bench/). --bench restricts the run to the named benches
@@ -20,6 +20,13 @@ temporary directory, removed on success and kept on failure.
 --bench-flag passes one more flag through to every bench on both sides
 (e.g. --bench-flag=--fault-whole-tape=0.3); write it with "=" so a
 leading "--" is not read as an option of this script.
+--decision-log has each side also write the scheduler decision log of
+the traced grid point (choose it with --bench-flag=--trace-point=N) as
+<bench>.decisions.jsonl in its results directory; the log is compared
+byte for byte like the JSON, and a side that writes none, or an empty
+one, fails. Every candidate's estimated bandwidth is in that log, so it
+checks tape scoring on every decision, where the results JSON sees only
+the tape chosen.
 
 Exits 0 when every results file matches, 1 on any difference, missing
 file, or bench failure.
@@ -52,18 +59,30 @@ def find_benches(build_dir):
         and os.access(os.path.join(bench_dir, name), os.X_OK))
 
 
-def run_bench(build_dir, bench, results_dir, flags):
+def decision_log_path(results_dir, bench):
+    return os.path.join(results_dir, bench + ".decisions.jsonl")
+
+
+def run_bench(build_dir, bench, results_dir, flags, decision_log):
     """Runs one bench into results_dir; returns an error string or None."""
     binary = os.path.join(build_dir, "bench", bench)
     if not os.access(binary, os.X_OK):
         return "%s: no such bench binary" % binary
     os.makedirs(results_dir, exist_ok=True)
     command = [binary, "--results-dir=" + results_dir] + flags
+    if decision_log:
+        command.append("--decision-log=" +
+                       decision_log_path(results_dir, bench))
     completed = subprocess.run(command, stdout=subprocess.DEVNULL,
                                stderr=subprocess.PIPE, text=True)
     if completed.returncode != 0:
         return "%s exited %d: %s" % (" ".join(command), completed.returncode,
                                      completed.stderr.strip()[-500:])
+    if decision_log:
+        path = decision_log_path(results_dir, bench)
+        if not os.path.isfile(path) or os.path.getsize(path) == 0:
+            return ("%s wrote no decision log (is --trace-point inside its "
+                    "grid?)" % " ".join(command))
     return None
 
 
@@ -101,6 +120,9 @@ def main():
                         metavar="FLAG",
                         help="flag passed through to every bench "
                              "(repeatable)")
+    parser.add_argument("--decision-log", action="store_true",
+                        help="also write and compare the traced point's "
+                             "scheduler decision log")
     args = parser.parse_args()
 
     # Benches record their thread count in the results, so both sides
@@ -136,7 +158,8 @@ def main():
         for side, build_dir in (("before", args.before),
                                 ("after", args.after)):
             sides[side] = os.path.join(work_dir, side, bench)
-            error = run_bench(build_dir, bench, sides[side], flags)
+            error = run_bench(build_dir, bench, sides[side], flags,
+                              args.decision_log)
             if error is not None:
                 failures.append("%s (%s): %s" % (bench, side, error))
                 break
@@ -154,7 +177,9 @@ def main():
         print("%s: results kept in %s" % (TOOL, work_dir), file=sys.stderr)
         return 1
     log("OK: %d results files byte-identical across %d benches (%s)"
-        % (files, len(benches), " ".join(flags)))
+        % (files, len(benches),
+           " ".join(flags + (["--decision-log"] if args.decision_log
+                             else []))))
     shutil.rmtree(work_dir)
     return 0
 
