@@ -9,7 +9,8 @@
 namespace tapejuke {
 
 Status SimulationConfig::Validate() const {
-  if (duration_seconds <= 0) {
+  // Both range checks are written so that NaN fails them.
+  if (!(duration_seconds > 0)) {
     return Status::InvalidArgument("duration must be positive");
   }
   if (obs.sample < 1) {
@@ -22,7 +23,7 @@ Status SimulationConfig::Validate() const {
     return Status::InvalidArgument(
         "timeline output requires a positive --timeline-interval");
   }
-  if (warmup_seconds < 0 || warmup_seconds >= duration_seconds) {
+  if (!(warmup_seconds >= 0 && warmup_seconds < duration_seconds)) {
     return Status::InvalidArgument(
         "warmup must be in [0, duration_seconds)");
   }

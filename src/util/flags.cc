@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -40,11 +42,12 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
   switch (flag.kind) {
     case Kind::kInt64: {
       char* end = nullptr;
+      errno = 0;  // strtoll clamps an out-of-range value and sets ERANGE
       const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
         return Status::InvalidArgument("flag --" + name +
-                                       " expects an integer, got '" + value +
-                                       "'");
+                                       " expects a 64-bit integer, got '" +
+                                       value + "'");
       }
       *static_cast<int64_t*>(flag.target) = parsed;
       return Status::Ok();
@@ -52,10 +55,11 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
     case Kind::kDouble: {
       char* end = nullptr;
       const double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
+      // strtod also accepts "nan" and "inf"; no flag takes either.
+      if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
         return Status::InvalidArgument("flag --" + name +
-                                       " expects a number, got '" + value +
-                                       "'");
+                                       " expects a finite number, got '" +
+                                       value + "'");
       }
       *static_cast<double*>(flag.target) = parsed;
       return Status::Ok();

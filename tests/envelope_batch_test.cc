@@ -1,7 +1,8 @@
 // Batched-arrival and epoch-rescheduling boundary cases for the envelope
 // scheduler: exact batch-boundary flushes, fault events forcing a flush
-// mid-batch, background piggyback on batched/epoch client sweeps, and a
-// scheduler-driven oracle fuzz with both policy knobs armed at once.
+// mid-batch, background piggyback on batched/epoch client sweeps, a
+// 10 000-deep batched run under the envelope oracle, and a scheduler-driven
+// oracle fuzz with both policy knobs armed at once.
 
 #include <gtest/gtest.h>
 
@@ -327,6 +328,60 @@ TEST(EnvelopeEpochFault, AllPhantomTapeFallsBackToFullReschedule) {
   while (auto entry = sched.PopNext()) served += entry->requests.size();
   EXPECT_EQ(served, 5u);
   EXPECT_FALSE(sched.HasWork());
+}
+
+// Steady state at depth 10 000: hot-block draws on 10 tapes at NR 2, so
+// every request is replicated and the extension loop does the work.
+// Arrivals are batched by 256; each of six max-bandwidth visits drains
+// its sweep and is refilled by as many fresh arrivals as it served. No
+// tape is ever mounted, so every visit prices a switch. validate_envelope
+// checks the incremental kernel against the reference on every
+// reschedule and extension round (a divergence aborts the test), and the
+// ValidatingScheduler checks each request is served exactly once.
+TEST(EnvelopeBatchDeep, TenThousandDeepBatchedRunMatchesOracle) {
+  constexpr int kDepth = 10'000;
+  constexpr int kVisits = 6;
+  JukeboxConfig jukebox_config;
+  jukebox_config.num_tapes = 10;
+  jukebox_config.block_size_mb = 16;
+  Jukebox jukebox(jukebox_config);
+  LayoutSpec layout;
+  layout.hot_fraction = 0.10;
+  layout.num_replicas = 2;
+  layout.start_position = 1.0;
+  const Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+
+  SchedulerOptions options;
+  options.validate_envelope = true;
+  options.arrival_batch = 256;
+  ValidatingScheduler sched(
+      std::make_unique<EnvelopeScheduler>(&jukebox, &catalog,
+                                          TapePolicy::kMaxBandwidth, options),
+      &jukebox, &catalog);
+
+  Rng rng(99);
+  RequestId next_id = 0;
+  const auto deliver = [&] {
+    const auto block = static_cast<BlockId>(
+        rng.UniformUint64(static_cast<uint64_t>(catalog.num_hot_blocks())));
+    sched.OnArrival(Request{next_id++, block, 0.0}, /*committed_head=*/0);
+  };
+  for (int i = 0; i < kDepth; ++i) deliver();
+
+  int64_t served_total = 0;
+  for (int visit = 0; visit < kVisits; ++visit) {
+    ASSERT_NE(sched.MajorReschedule(), kInvalidTape) << "visit " << visit;
+    int64_t served = 0;
+    while (auto entry = sched.PopNext()) {
+      served += static_cast<int64_t>(entry->requests.size());
+    }
+    EXPECT_GT(served, 0) << "visit " << visit;
+    for (int64_t i = 0; i < served; ++i) deliver();
+    served_total += served;
+  }
+  EXPECT_EQ(sched.requests_served(), served_total);
+  EXPECT_EQ(sched.arrivals_seen(), kDepth + served_total);
+  EXPECT_EQ(sched.outstanding(), kDepth);
 }
 
 // Scheduler-driven oracle fuzz: arrival batching and epoch rescheduling

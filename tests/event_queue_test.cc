@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <queue>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace tapejuke {
 namespace {
@@ -67,12 +72,49 @@ TEST(EventQueue, EqualTimeFifoSurvivesResize) {
   EXPECT_TRUE(q.empty());
 }
 
+// EventQueue beside a reference std::priority_queue ordered on (time,
+// insertion order): each Schedule goes to both, and PopBoth pops both.
+class ReferencePair {
+ public:
+  void Schedule(double time) {
+    queue_.Schedule(time, next_id_);
+    reference_.emplace(time, next_id_);
+    ++next_id_;
+  }
+
+  // Pops one event from each queue; fails unless they are the same event.
+  ::testing::AssertionResult PopBoth() {
+    const auto [want_time, want_id] = reference_.top();
+    reference_.pop();
+    const auto [time, id] = queue_.Pop();
+    now_ = time;
+    if (time == want_time && id == want_id) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "popped (" << time << ", " << id << "), reference ("
+           << want_time << ", " << want_id << ")";
+  }
+
+  double now() const { return now_; }
+  size_t size() const { return reference_.size(); }
+  bool empty() const { return reference_.empty(); }
+
+ private:
+  EventQueue<int> queue_;
+  // A min-heap on (time, id); ids rise in insertion order.
+  std::priority_queue<std::pair<double, int>,
+                      std::vector<std::pair<double, int>>, std::greater<>>
+      reference_;
+  int next_id_ = 0;
+  double now_ = 0;
+};
+
 TEST(EventQueue, HoldModelMatchesReferenceOrdering) {
   // A deterministic hold-model churn (pop one, push one with a pseudo-
-  // random future offset) against a sorted-reference model, through
-  // bursts that grow and drains that shrink the population.
-  EventQueue<int> q;
-  std::vector<std::pair<double, int>> reference;  // (time, payload)
+  // random future offset) against the reference, through bursts that grow
+  // and drains that shrink the population.
+  ReferencePair pair;
   uint64_t state = 12345;
   auto next_u64 = [&state]() {
     state ^= state << 13;
@@ -80,33 +122,44 @@ TEST(EventQueue, HoldModelMatchesReferenceOrdering) {
     state ^= state << 17;
     return state;
   };
-  double clock = 0;
-  int id = 0;
-  auto push = [&](double at) {
-    q.Schedule(at, id);
-    reference.emplace_back(at, id);
-    ++id;
-  };
   for (int i = 0; i < 256; ++i) {
-    push(static_cast<double>(next_u64() % 1000) / 10.0);
+    pair.Schedule(static_cast<double>(next_u64() % 1000) / 10.0);
   }
   for (int step = 0; step < 4096; ++step) {
-    std::stable_sort(reference.begin(), reference.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    const auto [time, payload] = q.Pop();
-    ASSERT_EQ(time, reference.front().first);
-    ASSERT_EQ(payload, reference.front().second);
-    reference.erase(reference.begin());
-    clock = time;
+    ASSERT_TRUE(pair.PopBoth());
     // Occasionally burst (grow) or drain (shrink) the population.
     const uint64_t draw = next_u64();
     const int pushes = step % 97 == 0 ? 64 : (draw % 16 == 0 ? 0 : 1);
-    for (int p = 0; p < pushes && reference.size() < 4096; ++p) {
-      push(clock + static_cast<double>(next_u64() % 100000) / 100.0);
+    for (int p = 0; p < pushes && pair.size() < 4096; ++p) {
+      pair.Schedule(pair.now() +
+                    static_cast<double>(next_u64() % 100000) / 100.0);
     }
-    if (q.empty()) break;
+    if (pair.empty()) break;
+  }
+}
+
+TEST(EventQueue, TieAndSpikeChurnMatchesReferenceOrdering) {
+  // 50k rounds of bursts (0-3 events) mixing near-future times, exact ties
+  // with the clock and sparse far-future spikes, against the reference;
+  // drained at random, and always while more than 512 events are pending.
+  ReferencePair pair;
+  Rng rng(2024);
+  for (int round = 0; round < 50'000; ++round) {
+    const auto burst = static_cast<int>(rng.UniformUint64(4));
+    for (int i = 0; i < burst; ++i) {
+      double when = pair.now();  // kinds 5 and 6 tie with the clock
+      const uint64_t kind = rng.UniformUint64(8);
+      if (kind < 5) {
+        when += rng.UniformDouble() * 200.0;
+      } else if (kind == 7) {
+        when += 1e5 + rng.UniformDouble() * 1e7;
+      }
+      pair.Schedule(when);
+    }
+    while (!pair.empty() &&
+           (pair.size() > 512 || rng.UniformUint64(3) == 0)) {
+      ASSERT_TRUE(pair.PopBoth()) << "round " << round;
+    }
   }
 }
 

@@ -96,6 +96,17 @@ TEST(ExperimentRunner, InvalidConfigFails) {
   config = QuickConfig();
   config.sim.duration_seconds = -1;
   EXPECT_FALSE(ExperimentRunner::Run(config).ok());
+  // NaN passes a `<= 0` test; it must still be refused before the run.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  config = QuickConfig();
+  config.sim.duration_seconds = nan;
+  config.sim.warmup_seconds = nan;  // what --sim-seconds=nan derives
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
+  config = QuickConfig();
+  config.sim.warmup_seconds = nan;
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // A slot index must fit the scheduler's 32-bit candidate slot, so both

@@ -156,26 +156,38 @@ TEST(Farm, Deterministic) {
   EXPECT_EQ(a.completions_per_jukebox, b.completions_per_jukebox);
 }
 
+// Runs `config` on one thread and on `threads`: the serialized results
+// must be byte-identical.
+void ExpectSameJsonAtThreads(FarmConfig config, int32_t threads) {
+  config.threads = 1;
+  const std::string serial = FarmJson(FarmSimulator(config).Run());
+  config.threads = threads;
+  EXPECT_EQ(serial, FarmJson(FarmSimulator(config).Run()));
+}
+
 TEST(Farm, BitIdenticalAcrossThreadCountsClosed) {
-  FarmConfig serial = BaseFarm(5, 150);
-  serial.threads = 1;
-  FarmConfig parallel = BaseFarm(5, 150);
-  parallel.threads = 4;
-  const FarmResult a = FarmSimulator(serial).Run();
-  const FarmResult b = FarmSimulator(parallel).Run();
-  EXPECT_EQ(FarmJson(a), FarmJson(b));
+  ExpectSameJsonAtThreads(BaseFarm(5, 150), 4);
 }
 
 TEST(Farm, BitIdenticalAcrossThreadCountsOpen) {
-  FarmConfig serial = BaseFarm(4, 60);
-  serial.per_jukebox.sim.workload.model = QueuingModel::kOpen;
-  serial.per_jukebox.sim.workload.mean_interarrival_seconds = 50;
-  FarmConfig parallel = serial;
-  serial.threads = 1;
-  parallel.threads = 8;
-  const FarmResult a = FarmSimulator(serial).Run();
-  const FarmResult b = FarmSimulator(parallel).Run();
-  EXPECT_EQ(FarmJson(a), FarmJson(b));
+  FarmConfig config = BaseFarm(4, 60);
+  config.per_jukebox.sim.workload.model = QueuingModel::kOpen;
+  config.per_jukebox.sim.workload.mean_interarrival_seconds = 50;
+  ExpectSameJsonAtThreads(config, 8);
+}
+
+// Twelve two-drive boxes at NR 2 with transient read errors: every box
+// runs the multi-drive loop and draws faults, with more boxes than threads.
+TEST(Farm, BitIdenticalAcrossThreadCountsMultiDriveFaults) {
+  FarmConfig config = BaseFarm(12, 60 * 12);
+  config.drives_per_jukebox = 2;
+  config.per_jukebox.layout.num_replicas = 2;
+  config.per_jukebox.layout.start_position = 1.0;
+  config.per_jukebox.sim.duration_seconds = 50'000;
+  config.per_jukebox.sim.warmup_seconds = 5'000;
+  config.per_jukebox.sim.workload.seed = 7;
+  config.per_jukebox.sim.faults.transient_read_error_prob = 0.01;
+  ExpectSameJsonAtThreads(config, 4);
 }
 
 TEST(Farm, MultiDriveBoxesRunAndOutperformSingleDrive) {
@@ -188,11 +200,7 @@ TEST(Farm, MultiDriveBoxesRunAndOutperformSingleDrive) {
   EXPECT_GT(two.aggregate.requests_per_minute,
             1.2 * one.aggregate.requests_per_minute);
   // And the multi-drive-backed farm stays thread-invariant.
-  FarmConfig dual_parallel = dual;
-  dual.threads = 1;
-  dual_parallel.threads = 4;
-  EXPECT_EQ(FarmJson(FarmSimulator(dual).Run()),
-            FarmJson(FarmSimulator(dual_parallel).Run()));
+  ExpectSameJsonAtThreads(dual, 4);
 }
 
 // Multi-drive boxes run the envelope scheduler with scrub/repair under
@@ -238,11 +246,7 @@ TEST(Farm, FaultInjectionAggregatesAcrossBoxes) {
                 result.aggregate.outstanding_at_end,
             result.aggregate.issued_requests);
   // Faulty farms are thread-invariant too.
-  FarmConfig parallel = config;
-  config.threads = 1;
-  parallel.threads = 4;
-  EXPECT_EQ(FarmJson(FarmSimulator(config).Run()),
-            FarmJson(FarmSimulator(parallel).Run()));
+  ExpectSameJsonAtThreads(config, 4);
 }
 
 TEST(Farm, PerBoxOutstandingConsistentWithAggregate) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "util/flags.h"
@@ -92,6 +93,24 @@ TEST_F(FlagsTest, BadIntFails) {
   int64_t n = 0;
   flags_.AddInt64("n", &n, "x");
   EXPECT_FALSE(Parse({"--n=abc"}).ok());
+  // strtoll clamps out-of-range values to INT64_MAX/MIN.
+  EXPECT_FALSE(Parse({"--n=99999999999999999999"}).ok());
+  EXPECT_FALSE(Parse({"--n=-99999999999999999999"}).ok());
+  EXPECT_EQ(n, 0);
+  ASSERT_TRUE(Parse({"--n=9223372036854775807"}).ok());
+  EXPECT_EQ(n, INT64_MAX);
+}
+
+// strtod accepts "nan" and "inf" (and overflows to inf); a double flag
+// must refuse them, leaving the target as it was.
+TEST_F(FlagsTest, NonFiniteDoubleFails) {
+  double x = 1.5;
+  flags_.AddDouble("x", &x, "x");
+  for (const char* arg : {"--x=nan", "--x=NaN", "--x=inf", "--x=-infinity",
+                          "--x=1e400"}) {
+    EXPECT_EQ(Parse({arg}).code(), StatusCode::kInvalidArgument) << arg;
+  }
+  EXPECT_EQ(x, 1.5);
 }
 
 TEST_F(FlagsTest, PositionalCollected) {
