@@ -53,7 +53,7 @@ int Main(int argc, char** argv) {
   }
   ctx.Emit("dynamic max-bandwidth with/without reverse-phase inserts",
            &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -90,6 +90,8 @@ int Main(int argc, char** argv) {
     SimulationConfig sim_config = group.base.sim;
     sim_config.workload.queue_length = 60;
     sim_config.workload.seed = ctx.PointSeed(i);
+    // Point indices follow RunParallel order (group-major, variant-minor).
+    ctx.AttachTrace(i, &sim_config);
     Simulator sim(&jukebox, &catalog, &scheduler, sim_config);
     outputs[i].result = sim.Run();
     outputs[i].counters = scheduler.counters();
@@ -115,7 +117,7 @@ int Main(int argc, char** argv) {
     }
     ctx.Emit(groups[g].title, &table);
   }
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ int Main(int argc, char** argv) {
       "nearest-neighbor (the modification the paper says serpentine "
       "drives need)",
       &sweeps);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ int Main(int argc, char** argv) {
          results[i].sim.tape_switches_per_hour});
   }
   ctx.Emit("vertical vs horizontal as hot data outgrows one tape", &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

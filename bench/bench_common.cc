@@ -9,6 +9,13 @@ namespace bench {
 
 bool BenchOptions::Parse(int argc, char** argv, const std::string& summary,
                          int* exit_code, FlagSet* extra) {
+  const StatusOr<double> default_seconds = DefaultSimSeconds();
+  if (!default_seconds.ok()) {
+    std::cerr << default_seconds.status() << "\n";
+    *exit_code = 2;
+    return false;
+  }
+  sim_seconds = default_seconds.value();
   FlagSet local(summary);
   FlagSet& flags = extra != nullptr ? *extra : local;
   flags.AddDouble("sim-seconds", &sim_seconds,
@@ -196,21 +203,13 @@ std::vector<ExperimentResult> BenchContext::RunGrid(
   std::vector<ExperimentConfig> points;
   points.reserve(grid.size());
   for (const GridPoint& point : grid) points.push_back(point.config);
-  const obs::TraceConfig trace = options_.Trace();
-  if (trace.enabled() && !trace_attached_) {
-    const size_t target = static_cast<size_t>(options_.trace_point);
-    if (target < points.size()) {
-      points[target].sim.obs = trace;
-      trace_attached_ = true;
-    }
+  const auto target = static_cast<size_t>(options_.trace_point);
+  if (Claim(options_.Trace().enabled(), &trace_attached_, points.size())) {
+    points[target].sim.obs = options_.Trace();
   }
-  const obs::TimelineConfig timeline = options_.Timeline();
-  if (timeline.enabled() && !timeline_attached_) {
-    const size_t target = static_cast<size_t>(options_.trace_point);
-    if (target < points.size()) {
-      points[target].sim.timeline = timeline;
-      timeline_attached_ = true;
-    }
+  if (Claim(options_.Timeline().enabled(), &timeline_attached_,
+            points.size())) {
+    points[target].sim.timeline = options_.Timeline();
   }
   StatusOr<std::vector<ExperimentResult>> results = runner.Run(points);
   TJ_CHECK(results.ok()) << results.status().ToString();
@@ -231,13 +230,12 @@ std::vector<FarmResult> BenchContext::RunFarmGrid(
   std::vector<FarmConfig> points;
   points.reserve(grid.size());
   for (const FarmGridPoint& point : grid) points.push_back(point.config);
-  const obs::TimelineConfig timeline = options_.Timeline();
-  if (timeline.enabled() && !timeline_attached_) {
-    const size_t target = static_cast<size_t>(options_.trace_point);
-    if (target < points.size()) {
-      points[target].per_jukebox.sim.timeline = timeline;
-      timeline_attached_ = true;
-    }
+  // A farm point runs many boxes, so it takes the timeline (which rolls
+  // them up) but never the per-box trace.
+  if (Claim(options_.Timeline().enabled(), &timeline_attached_,
+            points.size())) {
+    points[static_cast<size_t>(options_.trace_point)]
+        .per_jukebox.sim.timeline = options_.Timeline();
   }
   StatusOr<std::vector<FarmResult>> results = runner.RunFarms(points);
   TJ_CHECK(results.ok()) << results.status().ToString();
@@ -255,9 +253,29 @@ std::vector<FarmResult> BenchContext::RunFarmGrid(
 
 void BenchContext::RunParallel(size_t n,
                                const std::function<Status(size_t)>& fn) {
+  parallel_trace_ = Claim(options_.Trace().enabled(), &trace_attached_, n);
+  parallel_timeline_ =
+      Claim(options_.Timeline().enabled(), &timeline_attached_, n);
   const SweepRunner runner(options_.Sweep());
   const Status status = runner.RunIndexed(n, fn);
+  parallel_trace_ = false;
+  parallel_timeline_ = false;
   TJ_CHECK(status.ok()) << status.ToString();
+}
+
+void BenchContext::AttachTrace(size_t index, SimulationConfig* sim) const {
+  if (index != static_cast<size_t>(options_.trace_point)) return;
+  if (parallel_trace_) sim->obs = options_.Trace();
+  if (parallel_timeline_) sim->timeline = options_.Timeline();
+}
+
+bool BenchContext::Claim(bool requested, bool* attached, size_t n) const {
+  if (!requested || *attached ||
+      static_cast<size_t>(options_.trace_point) >= n) {
+    return false;
+  }
+  *attached = true;
+  return true;
 }
 
 void BenchContext::RecordResult(const std::string& series, double load,
@@ -275,9 +293,28 @@ void BenchContext::Emit(const std::string& title, Table* table) {
   tables_.push_back(RecordedTable{title, *table});
 }
 
-void BenchContext::Finish() {
-  if (finished_ || options_.results_dir.empty()) return;
+int BenchContext::Finish() {
+  if (finished_) return exit_code_;
   finished_ = true;
+  WriteResults();
+  const auto unattached = [this](const char* what) {
+    std::cerr << "error: " << bench_name_ << " wrote no " << what
+              << ": no grid has a point --trace-point="
+              << options_.trace_point
+              << ", or the bench runs no simulation that takes it\n";
+    exit_code_ = 2;
+  };
+  if (options_.Trace().enabled() && !trace_attached_) {
+    unattached("--trace-out/--decision-log");
+  }
+  if (options_.Timeline().enabled() && !timeline_attached_) {
+    unattached("--timeline-out");
+  }
+  return exit_code_;
+}
+
+void BenchContext::WriteResults() {
+  if (options_.results_dir.empty()) return;
   std::ostringstream out;
   JsonWriter w(&out);
   w.BeginObject();

@@ -7,7 +7,7 @@
 // from the in-order results. BenchContext::Finish() then writes
 // results/<bench>.json holding every table plus the full config and
 // SimulationResult of every sweep point (see docs/RESULTS.md for the
-// schema).
+// schema) and returns the bench's exit code.
 //
 // Flags shared by every bench: --threads (default: hardware concurrency;
 // --threads=1 runs the points serially in index order), --results-dir
@@ -36,7 +36,8 @@ namespace bench {
 
 /// Flags shared by every figure bench.
 struct BenchOptions {
-  double sim_seconds = DefaultSimSeconds();
+  /// --sim-seconds; Parse starts it at DefaultSimSeconds().
+  double sim_seconds = 0;
   int64_t seed = 1;
   bool csv = false;
   std::string queuing = "closed";  // "closed" or "open"
@@ -188,8 +189,14 @@ class BenchContext {
   /// Escape hatch for benches with bespoke simulators: runs fn(i) for each
   /// i in [0, n) across the pool. `fn` must only touch per-index state;
   /// use PointSeed(i) for any randomness so results stay thread-count
-  /// invariant. TJ_CHECK-fails if any point returns a non-OK status.
+  /// invariant, and AttachTrace(i, ...) on each point's simulation config.
+  /// Points are traced like RunGrid's, in index order. TJ_CHECK-fails if
+  /// any point returns a non-OK status.
   void RunParallel(size_t n, const std::function<Status(size_t)>& fn);
+
+  /// Inside RunParallel's `fn`: attaches the requested trace and timeline
+  /// to `sim` when point `index` is the one this grid traces.
+  void AttachTrace(size_t index, SimulationConfig* sim) const;
 
   /// The derived workload seed for bespoke point `index` — the same
   /// derivation RunGrid applies.
@@ -207,8 +214,11 @@ class BenchContext {
   void Emit(const std::string& title, Table* table);
 
   /// Writes results/<bench>.json (creating the directory) and prints the
-  /// path. No-op when --results-dir is empty. Idempotent.
-  void Finish();
+  /// path (not when --results-dir is empty), then returns the bench's exit
+  /// code: 2, with a message, when a requested trace, decision log or
+  /// timeline was never attached (--trace-point past every grid, or a
+  /// bench that does not simulate that output), else 0. Idempotent.
+  int Finish();
 
  private:
   struct RecordedPoint {
@@ -233,17 +243,28 @@ class BenchContext {
     Table table;
   };
 
+  /// True, setting `*attached`, when a `requested` output not yet
+  /// attached goes to point --trace-point of a grid of `n` points: the
+  /// first grid large enough takes it.
+  bool Claim(bool requested, bool* attached, size_t n) const;
+
+  void WriteResults();
+
   std::string bench_name_;
   BenchOptions options_;
   /// A requested trace has been attached to some grid point already.
   bool trace_attached_ = false;
   /// A requested timeline has been attached to some grid point already.
   bool timeline_attached_ = false;
+  /// What the running RunParallel grid's AttachTrace attaches.
+  bool parallel_trace_ = false;
+  bool parallel_timeline_ = false;
   std::vector<std::vector<RecordedPoint>> sweeps_;
   std::vector<std::vector<RecordedFarmPoint>> farm_sweeps_;
   std::vector<RecordedExtra> extra_results_;
   std::vector<RecordedTable> tables_;
   bool finished_ = false;
+  int exit_code_ = 0;
 };
 
 }  // namespace bench

@@ -81,7 +81,7 @@ int Main(int argc, char** argv) {
                           sim.sim.mean_delay_minutes)});
   }
   ctx.Emit("closed-form round-robin model vs simulation", &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ int Main(int argc, char** argv) {
       "Figure 10(b) measured farm-to-farm (equal total population 600, "
       "cost ~ boxes)",
       &cost);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ int Main(int argc, char** argv) {
   }
   ctx.Emit("availability under permanent media errors", &availability);
   ctx.Emit("fault machinery counters", &machinery);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -55,12 +55,8 @@ int Main(int argc, char** argv) {
     sim_config.warmup_seconds = 0;  // epochs cover the whole run
     sim_config.workload.queue_length = 60;
     sim_config.workload.seed = ctx.PointSeed(i);
-    // Bespoke-simulator benches attach the trace and timeline themselves;
-    // point indices follow RunParallel order.
-    if (i == static_cast<size_t>(options.trace_point)) {
-      sim_config.obs = options.Trace();
-      sim_config.timeline = options.Timeline();
-    }
+    // Point indices follow RunParallel order.
+    ctx.AttachTrace(i, &sim_config);
     LifecycleConfig lifecycle;
     lifecycle.fill_budget_seconds = fill ? 240.0 : 0.0;
     lifecycle.fill_on_idle = fill;
@@ -91,7 +87,7 @@ int Main(int argc, char** argv) {
                 << " / " << outputs[i].fill_target << "\n";
     }
   }
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

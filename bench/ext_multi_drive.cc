@@ -51,13 +51,8 @@ int Main(int argc, char** argv) {
     SimulationConfig sim_config = base.sim;
     sim_config.workload.queue_length = queue;
     sim_config.workload.seed = ctx.PointSeed(i);
-    // Bespoke-simulator benches attach the trace and timeline
-    // themselves; point indices follow RunParallel order (drives-major,
-    // queue-minor).
-    if (i == static_cast<size_t>(options.trace_point)) {
-      sim_config.obs = options.Trace();
-      sim_config.timeline = options.Timeline();
-    }
+    // Point indices follow RunParallel order (drives-major, queue-minor).
+    ctx.AttachTrace(i, &sim_config);
     Simulator sim(&jukebox, &catalog, scheduler.get(), sim_config);
     outputs[i].result = sim.Run();
     outputs[i].robot_wait_seconds = jukebox.counters().robot_wait_seconds;
@@ -85,7 +80,7 @@ int Main(int argc, char** argv) {
   std::cout << "\nNote: near-linear (occasionally super-linear) scaling — "
                "one drive's rewind/eject\noverlaps the others' reads; the "
                "costs are robot queueing and tape-claim conflicts.\n";
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -16,21 +16,17 @@
 //  (c) deadlines — per-class queueing deadlines with no admission control:
 //      past-deadline requests expire instead of occupying the queue.
 //
-// --check runs the CI acceptance gate instead of the grids: at 2x
-// saturation the adaptive policy must hold the protected class's p99 at or
-// under its SLO while `none` exceeds it, deadline expiry must fire, and a
-// farm with every overload feature on must serialize byte-identical JSON
-// at --threads 1 vs 4. Fails (TJ_CHECK abort) on any violation.
+// The acceptance checks (adaptive admission holds the protected class's
+// p99 SLO at 2x saturation while `none` blows it, deadline expiry fires,
+// and an overload farm is byte-identical at 1 vs 4 threads) are gtests:
+// tests/overload_test.cc and Farm.BitIdenticalAcrossThreadCountsOverload.
 
 #include <cstdint>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/experiment.h"
-#include "core/farm.h"
 
 namespace tapejuke {
 namespace bench {
@@ -115,93 +111,15 @@ void AddPolicyRow(Table* table, const std::string& policy, double gap,
                  r.mean_outstanding});
 }
 
-// ---------------------------------------------------------------------------
-// --check: the CI acceptance gate.
-// ---------------------------------------------------------------------------
-
-SimulationResult RunCheckPoint(const BenchOptions& options,
-                               const std::string& policy, bool deadlines) {
-  ExperimentConfig config = BasePoint(options, /*gap=*/25);
-  // Fixed short horizon: long enough past warm-up for the backlog under
-  // `none` to dwarf the SLO and for the adaptive controller to settle.
-  config.sim.duration_seconds = 400'000;
-  config.sim.warmup_seconds = 40'000;
-  if (deadlines) AddTenantMix(&config.sim.workload, /*with_deadlines=*/true);
-  config.sim.admission = MakePolicy(policy);
-  return ExperimentRunner::Run(config).value().sim;
-}
-
-std::string FarmJson(const FarmResult& result) {
-  std::ostringstream out;
-  JsonWriter w(&out);
-  WriteJson(&w, result);
-  return out.str();
-}
-
-int RunCheck(const BenchOptions& options) {
-  // (1) SLO protection at 2x saturation: without admission control the
-  // protected class's p99 blows past its SLO; the adaptive policy holds it.
-  const SimulationResult none = RunCheckPoint(options, "none", false);
-  const SimulationResult adaptive =
-      RunCheckPoint(options, "adaptive", false);
-  TJ_CHECK_GT(Class(none, 0).p99_delay_seconds, kProtectedSlo)
-      << "expected the unprotected run to violate the protected SLO at 2x "
-         "saturation";
-  TJ_CHECK_LE(Class(adaptive, 0).p99_delay_seconds, kProtectedSlo)
-      << "adaptive admission failed to hold the protected class's p99 SLO";
-  TJ_CHECK_GT(adaptive.shed_requests, 0)
-      << "adaptive admission shed nothing at 2x saturation";
-  TJ_CHECK_EQ(none.shed_requests, int64_t{0});
-  std::cout << "overload SLO check: PASS (none p99 "
-            << Class(none, 0).p99_delay_seconds << " s > " << kProtectedSlo
-            << " s, adaptive p99 " << Class(adaptive, 0).p99_delay_seconds
-            << " s, " << adaptive.shed_requests << " shed)\n";
-
-  // (2) Deadline expiry: with per-class queueing deadlines and no
-  // admission control, past-deadline requests must settle as expired.
-  const SimulationResult expiry = RunCheckPoint(options, "none", true);
-  TJ_CHECK_GT(expiry.expired_requests, 0)
-      << "no request expired at 2x saturation despite queueing deadlines";
-  std::cout << "deadline expiry check: PASS (" << expiry.expired_requests
-            << " expired)\n";
-
-  // (3) Thread invariance: a farm with every overload feature on (tenant
-  // mix, deadlines, adaptive admission, diurnal + bursty arrivals) must
-  // serialize byte-identical results at --threads 1 vs 4.
-  FarmConfig serial;
-  serial.num_jukeboxes = 6;
-  serial.threads = 1;
-  serial.per_jukebox = BasePoint(options, /*gap=*/8);
-  serial.per_jukebox.sim.duration_seconds = 150'000;
-  serial.per_jukebox.sim.warmup_seconds = 15'000;
-  AddTenantMix(&serial.per_jukebox.sim.workload, /*with_deadlines=*/true);
-  serial.per_jukebox.sim.workload.diurnal_amplitude = 0.5;
-  serial.per_jukebox.sim.workload.diurnal_period_seconds = 40'000;
-  AddBursts(&serial.per_jukebox.sim.workload);
-  serial.per_jukebox.sim.admission = MakePolicy("adaptive");
-  FarmConfig parallel = serial;
-  parallel.threads = 4;
-  const FarmResult a = FarmSimulator(serial).Run();
-  const FarmResult b = FarmSimulator(parallel).Run();
-  TJ_CHECK(FarmJson(a) == FarmJson(b))
-      << "overload farm results diverged between --threads 1 and 4";
-  std::cout << "overload determinism check: PASS (6 boxes, "
-            << a.aggregate.completed_requests
-            << " completions, byte-identical at threads 1 vs 4)\n";
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   BenchOptions options;
-  bool check = false;
-  FlagSet flags(
-      "Extension: overload protection (deadlines, admission control, "
-      "degradation past saturation)");
-  flags.AddBool("check", &check,
-                "run the CI acceptance gate instead of the full grids");
   int exit_code = 0;
-  if (!options.Parse(argc, argv, "", &exit_code, &flags)) return exit_code;
-  if (check) return RunCheck(options);
+  if (!options.Parse(argc, argv,
+                     "Extension: overload protection (deadlines, admission "
+                     "control, degradation past saturation)",
+                     &exit_code)) {
+    return exit_code;
+  }
   BenchContext ctx("ext_overload", options);
 
   const std::vector<double> gaps = OverloadGaps(options);
@@ -283,7 +201,7 @@ int Main(int argc, char** argv) {
       "per-class queueing deadlines, no admission (premium 15000 s, "
       "standard 30000 s)",
       &deadline_table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -173,7 +173,7 @@ int Main(int argc, char** argv) {
           << " repairs completed but protection did not improve";
     }
   }
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -69,12 +69,8 @@ int Main(int argc, char** argv) {
     SimulationConfig sim_config = base.sim;
     sim_config.workload.queue_length = 60;
     sim_config.workload.seed = ctx.PointSeed(i);
-    // Bespoke-simulator benches attach the trace and timeline themselves;
-    // point indices follow RunParallel order.
-    if (i == static_cast<size_t>(options.trace_point)) {
-      sim_config.obs = options.Trace();
-      sim_config.timeline = options.Timeline();
-    }
+    // Point indices follow RunParallel order.
+    ctx.AttachTrace(i, &sim_config);
     WritePathConfig writes;
     writes.mean_write_interarrival_seconds = spec.gap;
     writes.piggyback = spec.policy.piggyback;
@@ -110,7 +106,7 @@ int Main(int argc, char** argv) {
                "piggybacks lose to patient batched flushing — raise the "
                "piggyback\nthreshold until batches match the forced-flush "
                "size and the saved tape switches\ncome for free.\n";
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ int Main(int argc, char** argv) {
   std::cout << "\nExpected shape (and the paper's Q7 carried over): higher "
                "theta helps both\nschemes, and the replication gain widens "
                "with skew.\n";
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

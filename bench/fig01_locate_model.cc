@@ -51,7 +51,7 @@ int Main(int argc, char** argv) {
   fits.AddRow({std::string("reverse long"), p.rev_long_startup,
                p.rev_long_per_mb, std::string("k > 28")});
   ctx.Emit("fitted regimes (paper constants)", &fits);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ int Main(int argc, char** argv) {
   summary.AddRow({std::string("locate"), max_locate, mean_locate, 0.6, 0.5});
   summary.AddRow({std::string("read"), max_read, mean_read, 4.6, 2.6});
   ctx.Emit("error summary vs paper", &summary);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

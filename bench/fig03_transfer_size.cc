@@ -63,7 +63,7 @@ int Main(int argc, char** argv) {
             << TimingModel{TimingParams::Exabyte8505XL()}.StreamingRateMBps() *
                    1024
             << " KB/s); 8 MB costs ~2x vs 16 MB.\n";
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ int Main(int argc, char** argv) {
                   results[i].sim.tape_switches_per_hour});
   }
   ctx.Emit("replication curves (vertical layout)", &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ int Main(int argc, char** argv) {
                   results[i].sim.mean_delay_minutes});
   }
   ctx.Emit("replica placement curves", &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ int Main(int argc, char** argv) {
                   results[i].sim.p95_delay_seconds / 60.0});
   }
   ctx.Emit("throughput/delay parametric curves (full replication)", &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

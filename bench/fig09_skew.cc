@@ -53,7 +53,7 @@ int Main(int argc, char** argv) {
          results[i].sim.mean_delay_minutes});
   }
   ctx.Emit("skew curves", &table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ int Main(int argc, char** argv) {
   }
   ctx.Emit("spare-capacity schemes: same dataset, replicas 'for free'",
            &spare_table);
-  return 0;
+  return ctx.Finish();
 }
 
 }  // namespace

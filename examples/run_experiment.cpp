@@ -73,7 +73,12 @@ int main(int argc, char** argv) {
   double think_seconds = 0.0;
   int64_t seed = 1;
   // Simulation.
-  double sim_seconds = tapejuke::DefaultSimSeconds();
+  const StatusOr<double> default_seconds = tapejuke::DefaultSimSeconds();
+  if (!default_seconds.ok()) {
+    std::cerr << default_seconds.status() << "\n";
+    return 2;
+  }
+  double sim_seconds = default_seconds.value();
   double warmup_frac = 0.1;
   std::string algorithm = "dynamic-max-bandwidth";
   // Traces.

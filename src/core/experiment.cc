@@ -7,6 +7,7 @@
 #include "sched/fifo_scheduler.h"
 #include "sched/greedy_scheduler.h"
 #include "util/check.h"
+#include "util/flags.h"
 
 namespace tapejuke {
 
@@ -149,12 +150,18 @@ StatusOr<ExperimentResult> ExperimentRunner::Run(
   return result;
 }
 
-double DefaultSimSeconds() {
-  if (const char* env = std::getenv("TAPEJUKE_SIM_SECONDS")) {
-    const double parsed = std::atof(env);
-    if (parsed > 0) return parsed;
+StatusOr<double> DefaultSimSeconds() {
+  const char* env = std::getenv("TAPEJUKE_SIM_SECONDS");
+  if (env == nullptr) return 2'000'000.0;
+  double seconds = 0;
+  if (!ParseFiniteDouble(env, &seconds) || seconds <= 0) {
+    std::string message =
+        "TAPEJUKE_SIM_SECONDS must be a finite number > 0, got '";
+    message += env;
+    message += "'";
+    return Status::InvalidArgument(message);
   }
-  return 2'000'000.0;
+  return seconds;
 }
 
 }  // namespace tapejuke

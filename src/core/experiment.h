@@ -87,9 +87,11 @@ class ExperimentRunner {
 };
 
 /// Default simulated seconds per run for benches: the value of the
-/// TAPEJUKE_SIM_SECONDS environment variable, or 2,000,000 (the paper used
-/// 10,000,000; see DESIGN.md for the substitution note).
-double DefaultSimSeconds();
+/// TAPEJUKE_SIM_SECONDS environment variable, or 2,000,000 when it is unset
+/// (the paper used 10,000,000; see DESIGN.md for the substitution note).
+/// InvalidArgument, naming the variable, unless the whole value is a
+/// finite number > 0.
+StatusOr<double> DefaultSimSeconds();
 
 }  // namespace tapejuke
 

@@ -10,14 +10,6 @@ namespace tapejuke {
 
 namespace {
 
-/// Rank of `tape` scanning the jukebox circularly from `origin` (origin
-/// itself has rank 0).
-int32_t ScanRankFrom(TapeId tape, TapeId origin, int32_t num_tapes) {
-  if (origin < 0) origin = 0;
-  origin = origin % num_tapes;
-  return (tape - origin + num_tapes) % num_tapes;
-}
-
 /// A tape's best extension prefix: its incremental bandwidth and length.
 struct TapeScore {
   double bw = -1.0;
@@ -72,8 +64,8 @@ TapeId SelectBestTape(const std::vector<std::vector<Ext>>& ext,
       const int64_t c_t = counts[static_cast<size_t>(t)];
       const int64_t c_b = counts[static_cast<size_t>(best)];
       better = c_t > c_b ||
-               (c_t == c_b && ScanRankFrom(t, mounted, num_tapes) <
-                                  ScanRankFrom(best, mounted, num_tapes));
+               (c_t == c_b && ScanRank(t, mounted, num_tapes) <
+                                  ScanRank(best, mounted, num_tapes));
     } else {
       better = score[static_cast<size_t>(t)].bw >
                score[static_cast<size_t>(best)].bw;
@@ -279,8 +271,8 @@ bool EnvelopeScheduler::PrefersInsideReplica(
   const int64_t best_count = scheduled_per_tape[static_cast<size_t>(best->tape)];
   if (count != best_count) return count > best_count;
   const int32_t num_tapes = jukebox_->num_tapes();
-  return ScanRankFrom(candidate.tape, mounted + 1, num_tapes) <
-         ScanRankFrom(best->tape, mounted + 1, num_tapes);
+  return ScanRank(candidate.tape, mounted + 1, num_tapes) <
+         ScanRank(best->tape, mounted + 1, num_tapes);
 }
 
 bool EnvelopeScheduler::TryAbsorb(uint32_t index, KernelState* state,
@@ -718,25 +710,6 @@ void EnvelopeScheduler::CrossCheckEnvelope(
       << "kernels took different numbers of extension rounds";
 }
 
-TapeId EnvelopeScheduler::TryEpochReschedule() {
-  // The persisted envelope stays reusable across catalog mutations (a
-  // replica dying or being repaired mid-epoch): the candidate walk
-  // re-derives servability from live replicas only.
-  BuildTapeCandidates(*jukebox_, *catalog_, pending_, &envelope_,
-                      &candidates_);
-  DropClaimedCandidates();
-  const TapeId tape =
-      SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
-                 jukebox_->head(), jukebox_->num_tapes(), cost_);
-  if (tape == kInvalidTape) return kInvalidTape;
-  RecordDecision(/*background=*/false, tape, candidates_.tapes());
-  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
-                      &served_sweep());
-  TJ_CHECK(!served_sweep().empty());
-  PiggybackBackground(tape);
-  return tape;
-}
-
 TapeId EnvelopeScheduler::MajorReschedule() {
   TJ_CHECK(served_sweep().empty());
   // Batched arrivals join the pending list through the normal incremental
@@ -751,9 +724,12 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   }
 
   // Epoch fast path: reuse the previous envelope for another tape visit.
+  // The persisted envelope stays reusable across catalog mutations (a
+  // replica dying or being repaired mid-epoch): the candidate walk
+  // re-derives servability from live replicas only.
   if (options_.reschedule_epoch > 1 && envelope_valid_ &&
       epoch_visits_ < options_.reschedule_epoch) {
-    const TapeId tape = TryEpochReschedule();
+    const TapeId tape = ScheduleVisit(policy_, &pending_, &envelope_);
     if (tape != kInvalidTape) {
       ++epoch_visits_;
       ++counters_.epoch_reuses;
@@ -766,7 +742,7 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   const int64_t rounds_before = counters_.extension_rounds;
   const int64_t rescored_before = counters_.tapes_rescored;
   // The kernels read the pending list in place (nothing mutates it before
-  // ExtractSweepForTape). The assignment map is only materialized for the
+  // ScheduleVisit extracts the sweep). The assignment map is only materialized for the
   // oracle comparison; the reschedule itself consumes the envelope alone,
   // read in place from the kernel's scratch state.
   EnvelopeResult& result = RunIncrementalKernel(
@@ -778,29 +754,20 @@ TapeId EnvelopeScheduler::MajorReschedule() {
 
   // Tape choice: apply the policy to the set of requests each tape can
   // satisfy within the upper envelope (a superset of the per-tape
-  // assignment built above).
-  BuildTapeCandidates(*jukebox_, *catalog_, pending_, &result.envelope,
-                      &candidates_);
-  DropClaimedCandidates();
+  // assignment built above). Background riders may lie beyond the
+  // envelope edge: the mount is paid for anyway, and client insertions
+  // never depend on riders (the sweep edge check in ShrinkActiveSweep
+  // compares against the envelope, which riders by definition exceed, so
+  // shrinking simply stops there).
   const TapeId tape =
-      SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
-                 jukebox_->head(), jukebox_->num_tapes(), cost_);
+      ScheduleVisit(policy_, &pending_, &result.envelope,
+                    counters_.extension_rounds - rounds_before,
+                    counters_.tapes_rescored - rescored_before);
   if (tape == kInvalidTape) {
     // Every tape with in-envelope work is held by another drive.
     TJ_CHECK_GT(jukebox_->num_drives(), 1);
     return kInvalidTape;
   }
-  RecordDecision(/*background=*/false, tape, candidates_.tapes(),
-                 counters_.extension_rounds - rounds_before,
-                 counters_.tapes_rescored - rescored_before);
-  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
-                      &served_sweep());
-  TJ_CHECK(!served_sweep().empty());
-  // Background riders may lie beyond the envelope edge: the mount is paid
-  // for anyway, and client insertions never depend on riders (the sweep
-  // edge check in ShrinkActiveSweep compares against the envelope, which
-  // riders by definition exceed, so shrinking simply stops there).
-  PiggybackBackground(tape);
   // A swap, not a move: the scratch keeps a buffer for the next call.
   envelope_.swap(result.envelope);
   envelope_valid_ = true;

@@ -189,11 +189,6 @@ class EnvelopeScheduler : public Scheduler {
   /// Re-adds `request` to the pending list keeping arrival (id) order.
   void DeferInOrder(const Request& request);
 
-  /// Epoch fast path: serve another tape from the persisted envelope
-  /// without recomputing it. Returns kInvalidTape when no pending request
-  /// has an in-envelope replica (caller falls back to a full recompute).
-  TapeId TryEpochReschedule();
-
   /// Lazily allocated reusable scratch (the incremental kernel's state and
   /// temporaries survive across calls, so a warm reschedule allocates
   /// nothing).

@@ -48,19 +48,7 @@ TapeId GreedyScheduler::MajorReschedule() {
   TJ_CHECK(served_sweep().empty());
   FlushArrivals();
   if (pending_.empty()) return BackgroundReschedule();
-  BuildTapeCandidates(*jukebox_, *catalog_, pending_, /*envelope=*/nullptr,
-                      &candidates_);
-  DropClaimedCandidates();
-  const TapeId tape =
-      SelectTape(policy_, candidates_.tapes(), jukebox_->mounted_tape(),
-                 jukebox_->head(), jukebox_->num_tapes(), cost_);
-  if (tape == kInvalidTape) return kInvalidTape;
-  RecordDecision(/*background=*/false, tape, candidates_.tapes());
-  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &pending_,
-                      &served_sweep());
-  TJ_CHECK(!served_sweep().empty());
-  PiggybackBackground(tape);
-  return tape;
+  return ScheduleVisit(policy_, &pending_, /*envelope=*/nullptr);
 }
 
 }  // namespace tapejuke

@@ -23,17 +23,6 @@ const char* TapePolicyName(TapePolicy policy) {
   return "unknown";
 }
 
-namespace {
-
-/// Rank of `tape` in jukebox scan order starting at `origin` (origin itself
-/// first). Lower rank wins ties.
-int32_t ScanRank(TapeId tape, TapeId origin, int32_t num_tapes) {
-  if (origin < 0) origin = 0;
-  return (tape - origin + num_tapes) % num_tapes;
-}
-
-}  // namespace
-
 Status SchedulerOptions::Validate() const {
   if (arrival_batch < 0) {
     return Status::InvalidArgument("arrival_batch must be >= 0");
@@ -111,13 +100,6 @@ size_t Scheduler::sweep_size() const {
   size_t size = 0;
   for (const Sweep& sweep : sweeps_) size += sweep.size();
   return size;
-}
-
-void Scheduler::DropClaimedCandidates() {
-  if (sweeps_.size() == 1) return;
-  for (TapeCandidate& c : candidates_.tapes()) {
-    if (jukebox_->HeldByOtherDrive(c.tape)) c.Clear();
-  }
 }
 
 void Scheduler::OnArrival(const Request& request, Position committed_head) {
@@ -233,24 +215,38 @@ TapeId Scheduler::BackgroundReschedule() {
   // Client candidates are empty here, so candidate work is exactly the
   // background queue; max-requests batches the most source reads per
   // mount, which is what repair throughput wants.
-  // The oldest-request rule does not apply to background work.
-  BuildTapeCandidates(*jukebox_, *catalog_, background_, /*envelope=*/nullptr,
-                      &candidates_);
-  for (TapeCandidate& c : candidates_.tapes()) c.serves_oldest = false;
-  DropClaimedCandidates();
-  const TapeId tape =
-      SelectTape(TapePolicy::kMaxRequests, candidates_.tapes(),
-                 jukebox_->mounted_tape(), jukebox_->head(),
-                 jukebox_->num_tapes(), cost_);
+  const TapeId tape = ScheduleVisit(TapePolicy::kMaxRequests, &background_,
+                                    /*envelope=*/nullptr);
   if (tape == kInvalidTape) {
     TJ_CHECK_GT(sweeps_.size(), 1u)
         << "background request with no live replica";
-    return kInvalidTape;
   }
-  RecordDecision(/*background=*/true, tape, candidates_.tapes());
-  ExtractSweepForTape(&candidates_, tape, StartHead(tape), &background_,
+  return tape;
+}
+
+TapeId Scheduler::ScheduleVisit(TapePolicy policy, std::vector<Request>* queue,
+                                const std::vector<Position>* envelope,
+                                int64_t envelope_rounds,
+                                int64_t tapes_rescored) {
+  const bool background = queue == &background_;
+  BuildTapeCandidates(*jukebox_, *catalog_, *queue, envelope, &candidates_);
+  std::vector<TapeCandidate>& tapes = candidates_.tapes();
+  if (background) {
+    for (TapeCandidate& c : tapes) c.serves_oldest = false;
+  }
+  if (sweeps_.size() > 1) {
+    for (TapeCandidate& c : tapes) {
+      if (jukebox_->HeldByOtherDrive(c.tape)) c.Clear();
+    }
+  }
+  const TapeId tape = SelectTape(policy, tapes, jukebox_->mounted_tape(),
+                                 jukebox_->head(), jukebox_->num_tapes(), cost_);
+  if (tape == kInvalidTape) return kInvalidTape;
+  RecordDecision(background, tape, tapes, envelope_rounds, tapes_rescored);
+  ExtractSweepForTape(&candidates_, tape, StartHead(tape), queue,
                       &served_sweep());
   TJ_CHECK(!served_sweep().empty());
+  if (!background) PiggybackBackground(tape);
   return tape;
 }
 

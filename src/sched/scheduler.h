@@ -87,6 +87,15 @@ struct SchedulerOptions {
   Status Validate() const;
 };
 
+/// Rank of `tape` scanning the jukebox circularly from `origin` (origin
+/// itself has rank 0; a negative origin scans from tape 0). Lower rank wins
+/// ties.
+inline int32_t ScanRank(TapeId tape, TapeId origin, int32_t num_tapes) {
+  if (origin < 0) origin = 0;
+  origin %= num_tapes;
+  return (tape - origin + num_tapes) % num_tapes;
+}
+
 /// Applies `policy` to the candidate tapes. `mounted`/`head` describe the
 /// drive state (for bandwidth estimates and jukebox-order tie-breaks).
 /// Returns kInvalidTape if no candidate has requests.
@@ -214,10 +223,19 @@ class Scheduler {
   /// queue is empty too, or every tape it needs is held by another drive.
   TapeId BackgroundReschedule();
 
-  /// The tape-claim check (LTFS-DM's `tapeResAvail`): clears the
-  /// candidates on tapes loaded in another drive, which the served drive
-  /// cannot mount. No-op with one drive.
-  void DropClaimedCandidates();
+  /// One tape visit (paper §3): walks `queue` (pending_ or background_)
+  /// for each tape's servable requests, counting only replicas inside
+  /// `envelope` when it is non-null; withdraws the tapes another drive
+  /// holds (the tape-claim check, LTFS-DM's `tapeResAvail`); applies
+  /// `policy`; records the decision (the envelope counters go into the
+  /// record); and moves the chosen tape's requests from `queue` into the
+  /// served drive's sweep, with background riders on a client visit.
+  /// The oldest-request rule does not apply to background work. Returns
+  /// kInvalidTape, moving nothing, when no free tape has work.
+  TapeId ScheduleVisit(TapePolicy policy, std::vector<Request>* queue,
+                       const std::vector<Position>* envelope,
+                       int64_t envelope_rounds = 0,
+                       int64_t tapes_rescored = 0);
 
   Sweep& served_sweep() {
     return sweeps_[static_cast<size_t>(jukebox_->served_drive())];
@@ -266,7 +284,7 @@ class Scheduler {
   std::vector<Request> background_;
   /// One sweep per drive, sized from the jukebox at construction.
   std::vector<Sweep> sweeps_;
-  /// The major reschedule's candidate walk (BuildTapeCandidates), which
+  /// ScheduleVisit's candidate walk (BuildTapeCandidates), which
   /// ExtractSweepForTape then consumes.
   TapeCandidateSet candidates_;
   obs::DecisionSink* decision_sink_ = nullptr;

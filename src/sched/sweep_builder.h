@@ -6,7 +6,8 @@
 // member list of (queue index, replica slot) pairs, whose length is the
 // request count. Once a tape is chosen, ExtractSweepForTape builds its
 // sweep from that tape's member list alone and compacts the queue, so the
-// catalog is walked once per reschedule. Used by the Scheduler subclasses.
+// catalog is walked once per reschedule. Scheduler::ScheduleVisit is the
+// one caller of both halves.
 
 #ifndef TAPEJUKE_SCHED_SWEEP_BUILDER_H_
 #define TAPEJUKE_SCHED_SWEEP_BUILDER_H_

@@ -14,21 +14,18 @@ namespace tapejuke {
 /// Multi-drive extension parameters.
 struct MultiDriveConfig {
   int32_t num_drives = 2;
-  TapePolicy policy = TapePolicy::kMaxBandwidth;
-  /// Insert arrivals into running sweeps (the dynamic incremental rule).
-  bool dynamic_insertion = true;
-  SchedulerOptions options;
 };
 
-/// A greedy scheduler and a Simulator over `num_drives` drives of one
-/// jukebox (fault-free: the catalog is const).
+/// A dynamic max-bandwidth scheduler with default options and a Simulator
+/// over `num_drives` drives of one jukebox (fault-free: the catalog is
+/// const).
 class MultiDriveSimulator {
  public:
   MultiDriveSimulator(Jukebox* jukebox, const Catalog* catalog,
                       const MultiDriveConfig& drives,
                       const SimulationConfig& sim)
       : scheduler_(WithDrives(jukebox, drives.num_drives), catalog,
-                   drives.policy, drives.dynamic_insertion, drives.options),
+                   TapePolicy::kMaxBandwidth, /*dynamic=*/true),
         sim_(jukebox, catalog, &scheduler_, sim) {}
 
   SimulationResult Run() { return sim_.Run(); }

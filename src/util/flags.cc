@@ -8,6 +8,17 @@
 
 namespace tapejuke {
 
+bool ParseFiniteDouble(const std::string& text, double* value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  // strtod also accepts "nan" and "inf", and returns HUGE_VAL on overflow.
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
+
 FlagSet::FlagSet(std::string program_summary)
     : summary_(std::move(program_summary)) {}
 
@@ -52,18 +63,13 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
       *static_cast<int64_t*>(flag.target) = parsed;
       return Status::Ok();
     }
-    case Kind::kDouble: {
-      char* end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &end);
-      // strtod also accepts "nan" and "inf"; no flag takes either.
-      if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    case Kind::kDouble:
+      if (!ParseFiniteDouble(value, static_cast<double*>(flag.target))) {
         return Status::InvalidArgument("flag --" + name +
                                        " expects a finite number, got '" +
                                        value + "'");
       }
-      *static_cast<double*>(flag.target) = parsed;
       return Status::Ok();
-    }
     case Kind::kString:
       *static_cast<std::string*>(flag.target) = value;
       return Status::Ok();

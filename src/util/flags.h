@@ -15,6 +15,11 @@
 
 namespace tapejuke {
 
+/// Parses all of `text` as a finite double (strtod syntax). Fails, leaving
+/// `*value` alone, on empty input, trailing characters, "nan", "inf" and
+/// overflow.
+bool ParseFiniteDouble(const std::string& text, double* value);
+
 /// Declarative flag set: register flags bound to caller-owned storage, then
 /// Parse(argc, argv).
 class FlagSet {

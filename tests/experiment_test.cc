@@ -187,13 +187,24 @@ TEST(ExperimentRunner, OpenThroughputTracksArrivalRate) {
               0.2, 0.05);
 }
 
+// Only a whole, finite, positive number overrides the default; anything
+// else is an error that names the variable, never a silent fallback.
 TEST(DefaultSimSeconds, EnvOverride) {
   unsetenv("TAPEJUKE_SIM_SECONDS");
-  EXPECT_DOUBLE_EQ(DefaultSimSeconds(), 2'000'000.0);
+  EXPECT_DOUBLE_EQ(DefaultSimSeconds().value(), 2'000'000.0);
   setenv("TAPEJUKE_SIM_SECONDS", "500000", 1);
-  EXPECT_DOUBLE_EQ(DefaultSimSeconds(), 500'000.0);
-  setenv("TAPEJUKE_SIM_SECONDS", "garbage", 1);
-  EXPECT_DOUBLE_EQ(DefaultSimSeconds(), 2'000'000.0);
+  EXPECT_DOUBLE_EQ(DefaultSimSeconds().value(), 500'000.0);
+  setenv("TAPEJUKE_SIM_SECONDS", "2.5e3", 1);
+  EXPECT_DOUBLE_EQ(DefaultSimSeconds().value(), 2'500.0);
+  for (const char* bad :
+       {"garbage", "abc", "2000x", "", "inf", "nan", "1e999", "0", "-5"}) {
+    setenv("TAPEJUKE_SIM_SECONDS", bad, 1);
+    const StatusOr<double> seconds = DefaultSimSeconds();
+    ASSERT_FALSE(seconds.ok()) << "'" << bad << "'";
+    EXPECT_EQ(seconds.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(seconds.status().message().find("TAPEJUKE_SIM_SECONDS"),
+              std::string::npos);
+  }
   unsetenv("TAPEJUKE_SIM_SECONDS");
 }
 

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/results_io.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -187,6 +188,25 @@ TEST(Farm, BitIdenticalAcrossThreadCountsMultiDriveFaults) {
   config.per_jukebox.sim.warmup_seconds = 5'000;
   config.per_jukebox.sim.workload.seed = 7;
   config.per_jukebox.sim.faults.transient_read_error_prob = 0.01;
+  ExpectSameJsonAtThreads(config, 4);
+}
+
+// Six boxes with every overload feature on: tenant mix with deadlines,
+// adaptive admission, diurnal and bursty arrivals (bench/ext_overload's
+// point at an 8 s farm-wide interarrival).
+TEST(Farm, BitIdenticalAcrossThreadCountsOverload) {
+  FarmConfig config;
+  config.num_jukeboxes = 6;
+  config.per_jukebox = OverloadBenchPoint(/*gap=*/8, /*deadlines=*/true);
+  SimulationConfig& sim = config.per_jukebox.sim;
+  sim.duration_seconds = 150'000;
+  sim.warmup_seconds = 15'000;
+  sim.workload.diurnal_amplitude = 0.5;
+  sim.workload.diurnal_period_seconds = 40'000;
+  sim.workload.burst_interval_seconds = 20'000;
+  sim.workload.burst_size = 30;
+  sim.workload.burst_spread_seconds = 600;
+  sim.admission.policy = AdmissionPolicy::kAdaptive;
   ExpectSameJsonAtThreads(config, 4);
 }
 

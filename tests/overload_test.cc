@@ -245,6 +245,41 @@ std::string ToJson(const SimulationResult& result) {
   return out.str();
 }
 
+// -- acceptance at 2x saturation -------------------------------------------
+
+// bench/ext_overload's point at 2x saturation, over a fixed 400 000 s
+// horizon: long enough past warm-up for the backlog under `none` to dwarf
+// the SLO and for the adaptive controller to settle.
+SimulationResult RunSaturated(AdmissionPolicy policy, bool deadlines) {
+  ExperimentConfig config = OverloadBenchPoint(/*gap=*/25, deadlines);
+  config.sim.duration_seconds = 400'000;
+  config.sim.warmup_seconds = 40'000;
+  config.sim.admission.policy = policy;
+  return ExperimentRunner::Run(config).value().sim;
+}
+
+// Without admission control the protected class's p99 blows past its SLO
+// and nothing is shed; the adaptive policy sheds load and holds the SLO.
+TEST(OverloadSlo, AdaptiveHoldsProtectedP99WhereNoneBlowsIt) {
+  const SimulationResult none = RunSaturated(AdmissionPolicy::kNone, false);
+  ASSERT_EQ(none.tenant_classes.size(), 3u);
+  EXPECT_GT(none.tenant_classes[0].p99_delay_seconds, kOverloadProtectedSlo);
+  EXPECT_EQ(none.shed_requests, 0);
+
+  const SimulationResult adaptive =
+      RunSaturated(AdmissionPolicy::kAdaptive, false);
+  ASSERT_EQ(adaptive.tenant_classes.size(), 3u);
+  EXPECT_LE(adaptive.tenant_classes[0].p99_delay_seconds,
+            kOverloadProtectedSlo);
+  EXPECT_GT(adaptive.shed_requests, 0);
+}
+
+// With per-class queueing deadlines and no admission control,
+// past-deadline requests settle as expired.
+TEST(OverloadSlo, DeadlinesExpireRequests) {
+  EXPECT_GT(RunSaturated(AdmissionPolicy::kNone, true).expired_requests, 0);
+}
+
 TEST(OverloadJson, GatedOffForOverloadFreeRuns) {
   SimulationConfig sim;
   sim.duration_seconds = 60'000;

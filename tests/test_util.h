@@ -142,6 +142,45 @@ struct DriveRig {
   int64_t claim_conflicts = 0;
 };
 
+/// The protected tenant class's p99 SLO in bench/ext_overload, seconds.
+inline constexpr double kOverloadProtectedSlo = 15000.0;
+
+/// bench/ext_overload's point at mean interarrival `gap` (at its defaults:
+/// seed 1, no faults): the paper's base configuration (10 tapes, 16 MB
+/// blocks, PH-10 RH-40 NR-0 SP-0, dynamic max-bandwidth) under an open
+/// workload split 10/30/60 across a protected class (p99 SLO
+/// kOverloadProtectedSlo), a standard class (3x that) and best effort.
+/// With `deadlines` the first two classes carry queueing deadlines of one
+/// and two SLOs. 25 s is 2x saturation.
+inline ExperimentConfig OverloadBenchPoint(double gap, bool deadlines) {
+  ExperimentConfig config;
+  config.jukebox.num_tapes = 10;
+  config.jukebox.block_size_mb = 16;
+  config.layout.hot_fraction = 0.10;
+  config.layout.num_replicas = 0;
+  config.layout.start_position = 0.0;
+  config.algorithm = AlgorithmSpec::Parse("dynamic-max-bandwidth").value();
+  WorkloadConfig& workload = config.sim.workload;
+  workload.model = QueuingModel::kOpen;
+  workload.mean_interarrival_seconds = gap;
+  workload.hot_request_fraction = 0.40;
+  workload.seed = 1;
+  TenantClassConfig premium;
+  premium.weight = 0.1;
+  premium.p99_slo_seconds = kOverloadProtectedSlo;
+  TenantClassConfig standard;
+  standard.weight = 0.3;
+  standard.p99_slo_seconds = 3.0 * kOverloadProtectedSlo;
+  TenantClassConfig besteffort;
+  besteffort.weight = 0.6;
+  if (deadlines) {
+    premium.deadline_seconds = kOverloadProtectedSlo;
+    standard.deadline_seconds = 2.0 * kOverloadProtectedSlo;
+  }
+  workload.tenant_classes = {premium, standard, besteffort};
+  return config;
+}
+
 }  // namespace tapejuke
 
 #endif  // TAPEJUKE_TESTS_TEST_UTIL_H_
