@@ -85,10 +85,6 @@ void WriteJson(JsonWriter* w, const WorkloadConfig& workload) {
     }
     w->EndArray();
   }
-  if (workload.diurnal_amplitude > 0) {
-    w->Field("diurnal_amplitude", workload.diurnal_amplitude);
-    w->Field("diurnal_period_seconds", workload.diurnal_period_seconds);
-  }
   if (workload.burst_interval_seconds > 0) {
     w->Field("burst_interval_seconds", workload.burst_interval_seconds);
     w->Field("burst_size", workload.burst_size);
@@ -140,7 +136,7 @@ void WriteJson(JsonWriter* w, const RepairConfig& repair) {
   w->Field("enable_repair", repair.enable_repair);
   w->Field("scrub_interval_seconds", repair.scrub_interval_seconds);
   w->Field("repair_bandwidth_mb_per_s", repair.repair_bandwidth_mb_per_s);
-  w->Field("repair_burst_mb", repair.repair_burst_mb);
+  w->Field("repair_burst_mb", kRepairBurstMb);
   w->EndObject();
 }
 
@@ -186,7 +182,7 @@ void WriteJson(JsonWriter* w, const SimulationConfig& sim) {
     w->BeginObject();
     w->Field("policy", AdmissionPolicyName(sim.admission.policy));
     w->Field("queue_cap", sim.admission.queue_cap);
-    w->Field("window_seconds", sim.admission.window_seconds);
+    w->Field("window_seconds", kAdmissionWindowSeconds);
     w->EndObject();
   }
   w->EndObject();

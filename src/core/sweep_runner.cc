@@ -19,9 +19,7 @@ SweepRunner::SweepRunner(const SweepOptions& options) : options_(options) {}
 
 ExperimentConfig SweepRunner::EffectiveConfig(ExperimentConfig config,
                                               size_t index) const {
-  if (options_.derive_point_seeds) {
-    config.sim.workload.seed = DerivePointSeed(options_.base_seed, index);
-  }
+  config.sim.workload.seed = DerivePointSeed(options_.base_seed, index);
   return config;
 }
 

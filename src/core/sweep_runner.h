@@ -37,13 +37,10 @@ namespace tapejuke {
 struct SweepOptions {
   /// Worker count; <= 0 selects hardware concurrency.
   int threads = 0;
-  /// Seed the per-point seeds are derived from.
+  /// Seed the per-point seeds are derived from: point i runs with workload
+  /// seed DerivePointSeed(base_seed, i), so points are statistically
+  /// independent and the sweep is reproducible from base_seed alone.
   uint64_t base_seed = 1;
-  /// When true (the default), point i runs with workload seed
-  /// DerivePointSeed(base_seed, i) — points are statistically independent
-  /// and the sweep is reproducible from base_seed alone. When false, every
-  /// point keeps the seed already present in its config.
-  bool derive_point_seeds = true;
 };
 
 /// Deterministic per-point seed: a SplitMix64 mix of (base_seed, index).
@@ -59,7 +56,7 @@ class SweepRunner {
   const SweepOptions& options() const { return options_; }
 
   /// The config point `index` actually runs with: `config` with the
-  /// derived per-point workload seed applied (when enabled).
+  /// derived per-point workload seed applied.
   ExperimentConfig EffectiveConfig(ExperimentConfig config,
                                    size_t index) const;
   FarmConfig EffectiveFarmConfig(FarmConfig config, size_t index) const;

@@ -139,6 +139,8 @@ void CheckEnvelopeResultsEqual(
       << "incremental and reference envelopes diverged";
   TJ_CHECK(incremental.scheduled_per_tape == reference.scheduled_per_tape)
       << "incremental and reference per-tape counts diverged";
+  TJ_CHECK_EQ(incremental.extension_rounds, reference.extension_rounds)
+      << "kernels took different numbers of extension rounds";
   TJ_CHECK(incremental.initial_envelope == reference.initial_envelope)
       << "step-2 initial envelopes diverged";
   TJ_CHECK_EQ(incremental.initially_unscheduled.size(),
@@ -195,6 +197,7 @@ struct EnvelopeScheduler::KernelState {
     requests = &input;
     result.envelope.assign(tapes, 0);
     result.scheduled_per_tape.assign(tapes, 0);
+    result.extension_rounds = 0;
     result.assignment.clear();
     result.initial_envelope.clear();
     result.initially_unscheduled.clear();
@@ -563,6 +566,7 @@ EnvelopeScheduler::EnvelopeResult& EnvelopeScheduler::RunIncrementalKernel(
     TJ_CHECK_NE(best_tape, kInvalidTape)
         << "unscheduled request without replicas";
     ++counters->extension_rounds;
+    ++state.result.extension_rounds;
 
     // Step 4: extend the envelope over the winning prefix.
     const auto& winner = ext[static_cast<size_t>(best_tape)];
@@ -657,6 +661,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
     TJ_CHECK_NE(best_tape, kInvalidTape)
         << "unscheduled request without replicas";
     ++counters->extension_rounds;
+    ++state.result.extension_rounds;
 
     // Step 4: extend the envelope over the winning prefix.
     const auto& winner = ext[static_cast<size_t>(best_tape)];
@@ -696,20 +701,6 @@ EnvelopeScheduler::ComputeUpperEnvelopeReference(
   return RunReferenceKernel(requests, &scratch);
 }
 
-void EnvelopeScheduler::CrossCheckEnvelope(
-    const std::vector<Request>& requests) const {
-  EnvelopeCounters incremental_counters;
-  EnvelopeCounters reference_counters;
-  const EnvelopeResult& incremental = RunIncrementalKernel(
-      requests, &incremental_counters, /*want_assignment=*/true);
-  const EnvelopeResult reference =
-      RunReferenceKernel(requests, &reference_counters);
-  CheckEnvelopeResultsEqual(incremental, reference);
-  TJ_CHECK_EQ(incremental_counters.extension_rounds,
-              reference_counters.extension_rounds)
-      << "kernels took different numbers of extension rounds";
-}
-
 TapeId EnvelopeScheduler::MajorReschedule() {
   TJ_CHECK(served_sweep().empty());
   // Batched arrivals join the pending list through the normal incremental
@@ -739,7 +730,6 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   }
 
   ++counters_.major_reschedules;
-  const int64_t rounds_before = counters_.extension_rounds;
   const int64_t rescored_before = counters_.tapes_rescored;
   // The kernels read the pending list in place (nothing mutates it before
   // ScheduleVisit extracts the sweep). The assignment map is only materialized for the
@@ -761,7 +751,7 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   // shrinking simply stops there).
   const TapeId tape =
       ScheduleVisit(policy_, &pending_, &result.envelope,
-                    counters_.extension_rounds - rounds_before,
+                    result.extension_rounds,
                     counters_.tapes_rescored - rescored_before);
   if (tape == kInvalidTape) {
     // Every tape with in-envelope work is held by another drive.
@@ -882,7 +872,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
     if (sweep.InsertRequest(request, best->position, committed_head,
                              options_.allow_reverse_phase)) {
       ++counters_.incremental_inserts;
-      ++counters_.incremental_extensions;
       envelope_[static_cast<size_t>(mounted)] =
           std::max(envelope_[static_cast<size_t>(mounted)],
                    best->position + block_mb);
@@ -894,7 +883,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
   // Extend the envelope on the winning tape; this can make the mounted
   // tape's outermost scheduled block redundant (step 5), trimming the
   // active sweep.
-  ++counters_.incremental_extensions;
   envelope_[static_cast<size_t>(best->tape)] =
       std::max(envelope_[static_cast<size_t>(best->tape)],
                best->position + block_mb);

@@ -32,8 +32,8 @@
 //
 // The original from-scratch computation is kept as
 // ComputeUpperEnvelopeReference and serves as the correctness oracle
-// (SchedulerOptions::validate_envelope and the ValidatingScheduler
-// cross-check the incremental kernel against it on live workloads).
+// (SchedulerOptions::validate_envelope cross-checks the incremental kernel
+// against it on live workloads).
 
 #ifndef TAPEJUKE_SCHED_ENVELOPE_SCHEDULER_H_
 #define TAPEJUKE_SCHED_ENVELOPE_SCHEDULER_H_
@@ -76,6 +76,8 @@ class EnvelopeScheduler : public Scheduler {
     std::unordered_map<RequestId, Replica> assignment;
     /// Number of requests assigned per tape.
     std::vector<int64_t> scheduled_per_tape;
+    /// Step 3-4 iterations this computation took.
+    int64_t extension_rounds = 0;
     /// Per-tape envelope at the end of step 2 (before any extension) and
     /// the requests that were still unscheduled then — the (S1, remaining)
     /// pair of Theorems 1-2. Like `assignment`, filled only where the
@@ -100,11 +102,6 @@ class EnvelopeScheduler : public Scheduler {
   EnvelopeResult ComputeUpperEnvelopeReference(
       const std::vector<Request>& requests) const;
 
-  /// Debug oracle entry point (used by ValidatingScheduler): runs both
-  /// kernels on `requests` with scratch counters and TJ_CHECK-fails unless
-  /// they produce identical results.
-  void CrossCheckEnvelope(const std::vector<Request>& requests) const;
-
   /// The upper envelope persisted from the last major reschedule (empty
   /// before the first). For inspection in tests.
   const std::vector<Position>& current_envelope() const { return envelope_; }
@@ -117,7 +114,6 @@ class EnvelopeScheduler : public Scheduler {
     int64_t shrink_moves = 0;         ///< step 5 reassignments
     int64_t multi_replica_choices = 0;  ///< step-2 picks among >1 option
     int64_t incremental_inserts = 0;  ///< arrivals inserted into the sweep
-    int64_t incremental_extensions = 0;  ///< arrivals that extended the envelope
     int64_t sweep_trims = 0;          ///< active-sweep blocks removed by shrink
     /// Always 0. Kept only so the benchmark package, which reports it,
     /// still compiles; nothing in the scheduler counts it.

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "sched/envelope_scheduler.h"
 #include "util/check.h"
 
 namespace tapejuke {
@@ -42,17 +41,6 @@ void ValidatingScheduler::EnqueueBackground(const Request& request) {
 TapeId ValidatingScheduler::MajorReschedule() {
   TJ_CHECK(inner_->sweep_empty())
       << "major reschedule with a non-empty sweep";
-  // The oracle must see the same pending snapshot the inner reschedule
-  // will use, so staged arrival batches are applied first.
-  inner_->FlushArrivals();
-  // Envelope oracle: run the incremental and from-scratch extension kernels
-  // on the same pending snapshot the inner reschedule is about to use and
-  // TJ_CHECK they agree (byte-identical envelopes and assignments).
-  if (const auto* envelope =
-          dynamic_cast<const EnvelopeScheduler*>(inner_.get());
-      envelope != nullptr && !inner_->pending().empty()) {
-    envelope->CrossCheckEnvelope(inner_->pending());
-  }
   const TapeId tape = inner_->MajorReschedule();
   if (tape == kInvalidTape) {
     // With several drives the work may all sit on tapes other drives hold.

@@ -12,14 +12,13 @@
 //  * every request enters the scheduler exactly once and leaves exactly
 //    once (no losses, no duplicates);
 //  * the major rescheduler only reports a tape when work exists, never one
-//    held by another drive, and the sweep it builds is non-empty;
-//  * when the inner scheduler is an EnvelopeScheduler, the incremental
-//    extension kernel and the from-scratch reference computation agree on
-//    every major reschedule (the envelope oracle).
+//    held by another drive, and the sweep it builds is non-empty.
 //
 // Used by the cross-algorithm property tests to exercise every scheduler
 // under randomized workloads with the full invariant set armed; also handy
-// when developing new scheduling algorithms.
+// when developing new scheduling algorithms. The envelope scheduler's own
+// oracle (incremental kernel against the from-scratch reference) is armed
+// separately, with SchedulerOptions::validate_envelope.
 
 #ifndef TAPEJUKE_SCHED_VALIDATING_SCHEDULER_H_
 #define TAPEJUKE_SCHED_VALIDATING_SCHEDULER_H_

@@ -20,10 +20,6 @@ Status AdmissionConfig::Validate(const WorkloadConfig& workload) const {
     return Status::InvalidArgument("static-cap admission needs queue_cap >= 1");
   }
   if (policy == AdmissionPolicy::kAdaptive) {
-    if (window_seconds <= 0) {
-      return Status::InvalidArgument(
-          "adaptive admission needs a positive window");
-    }
     if (workload.tenant_classes.size() < 2) {
       return Status::InvalidArgument(
           "adaptive admission needs >= 2 tenant classes (it protects the "
@@ -77,19 +73,19 @@ void AdmissionController::OnCompletion(uint8_t tenant, double delay,
 void AdmissionController::UpdateLevel(double now, int64_t outstanding) {
   // Re-evaluate at most 8x per window; in between, Admit reuses the
   // current level so arrival bursts stay O(1).
-  const double step = config_.window_seconds / 8.0;
+  const double step = kAdmissionWindowSeconds / 8.0;
   if (last_update_ >= 0 && now - last_update_ < step) return;
   last_update_ = now;
 
   while (!window_.empty() &&
-         window_.front().time < now - config_.window_seconds) {
+         window_.front().time < now - kAdmissionWindowSeconds) {
     window_.pop_front();
   }
 
   // Little's-law estimate of the wait a request admitted now would see:
   // every class shares one queue, so one estimate serves them all.
   const double rate =
-      static_cast<double>(window_.size()) / config_.window_seconds;
+      static_cast<double>(window_.size()) / kAdmissionWindowSeconds;
   const double est_wait =
       rate > 0 ? static_cast<double>(outstanding) / rate
                : (outstanding > 0 ? std::numeric_limits<double>::infinity()

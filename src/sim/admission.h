@@ -37,14 +37,15 @@ enum class AdmissionPolicy {
   kAdaptive,
 };
 
+/// kAdaptive: sliding-window length for the p99 / completion-rate
+/// estimates, seconds. The shed level is re-evaluated at most 8x per window.
+inline constexpr double kAdmissionWindowSeconds = 2000.0;
+
 /// Admission-control parameters (part of SimulationConfig).
 struct AdmissionConfig {
   AdmissionPolicy policy = AdmissionPolicy::kNone;
   /// kStaticCap: the outstanding-request cap for the most protected class.
   int64_t queue_cap = 0;
-  /// kAdaptive: sliding-window length for the p99 / completion-rate
-  /// estimates. The shed level is re-evaluated at most 8x per window.
-  double window_seconds = 2000.0;
 
   bool enabled() const { return policy != AdmissionPolicy::kNone; }
 

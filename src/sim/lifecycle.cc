@@ -11,9 +11,6 @@ Status LifecycleConfig::Validate() const {
   if (fill_budget_seconds < 0) {
     return Status::InvalidArgument("fill budget must be >= 0");
   }
-  if (target_copies < 1) {
-    return Status::InvalidArgument("target_copies must be >= 1");
-  }
   if (num_epochs < 1) {
     return Status::InvalidArgument("need at least one epoch");
   }
@@ -29,7 +26,6 @@ ReplicaFiller::ReplicaFiller(Jukebox* jukebox, Catalog* catalog,
       epoch_seconds_(run_seconds / config.num_epochs) {
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK_LE(config.target_copies, jukebox->num_tapes());
   epochs_.resize(static_cast<size_t>(config.num_epochs));
   delay_sum_.assign(epochs_.size(), 0.0);
   for (size_t e = 0; e < epochs_.size(); ++e) {
@@ -49,11 +45,10 @@ ReplicaFiller::ReplicaFiller(Jukebox* jukebox, Catalog* catalog,
       }
     }
   }
-  // Fill target: every hot block reaches target_copies copies (bounded by
-  // what distinct tapes allow).
+  // Fill target: every hot block gets a copy on every tape.
   for (BlockId b = 0; b < catalog->num_hot_blocks(); ++b) {
     const auto have = static_cast<int64_t>(catalog->ReplicasOf(b).size());
-    fill_target_ += std::max<int64_t>(0, config.target_copies - have);
+    fill_target_ += std::max<int64_t>(0, num_tapes - have);
   }
 }
 
@@ -83,7 +78,7 @@ TapeId ReplicaFiller::NeediestTape() {
 
 bool ReplicaFiller::WantsCopyOn(BlockId block, TapeId tape) const {
   return static_cast<int32_t>(catalog_->ReplicasOf(block).size()) <
-             config_.target_copies &&
+             jukebox_->num_tapes() &&
          catalog_->ReplicaOn(block, tape) == nullptr;
 }
 

@@ -9,7 +9,8 @@
 // opportunistically writes replicas into the free space at sweep ends (the
 // drive is already positioned on the tape) and during idle periods,
 // reporting performance per epoch so the "free" improvement is visible as
-// the replica population grows.
+// the replica population grows. The fill target is derived, not configured:
+// every hot block gets one copy on every tape (Jukebox::num_tapes copies).
 
 #ifndef TAPEJUKE_SIM_LIFECYCLE_H_
 #define TAPEJUKE_SIM_LIFECYCLE_H_
@@ -33,8 +34,6 @@ struct LifecycleConfig {
   double fill_budget_seconds = 120.0;
   /// Also fill during idle periods (open queuing or think time).
   bool fill_on_idle = true;
-  /// Stop once every hot block has this many copies in total.
-  int32_t target_copies = 10;
   /// Number of reporting windows.
   int32_t num_epochs = 10;
 

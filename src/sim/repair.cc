@@ -25,10 +25,6 @@ Status RepairConfig::Validate() const {
   if (repair_bandwidth_mb_per_s < 0.0) {
     return Status::InvalidArgument("repair_bandwidth_mb_per_s must be >= 0");
   }
-  if (repair_bandwidth_mb_per_s > 0.0 && repair_burst_mb <= 0.0) {
-    return Status::InvalidArgument(
-        "repair_bandwidth_mb_per_s > 0 requires repair_burst_mb > 0");
-  }
   return Status::Ok();
 }
 
@@ -46,7 +42,7 @@ RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
   TJ_CHECK(config_.enabled());
   TJ_CHECK(config_.Validate().ok()) << config_.Validate().message();
   if (config_.repair_bandwidth_mb_per_s > 0.0) {
-    TJ_CHECK_GE(config_.repair_burst_mb, static_cast<double>(block_mb_))
+    TJ_CHECK_GE(kRepairBurstMb, static_cast<double>(block_mb_))
         << "repair burst must cover at least one block";
   }
   const TapeId num_tapes = jukebox_->num_tapes();
@@ -59,7 +55,7 @@ RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
       if (tape.BlockAtSlot(slot) == kInvalidBlock) pool.push_back(slot);
     }
   }
-  tokens_ = config_.repair_burst_mb;
+  tokens_ = kRepairBurstMb;
   token_time_ = 0.0;
   // The first scrub pass is due one interval into the run, not at t=0.
   next_scrub_due_ = config_.scrub_interval_seconds;
@@ -72,7 +68,7 @@ double RepairManager::TokensAt(double now) const {
     return std::numeric_limits<double>::max();
   }
   return std::min(
-      config_.repair_burst_mb,
+      kRepairBurstMb,
       tokens_ + (now - token_time_) * config_.repair_bandwidth_mb_per_s);
 }
 

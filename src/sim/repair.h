@@ -45,6 +45,10 @@
 
 namespace tapejuke {
 
+/// Token-bucket capacity for metered scrub/repair, MB. Blocks larger than
+/// this cannot be metered (ExperimentConfig::Validate rejects them).
+inline constexpr double kRepairBurstMb = 64.0;
+
 /// Scrub/repair knobs. Defaults disable everything.
 struct RepairConfig {
   /// Re-replicate dead replicas onto tapes with spare capacity. When
@@ -54,12 +58,9 @@ struct RepairConfig {
   /// Seconds between background scrub passes (one pass = one full scan of
   /// one tape). 0 disables scrubbing.
   double scrub_interval_seconds = 0.0;
-  /// Token-bucket refill rate for scrub reads and repair writes, MB/s.
-  /// 0 = unmetered.
+  /// Token-bucket refill rate for scrub reads and repair writes, MB/s, into
+  /// a bucket of kRepairBurstMb. 0 = unmetered.
   double repair_bandwidth_mb_per_s = 0.0;
-  /// Token-bucket capacity, MB. Must cover at least one block when the
-  /// rate is nonzero.
-  double repair_burst_mb = 64.0;
 
   /// True when the manager has anything to do.
   bool enabled() const {

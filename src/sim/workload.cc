@@ -40,22 +40,15 @@ Status WorkloadConfig::Validate() const {
       return Status::InvalidArgument("p99 SLO must be >= 0");
     }
   }
-  if (diurnal_amplitude < 0 || diurnal_amplitude >= 1) {
-    return Status::InvalidArgument("diurnal_amplitude must be in [0, 1)");
-  }
-  if (diurnal_amplitude > 0 && diurnal_period_seconds <= 0) {
-    return Status::InvalidArgument(
-        "diurnal modulation needs a positive period");
-  }
   if (burst_interval_seconds < 0 || burst_spread_seconds < 0) {
     return Status::InvalidArgument("burst knobs must be >= 0");
   }
   if (burst_interval_seconds > 0 && burst_size < 1) {
     return Status::InvalidArgument("bursts need a mean size >= 1");
   }
-  if (HasOverloadShaping() && model != QueuingModel::kOpen) {
+  if (burst_interval_seconds > 0 && model != QueuingModel::kOpen) {
     return Status::InvalidArgument(
-        "diurnal/burst arrival shaping applies to the open model only");
+        "burst arrival shaping applies to the open model only");
   }
   return Status::Ok();
 }
@@ -150,24 +143,6 @@ double WorkloadGenerator::NextInterarrival() {
   return rng_.Exponential(config_.mean_interarrival_seconds);
 }
 
-double WorkloadGenerator::NextBaseArrival(double now) {
-  if (config_.diurnal_amplitude <= 0) {
-    return now + overload_rng_.Exponential(config_.mean_interarrival_seconds);
-  }
-  // Lewis-Shedler thinning at the peak rate (1 + a) / mean: candidates at
-  // the peak rate, accepted with probability rate(t) / peak.
-  constexpr double kTwoPi = 6.283185307179586;
-  const double a = config_.diurnal_amplitude;
-  const double peak_gap = config_.mean_interarrival_seconds / (1.0 + a);
-  double t = now;
-  for (;;) {
-    t += overload_rng_.Exponential(peak_gap);
-    const double phase = kTwoPi * t / config_.diurnal_period_seconds;
-    const double accept = (1.0 + a * std::sin(phase)) / (1.0 + a);
-    if (overload_rng_.UniformDouble() < accept) return t;
-  }
-}
-
 void WorkloadGenerator::EnsureBurstsUpTo(double horizon) {
   if (config_.burst_interval_seconds <= 0) return;
   if (next_burst_onset_ < 0) {
@@ -202,11 +177,13 @@ void WorkloadGenerator::EnsureBurstsUpTo(double horizon) {
 }
 
 double WorkloadGenerator::NextArrivalGap(double now) {
-  if (!config_.HasOverloadShaping()) return NextInterarrival();
+  if (config_.burst_interval_seconds <= 0) return NextInterarrival();
   // Candidate base-process arrival; reuse the stashed draw if a burst
   // arrival preempted it last time.
   double base = stashed_base_arrival_;
-  if (base < 0) base = NextBaseArrival(now);
+  if (base < 0) {
+    base = now + overload_rng_.Exponential(config_.mean_interarrival_seconds);
+  }
   EnsureBurstsUpTo(base);
   if (burst_head_ < burst_queue_.size() &&
       burst_queue_[burst_head_] <= base) {

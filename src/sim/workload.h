@@ -79,11 +79,6 @@ struct WorkloadConfig {
   /// request is tenant 0 with no deadline, and no overload draws are made
   /// (output stays byte-identical to pre-overload builds).
   std::vector<TenantClassConfig> tenant_classes;
-  /// Open model: sinusoidal rate modulation. The instantaneous arrival
-  /// rate is (1 + a*sin(2*pi*t/period)) / mean_interarrival_seconds with
-  /// a = diurnal_amplitude in [0, 1). 0 = off.
-  double diurnal_amplitude = 0.0;
-  double diurnal_period_seconds = 86400.0;
   /// Open model: correlated bursts layered on the base process. Burst
   /// onsets are Poisson with this mean gap (0 = off); each burst adds
   /// 1 + Exponential(burst_size - 1) extra arrivals spread uniformly over
@@ -92,11 +87,6 @@ struct WorkloadConfig {
   double burst_size = 1.0;
   double burst_spread_seconds = 0.0;
 
-  /// True when any knob that changes arrival timing or request fields
-  /// beyond the historical generator is set.
-  bool HasOverloadShaping() const {
-    return diurnal_amplitude > 0 || burst_interval_seconds > 0;
-  }
   bool HasTenantClasses() const { return !tenant_classes.empty(); }
 
   Status Validate() const;
@@ -129,9 +119,8 @@ class WorkloadGenerator {
 
   /// Open model: gap to the next arrival given the current clock. With no
   /// shaping configured this is exactly NextInterarrival() (same stream,
-  /// same draws); with diurnal modulation and/or bursts it merges the
-  /// thinned base process with the burst process, drawing all shaping
-  /// randomness from the dedicated overload stream.
+  /// same draws); with bursts it merges a base Poisson process with the
+  /// burst process, drawing both from the dedicated overload stream.
   double NextArrivalGap(double now);
 
   /// Closed model: sample a think-time gap (0 when think time is 0).
@@ -145,16 +134,12 @@ class WorkloadGenerator {
   /// Extends the burst arrival queue with every burst whose onset falls
   /// at or before `horizon`.
   void EnsureBurstsUpTo(double horizon);
-  /// Next base-process arrival time from `now` (thinned when diurnal
-  /// modulation is on, plain exponential otherwise).
-  double NextBaseArrival(double now);
 
   const Catalog* catalog_;
   WorkloadConfig config_;
   Rng rng_;
-  /// Dedicated stream for every overload draw (tenant mix, diurnal
-  /// thinning, bursts) so enabling them never perturbs the base block /
-  /// interarrival sequence.
+  /// Dedicated stream for every overload draw (tenant mix, bursts) so
+  /// enabling them never perturbs the base block / interarrival sequence.
   Rng overload_rng_;
   RequestId next_id_ = 0;
   /// kZipf: cumulative popularity by block rank.

@@ -10,26 +10,21 @@
 namespace tapejuke {
 
 Status WritePathConfig::Validate() const {
-  if (buffer_capacity_blocks <= 0) {
-    return Status::InvalidArgument("buffer capacity must be positive");
-  }
   if (piggyback_min_blocks < 1) {
     return Status::InvalidArgument("piggyback_min_blocks must be >= 1");
-  }
-  if (hot_write_fraction < 0 || hot_write_fraction > 1) {
-    return Status::InvalidArgument("hot_write_fraction must be in [0, 1]");
   }
   return Status::Ok();
 }
 
 WriteBuffer::WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
-                         const WritePathConfig& config, uint64_t seed,
-                         double run_seconds)
+                         const WritePathConfig& config,
+                         const SimulationConfig& sim)
     : jukebox_(jukebox),
       catalog_(catalog),
       config_(config),
-      run_seconds_(run_seconds),
-      rng_(seed) {
+      hot_fraction_(sim.workload.hot_request_fraction),
+      run_seconds_(sim.duration_seconds),
+      rng_(sim.workload.seed ^ 0x9e3779b97f4a7c15ULL) {
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
   next_write_ = config.mean_write_interarrival_seconds > 0
@@ -39,10 +34,10 @@ WriteBuffer::WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
 
 void WriteBuffer::StageUpTo(double now) {
   while (next_write_ <= now) {
-    // Writes pick blocks with their own skew, independent of reads.
+    // Writes pick blocks with the reads' RH but their own draws.
     const int64_t hot = catalog_->num_hot_blocks();
     const int64_t cold = catalog_->num_cold_blocks();
-    bool pick_hot = rng_.Bernoulli(config_.hot_write_fraction);
+    bool pick_hot = rng_.Bernoulli(hot_fraction_);
     if (hot == 0) pick_hot = false;
     if (cold == 0) pick_hot = true;
     const BlockId block =
@@ -156,9 +151,7 @@ WritebackSimulator::WritebackSimulator(Jukebox* jukebox,
                                        Scheduler* scheduler,
                                        const SimulationConfig& sim,
                                        const WritePathConfig& writes)
-    : buffer_(jukebox, catalog, writes,
-              sim.workload.seed ^ 0x9e3779b97f4a7c15ULL,
-              sim.duration_seconds),
+    : buffer_(jukebox, catalog, writes, sim),
       sim_(jukebox, catalog, scheduler, sim, &buffer_) {}
 
 }  // namespace tapejuke

@@ -16,6 +16,10 @@
 //   * forced flush — when the buffer exceeds its capacity, reads wait
 //     while the dirtiest tapes are cleaned (the interference the buffer is
 //     meant to avoid).
+//
+// Two values are not configured here: writes pick hot blocks with the read
+// stream's RH (SimulationConfig::workload.hot_request_fraction), and the
+// buffer holds a fixed kWriteBufferCapacityBlocks dirty updates.
 
 #ifndef TAPEJUKE_SIM_WRITE_PATH_H_
 #define TAPEJUKE_SIM_WRITE_PATH_H_
@@ -35,16 +39,15 @@
 
 namespace tapejuke {
 
+/// Disk staging capacity, in dirty tape-block updates. Exceeding it
+/// triggers forced flushes.
+inline constexpr int64_t kWriteBufferCapacityBlocks = 256;
+
 /// Write-path parameters.
 struct WritePathConfig {
   /// Mean interarrival time of write operations (Poisson, independent of
   /// the read stream). <= 0 disables writes.
   double mean_write_interarrival_seconds = 120.0;
-  /// Fraction of writes directed to hot blocks (usually matches RH).
-  double hot_write_fraction = 0.40;
-  /// Disk staging capacity, in dirty tape-block updates. Exceeding it
-  /// triggers forced flushes.
-  int64_t buffer_capacity_blocks = 256;
   /// Enable appending a write pass to the end of read sweeps.
   bool piggyback = true;
   /// Piggyback only when the mounted tape has at least this many dirty
@@ -74,11 +77,11 @@ struct WritePathStats {
 /// staged lazily, every write due by the time of a hook before it decides.
 class WriteBuffer : public BackgroundWork {
  public:
-  /// `jukebox` and `catalog` must outlive the buffer; `seed` drives the
-  /// write stream; `run_seconds` is the length of the run.
+  /// `jukebox` and `catalog` must outlive the buffer. The write stream is
+  /// seeded from `sim`'s workload seed and picks hot blocks with its RH;
+  /// `sim.duration_seconds` is the length of the run.
   WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
-              const WritePathConfig& config, uint64_t seed,
-              double run_seconds);
+              const WritePathConfig& config, const SimulationConfig& sim);
 
   /// Piggyback flush of the mounted tape, then forced flushes while the
   /// buffer is over capacity and the run lasts (reads wait).
@@ -102,7 +105,7 @@ class WriteBuffer : public BackgroundWork {
   void StageUpTo(double now);
 
   bool OverCapacity() const {
-    return occupancy_ > config_.buffer_capacity_blocks;
+    return occupancy_ > kWriteBufferCapacityBlocks;
   }
 
   /// Writes out all dirty positions of `tape` (drive must be mounted on
@@ -120,6 +123,7 @@ class WriteBuffer : public BackgroundWork {
   Jukebox* jukebox_;
   const Catalog* catalog_;
   WritePathConfig config_;
+  double hot_fraction_;
   double run_seconds_;
   Rng rng_;
   double next_write_ = 0;

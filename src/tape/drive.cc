@@ -32,10 +32,6 @@ double Drive::Read(int64_t mb) {
   return seconds;
 }
 
-double Drive::ReadAt(Position position, int64_t mb) {
-  return LocateTo(position) + Read(mb);
-}
-
 double Drive::Rewind() {
   TJ_CHECK(has_tape()) << "rewind with no tape mounted";
   const double seconds = model_->RewindTime(head_);

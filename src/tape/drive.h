@@ -32,9 +32,6 @@ class Drive {
   /// (startup depends on the preceding locate). Head advances by `mb`.
   double Read(int64_t mb);
 
-  /// Locate to `position` then read `mb` MB; returns the combined seconds.
-  double ReadAt(Position position, int64_t mb);
-
   /// Rewinds to the physical beginning of tape; returns the rewind seconds.
   double Rewind();
 

@@ -151,7 +151,6 @@ class Jukebox {
   double ChargeRobotRetries(int count);
 
   const JukeboxCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = JukeboxCounters{}; }
 
   /// Number of slots per tape for this configuration.
   int64_t slots_per_tape() const { return tapes_.front().num_slots(); }

@@ -65,9 +65,4 @@ std::optional<int64_t> Tape::SlotOf(BlockId block) const {
   return it - slots_.begin();
 }
 
-int64_t Tape::SlotOfPosition(Position position) const {
-  TJ_CHECK_EQ(position % block_size_mb_, 0);
-  return position / block_size_mb_;
-}
-
 }  // namespace tapejuke

@@ -53,15 +53,6 @@ class Tape {
     return slot * block_size_mb_;
   }
 
-  /// The slot whose data starts at `position`; requires slot alignment.
-  int64_t SlotOfPosition(Position position) const;
-
-  /// Position just past the end of the data in `slot` (where the head rests
-  /// after reading it).
-  Position EndPositionOfSlot(int64_t slot) const {
-    return PositionOfSlot(slot) + block_size_mb_;
-  }
-
  private:
   TapeId id_;
   int64_t capacity_mb_;

@@ -42,13 +42,6 @@ uint64_t Rng::UniformUint64(uint64_t bound) {
   }
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  TJ_CHECK_LE(lo, hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(NextUint64());  // full range
-  return lo + static_cast<int64_t>(UniformUint64(span));
-}
-
 double Rng::UniformDouble() {
   // 53 high bits -> uniform in [0, 1) with full double precision.
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
@@ -85,7 +78,5 @@ double Rng::Normal(double mean, double stddev) {
   have_cached_normal_ = true;
   return mean + stddev * radius * std::cos(theta);
 }
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace tapejuke

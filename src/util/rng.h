@@ -31,9 +31,6 @@ class Rng {
   /// Returns an unbiased uniform integer in [0, bound). `bound` must be > 0.
   uint64_t UniformUint64(uint64_t bound);
 
-  /// Returns a uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Returns a uniform double in [0, 1).
   double UniformDouble();
 
@@ -48,10 +45,6 @@ class Rng {
 
   /// Returns a standard normal sample (Box-Muller, deterministic pairing).
   double Normal(double mean, double stddev);
-
-  /// Forks an independent generator; the child stream is a deterministic
-  /// function of the parent state, and the parent stream advances.
-  Rng Fork();
 
  private:
   static uint64_t RotL(uint64_t x, int k) {

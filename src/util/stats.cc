@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -94,21 +93,6 @@ double Histogram::Quantile(double q, double overflow_value) const {
   }
   // The quantile lands in the overflow mass (observations >= hi).
   return overflow_value;
-}
-
-std::string Histogram::ToAscii(int max_width) const {
-  int64_t peak = 1;
-  for (int64_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double bucket_lo = lo_ + static_cast<double>(i) * bucket_width_;
-    const int width = static_cast<int>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        max_width);
-    out << "[" << bucket_lo << ", " << bucket_lo + bucket_width_ << ") "
-        << std::string(width, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace tapejuke

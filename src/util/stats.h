@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace tapejuke {
@@ -73,9 +72,6 @@ class Histogram {
   /// (e.g. a RunningStat) pass it here so tail quantiles stay honest past
   /// the histogram range.
   double Quantile(double q, double overflow_value) const;
-
-  /// Renders a compact multi-line ASCII bar chart (for debugging/examples).
-  std::string ToAscii(int max_width = 50) const;
 
  private:
   double lo_;

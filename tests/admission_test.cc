@@ -46,7 +46,7 @@ TEST(AdmissionConfig, StaticCapNeedsPositiveCap) {
   EXPECT_TRUE(admission.Validate(workload).ok());
 }
 
-TEST(AdmissionConfig, AdaptiveNeedsClassesWindowAndSlo) {
+TEST(AdmissionConfig, AdaptiveNeedsClassesAndSlo) {
   AdmissionConfig admission;
   admission.policy = AdmissionPolicy::kAdaptive;
   EXPECT_TRUE(admission.Validate(OpenMix(2, 100.0)).ok());
@@ -54,8 +54,6 @@ TEST(AdmissionConfig, AdaptiveNeedsClassesWindowAndSlo) {
   EXPECT_FALSE(admission.Validate(OpenMix(1, 100.0)).ok());
   // No SLO anywhere: the controller would never trigger.
   EXPECT_FALSE(admission.Validate(OpenMix(3, 0.0)).ok());
-  admission.window_seconds = 0;
-  EXPECT_FALSE(admission.Validate(OpenMix(2, 100.0)).ok());
 }
 
 TEST(AdmissionController, NoneAdmitsEverything) {
@@ -82,54 +80,77 @@ TEST(AdmissionController, StaticCapLadderSharesByClass) {
 // Drives the adaptive controller through one shed / recover cycle by hand:
 // a healthy completion stream, then a queue explosion (Little's-law
 // estimate blows the SLO), then an idle queue that must stay shed until
-// the comfort streak completes.
+// the comfort streak completes. The 2 000 s window re-evaluates every
+// >= 250 s.
 TEST(AdmissionController, AdaptiveShedsAndRecoversWithHysteresis) {
   AdmissionConfig admission;
   admission.policy = AdmissionPolicy::kAdaptive;
-  admission.window_seconds = 1000.0;  // evaluates every >= 125 s
   const WorkloadConfig workload = OpenMix(2, 100.0);
   AdmissionController controller(admission, workload.tenant_classes);
 
-  // Establish a completion rate of 0.1/s with 10 s delays (comfortable).
+  // Establish a completion rate of 0.05/s with 10 s delays (comfortable).
   for (int i = 0; i < 100; ++i) {
-    controller.OnCompletion(0, /*delay=*/10.0, /*now=*/i * 10.0);
+    controller.OnCompletion(0, /*delay=*/10.0, /*now=*/i * 20.0);
   }
 
-  // est_wait = 1000 / 0.1 = 10000 s >> SLO 100: shed the best-effort
+  // est_wait = 1000 / 0.05 = 20000 s >> SLO 100: shed the best-effort
   // class immediately, keep admitting the protected class.
-  EXPECT_FALSE(controller.Admit(1, 1000.0, 1000));
+  EXPECT_FALSE(controller.Admit(1, 2000.0, 1000));
   EXPECT_EQ(controller.shed_level(), 1);
-  EXPECT_TRUE(controller.Admit(0, 1000.0, 1000));
+  EXPECT_TRUE(controller.Admit(0, 2000.0, 1000));
 
   // Queue now empty and the windowed p99 (10 s) is comfortable, but one
   // or two comfortable evaluations must not un-shed.
-  EXPECT_FALSE(controller.Admit(1, 1125.0, 0));
-  EXPECT_FALSE(controller.Admit(1, 1250.0, 0));
+  EXPECT_FALSE(controller.Admit(1, 2250.0, 0));
+  EXPECT_FALSE(controller.Admit(1, 2500.0, 0));
   EXPECT_EQ(controller.shed_level(), 1);
   // Third consecutive comfortable evaluation completes the streak.
-  EXPECT_TRUE(controller.Admit(1, 1375.0, 0));
+  EXPECT_TRUE(controller.Admit(1, 2750.0, 0));
   EXPECT_EQ(controller.shed_level(), 0);
 }
 
 TEST(AdmissionController, AdaptiveViolationResetsComfortStreak) {
   AdmissionConfig admission;
   admission.policy = AdmissionPolicy::kAdaptive;
-  admission.window_seconds = 1000.0;
   const WorkloadConfig workload = OpenMix(2, 100.0);
   AdmissionController controller(admission, workload.tenant_classes);
   for (int i = 0; i < 100; ++i) {
-    controller.OnCompletion(0, 10.0, i * 10.0);
+    controller.OnCompletion(0, 10.0, i * 20.0);
   }
-  ASSERT_FALSE(controller.Admit(1, 1000.0, 1000));  // shed
-  ASSERT_FALSE(controller.Admit(1, 1125.0, 0));     // comfortable x1
-  ASSERT_FALSE(controller.Admit(1, 1250.0, 0));     // comfortable x2
+  ASSERT_FALSE(controller.Admit(1, 2000.0, 1000));  // shed
+  ASSERT_FALSE(controller.Admit(1, 2250.0, 0));     // comfortable x1
+  ASSERT_FALSE(controller.Admit(1, 2500.0, 0));     // comfortable x2
   // A fresh violation lands before the streak completes: the streak must
   // restart from zero, so two more comfortable evaluations stay shed.
-  ASSERT_FALSE(controller.Admit(1, 1375.0, 1000));
+  ASSERT_FALSE(controller.Admit(1, 2750.0, 1000));
   EXPECT_EQ(controller.shed_level(), 1);
-  EXPECT_FALSE(controller.Admit(1, 1500.0, 0));
-  EXPECT_FALSE(controller.Admit(1, 1625.0, 0));
-  EXPECT_TRUE(controller.Admit(1, 1750.0, 0));
+  EXPECT_FALSE(controller.Admit(1, 3000.0, 0));
+  EXPECT_FALSE(controller.Admit(1, 3250.0, 0));
+  EXPECT_TRUE(controller.Admit(1, 3500.0, 0));
+}
+
+// Completions count for 2 000 s. Slow completions that blow the SLO keep
+// the class shed while any of them is inside the window; once the last
+// one ages out, three comfortable evaluations un-shed it.
+TEST(AdmissionController, AdaptiveWindowForgetsCompletionsAfter2000Seconds) {
+  AdmissionConfig admission;
+  admission.policy = AdmissionPolicy::kAdaptive;
+  const WorkloadConfig workload = OpenMix(2, 100.0);
+  AdmissionController controller(admission, workload.tenant_classes);
+  for (int i = 0; i < 100; ++i) {
+    controller.OnCompletion(0, /*delay=*/500.0, /*now=*/i * 20.0);
+  }
+  // p99 500 s > SLO 100 s: shed, with an empty queue.
+  EXPECT_FALSE(controller.Admit(1, 2000.0, 0));
+  EXPECT_EQ(controller.shed_level(), 1);
+  // At 3 970 s the completion at 1 980 s is still in the window: a fresh
+  // violation, so the comfort streak has not started.
+  EXPECT_FALSE(controller.Admit(1, 3970.0, 0));
+  // From 4 250 s the window is empty: comfortable x1, x2, x3.
+  EXPECT_FALSE(controller.Admit(1, 4250.0, 0));
+  EXPECT_FALSE(controller.Admit(1, 4500.0, 0));
+  EXPECT_TRUE(controller.Admit(1, 4750.0, 0));
+  EXPECT_EQ(controller.shed_level(), 0);
 }
 
 }  // namespace

@@ -111,9 +111,11 @@ TEST(CrossFeature, ValidatedEnvelopeUnderZipfAndReplication) {
   layout.num_replicas = 5;
   layout.start_position = 1.0;
   const Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+  SchedulerOptions options;
+  options.validate_envelope = true;
   ValidatingScheduler scheduler(
       std::make_unique<EnvelopeScheduler>(&jukebox, &catalog,
-                                          TapePolicy::kMaxBandwidth),
+                                          TapePolicy::kMaxBandwidth, options),
       &jukebox, &catalog);
   SimulationConfig sim_config;
   sim_config.duration_seconds = 200'000;
@@ -130,12 +132,13 @@ TEST(CrossFeature, ValidatedEnvelopeUnderZipfAndReplication) {
 }
 
 TEST(CrossFeature, MultiTapeVerticalLifecycleFill) {
-  // PH-20: two dedicated hot tapes; the lifecycle filler still converges.
+  // PH-20: two dedicated hot tapes; the lifecycle filler still converges
+  // to a copy of every hot block on every tape.
   Jukebox jukebox(PaperJukebox());
   LayoutSpec replicated;
   replicated.hot_fraction = 0.20;
   replicated.layout = HotLayout::kVertical;
-  replicated.num_replicas = 4;
+  replicated.num_replicas = 9;
   replicated.start_position = 1.0;
   LayoutSpec spare;
   spare.hot_fraction = 0.20;
@@ -151,14 +154,14 @@ TEST(CrossFeature, MultiTapeVerticalLifecycleFill) {
   sim_config.workload.queue_length = 60;
   sim_config.workload.seed = 47;
   LifecycleConfig lifecycle;
-  lifecycle.target_copies = 5;
   lifecycle.fill_budget_seconds = 240;
   LifecycleSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
                          lifecycle);
   sim.Run();
   EXPECT_EQ(sim.replicas_written(), sim.fill_target());
   for (BlockId b = 0; b < catalog.num_hot_blocks(); ++b) {
-    EXPECT_EQ(catalog.ReplicasOf(b).size(), 5u);
+    EXPECT_EQ(catalog.ReplicasOf(b).size(),
+              static_cast<size_t>(jukebox.num_tapes()));
   }
 }
 

@@ -107,6 +107,31 @@ TEST(ExperimentRunner, InvalidConfigFails) {
   config.sim.warmup_seconds = nan;
   EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
             StatusCode::kInvalidArgument);
+  // Metered repair with blocks larger than its 64 MB token bucket could
+  // never afford a block; it is refused before the run.
+  config = QuickConfig();
+  config.jukebox.block_size_mb = 128;
+  config.sim.faults.permanent_media_error_prob = 1e-3;
+  config.sim.repair.enable_repair = true;
+  config.sim.repair.repair_bandwidth_mb_per_s = 20;
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The bucket's boundary: a 64 MB block exactly fills the 64 MB token
+// bucket, so metered repair with it validates and runs to the end.
+TEST(ExperimentRunner, MeteredRepairRunsWithBlocksThatFillTheBucket) {
+  ExperimentConfig config = QuickConfig();
+  config.jukebox.block_size_mb = 64;
+  config.sim.faults.permanent_media_error_prob = 5e-3;
+  config.sim.repair.enable_repair = true;
+  config.sim.repair.scrub_interval_seconds = 50'000;
+  config.sim.repair.repair_bandwidth_mb_per_s = 20;
+  ASSERT_TRUE(config.Validate().ok()) << config.Validate();
+  const StatusOr<ExperimentResult> result = ExperimentRunner::Run(config);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->sim.repair_enabled);
+  EXPECT_GT(result->sim.completed_requests, 0);
 }
 
 // A slot index must fit the scheduler's 32-bit candidate slot, so both

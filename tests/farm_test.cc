@@ -43,6 +43,18 @@ TEST(FarmConfig, Validation) {
   // Closed farms need at least one process per box.
   FarmConfig sparse = BaseFarm(8, 4);
   EXPECT_FALSE(sparse.Validate().ok());
+  // Metered repair refills a kRepairBurstMb (64 MB) token bucket, which
+  // must hold a whole block: 128 MB blocks are an invalid config, not an
+  // abort in the repair manager. Unmetered repair has no bucket.
+  FarmConfig metered = BaseFarm(2, 60);
+  metered.per_jukebox.jukebox.block_size_mb = 128;
+  metered.per_jukebox.sim.faults.permanent_media_error_prob = 1e-3;
+  metered.per_jukebox.sim.repair.enable_repair = true;
+  EXPECT_TRUE(metered.Validate().ok());
+  metered.per_jukebox.sim.repair.repair_bandwidth_mb_per_s = 20;
+  EXPECT_EQ(metered.Validate().code(), StatusCode::kInvalidArgument);
+  metered.per_jukebox.jukebox.block_size_mb = 64;
+  EXPECT_TRUE(metered.Validate().ok());
 }
 
 // A box cannot run more drives than it has tapes; the farm reports it as
@@ -192,8 +204,8 @@ TEST(Farm, BitIdenticalAcrossThreadCountsMultiDriveFaults) {
 }
 
 // Six boxes with every overload feature on: tenant mix with deadlines,
-// adaptive admission, diurnal and bursty arrivals (bench/ext_overload's
-// point at an 8 s farm-wide interarrival).
+// adaptive admission and bursty arrivals (bench/ext_overload's point at an
+// 8 s farm-wide interarrival).
 TEST(Farm, BitIdenticalAcrossThreadCountsOverload) {
   FarmConfig config;
   config.num_jukeboxes = 6;
@@ -201,8 +213,6 @@ TEST(Farm, BitIdenticalAcrossThreadCountsOverload) {
   SimulationConfig& sim = config.per_jukebox.sim;
   sim.duration_seconds = 150'000;
   sim.warmup_seconds = 15'000;
-  sim.workload.diurnal_amplitude = 0.5;
-  sim.workload.diurnal_period_seconds = 40'000;
   sim.workload.burst_interval_seconds = 20'000;
   sim.workload.burst_size = 30;
   sim.workload.burst_spread_seconds = 600;

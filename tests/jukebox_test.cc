@@ -87,15 +87,6 @@ TEST(Jukebox, CountersBusySecondsSumComponents) {
   EXPECT_EQ(c.tape_switches, 2);
 }
 
-TEST(Jukebox, ResetCountersZeroes) {
-  Jukebox jukebox(SmallConfig());
-  jukebox.SwitchTo(0);
-  jukebox.ReadBlockAt(100);
-  jukebox.ResetCounters();
-  EXPECT_EQ(jukebox.counters().blocks_read, 0);
-  EXPECT_DOUBLE_EQ(jukebox.counters().BusySeconds(), 0.0);
-}
-
 TEST(Jukebox, ExplicitRewind) {
   Jukebox jukebox(SmallConfig());
   jukebox.SwitchTo(0);

@@ -62,11 +62,24 @@ TEST(LifecycleConfig, Validation) {
   config.fill_budget_seconds = -1;
   EXPECT_FALSE(config.Validate().ok());
   config = LifecycleConfig{};
-  config.target_copies = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = LifecycleConfig{};
   config.num_epochs = 0;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST(Lifecycle, FillTargetIsOneCopyOnEveryTape) {
+  // The spare layout holds each hot block once; the fill target is the
+  // missing copies that put one on every tape.
+  Rig rig;
+  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
+                         LongSim(), LifecycleConfig{});
+  int64_t missing = 0;
+  for (BlockId b = 0; b < rig.catalog->num_hot_blocks(); ++b) {
+    ASSERT_EQ(rig.catalog->ReplicasOf(b).size(), 1u);
+    missing += rig.jukebox.num_tapes() - 1;
+  }
+  ASSERT_GT(missing, 0);
+  EXPECT_EQ(sim.fill_target(), missing);
+  EXPECT_EQ(sim.replicas_written(), 0);
 }
 
 TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {

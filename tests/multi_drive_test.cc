@@ -232,8 +232,7 @@ TEST(MultiDriveCombos, WritePathRunsOnTwoDrives) {
   int64_t flushed = 0;
   const SimulationResult result = RunTwiceIdentical([&] {
     DriveRig rig(2);
-    WriteBuffer buffer(&rig.jukebox, &rig.catalog, writes, /*seed=*/7,
-                       ShortSim().duration_seconds);
+    WriteBuffer buffer(&rig.jukebox, &rig.catalog, writes, ShortSim(40));
     Simulator sim(&rig.jukebox, &rig.catalog, rig.scheduler.get(),
                   ShortSim(40), &buffer);
     const SimulationResult out = sim.Run();

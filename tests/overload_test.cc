@@ -1,8 +1,8 @@
 // Overload-subsystem tests above the unit level: arrival shaping
-// (diurnal modulation, correlated bursts) and tenant-mix determinism,
-// the retry-backoff draw discipline, the extended conservation identity
-// under deadlines + admission control, and the results-JSON gating that
-// keeps overload-free documents byte-identical to pre-overload builds.
+// (correlated bursts) and tenant-mix determinism, the retry-backoff draw
+// discipline, the extended conservation identity under deadlines +
+// admission control, and the results-JSON gating that keeps overload-free
+// documents byte-identical to pre-overload builds.
 
 #include <gtest/gtest.h>
 
@@ -98,28 +98,6 @@ TEST(ArrivalShaping, TenantMixDoesNotPerturbBlocksOrTiming) {
   }
 }
 
-TEST(ArrivalShaping, DiurnalModulationShiftsArrivalsIntoThePeak) {
-  Rig rig;
-  WorkloadConfig config = OpenWorkload(10, 5);
-  config.diurnal_amplitude = 0.8;
-  config.diurnal_period_seconds = 10'000;
-  WorkloadGenerator generator(&*rig.catalog, config);
-  int first_half = 0;
-  int second_half = 0;
-  double now = 0;
-  while (true) {
-    now += generator.NextArrivalGap(now);
-    if (now >= config.diurnal_period_seconds) break;
-    if (now < config.diurnal_period_seconds / 2) {
-      ++first_half;  // sin > 0: rate above the mean
-    } else {
-      ++second_half;  // sin < 0: rate below the mean
-    }
-  }
-  EXPECT_GT(first_half, second_half * 3 / 2)
-      << first_half << " peak vs " << second_half << " trough arrivals";
-}
-
 TEST(ArrivalShaping, BurstsAddArrivalsAndStayDeterministic) {
   Rig rig;
   WorkloadConfig config = OpenWorkload(50, 13);
@@ -147,6 +125,29 @@ TEST(ArrivalShaping, BurstsAddArrivalsAndStayDeterministic) {
   const int plain = count(OpenWorkload(50, 13), nullptr);
   // ~25 bursts of >= 1 extra arrival each on top of ~1000 base arrivals.
   EXPECT_GT(bursty, plain + 20);
+}
+
+TEST(ArrivalShaping, BurstRunsTimeArrivalsFromTheOverloadStreamOnly) {
+  // With bursts on, the base arrival process and the bursts both draw from
+  // the overload stream, so the block stream matches a burst-free
+  // generator that draws no gaps at all.
+  Rig rig;
+  WorkloadConfig config = OpenWorkload(50, 17);
+  config.burst_interval_seconds = 2000;
+  config.burst_size = 10;
+  config.burst_spread_seconds = 100;
+  WorkloadGenerator bursty(&*rig.catalog, config);
+  WorkloadGenerator plain(&*rig.catalog, OpenWorkload(50, 17));
+  double now = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const double gap = bursty.NextArrivalGap(now);
+    ASSERT_GE(gap, 0.0) << "draw " << i;
+    now += gap;
+    const Request a = bursty.NextRequest(now);
+    const Request b = plain.NextRequest(now);
+    EXPECT_EQ(a.block, b.block) << "draw " << i;
+    EXPECT_EQ(a.id, b.id) << "draw " << i;
+  }
 }
 
 // -- retry backoff -----------------------------------------------------------

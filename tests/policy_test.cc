@@ -304,7 +304,7 @@ class CandidateProbe : public GreedyScheduler {
 // With two drives, the tape the other drive holds is withdrawn before
 // selection: its bitmap is zeroed and the decision record leaves it out,
 // although it has the most requests.
-TEST(DropClaimedCandidatesTest, WithdrawnTapeHasNoBitsAndNoDecisionEntry) {
+TEST(ScheduleVisitTest, WithdrawnTapeHasNoBitsAndNoDecisionEntry) {
   TinyRig rig(3);
   rig.jukebox().SetNumDrives(2);
   rig.Place(0, 0, 2);

@@ -36,7 +36,9 @@ TEST_P(SchedulerInvariants, HoldUnderRandomWorkload) {
   layout.start_position = num_replicas == 0 ? 0.0 : 1.0;
   const Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
 
-  const AlgorithmSpec spec = AlgorithmSpec::Parse(algorithm).value();
+  AlgorithmSpec spec = AlgorithmSpec::Parse(algorithm).value();
+  // Arms the envelope oracle too (other schedulers ignore the option).
+  spec.options.validate_envelope = true;
   ValidatingScheduler scheduler(CreateScheduler(spec, &jukebox, &catalog),
                                 &jukebox, &catalog);
 

@@ -147,15 +147,5 @@ TEST(Histogram, MergedQuantileMatchesSingleHistogram) {
   EXPECT_DOUBLE_EQ(merged.Quantile(0.95), whole.Quantile(0.95));
 }
 
-TEST(Histogram, AsciiRendersOneLinePerBucket) {
-  Histogram h(0.0, 2.0, 2);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  const std::string art = h.ToAscii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 2);
-}
-
 }  // namespace
 }  // namespace tapejuke

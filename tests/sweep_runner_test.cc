@@ -63,11 +63,27 @@ TEST(SweepRunner, EffectiveConfigAppliesDerivedSeed) {
   const ExperimentConfig point = QuickConfig("fifo");
   EXPECT_EQ(runner.EffectiveConfig(point, 3).sim.workload.seed,
             DerivePointSeed(17, 3));
-  // Derivation off: the point keeps whatever seed its config carries.
-  options.derive_point_seeds = false;
-  SweepRunner passthrough(options);
-  EXPECT_EQ(passthrough.EffectiveConfig(point, 3).sim.workload.seed,
-            point.sim.workload.seed);
+}
+
+TEST(SweepRunner, IdenticalPointsRunOnTheirOwnDerivedSeeds) {
+  // Two copies of one point still run as independent samples: point i
+  // runs exactly as a standalone run with seed DerivePointSeed(base, i).
+  SweepOptions options;
+  options.base_seed = 5;
+  options.threads = 2;
+  const std::vector<ExperimentConfig> grid(2, QuickConfig("fifo"));
+  const auto results = SweepRunner(options).Run(grid);
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), 2u);
+  EXPECT_NE(Serialize({(*results)[0]}), Serialize({(*results)[1]}));
+  for (size_t i = 0; i < grid.size(); ++i) {
+    ExperimentConfig standalone = grid[i];
+    standalone.sim.workload.seed = DerivePointSeed(5, i);
+    const auto alone = ExperimentRunner::Run(standalone);
+    ASSERT_TRUE(alone.ok()) << alone.status();
+    EXPECT_EQ(Serialize({*alone}), Serialize({(*results)[i]}))
+        << "point " << i;
+  }
 }
 
 TEST(SweepRunner, ResultsAreBitIdenticalAcrossThreadCounts) {

@@ -17,8 +17,6 @@ TEST(Tape, SlotGeometry) {
   EXPECT_EQ(tape.num_blocks(), 0);
   EXPECT_EQ(tape.PositionOfSlot(0), 0);
   EXPECT_EQ(tape.PositionOfSlot(10), 160);
-  EXPECT_EQ(tape.EndPositionOfSlot(10), 176);
-  EXPECT_EQ(tape.SlotOfPosition(160), 10);
 }
 
 TEST(Tape, PlaceAndLookup) {
@@ -126,14 +124,6 @@ TEST_F(DriveTest, ReadAfterReverseLocateHasNoStartup) {
   drive_.LocateTo(1000);
   drive_.LocateTo(500);  // reverse
   EXPECT_DOUBLE_EQ(drive_.Read(16), 1.77 * 16);
-}
-
-TEST_F(DriveTest, ReadAtCombinesLocateAndRead) {
-  drive_.Load(0);
-  const double combined = drive_.ReadAt(200, 16);
-  EXPECT_DOUBLE_EQ(combined,
-                   (14.342 + 0.028 * 200) + (0.38 + 1.77 * 16));
-  EXPECT_EQ(drive_.head(), 216);
 }
 
 TEST_F(DriveTest, RewindReturnsToZeroWithBotOverhead) {

@@ -55,10 +55,7 @@ SimulationConfig ShortSim(QueuingModel model = QueuingModel::kClosed) {
 TEST(WritePathConfig, Validation) {
   WritePathConfig config;
   EXPECT_TRUE(config.Validate().ok());
-  config.buffer_capacity_blocks = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = WritePathConfig{};
-  config.hot_write_fraction = 1.5;
+  config.piggyback_min_blocks = 0;
   EXPECT_FALSE(config.Validate().ok());
 }
 
@@ -75,23 +72,42 @@ TEST(WritePath, WritesAreStagedAndFlushed) {
   EXPECT_GT(stats.blocks_flushed, 0);
   EXPECT_GT(stats.piggyback_flushes, 0);
   // The staging buffer bounds occupancy (capacity + one inter-flush burst).
-  EXPECT_LE(stats.max_buffer_occupancy,
-            writes.buffer_capacity_blocks + 128);
+  EXPECT_LE(stats.max_buffer_occupancy, kWriteBufferCapacityBlocks + 128);
 }
 
 TEST(WritePath, ReplicatedBlocksDirtyEveryCopy) {
   Rig rig(/*num_replicas=*/9);
   WritePathConfig writes;
   writes.mean_write_interarrival_seconds = 500;
-  writes.hot_write_fraction = 1.0;  // every write hits a hot block
+  // RH 1.0: writes follow the read stream's RH, so every write hits a hot
+  // block.
+  SimulationConfig sim_config = ShortSim();
+  sim_config.workload.hot_request_fraction = 1.0;
   WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         ShortSim(), writes);
+                         sim_config, writes);
   sim.Run();
   const WritePathStats& stats = sim.stats();
   ASSERT_GT(stats.writes_accepted, 100);
   // Each hot write dirties up to 10 copies (duplicates collapse).
   EXPECT_GT(static_cast<double>(stats.dirty_updates_created),
             5.0 * static_cast<double>(stats.writes_accepted));
+}
+
+TEST(WritePath, ColdReadStreamDirtiesOneCopyPerWrite) {
+  Rig rig(/*num_replicas=*/9);
+  WritePathConfig writes;
+  writes.mean_write_interarrival_seconds = 500;
+  // RH 0.0: writes follow the read stream's RH, so no write hits a
+  // replicated hot block and each dirties at most its one cold copy.
+  SimulationConfig sim_config = ShortSim();
+  sim_config.workload.hot_request_fraction = 0.0;
+  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
+                         sim_config, writes);
+  sim.Run();
+  const WritePathStats& stats = sim.stats();
+  ASSERT_GT(stats.writes_accepted, 100);
+  EXPECT_GT(stats.dirty_updates_created, 0);
+  EXPECT_LE(stats.dirty_updates_created, stats.writes_accepted);
 }
 
 TEST(WritePath, WriteTrafficDegradesReads) {
@@ -140,8 +156,7 @@ TEST(WritePath, IdleFlushCleansBufferUnderLightLoad) {
   sim.Run();
   EXPECT_GT(sim.stats().idle_flushes, 0);
   // Idle cleaning keeps the buffer well under capacity.
-  EXPECT_LT(sim.stats().max_buffer_occupancy,
-            writes.buffer_capacity_blocks);
+  EXPECT_LT(sim.stats().max_buffer_occupancy, kWriteBufferCapacityBlocks);
   EXPECT_EQ(sim.stats().forced_flushes, 0);
 }
 
@@ -165,14 +180,42 @@ TEST(WritePath, OpenModelDriveWorkFitsInRun) {
 TEST(WritePath, ForcedFlushWhenBufferTooSmall) {
   Rig rig;
   WritePathConfig writes;
-  writes.mean_write_interarrival_seconds = 30;  // write-heavy
-  writes.buffer_capacity_blocks = 16;           // tiny buffer
+  // A write every 5 s outruns the fixed buffer within the first hour.
+  writes.mean_write_interarrival_seconds = 5;
   writes.piggyback = false;
   writes.idle_flush = false;
   WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
                          ShortSim(), writes);
   sim.Run();
   EXPECT_GT(sim.stats().forced_flushes, 0);
+}
+
+TEST(WritePath, ForcedFlushWaitsUntilBufferOverCapacity) {
+  Rig rig;
+  WritePathConfig writes;
+  writes.piggyback = false;
+  writes.idle_flush = false;
+  // A write every 2 000 s stages about 150 single-copy updates over the
+  // run: the fixed buffer never fills, so nothing is ever flushed.
+  writes.mean_write_interarrival_seconds = 2000;
+  {
+    WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
+                           ShortSim(), writes);
+    sim.Run();
+    EXPECT_GT(sim.stats().max_buffer_occupancy, 0);
+    EXPECT_LE(sim.stats().max_buffer_occupancy, kWriteBufferCapacityBlocks);
+    EXPECT_EQ(sim.stats().forced_flushes, 0);
+    EXPECT_EQ(sim.stats().blocks_flushed, 0);
+  }
+  // A write every 5 s overruns it: forced flushes start only once the
+  // buffer holds more than kWriteBufferCapacityBlocks updates.
+  Rig fast_rig;
+  writes.mean_write_interarrival_seconds = 5;
+  WritebackSimulator sim(&fast_rig.jukebox, &fast_rig.catalog,
+                         &fast_rig.scheduler, ShortSim(), writes);
+  sim.Run();
+  EXPECT_GT(sim.stats().forced_flushes, 0);
+  EXPECT_GT(sim.stats().max_buffer_occupancy, kWriteBufferCapacityBlocks);
 }
 
 }  // namespace
