@@ -63,14 +63,12 @@ int main(int argc, char** argv) {
   int64_t replicas = 0;
   double sp = 0.0;
   std::string layout_name = "horizontal";
-  bool organ_pipe = false;
   // Workload.
   std::string queuing = "closed";
   int64_t queue = 60;
   double interarrival = 90;
   double rh = 0.40;
   double zipf_theta = 0.0;
-  double think_seconds = 0.0;
   int64_t seed = 1;
   // Simulation.
   const StatusOr<double> default_seconds = tapejuke::DefaultSimSeconds();
@@ -95,10 +93,9 @@ int main(int argc, char** argv) {
                 "use the hypothetical 4x-faster drive constants");
   flags.AddDouble("ph", &ph, "fraction of logical blocks that are hot");
   flags.AddInt64("replicas", &replicas, "extra copies of each hot block");
-  flags.AddDouble("sp", &sp, "hot-region start position in [0,1]");
+  flags.AddDouble("sp", &sp,
+                  "hot-region start position in [0,1] (0.5 centers it)");
   flags.AddString("layout", &layout_name, "horizontal or vertical");
-  flags.AddBool("organ-pipe", &organ_pipe,
-                "center the hot region (overrides --sp)");
   flags.AddString("queuing", &queuing, "closed or open");
   flags.AddInt64("queue", &queue, "closed model: outstanding requests");
   flags.AddDouble("interarrival", &interarrival,
@@ -106,8 +103,6 @@ int main(int argc, char** argv) {
   flags.AddDouble("rh", &rh, "fraction of requests to hot data");
   flags.AddDouble("zipf", &zipf_theta,
                   "use Zipf(theta) popularity instead of hot/cold when > 0");
-  flags.AddDouble("think", &think_seconds,
-                  "closed model: mean think time between requests, seconds");
   flags.AddInt64("seed", &seed, "workload seed");
   flags.AddDouble("sim-seconds", &sim_seconds, "simulated duration");
   flags.AddDouble("warmup-frac", &warmup_frac,
@@ -137,7 +132,6 @@ int main(int argc, char** argv) {
   config.layout.start_position = sp;
   config.layout.layout = layout_name == "vertical" ? HotLayout::kVertical
                                                    : HotLayout::kHorizontal;
-  if (organ_pipe) config.layout.placement = PlacementScheme::kOrganPipe;
   config.sim.duration_seconds = sim_seconds;
   config.sim.warmup_seconds = sim_seconds * warmup_frac;
   config.sim.workload.model =
@@ -149,7 +143,6 @@ int main(int argc, char** argv) {
     config.sim.workload.skew = SkewModel::kZipf;
     config.sim.workload.zipf_theta = zipf_theta;
   }
-  config.sim.workload.think_time_seconds = think_seconds;
   config.sim.workload.seed = static_cast<uint64_t>(seed);
   const StatusOr<AlgorithmSpec> spec = AlgorithmSpec::Parse(algorithm);
   if (!spec.ok()) {

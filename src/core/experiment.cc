@@ -117,13 +117,6 @@ std::unique_ptr<Scheduler> CreateScheduler(const AlgorithmSpec& spec,
 Status ExperimentConfig::Validate() const {
   TJ_RETURN_IF_ERROR(jukebox.Validate());
   TJ_RETURN_IF_ERROR(sim.Validate());
-  if (sim.repair.enabled() && sim.repair.repair_bandwidth_mb_per_s > 0 &&
-      static_cast<double>(jukebox.block_size_mb) > kRepairBurstMb) {
-    std::string message = "metered repair needs blocks no larger than its ";
-    message += std::to_string(static_cast<int64_t>(kRepairBurstMb));
-    message += " MB token bucket";
-    return Status::InvalidArgument(message);
-  }
   TJ_RETURN_IF_ERROR(algorithm.options.Validate());
   return layout.Validate(jukebox.num_tapes);
 }

@@ -12,7 +12,6 @@
 #include "sim/workload.h"
 #include "util/check.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace tapejuke {
 
@@ -127,22 +126,19 @@ FarmResult FarmSimulator::Run() {
   ran_ = true;
   const int32_t n = config_.num_jukeboxes;
 
-  // Shard the boxes over the pool. Every box derives its whole random
+  // Shard the boxes like sweep points. Every box derives its whole random
   // state from its own index, and the merge below walks the slots in box
   // order, so the result is bit-identical at any thread count.
   std::vector<std::unique_ptr<BoxOutput>> outputs(static_cast<size_t>(n));
-  const auto run_box = [&](int64_t i) {
-    outputs[static_cast<size_t>(i)] =
-        std::make_unique<BoxOutput>(RunBox(static_cast<int32_t>(i)));
-  };
-  const int threads = config_.threads > 0 ? config_.threads
-                                          : ThreadPool::DefaultThreads();
-  if (threads == 1 || n == 1) {
-    for (int64_t i = 0; i < n; ++i) run_box(i);
-  } else {
-    ThreadPool pool(std::min(threads, n));
-    pool.ParallelFor(0, n, run_box);
-  }
+  SweepOptions shards;
+  shards.threads = config_.threads;
+  const Status status = SweepRunner(shards).RunIndexed(
+      static_cast<size_t>(n), [&](size_t i) {
+        outputs[i] =
+            std::make_unique<BoxOutput>(RunBox(static_cast<int32_t>(i)));
+        return Status::Ok();
+      });
+  TJ_CHECK(status.ok()) << status.ToString();
 
   // The farm ends when its last box does; close every box's outstanding
   // integral there so the areas are comparable before merging.

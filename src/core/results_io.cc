@@ -10,11 +10,6 @@ const char* LayoutName(HotLayout layout) {
   return layout == HotLayout::kVertical ? "vertical" : "horizontal";
 }
 
-const char* PlacementName(PlacementScheme scheme) {
-  return scheme == PlacementScheme::kOrganPipe ? "organ-pipe"
-                                               : "start-position";
-}
-
 const char* ModelName(QueuingModel model) {
   return model == QueuingModel::kOpen ? "open" : "closed";
 }
@@ -53,7 +48,7 @@ void WriteJson(JsonWriter* w, const LayoutSpec& layout) {
   w->Field("num_replicas", static_cast<int64_t>(layout.num_replicas));
   w->Field("start_position", layout.start_position);
   w->Field("layout", LayoutName(layout.layout));
-  w->Field("placement", PlacementName(layout.placement));
+  w->Field("placement", "start-position");
   w->Field("logical_blocks_override", layout.logical_blocks_override);
   w->Field("pack_cold", layout.pack_cold);
   w->EndObject();
@@ -63,7 +58,7 @@ void WriteJson(JsonWriter* w, const WorkloadConfig& workload) {
   w->BeginObject();
   w->Field("model", ModelName(workload.model));
   w->Field("queue_length", workload.queue_length);
-  w->Field("think_time_seconds", workload.think_time_seconds);
+  w->Field("think_time_seconds", 0.0);
   w->Field("mean_interarrival_seconds",
            workload.mean_interarrival_seconds);
   w->Field("skew", SkewName(workload.skew));
@@ -109,7 +104,7 @@ void WriteJson(JsonWriter* w, const FaultConfig& faults) {
     w->Field("retry_backoff_base_seconds", faults.retry_backoff_base_seconds);
     w->Field("retry_backoff_max_seconds", faults.retry_backoff_max_seconds);
   }
-  w->Field("seed", faults.seed);
+  w->Field("seed", uint64_t{0});
   w->EndObject();
 }
 

@@ -1,5 +1,6 @@
 #include "core/sweep_runner.h"
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 
@@ -32,8 +33,10 @@ FarmConfig SweepRunner::EffectiveFarmConfig(FarmConfig config,
 Status SweepRunner::RunIndexed(
     size_t num_points, const std::function<Status(size_t)>& fn) const {
   if (num_points == 0) return Status::Ok();
-  const int threads = options_.threads > 0 ? options_.threads
-                                           : ThreadPool::DefaultThreads();
+  const size_t workers = std::min(
+      num_points, static_cast<size_t>(options_.threads > 0
+                                          ? options_.threads
+                                          : ThreadPool::DefaultThreads()));
   std::vector<Status> statuses(num_points, Status::Ok());
   // An exception escaping a point must not kill the process (or, worse, a
   // pool worker): capture it into that point's status slot so it is
@@ -48,10 +51,10 @@ Status SweepRunner::RunIndexed(
       return Status::Internal("uncaught exception of unknown type");
     }
   };
-  if (threads == 1) {
+  if (workers == 1) {
     for (size_t i = 0; i < num_points; ++i) statuses[i] = guarded(i);
   } else {
-    ThreadPool pool(threads);
+    ThreadPool pool(static_cast<int>(workers));
     pool.ParallelFor(0, static_cast<int64_t>(num_points),
                      [&](int64_t i) {
                        statuses[static_cast<size_t>(i)] =

@@ -72,11 +72,12 @@ class SweepRunner {
   StatusOr<std::vector<FarmResult>> RunFarms(
       const std::vector<FarmConfig>& points) const;
 
-  /// Escape hatch for benches with bespoke simulators: runs
-  /// fn(point_index) for every index across the pool and returns the
-  /// first non-OK status (lowest index wins, deterministically). `fn` is
-  /// called concurrently for distinct indices and must only touch
-  /// per-index state. An exception escaping `fn` is captured as an
+  /// Escape hatch for benches with bespoke simulators, and the farm's box
+  /// sharding: runs fn(point_index) for every index across a pool of
+  /// min(threads, num_points) workers (inline, in index order, when that
+  /// is 1) and returns the first non-OK status (lowest index wins,
+  /// deterministically). `fn` is called concurrently for distinct indices
+  /// and must only touch per-index state. An exception escaping `fn` is captured as an
   /// Internal status for that point rather than terminating the process.
   Status RunIndexed(size_t num_points,
                     const std::function<Status(size_t)>& fn) const;

@@ -213,15 +213,14 @@ StatusOr<Catalog> LayoutBuilder::Build(Jukebox* jukebox,
   }
   std::vector<Replica> flat(offsets.back());
 
-  double sp = spec.start_position;
-  if (spec.placement == PlacementScheme::kOrganPipe) sp = 0.5;
   std::vector<TapeRegions> regions(static_cast<size_t>(num_tapes));
   for (TapeId t = 0; t < num_tapes; ++t) {
     TapeRegions& region = regions[static_cast<size_t>(t)];
     region.hot_count = HotCopiesOnTape(spec, num_tapes, slots, hot, t);
     TJ_CHECK_LE(region.hot_count, slots);
     region.hot_start = static_cast<int64_t>(
-        std::llround(sp * static_cast<double>(slots - region.hot_count)));
+        std::llround(spec.start_position *
+                     static_cast<double>(slots - region.hot_count)));
   }
 
   const auto place = [&](BlockId block, TapeId t, int64_t slot) {

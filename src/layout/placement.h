@@ -14,7 +14,6 @@
 //    layout.
 //  * The §4.8 spare-capacity variant (cold data packed into as few tapes as
 //    possible, leaving empty space where replicas would have gone).
-//  * An organ-pipe placement (related work [3]) that centers the hot region.
 
 #ifndef TAPEJUKE_LAYOUT_PLACEMENT_H_
 #define TAPEJUKE_LAYOUT_PLACEMENT_H_
@@ -33,12 +32,6 @@ enum class HotLayout {
   kVertical,    ///< one dedicated hot tape; replicas on the others
 };
 
-/// Where the hot region sits within a tape.
-enum class PlacementScheme {
-  kStartPosition,  ///< hot region starts at SP * (free span)
-  kOrganPipe,      ///< hot region centered (related-work comparison)
-};
-
 /// Full layout specification (the paper's PH / NR / SP / layout knobs).
 struct LayoutSpec {
   /// Fraction of logical blocks that are hot (PH / 100).
@@ -46,10 +39,11 @@ struct LayoutSpec {
   /// Number of extra copies of each hot block (NR). Bounded by the tape
   /// count: copies of one block must live on distinct tapes.
   int32_t num_replicas = 0;
-  /// Normalized start position SP of the hot region within each tape.
+  /// Normalized start position SP of the hot region within each tape: it
+  /// starts at SP * (free span). SP 0.5 centers it, the organ-pipe
+  /// placement of related work [3].
   double start_position = 0.0;
   HotLayout layout = HotLayout::kHorizontal;
-  PlacementScheme placement = PlacementScheme::kStartPosition;
   /// If > 0, use exactly this many logical blocks instead of the maximum
   /// that fits (must be feasible).
   int64_t logical_blocks_override = 0;

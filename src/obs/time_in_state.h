@@ -31,7 +31,7 @@ class TraceRecorder;
 /// What a drive is doing with a span of simulated time. Every clock
 /// advance in the simulators is charged to exactly one of these.
 enum class DriveActivity : int {
-  kIdle = 0,    ///< no work: waiting for arrivals or think time
+  kIdle = 0,    ///< no work: waiting for arrivals
   kSwitching,   ///< rewind-less portion of a tape switch: eject + load
   kRobot,       ///< waiting on / operated by the robot arm (incl. retries)
   kLocating,    ///< seeking to a block position on the mounted tape

@@ -5,9 +5,9 @@
 // reproducible regardless of queue implementation details.
 //
 // Implementation: a binary min-heap on (time, seq) in a std::vector. The
-// simulator keeps only client timers here (think-time wake-ups, deadline
-// expiries), a few hundred at most per jukebox, where a plain heap is the
-// cheapest structure (docs/PERFORMANCE.md). Scheduling in the past (before
+// simulator keeps only client timers here (deadline expiries), a few
+// hundred at most per jukebox, where a plain heap is the cheapest
+// structure (docs/PERFORMANCE.md). Scheduling in the past (before
 // the last popped timestamp) would silently corrupt the order and is
 // rejected by a TJ_DCHECK.
 

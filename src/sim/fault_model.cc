@@ -76,7 +76,7 @@ bool FaultStats::operator==(const FaultStats& other) const {
 namespace {
 
 // Mixes the workload seed into a distinct fault-stream seed so the two
-// streams never collide even when FaultConfig::seed is left at 0.
+// streams never collide.
 uint64_t DeriveFaultSeed(uint64_t workload_seed) {
   uint64_t state = workload_seed ^ 0xfa17ab1e5eedULL;
   return SplitMix64(&state);
@@ -86,7 +86,7 @@ uint64_t DeriveFaultSeed(uint64_t workload_seed) {
 
 FaultModel::FaultModel(const FaultConfig& config, uint64_t workload_seed)
     : config_(config),
-      rng_(config.seed != 0 ? config.seed : DeriveFaultSeed(workload_seed)) {
+      rng_(DeriveFaultSeed(workload_seed)) {
   TJ_CHECK(config.Validate().ok()) << config.Validate().message();
 }
 

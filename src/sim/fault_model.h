@@ -65,9 +65,6 @@ struct FaultConfig {
   double retry_backoff_base_seconds = 0.0;
   /// Cap on a single backoff wait (before jitter). 0 = uncapped.
   double retry_backoff_max_seconds = 0.0;
-  /// Seed for the fault stream. 0 derives the stream from the workload seed
-  /// so distinct experiments see distinct fault sequences by default.
-  uint64_t seed = 0;
 
   /// True when any fault class can fire. When false the simulators make no
   /// fault-related draws and produce bit-identical output to a fault-free
@@ -139,9 +136,9 @@ struct ReadOutcome {
 /// perturbs which blocks are requested.
 class FaultModel {
  public:
-  /// `config` must already be validated. `workload_seed` seeds the stream
-  /// when config.seed == 0 (hashed so the fault and workload streams differ
-  /// even then).
+  /// `config` must already be validated. The stream is seeded from a hash
+  /// of `workload_seed`, so distinct experiments see distinct fault
+  /// sequences and the fault and workload streams differ.
   FaultModel(const FaultConfig& config, uint64_t workload_seed);
 
   /// Draws and counts the fault outcome for one block read (its permanent

@@ -38,8 +38,9 @@ ReplicaFiller::ReplicaFiller(Jukebox* jukebox, Catalog* catalog,
   next_hot_.assign(static_cast<size_t>(num_tapes), 0);
   for (TapeId t = 0; t < num_tapes; ++t) {
     const Tape& tape = jukebox->tape(t);
-    // Descending order: replicas land at the tape end first (§4.5).
-    for (int64_t s = tape.num_slots() - 1; s >= 0; --s) {
+    // Ascending, taken from the back: replicas land at the tape end first
+    // (§4.5).
+    for (int64_t s = 0; s < tape.num_slots(); ++s) {
       if (tape.BlockAtSlot(s) == kInvalidBlock) {
         free_slots_[static_cast<size_t>(t)].push_back(s);
       }
@@ -62,7 +63,7 @@ TapeId ReplicaFiller::NeediestTape() {
     // only needed to rank tapes).
     int64_t missing = 0;
     for (BlockId b = 0; b < catalog_->num_hot_blocks(); ++b) {
-      if (WantsCopyOn(b, t)) ++missing;
+      if (catalog_->ReplicaOn(b, t) == nullptr) ++missing;
     }
     const int64_t need = std::min(
         missing,
@@ -74,12 +75,6 @@ TapeId ReplicaFiller::NeediestTape() {
   }
   neediest_ = best;
   return best;
-}
-
-bool ReplicaFiller::WantsCopyOn(BlockId block, TapeId tape) const {
-  return static_cast<int32_t>(catalog_->ReplicasOf(block).size()) <
-             jukebox_->num_tapes() &&
-         catalog_->ReplicaOn(block, tape) == nullptr;
 }
 
 double ReplicaFiller::FillMountedTape(double now) {
@@ -94,20 +89,20 @@ double ReplicaFiller::FillMountedTape(double now) {
   Drive& drive = jukebox_->drive();
   Tape& tape = jukebox_->tape(tape_id);
   while (!free.empty() && elapsed < config_.fill_budget_seconds) {
-    // Next hot block that still wants a copy and lacks one on this tape.
+    // Next hot block that lacks a copy on this tape.
     BlockId chosen = kInvalidBlock;
     for (int64_t scanned = 0; scanned < hot; ++scanned) {
       const BlockId candidate = cursor;
       cursor = (cursor + 1) % hot;
-      if (WantsCopyOn(candidate, tape_id)) {
+      if (catalog_->ReplicaOn(candidate, tape_id) == nullptr) {
         chosen = candidate;
         break;
       }
     }
     if (chosen == kInvalidBlock) break;  // tape already has all it can take
 
-    const int64_t slot = free.front();
-    free.erase(free.begin());
+    const int64_t slot = free.back();
+    free.pop_back();
     const Position position = tape.PositionOfSlot(slot);
     // The source data is read from the disk/memory tier (hot data is
     // cached there per §2); only the tape-side locate + write costs time.

@@ -32,7 +32,8 @@ namespace tapejuke {
 struct LifecycleConfig {
   /// Maximum seconds of replica writing appended to one read sweep.
   double fill_budget_seconds = 120.0;
-  /// Also fill during idle periods (open queuing or think time).
+  /// Also fill while a drive has no read work (between open-model
+  /// arrivals).
   bool fill_on_idle = true;
   /// Number of reporting windows.
   int32_t num_epochs = 10;
@@ -89,9 +90,6 @@ class ReplicaFiller : public BackgroundWork {
   /// kInvalidTape. Rescans only after a replica was written.
   TapeId NeediestTape();
 
-  /// True when hot block `block` still wants a copy and has none on `tape`.
-  bool WantsCopyOn(BlockId block, TapeId tape) const;
-
   /// Records the fill fraction reached at `now` for its epoch and later.
   void NoteFill(double now);
 
@@ -103,7 +101,7 @@ class ReplicaFiller : public BackgroundWork {
   LifecycleConfig config_;
   double epoch_seconds_;
 
-  /// Per-tape free slots (descending, so fills start at the tape end) and
+  /// Per-tape free slots (ascending; fills pop the back, the tape end) and
   /// a round-robin cursor over hot blocks per tape.
   std::vector<std::vector<int64_t>> free_slots_;
   std::vector<BlockId> next_hot_;

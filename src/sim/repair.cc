@@ -36,15 +36,12 @@ RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
       catalog_(catalog),
       scheduler_(scheduler),
       faults_(faults),
-      block_mb_(jukebox->config().block_size_mb) {
+      block_mb_(jukebox->config().block_size_mb),
+      bucket_mb_(std::max(kRepairBurstMb, static_cast<double>(block_mb_))) {
   TJ_CHECK(jukebox_ != nullptr && catalog_ != nullptr &&
            scheduler_ != nullptr && faults_ != nullptr);
   TJ_CHECK(config_.enabled());
   TJ_CHECK(config_.Validate().ok()) << config_.Validate().message();
-  if (config_.repair_bandwidth_mb_per_s > 0.0) {
-    TJ_CHECK_GE(kRepairBurstMb, static_cast<double>(block_mb_))
-        << "repair burst must cover at least one block";
-  }
   const TapeId num_tapes = jukebox_->num_tapes();
   free_slots_.resize(static_cast<size_t>(num_tapes));
   dead_tape_.assign(static_cast<size_t>(num_tapes), 0);
@@ -55,7 +52,7 @@ RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
       if (tape.BlockAtSlot(slot) == kInvalidBlock) pool.push_back(slot);
     }
   }
-  tokens_ = kRepairBurstMb;
+  tokens_ = bucket_mb_;
   token_time_ = 0.0;
   // The first scrub pass is due one interval into the run, not at t=0.
   next_scrub_due_ = config_.scrub_interval_seconds;
@@ -68,7 +65,7 @@ double RepairManager::TokensAt(double now) const {
     return std::numeric_limits<double>::max();
   }
   return std::min(
-      kRepairBurstMb,
+      bucket_mb_,
       tokens_ + (now - token_time_) * config_.repair_bandwidth_mb_per_s);
 }
 

@@ -45,8 +45,9 @@
 
 namespace tapejuke {
 
-/// Token-bucket capacity for metered scrub/repair, MB. Blocks larger than
-/// this cannot be metered (ExperimentConfig::Validate rejects them).
+/// Token-bucket capacity for metered scrub/repair, MB. A bucket always
+/// holds at least one block: with larger blocks its capacity is the block
+/// size.
 inline constexpr double kRepairBurstMb = 64.0;
 
 /// Scrub/repair knobs. Defaults disable everything.
@@ -59,7 +60,7 @@ struct RepairConfig {
   /// one tape). 0 disables scrubbing.
   double scrub_interval_seconds = 0.0;
   /// Token-bucket refill rate for scrub reads and repair writes, MB/s, into
-  /// a bucket of kRepairBurstMb. 0 = unmetered.
+  /// a bucket of max(kRepairBurstMb, block size). 0 = unmetered.
   double repair_bandwidth_mb_per_s = 0.0;
 
   /// True when the manager has anything to do.
@@ -241,7 +242,8 @@ class RepairManager : public BackgroundWork {
   TapeId scrub_tape_ = kInvalidTape;    ///< pass in progress
   int64_t scrub_slot_ = 0;              ///< next slot of the pass
 
-  // Token bucket.
+  // Token bucket: max(kRepairBurstMb, block_mb_) MB.
+  double bucket_mb_;
   double tokens_ = 0.0;
   double token_time_ = 0.0;
 };

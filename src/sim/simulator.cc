@@ -172,7 +172,7 @@ void Simulator::ExpireRequest(const Request& request, double now,
     recorder_->RequestDone(request.id, obs::RequestOutcome::kExpired, now);
   }
   // The issuing process moves on exactly as it would after a completion.
-  ContinueClosedProcess(now, committed_head);
+  if (closed_) IssueClosedRequest(now, committed_head);
 }
 
 void Simulator::ProcessExpiriesUpTo(double until, Position committed_head) {
@@ -210,15 +210,6 @@ void Simulator::IssueClosedRequest(double now, Position committed_head) {
   }
 }
 
-void Simulator::ContinueClosedProcess(double now, Position committed_head) {
-  if (!closed_) return;
-  if (config_.workload.think_time_seconds > 0) {
-    thinking_.Schedule(now + workload_.NextThinkTime(), 0);
-  } else {
-    IssueClosedRequest(now, committed_head);
-  }
-}
-
 void Simulator::FailRequest(const Request& request) {
   SettleDeadline(request.id);
   metrics_.OnFailure(request.arrival_time, clock_);
@@ -226,7 +217,7 @@ void Simulator::FailRequest(const Request& request) {
     recorder_->RequestDone(request.id, obs::RequestOutcome::kFailed, clock_);
   }
   // The issuing process continues exactly as on completion.
-  ContinueClosedProcess(clock_, jukebox_->head());
+  if (closed_) IssueClosedRequest(clock_, jukebox_->head());
 }
 
 void Simulator::Requeue(const Request& request) {
@@ -285,12 +276,6 @@ void Simulator::EvictUnservable() {
 }
 
 void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
-  // Closed-model think-time expirations: the process issues its next
-  // request when its think period ends.
-  while (auto expired = thinking_.PopUntil(until)) {
-    ProcessExpiriesUpTo(expired->first, committed_head);
-    IssueClosedRequest(expired->first, committed_head);
-  }
   // Open model and trace replay: arrivals come from the generator or the
   // trace, and are admitted, shed and delivered alike.
   while (next_arrival_ <= until) {
@@ -377,14 +362,6 @@ void Simulator::MaybeMarkWarmup() {
   }
 }
 
-double Simulator::NextClientEvent() const {
-  if (closed_) {
-    return thinking_.empty() ? std::numeric_limits<double>::infinity()
-                             : thinking_.NextTime();
-  }
-  return next_arrival_;
-}
-
 void Simulator::Wait(size_t d, double until) {
   DriveState& drive = drives_[d];
   drive.waiting = true;
@@ -452,7 +429,6 @@ void Simulator::Act(size_t d) {
 
 void Simulator::BeginIdle(size_t d) {
   DriveState& drive = drives_[d];
-  const double next_event = NextClientEvent();
   if (background_ != nullptr) {
     // Background quanta use the idle drive until the next client event;
     // arrivals during a quantum are delivered at their own timestamps.
@@ -466,15 +442,15 @@ void Simulator::BeginIdle(size_t d) {
       drive.masked = quantum.masked_replicas;
       return;
     }
-    if (next_work < next_event && next_work <= config_.duration_seconds) {
+    if (next_work < next_arrival_ && next_work <= config_.duration_seconds) {
       // Background work is due before the next client event: wake for it
       // (e.g. a scrub pass, a refilled token bucket, a write).
       Wait(d, next_work);
       return;
     }
   }
-  // Wait for an arrival (or a thinking process to wake).
-  Wait(d, next_event);
+  // Wait for the next arrival.
+  Wait(d, next_arrival_);
 }
 
 void Simulator::BeginSwitch(size_t d) {
@@ -486,7 +462,7 @@ void Simulator::BeginSwitch(size_t d) {
         << "scheduler reported work but produced no schedule";
     // Every tape with work is loaded in another drive.
     ++claim_conflicts_;
-    Wait(d, NextClientEvent());
+    Wait(d, next_arrival_);
     return;
   }
   TraceSweepContents(tape);
@@ -617,9 +593,9 @@ void Simulator::CompleteRead(const ServiceEntry& entry,
       recorder_->RequestDone(request.id, obs::RequestOutcome::kCompleted,
                              clock_);
     }
-    // The completing process issues its next request, immediately (the
-    // paper's I/O-bound processes) or after a think period.
-    ContinueClosedProcess(clock_, jukebox_->head());
+    // The completing process issues its next request at once (the paper's
+    // I/O-bound processes).
+    if (closed_) IssueClosedRequest(clock_, jukebox_->head());
   }
 }
 

@@ -202,11 +202,6 @@ class Simulator {
   /// archive is lost.
   void IssueClosedRequest(double now, Position committed_head);
 
-  /// Closed model: the process whose request settled at `now` moves on,
-  /// after a think period when one is configured, else at once. No-op in
-  /// the open model and trace replay.
-  void ContinueClosedProcess(double now, Position committed_head);
-
   /// Completes `request` with an error (every replica of its block is
   /// dead) and, in the closed model, lets the issuing process continue.
   void FailRequest(const Request& request);
@@ -255,9 +250,6 @@ class Simulator {
   /// Drive `d` waits, until `until` or until another drive acts.
   void Wait(size_t d, double until);
 
-  /// The next arrival or think-time wake-up (+infinity when none).
-  double NextClientEvent() const;
-
   /// Emits a "scheduled" trace instant for every request in the active
   /// sweep (called right after a major reschedule); no-op unless tracing.
   void TraceSweepContents(TapeId tape);
@@ -299,7 +291,8 @@ class Simulator {
   bool closed_ = false;
 
   double clock_ = 0;
-  /// The next open-model or trace arrival (+infinity: none is due).
+  /// The next open-model or trace arrival (+infinity: none is due, and
+  /// always in the closed model, whose settlements reissue at once).
   double next_arrival_ = std::numeric_limits<double>::infinity();
   bool warmup_marked_ = false;
   bool ran_ = false;
@@ -307,9 +300,6 @@ class Simulator {
   bool trace_mode_ = false;
   std::vector<Request> trace_;
   size_t trace_pos_ = 0;
-
-  /// Closed model with think time: pending regeneration instants.
-  EventQueue<char> thinking_;
 
   /// Overload protection. admission_ is engaged iff
   /// config_.admission.enabled(). Expiry events carry the request id;

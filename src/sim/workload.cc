@@ -18,9 +18,6 @@ Status WorkloadConfig::Validate() const {
   if (hot_request_fraction < 0 || hot_request_fraction > 1) {
     return Status::InvalidArgument("hot_request_fraction must be in [0, 1]");
   }
-  if (think_time_seconds < 0) {
-    return Status::InvalidArgument("think time must be >= 0");
-  }
   if (zipf_theta < 0) {
     return Status::InvalidArgument("zipf_theta must be >= 0");
   }
@@ -199,11 +196,6 @@ double WorkloadGenerator::NextArrivalGap(double now) {
   }
   stashed_base_arrival_ = -1.0;
   return std::max(0.0, base - now);
-}
-
-double WorkloadGenerator::NextThinkTime() {
-  if (config_.think_time_seconds <= 0) return 0.0;
-  return rng_.Exponential(config_.think_time_seconds);
 }
 
 }  // namespace tapejuke

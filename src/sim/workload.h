@@ -62,10 +62,6 @@ struct WorkloadConfig {
   QueuingModel model = QueuingModel::kClosed;
   /// Closed model: the constant population of outstanding requests.
   int64_t queue_length = 60;
-  /// Closed model: mean think time between a completion and the process's
-  /// next request, seconds (exponential; 0 = the paper's I/O-bound
-  /// processes that re-request immediately).
-  double think_time_seconds = 0.0;
   /// Open model: mean interarrival time, seconds.
   double mean_interarrival_seconds = 60.0;
   SkewModel skew = SkewModel::kHotCold;
@@ -122,9 +118,6 @@ class WorkloadGenerator {
   /// same draws); with bursts it merges a base Poisson process with the
   /// burst process, drawing both from the dedicated overload stream.
   double NextArrivalGap(double now);
-
-  /// Closed model: sample a think-time gap (0 when think time is 0).
-  double NextThinkTime();
 
   const WorkloadConfig& config() const { return config_; }
 

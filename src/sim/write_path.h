@@ -11,8 +11,8 @@
 //   * piggyback flush — when a read sweep on tape t finishes, the drive is
 //     already positioned there: append a write pass over t's dirty
 //     positions before the next reschedule;
-//   * idle flush — when no reads are pending (open queuing or think
-//     time), mount and clean the dirtiest tape;
+//   * idle flush — when a drive has no read work (between open-model
+//     arrivals), mount and clean the dirtiest tape;
 //   * forced flush — when the buffer exceeds its capacity, reads wait
 //     while the dirtiest tapes are cleaned (the interference the buffer is
 //     meant to avoid).
@@ -54,7 +54,8 @@ struct WritePathConfig {
   /// updates — smaller batches are not worth the extra locates; they wait
   /// for more dirt or for an idle/forced flush.
   int64_t piggyback_min_blocks = 8;
-  /// Enable cleaning during idle periods (open queuing or think time).
+  /// Enable cleaning while a drive has no read work (between open-model
+  /// arrivals).
   bool idle_flush = true;
 
   Status Validate() const;

@@ -210,19 +210,15 @@ void ExpectPositionsAtSlots(const Catalog& catalog, int64_t block_mb) {
 TEST(CatalogSlotPosition, LayoutBuilderPlacesAtSlotPositions) {
   for (const HotLayout layout :
        {HotLayout::kHorizontal, HotLayout::kVertical}) {
-    for (const PlacementScheme placement :
-         {PlacementScheme::kStartPosition, PlacementScheme::kOrganPipe}) {
-      JukeboxConfig config;
-      config.block_size_mb = 16;
-      Jukebox jukebox(config);
-      LayoutSpec spec;
-      spec.layout = layout;
-      spec.placement = placement;
-      spec.num_replicas = 3;
-      spec.start_position = 0.5;
-      const Catalog catalog = LayoutBuilder::Build(&jukebox, spec).value();
-      ExpectPositionsAtSlots(catalog, config.block_size_mb);
-    }
+    JukeboxConfig config;
+    config.block_size_mb = 16;
+    Jukebox jukebox(config);
+    LayoutSpec spec;
+    spec.layout = layout;
+    spec.num_replicas = 3;
+    spec.start_position = 0.5;
+    const Catalog catalog = LayoutBuilder::Build(&jukebox, spec).value();
+    ExpectPositionsAtSlots(catalog, config.block_size_mb);
   }
 }
 

@@ -35,44 +35,6 @@ TEST(CrossFeature, ZipfWorkloadOnFarm) {
   EXPECT_NEAR(result.aggregate.mean_outstanding, 120.0, 1.0);
 }
 
-TEST(CrossFeature, ThinkTimeWithWritePath) {
-  auto run = [](double think_seconds, WritePathStats* stats) {
-    Jukebox jukebox(PaperJukebox());
-    const Catalog catalog =
-        LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
-    GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
-                              /*dynamic=*/true);
-    SimulationConfig sim_config;
-    sim_config.duration_seconds = 300'000;
-    sim_config.warmup_seconds = 30'000;
-    sim_config.workload.queue_length = 40;
-    sim_config.workload.think_time_seconds = think_seconds;
-    sim_config.workload.seed = 37;
-    WritePathConfig writes;
-    writes.mean_write_interarrival_seconds = 200;
-    WritebackSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                           writes);
-    const SimulationResult result = sim.Run();
-    *stats = sim.stats();
-    return result;
-  };
-  WritePathStats busy_stats;
-  WritePathStats thinking_stats;
-  const SimulationResult busy = run(0, &busy_stats);
-  const SimulationResult thinking = run(300, &thinking_stats);
-  EXPECT_GT(thinking.completed_requests, 500);
-  EXPECT_GT(thinking_stats.blocks_flushed, 0);
-  // Without think time the whole population is always outstanding. With
-  // it, Little's law puts throughput x think time of the processes in the
-  // thinking state.
-  EXPECT_NEAR(busy.mean_outstanding, 40.0, 0.5);
-  const double thinking_processes =
-      thinking.requests_per_minute / 60.0 * 300.0;
-  EXPECT_GT(thinking_processes, 1.0);
-  EXPECT_NEAR(thinking.mean_outstanding, 40.0 - thinking_processes, 0.5);
-  EXPECT_LT(thinking.mean_outstanding, busy.mean_outstanding - 1.0);
-}
-
 TEST(CrossFeature, TraceReplayThroughEnvelopeWithReplication) {
   Jukebox probe(PaperJukebox());
   LayoutSpec layout;

@@ -139,9 +139,8 @@ TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
 }
 
 TEST(DeadlineEdge, ClosedModelExpiriesReissueAtOnce) {
-  // In the closed model without think time every settled request, expired
-  // or completed, is replaced at once, so the whole population stays
-  // outstanding.
+  // In the closed model every settled request, expired or completed, is
+  // replaced at once, so the whole population stays outstanding.
   JukeboxConfig jukebox_config;
   jukebox_config.num_tapes = 10;
   jukebox_config.block_size_mb = 16;

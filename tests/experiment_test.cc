@@ -107,15 +107,6 @@ TEST(ExperimentRunner, InvalidConfigFails) {
   config.sim.warmup_seconds = nan;
   EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
             StatusCode::kInvalidArgument);
-  // Metered repair with blocks larger than its 64 MB token bucket could
-  // never afford a block; it is refused before the run.
-  config = QuickConfig();
-  config.jukebox.block_size_mb = 128;
-  config.sim.faults.permanent_media_error_prob = 1e-3;
-  config.sim.repair.enable_repair = true;
-  config.sim.repair.repair_bandwidth_mb_per_s = 20;
-  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // The bucket's boundary: a 64 MB block exactly fills the 64 MB token

@@ -43,18 +43,6 @@ TEST(FarmConfig, Validation) {
   // Closed farms need at least one process per box.
   FarmConfig sparse = BaseFarm(8, 4);
   EXPECT_FALSE(sparse.Validate().ok());
-  // Metered repair refills a kRepairBurstMb (64 MB) token bucket, which
-  // must hold a whole block: 128 MB blocks are an invalid config, not an
-  // abort in the repair manager. Unmetered repair has no bucket.
-  FarmConfig metered = BaseFarm(2, 60);
-  metered.per_jukebox.jukebox.block_size_mb = 128;
-  metered.per_jukebox.sim.faults.permanent_media_error_prob = 1e-3;
-  metered.per_jukebox.sim.repair.enable_repair = true;
-  EXPECT_TRUE(metered.Validate().ok());
-  metered.per_jukebox.sim.repair.repair_bandwidth_mb_per_s = 20;
-  EXPECT_EQ(metered.Validate().code(), StatusCode::kInvalidArgument);
-  metered.per_jukebox.jukebox.block_size_mb = 64;
-  EXPECT_TRUE(metered.Validate().ok());
 }
 
 // A box cannot run more drives than it has tapes; the farm reports it as

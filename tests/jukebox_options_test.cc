@@ -89,7 +89,7 @@ TEST(FastDrive, QualitativeOrderingsSurvive) {
 
 TEST(OrganPipe, RunsEndToEndAndCentersHotData) {
   ExperimentConfig config;
-  config.layout.placement = PlacementScheme::kOrganPipe;
+  config.layout.start_position = 0.5;  // organ-pipe: hot data centered
   config.sim.duration_seconds = 200'000;
   config.sim.warmup_seconds = 20'000;
   config.sim.workload.queue_length = 40;

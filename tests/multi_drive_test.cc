@@ -117,19 +117,6 @@ TEST(MultiDrive, ClosedPopulationIsConserved) {
   EXPECT_NEAR(result.mean_outstanding, 50.0, 0.5);
 }
 
-// Completed processes think before their next request at any drive
-// count, so fewer requests are outstanding and fewer complete.
-TEST(MultiDrive, ThinkTimeHoldsAtTwoDrives) {
-  SimulationConfig busy = ShortSim(60);
-  SimulationConfig thinking = busy;
-  thinking.workload.think_time_seconds = 20'000;
-  const SimulationResult eager = DriveRig(2).Run(busy);
-  const SimulationResult idle = DriveRig(2).Run(thinking);
-  EXPECT_LT(idle.mean_outstanding, 60.0);
-  EXPECT_LT(idle.requests_per_minute, eager.requests_per_minute);
-  ExpectSound(idle, 2);
-}
-
 TEST(MultiDrive, OpenModelWorks) {
   DriveRig rig(2);
   SimulationConfig sim_config = ShortSim();

@@ -112,7 +112,7 @@ TEST(LayoutBuilder, StartPositionOnePutsHotAtEnd) {
 TEST(LayoutBuilder, OrganPipeCentersHotRegion) {
   Jukebox jukebox(PaperJukebox());
   LayoutSpec spec;
-  spec.placement = PlacementScheme::kOrganPipe;
+  spec.start_position = 0.5;  // organ-pipe placement
   const Catalog catalog = LayoutBuilder::Build(&jukebox, spec).value();
   for (BlockId b = 0; b < catalog.num_hot_blocks(); ++b) {
     for (const Replica& r : catalog.ReplicasOf(b)) {
@@ -386,17 +386,16 @@ TEST(LayoutBuilder, MaxLogicalBlocksMatchesPerCopyReference) {
 
 // ---------------------------------------------------------------------------
 // Property sweep: every layout in a PH x NR x SP x layout x cold packing x
-// placement x block size grid satisfies the structural invariants.
+// block size grid satisfies the structural invariants. The SP axis is the
+// one figs. 5 and 7 sweep; SP 0.5 is the organ-pipe placement.
 // ---------------------------------------------------------------------------
 
-using LayoutCase = std::tuple<double, int, double, HotLayout, bool,
-                              PlacementScheme, int64_t>;
+using LayoutCase = std::tuple<double, int, double, HotLayout, bool, int64_t>;
 
 class LayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {};
 
 TEST_P(LayoutPropertyTest, StructuralInvariantsHold) {
-  const auto [ph, nr, sp, layout, pack_cold, placement, block_mb] =
-      GetParam();
+  const auto [ph, nr, sp, layout, pack_cold, block_mb] = GetParam();
   JukeboxConfig config = PaperJukebox();
   config.block_size_mb = block_mb;
   Jukebox jukebox(config);
@@ -406,7 +405,6 @@ TEST_P(LayoutPropertyTest, StructuralInvariantsHold) {
   spec.start_position = sp;
   spec.layout = layout;
   spec.pack_cold = pack_cold;
-  spec.placement = placement;
   if (!spec.Validate(jukebox).ok()) {
     GTEST_SKIP() << "spec invalid for this geometry";
   }
@@ -455,13 +453,11 @@ TEST_P(LayoutPropertyTest, StructuralInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, LayoutPropertyTest,
     ::testing::Combine(::testing::Values(0.05, 0.10, 0.20),
-                       ::testing::Values(0, 1, 3, 9),
-                       ::testing::Values(0.0, 0.5, 1.0),
+                       ::testing::Values(0, 1, 2, 3, 9),
+                       ::testing::Values(0.0, 0.25, 0.5, 0.75, 1.0),
                        ::testing::Values(HotLayout::kHorizontal,
                                          HotLayout::kVertical),
                        ::testing::Bool(),
-                       ::testing::Values(PlacementScheme::kStartPosition,
-                                         PlacementScheme::kOrganPipe),
                        ::testing::Values(int64_t{16}, int64_t{64})));
 
 }  // namespace

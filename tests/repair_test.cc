@@ -264,6 +264,36 @@ TEST(RepairEndToEnd, TokenBucketBoundsBackgroundIO) {
   EXPECT_GT(fast.repair.scrub_blocks_read, sim.repair.scrub_blocks_read);
 }
 
+// Blocks larger than kRepairBurstMb: the bucket grows to hold one block,
+// so a Simulator built directly (no ExperimentConfig validation in front)
+// runs metered scrub to the end, and the meter still binds.
+TEST(RepairEndToEnd, MeteredBucketHoldsOneLargeBlock) {
+  const ExperimentConfig base = RepairExperiment(11);
+  JukeboxConfig jukebox = base.jukebox;
+  jukebox.block_size_mb = 128;
+  jukebox.timing.tape_capacity_mb = 100 * 128;  // 100 slots per tape
+  LayoutSpec layout = base.layout;
+  layout.logical_blocks_override =
+      LayoutBuilder::MaxLogicalBlocks(Jukebox(jukebox), layout) * 9 / 10;
+  const auto run = [&](double rate) {
+    SimulationConfig sim = base.sim;
+    // Eight times the block, eight times the gap: the drive stays as idle.
+    sim.workload.mean_interarrival_seconds *= 8;
+    sim.repair.repair_bandwidth_mb_per_s = rate;
+    return DriveRig(1, layout, "dynamic-max-bandwidth", jukebox).Run(sim);
+  };
+  const SimulationResult metered = run(0.02);
+  ASSERT_TRUE(metered.repair_enabled);
+  EXPECT_GT(metered.repair.scrub_blocks_read, 0);
+  EXPECT_LE(static_cast<double>(metered.repair.scrub_blocks_read +
+                                metered.repair.repairs_completed) *
+                128.0,
+            128.0 + 0.02 * metered.simulated_seconds);
+  const SimulationResult unmetered = run(0);
+  EXPECT_LT(metered.repair.scrub_blocks_read,
+            unmetered.repair.scrub_blocks_read);
+}
+
 TEST(RepairEndToEnd, CountersAreThreadCountInvariant) {
   std::vector<ExperimentConfig> grid;
   for (const uint64_t seed : {3u, 7u}) {

@@ -1,5 +1,4 @@
-// Tests for the workload extensions: Zipf popularity and closed-model
-// think time.
+// Tests for the workload extensions: Zipf popularity.
 
 #include <gtest/gtest.h>
 
@@ -108,48 +107,6 @@ TEST(ZipfWorkload, EndToEndSimulationBenefitsFromReplication) {
     return ExperimentRunner::Run(config).value().sim;
   };
   EXPECT_GT(run(9).requests_per_minute, run(0).requests_per_minute);
-}
-
-TEST(ThinkTime, ValidatesNonNegative) {
-  WorkloadConfig config;
-  config.think_time_seconds = -1;
-  EXPECT_FALSE(config.Validate().ok());
-}
-
-TEST(ThinkTime, ReducesEffectivePopulationAndThroughput) {
-  auto run = [](double think) {
-    ExperimentConfig config;
-    config.sim.duration_seconds = 600'000;
-    config.sim.warmup_seconds = 60'000;
-    config.sim.workload.queue_length = 60;
-    config.sim.workload.think_time_seconds = think;
-    config.sim.workload.seed = 17;
-    return ExperimentRunner::Run(config).value().sim;
-  };
-  const SimulationResult none = run(0);
-  const SimulationResult some = run(600.0);  // 10-minute think periods
-  EXPECT_LT(some.requests_per_minute, none.requests_per_minute);
-  // Outstanding requests (in-system) drop below the population while
-  // processes think.
-  EXPECT_LT(some.mean_outstanding, 55.0);
-  EXPECT_NEAR(none.mean_outstanding, 60.0, 0.5);
-  // Shorter queues mean shorter in-system delays.
-  EXPECT_LT(some.mean_delay_seconds, none.mean_delay_seconds);
-}
-
-TEST(ThinkTime, SystemDrainsAndRefills) {
-  // Huge think time: the jukebox idles between bursts but still serves
-  // everything (no deadlock in the idle-wait path).
-  ExperimentConfig config;
-  config.sim.duration_seconds = 400'000;
-  config.sim.warmup_seconds = 0;
-  config.sim.workload.queue_length = 5;
-  config.sim.workload.think_time_seconds = 2000.0;
-  config.sim.workload.seed = 19;
-  const SimulationResult result =
-      ExperimentRunner::Run(config).value().sim;
-  EXPECT_GT(result.completed_requests, 100);
-  EXPECT_LT(result.mean_outstanding, 4.0);
 }
 
 }  // namespace

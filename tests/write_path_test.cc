@@ -67,6 +67,8 @@ TEST(WritePath, WritesAreStagedAndFlushed) {
                          ShortSim(), writes);
   const SimulationResult result = sim.Run();
   EXPECT_GT(result.completed_requests, 100);
+  // Flushes hold no process back: the closed population stays whole.
+  EXPECT_NEAR(result.mean_outstanding, 40.0, 0.5);
   const WritePathStats& stats = sim.stats();
   EXPECT_GT(stats.writes_accepted, 1000);
   EXPECT_GT(stats.blocks_flushed, 0);
