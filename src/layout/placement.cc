@@ -124,10 +124,11 @@ Status LayoutSpec::Validate(const Jukebox& jukebox) const {
 }
 
 Status LayoutSpec::Validate(int32_t num_tapes) const {
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
+  // Both range checks are written so that NaN fails them.
+  if (!(hot_fraction >= 0.0 && hot_fraction <= 1.0)) {
     return Status::InvalidArgument("hot_fraction must be in [0, 1]");
   }
-  if (start_position < 0.0 || start_position > 1.0) {
+  if (!(start_position >= 0.0 && start_position <= 1.0)) {
     return Status::InvalidArgument("start_position must be in [0, 1]");
   }
   if (num_replicas < 0) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
 
 #include "util/check.h"
@@ -42,7 +43,8 @@ AdmissionController::AdmissionController(
     const std::vector<TenantClassConfig>& classes)
     : config_(config),
       classes_(classes),
-      num_classes_(std::max<int>(1, static_cast<int>(classes.size()))) {}
+      num_classes_(std::max<int>(1, static_cast<int>(classes.size()))),
+      windows_(classes.size()) {}
 
 bool AdmissionController::Admit(uint8_t tenant, double now,
                                 int64_t outstanding) {
@@ -67,7 +69,39 @@ bool AdmissionController::Admit(uint8_t tenant, double now,
 void AdmissionController::OnCompletion(uint8_t tenant, double delay,
                                        double now) {
   if (config_.policy != AdmissionPolicy::kAdaptive) return;
-  window_.push_back(WindowEntry{now, tenant, delay});
+  TJ_CHECK_LT(size_t{tenant}, windows_.size());
+  windows_[tenant].push_back(Completion{now, delay});
+}
+
+double AdmissionController::WindowP99(const std::deque<Completion>& window) {
+  if (window.empty()) return 0;
+  // The p99 is the ascending order statistic at idx, which is the
+  // (k+1)-th largest delay with k = n - 1 - idx: k = 0, the maximum, for
+  // every window of 100 entries or fewer.
+  const size_t n = window.size();
+  const size_t idx =
+      std::min(n - 1, static_cast<size_t>(0.99 * static_cast<double>(n)));
+  const size_t k = n - 1 - idx;
+  if (k == 0) {
+    double max = window.front().delay;
+    for (const Completion& entry : window) max = std::max(max, entry.delay);
+    return max;
+  }
+  // One pass keeping the k + 1 largest delays in a min-heap: its top is
+  // the (k+1)-th largest.
+  std::vector<double> top;
+  top.reserve(k + 1);
+  for (const Completion& entry : window) {
+    if (top.size() <= k) {
+      top.push_back(entry.delay);
+      std::push_heap(top.begin(), top.end(), std::greater<>());
+    } else if (entry.delay > top.front()) {
+      std::pop_heap(top.begin(), top.end(), std::greater<>());
+      top.back() = entry.delay;
+      std::push_heap(top.begin(), top.end(), std::greater<>());
+    }
+  }
+  return top.front();
 }
 
 void AdmissionController::UpdateLevel(double now, int64_t outstanding) {
@@ -77,15 +111,19 @@ void AdmissionController::UpdateLevel(double now, int64_t outstanding) {
   if (last_update_ >= 0 && now - last_update_ < step) return;
   last_update_ = now;
 
-  while (!window_.empty() &&
-         window_.front().time < now - kAdmissionWindowSeconds) {
-    window_.pop_front();
+  size_t completions = 0;
+  for (std::deque<Completion>& window : windows_) {
+    while (!window.empty() &&
+           window.front().time < now - kAdmissionWindowSeconds) {
+      window.pop_front();
+    }
+    completions += window.size();
   }
 
   // Little's-law estimate of the wait a request admitted now would see:
   // every class shares one queue, so one estimate serves them all.
   const double rate =
-      static_cast<double>(window_.size()) / kAdmissionWindowSeconds;
+      static_cast<double>(completions) / kAdmissionWindowSeconds;
   const double est_wait =
       rate > 0 ? static_cast<double>(outstanding) / rate
                : (outstanding > 0 ? std::numeric_limits<double>::infinity()
@@ -96,21 +134,7 @@ void AdmissionController::UpdateLevel(double now, int64_t outstanding) {
   for (int c = 0; c < static_cast<int>(classes_.size()); ++c) {
     const double slo = classes_[static_cast<size_t>(c)].p99_slo_seconds;
     if (slo <= 0) continue;
-    scratch_.clear();
-    for (const WindowEntry& entry : window_) {
-      if (entry.tenant == c) scratch_.push_back(entry.delay);
-    }
-    double p99 = 0;
-    if (!scratch_.empty()) {
-      const size_t idx =
-          std::min(scratch_.size() - 1,
-                   static_cast<size_t>(
-                       0.99 * static_cast<double>(scratch_.size())));
-      std::nth_element(scratch_.begin(),
-                       scratch_.begin() + static_cast<ptrdiff_t>(idx),
-                       scratch_.end());
-      p99 = scratch_[idx];
-    }
+    const double p99 = WindowP99(windows_[static_cast<size_t>(c)]);
     // The measured p99 confirms a violation at the full SLO, but it lags
     // by the delays themselves (thousands of seconds of queue already
     // admitted). The Little's-law estimate predicts the wait a request

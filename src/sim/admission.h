@@ -8,13 +8,13 @@
 //    admitted only while outstanding < cap * (K - c) / K, so best-effort
 //    traffic backs off first and the most protected class keeps the whole
 //    cap. With no tenant mix this degenerates to a plain cap.
-//  * kAdaptive  — SLO-driven shedding: a sliding window of completions
-//    estimates each class's p99 delay and the queue's expected wait
-//    (Little's law: outstanding / completion rate). When either crosses a
-//    protected class's p99 SLO the controller ratchets its shed level up,
-//    dropping the lowest-priority classes; when every protected class is
-//    comfortably below its SLO (hysteresis at 70%) the level ratchets back
-//    down.
+//  * kAdaptive  — SLO-driven shedding: a sliding window of completions,
+//    kept per tenant class, estimates each class's p99 delay and the
+//    queue's expected wait (Little's law: outstanding / completion rate).
+//    When either crosses a protected class's p99 SLO the controller
+//    ratchets its shed level up, dropping the lowest-priority classes;
+//    when every protected class is comfortably below its SLO (hysteresis
+//    at 70%) the level ratchets back down.
 //
 // The controller is purely event-driven (no RNG, no wall clock), so runs
 // remain bit-identical at any thread count.
@@ -72,13 +72,14 @@ class AdmissionController {
   int shed_level() const { return shed_level_; }
 
  private:
-  struct WindowEntry {
+  struct Completion {
     double time;
-    uint8_t tenant;
     double delay;
   };
 
   void UpdateLevel(double now, int64_t outstanding);
+  /// The p99 delay of one class's window (0 when empty).
+  static double WindowP99(const std::deque<Completion>& window);
 
   AdmissionConfig config_;
   std::vector<TenantClassConfig> classes_;
@@ -88,11 +89,13 @@ class AdmissionController {
   /// comfortable evaluations, so one quiet window cannot restart the
   /// overload.
   static constexpr int kComfortStreak = 3;
-  std::deque<WindowEntry> window_;
+  /// One window per tenant class, each in completion order. Completions
+  /// arrive in clock order, so evicting each window's expired front
+  /// evicts exactly what one shared window would.
+  std::vector<std::deque<Completion>> windows_;
   int shed_level_ = 0;
   int comfort_streak_ = 0;
   double last_update_ = -1.0;
-  std::vector<double> scratch_;
 };
 
 }  // namespace tapejuke

@@ -7,34 +7,37 @@
 namespace tapejuke {
 
 Status FaultConfig::Validate() const {
-  if (transient_read_error_prob < 0.0 || transient_read_error_prob >= 1.0) {
+  // Every range check is written so that NaN fails it.
+  if (!(transient_read_error_prob >= 0.0 && transient_read_error_prob < 1.0)) {
     return Status::InvalidArgument(
         "transient_read_error_prob must be in [0, 1)");
   }
   if (max_read_retries < 0) {
     return Status::InvalidArgument("max_read_retries must be >= 0");
   }
-  if (permanent_media_error_prob < 0.0 || permanent_media_error_prob >= 1.0) {
+  if (!(permanent_media_error_prob >= 0.0 &&
+        permanent_media_error_prob < 1.0)) {
     return Status::InvalidArgument(
         "permanent_media_error_prob must be in [0, 1)");
   }
-  if (whole_tape_fraction < 0.0 || whole_tape_fraction > 1.0) {
+  if (!(whole_tape_fraction >= 0.0 && whole_tape_fraction <= 1.0)) {
     return Status::InvalidArgument("whole_tape_fraction must be in [0, 1]");
   }
-  if (drive_mtbf_seconds < 0.0) {
+  if (!(drive_mtbf_seconds >= 0.0)) {
     return Status::InvalidArgument("drive_mtbf_seconds must be >= 0");
   }
-  if (drive_mtbf_seconds > 0.0 && drive_mttr_seconds <= 0.0) {
+  if (drive_mtbf_seconds > 0.0 && !(drive_mttr_seconds > 0.0)) {
     return Status::InvalidArgument(
         "drive_mtbf_seconds > 0 requires drive_mttr_seconds > 0");
   }
-  if (drive_mttr_seconds < 0.0) {
+  if (!(drive_mttr_seconds >= 0.0)) {
     return Status::InvalidArgument("drive_mttr_seconds must be >= 0");
   }
-  if (robot_fault_prob < 0.0 || robot_fault_prob >= 1.0) {
+  if (!(robot_fault_prob >= 0.0 && robot_fault_prob < 1.0)) {
     return Status::InvalidArgument("robot_fault_prob must be in [0, 1)");
   }
-  if (retry_backoff_base_seconds < 0.0 || retry_backoff_max_seconds < 0.0) {
+  if (!(retry_backoff_base_seconds >= 0.0 &&
+        retry_backoff_max_seconds >= 0.0)) {
     return Status::InvalidArgument("retry backoff must be >= 0");
   }
   return Status::Ok();

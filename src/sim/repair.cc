@@ -19,10 +19,11 @@ constexpr double kTokenSlack = 1e-9;
 }  // namespace
 
 Status RepairConfig::Validate() const {
-  if (scrub_interval_seconds < 0.0) {
+  // Both range checks are written so that NaN fails them.
+  if (!(scrub_interval_seconds >= 0.0)) {
     return Status::InvalidArgument("scrub_interval_seconds must be >= 0");
   }
-  if (repair_bandwidth_mb_per_s < 0.0) {
+  if (!(repair_bandwidth_mb_per_s >= 0.0)) {
     return Status::InvalidArgument("repair_bandwidth_mb_per_s must be >= 0");
   }
   return Status::Ok();

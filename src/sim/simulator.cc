@@ -9,14 +9,14 @@
 namespace tapejuke {
 
 Status SimulationConfig::Validate() const {
-  // Both range checks are written so that NaN fails them.
+  // Every range check is written so that NaN fails it.
   if (!(duration_seconds > 0)) {
     return Status::InvalidArgument("duration must be positive");
   }
   if (obs.sample < 1) {
     return Status::InvalidArgument("trace sample must be >= 1");
   }
-  if (timeline.interval_seconds < 0) {
+  if (!(timeline.interval_seconds >= 0)) {
     return Status::InvalidArgument("timeline interval must be >= 0");
   }
   if (!timeline.out.empty() && timeline.interval_seconds <= 0) {
@@ -35,9 +35,11 @@ Status SimulationConfig::Validate() const {
     return Status::InvalidArgument(
         "scrub/repair requires fault injection (config.faults)");
   }
-  const Status admission_status = admission.Validate(workload);
-  if (!admission_status.ok()) return admission_status;
-  return workload.Validate();
+  // The workload first, so a bad tenant class is named as such rather
+  // than as a missing SLO.
+  const Status workload_status = workload.Validate();
+  if (!workload_status.ok()) return workload_status;
+  return admission.Validate(workload);
 }
 
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,

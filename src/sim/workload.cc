@@ -8,39 +8,40 @@
 namespace tapejuke {
 
 Status WorkloadConfig::Validate() const {
+  // Every range check is written so that NaN fails it.
   if (model == QueuingModel::kClosed && queue_length <= 0) {
     return Status::InvalidArgument("closed model needs queue_length >= 1");
   }
-  if (model == QueuingModel::kOpen && mean_interarrival_seconds <= 0) {
+  if (model == QueuingModel::kOpen && !(mean_interarrival_seconds > 0)) {
     return Status::InvalidArgument(
         "open model needs a positive mean interarrival time");
   }
-  if (hot_request_fraction < 0 || hot_request_fraction > 1) {
+  if (!(hot_request_fraction >= 0 && hot_request_fraction <= 1)) {
     return Status::InvalidArgument("hot_request_fraction must be in [0, 1]");
   }
-  if (zipf_theta < 0) {
+  if (!(zipf_theta >= 0)) {
     return Status::InvalidArgument("zipf_theta must be >= 0");
   }
   if (tenant_classes.size() > 16) {
     return Status::InvalidArgument("at most 16 tenant classes");
   }
   for (const TenantClassConfig& cls : tenant_classes) {
-    if (cls.weight <= 0) {
+    if (!(cls.weight > 0)) {
       return Status::InvalidArgument("tenant class weight must be > 0");
     }
-    if (cls.deadline_seconds != 0 && cls.deadline_seconds < 1e-3) {
+    if (cls.deadline_seconds != 0 && !(cls.deadline_seconds >= 1e-3)) {
       return Status::InvalidArgument(
           "tenant deadline must be 0 (none) or >= 1ms; sub-millisecond "
           "deadlines expire faster than any tape service");
     }
-    if (cls.p99_slo_seconds < 0) {
+    if (!(cls.p99_slo_seconds >= 0)) {
       return Status::InvalidArgument("p99 SLO must be >= 0");
     }
   }
-  if (burst_interval_seconds < 0 || burst_spread_seconds < 0) {
+  if (!(burst_interval_seconds >= 0 && burst_spread_seconds >= 0)) {
     return Status::InvalidArgument("burst knobs must be >= 0");
   }
-  if (burst_interval_seconds > 0 && burst_size < 1) {
+  if (burst_interval_seconds > 0 && !(burst_size >= 1)) {
     return Status::InvalidArgument("bursts need a mean size >= 1");
   }
   if (burst_interval_seconds > 0 && model != QueuingModel::kOpen) {

@@ -29,7 +29,8 @@ Status TimingParams::Validate() const {
   if (tape_capacity_mb <= 0) {
     return Status::InvalidArgument("tape capacity must be positive");
   }
-  if (short_threshold_mb < 0) {
+  // Written so that NaN fails it.
+  if (!(short_threshold_mb >= 0)) {
     return Status::InvalidArgument("short locate threshold must be >= 0");
   }
   const double costs[] = {fwd_short_startup, fwd_short_per_mb,

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "core/cost_performance.h"
 #include "core/farm.h"
@@ -107,6 +108,163 @@ TEST(ExperimentRunner, InvalidConfigFails) {
   config.sim.warmup_seconds = nan;
   EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Every range check refuses NaN. Each case poisons one field of an
+// otherwise valid config (switching on the feature that reads it) and runs
+// it through ExperimentRunner::Run, so a field whose check NaN slipped
+// past would run, or abort inside the simulator, instead of failing here.
+struct NanCase {
+  const char* field;
+  void (*poison)(ExperimentConfig* config, double nan);
+};
+
+// Open model with a two-class mix: class 0 carries the SLO adaptive
+// admission defends, class 1 is best effort.
+void OpenTwoClasses(ExperimentConfig* config) {
+  config->sim.workload.model = QueuingModel::kOpen;
+  config->sim.workload.tenant_classes.resize(2);
+  config->sim.workload.tenant_classes[0].p99_slo_seconds = 15'000;
+}
+
+const NanCase kNanCases[] = {
+    {"mean_interarrival_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.workload.model = QueuingModel::kOpen;
+       c->sim.workload.mean_interarrival_seconds = nan;
+     }},
+    {"hot_request_fraction",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.workload.hot_request_fraction = nan;
+     }},
+    {"zipf_theta",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.workload.skew = SkewModel::kZipf;
+       c->sim.workload.zipf_theta = nan;
+     }},
+    {"tenant_weight",
+     [](ExperimentConfig* c, double nan) {
+       OpenTwoClasses(c);
+       c->sim.workload.tenant_classes[1].weight = nan;
+     }},
+    {"tenant_deadline_seconds",
+     [](ExperimentConfig* c, double nan) {
+       OpenTwoClasses(c);
+       c->sim.workload.tenant_classes[1].deadline_seconds = nan;
+     }},
+    {"p99_slo_seconds",
+     [](ExperimentConfig* c, double nan) {
+       OpenTwoClasses(c);
+       c->sim.admission.policy = AdmissionPolicy::kAdaptive;
+       c->sim.workload.tenant_classes[0].p99_slo_seconds = nan;
+     }},
+    {"burst_interval_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.workload.model = QueuingModel::kOpen;
+       c->sim.workload.burst_interval_seconds = nan;
+     }},
+    {"burst_size",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.workload.model = QueuingModel::kOpen;
+       c->sim.workload.burst_interval_seconds = 5'000;
+       c->sim.workload.burst_size = nan;
+     }},
+    {"burst_spread_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.workload.model = QueuingModel::kOpen;
+       c->sim.workload.burst_interval_seconds = 5'000;
+       c->sim.workload.burst_size = 4;
+       c->sim.workload.burst_spread_seconds = nan;
+     }},
+    {"transient_read_error_prob",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.transient_read_error_prob = nan;
+     }},
+    {"permanent_media_error_prob",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.permanent_media_error_prob = nan;
+     }},
+    {"whole_tape_fraction",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.permanent_media_error_prob = 0.01;
+       c->sim.faults.whole_tape_fraction = nan;
+     }},
+    {"drive_mtbf_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.drive_mtbf_seconds = nan;
+       c->sim.faults.drive_mttr_seconds = 600;
+     }},
+    {"drive_mttr_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.drive_mtbf_seconds = 50'000;
+       c->sim.faults.drive_mttr_seconds = nan;
+     }},
+    {"robot_fault_prob",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.robot_fault_prob = nan;
+     }},
+    {"retry_backoff_base_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.transient_read_error_prob = 0.05;
+       c->sim.faults.retry_backoff_base_seconds = nan;
+     }},
+    {"retry_backoff_max_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.transient_read_error_prob = 0.05;
+       c->sim.faults.retry_backoff_base_seconds = 20;
+       c->sim.faults.retry_backoff_max_seconds = nan;
+     }},
+    {"scrub_interval_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.transient_read_error_prob = 0.05;
+       c->sim.repair.enable_repair = true;
+       c->sim.repair.scrub_interval_seconds = nan;
+     }},
+    {"repair_bandwidth_mb_per_s",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.faults.permanent_media_error_prob = 0.01;
+       c->sim.repair.enable_repair = true;
+       c->sim.repair.repair_bandwidth_mb_per_s = nan;
+     }},
+    {"timeline_interval_seconds",
+     [](ExperimentConfig* c, double nan) {
+       c->sim.timeline.interval_seconds = nan;
+     }},
+    {"layout_hot_fraction",
+     [](ExperimentConfig* c, double nan) { c->layout.hot_fraction = nan; }},
+    {"layout_start_position",
+     [](ExperimentConfig* c, double nan) { c->layout.start_position = nan; }},
+    {"short_threshold_mb",
+     [](ExperimentConfig* c, double nan) {
+       c->jukebox.timing.short_threshold_mb = nan;
+     }},
+};
+
+class NanConfig : public ::testing::TestWithParam<NanCase> {};
+
+TEST_P(NanConfig, RunReturnsInvalidArgument) {
+  ExperimentConfig config = QuickConfig();
+  GetParam().poison(&config, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryField, NanConfig, ::testing::ValuesIn(kNanCases),
+    [](const ::testing::TestParamInfo<NanCase>& info) {
+      return std::string(info.param.field);
+    });
+
+// A NaN SLO is refused as a bad SLO, not as a mix with no SLO at all.
+TEST(ExperimentRunner, NanSloIsNamedInTheError) {
+  ExperimentConfig config = QuickConfig();
+  OpenTwoClasses(&config);
+  config.sim.admission.policy = AdmissionPolicy::kAdaptive;
+  config.sim.workload.tenant_classes[0].p99_slo_seconds =
+      std::numeric_limits<double>::quiet_NaN();
+  const Status status = ExperimentRunner::Run(config).status();
+  EXPECT_NE(status.message().find("p99 SLO must be >= 0"), std::string::npos)
+      << status;
 }
 
 // The bucket's boundary: a 64 MB block exactly fills the 64 MB token
