@@ -32,32 +32,8 @@ bool BenchOptions::Parse(int argc, char** argv, const std::string& summary,
                   "(empty disables JSON output)");
   flags.AddBool("quick", &quick,
                 "reduced load grid (3 points) for smoke runs");
-  flags.AddDouble("fault-transient-rate", &fault_transient_rate,
-                  "per-read transient error probability in [0, 1)");
-  flags.AddDouble("fault-perm-rate", &fault_perm_rate,
-                  "per-read permanent media error probability in [0, 1)");
-  flags.AddDouble("fault-whole-tape", &fault_whole_tape,
-                  "fraction of permanent errors that kill the whole tape");
-  flags.AddDouble("fault-drive-mtbf", &fault_drive_mtbf,
-                  "mean drive uptime between failures, seconds (0 = off)");
-  flags.AddDouble("fault-drive-mttr", &fault_drive_mttr,
-                  "mean drive repair time, seconds");
-  flags.AddDouble("fault-robot-rate", &fault_robot_rate,
-                  "robot handoff slip probability in [0, 1)");
-  flags.AddInt64("fault-retries", &fault_retries,
-                 "transient-error retry budget before escalation");
-  flags.AddDouble("fault-backoff-base", &fault_backoff_base,
-                  "exponential backoff base before retry k: base * 2^k "
-                  "seconds, jittered (0 = immediate retries)");
-  flags.AddDouble("fault-backoff-max", &fault_backoff_max,
-                  "cap on a single backoff wait, seconds (0 = uncapped)");
-  flags.AddBool("repair", &repair,
-                "re-replicate dead replicas onto spare capacity");
-  flags.AddDouble("scrub-interval", &scrub_interval,
-                  "seconds between background scrub passes (0 = off)");
-  flags.AddDouble("repair-bw", &repair_bw,
-                  "token-bucket budget for scrub/repair I/O, MB/s "
-                  "(0 = unmetered)");
+  BindFlags(&flags, faults.Fields());
+  BindFlags(&flags, repair.Fields());
   flags.AddString("trace-out", &trace_out,
                   "Chrome trace_event JSON output path for the traced grid "
                   "point; load in Perfetto (empty disables tracing)");
@@ -86,7 +62,7 @@ bool BenchOptions::Parse(int argc, char** argv, const std::string& summary,
     *exit_code = 2;
     return false;
   }
-  if (queuing != "closed" && queuing != "open") {
+  if (NameIndex(kQueuingModelNames, queuing) < 0) {
     std::cerr << "--queuing must be 'closed' or 'open'\n";
     *exit_code = 2;
     return false;
@@ -142,18 +118,8 @@ ExperimentConfig PaperBaseConfig(const BenchOptions& options) {
   config.sim.workload.model = options.Model();
   config.sim.workload.hot_request_fraction = 0.40;
   config.sim.workload.seed = static_cast<uint64_t>(options.seed);
-  config.sim.faults.transient_read_error_prob = options.fault_transient_rate;
-  config.sim.faults.permanent_media_error_prob = options.fault_perm_rate;
-  config.sim.faults.whole_tape_fraction = options.fault_whole_tape;
-  config.sim.faults.drive_mtbf_seconds = options.fault_drive_mtbf;
-  config.sim.faults.drive_mttr_seconds = options.fault_drive_mttr;
-  config.sim.faults.robot_fault_prob = options.fault_robot_rate;
-  config.sim.faults.max_read_retries = static_cast<int>(options.fault_retries);
-  config.sim.faults.retry_backoff_base_seconds = options.fault_backoff_base;
-  config.sim.faults.retry_backoff_max_seconds = options.fault_backoff_max;
-  config.sim.repair.enable_repair = options.repair;
-  config.sim.repair.scrub_interval_seconds = options.scrub_interval;
-  config.sim.repair.repair_bandwidth_mb_per_s = options.repair_bw;
+  config.sim.faults = options.faults;
+  config.sim.repair = options.repair;
   config.algorithm = AlgorithmSpec::Parse("dynamic-max-bandwidth").value();
   return config;
 }
@@ -166,9 +132,8 @@ std::string ParamCaption(const ExperimentConfig& config) {
       << " NR-" << config.layout.num_replicas << " SP-"
       << config.layout.start_position << " block-"
       << config.jukebox.block_size_mb << "MB "
-      << (config.layout.layout == HotLayout::kVertical ? "vertical"
-                                                       : "horizontal")
-      << " " << config.jukebox.num_tapes << " tapes";
+      << kHotLayoutNames[static_cast<int>(config.layout.layout)] << " "
+      << config.jukebox.num_tapes << " tapes";
   return out.str();
 }
 

@@ -48,22 +48,12 @@ struct BenchOptions {
   /// Reduced load grid (3 points instead of 7) for CI smoke runs.
   bool quick = false;
 
-  /// Fault injection (all default to zero: nothing injected, output
-  /// byte-identical to a fault-free run). Applied by PaperBaseConfig.
-  double fault_transient_rate = 0.0;  ///< --fault-transient-rate
-  double fault_perm_rate = 0.0;       ///< --fault-perm-rate
-  double fault_whole_tape = 0.0;      ///< --fault-whole-tape
-  double fault_drive_mtbf = 0.0;      ///< --fault-drive-mtbf (seconds)
-  double fault_drive_mttr = 0.0;      ///< --fault-drive-mttr (seconds)
-  double fault_robot_rate = 0.0;      ///< --fault-robot-rate
-  int64_t fault_retries = 3;          ///< --fault-retries
-  double fault_backoff_base = 0.0;    ///< --fault-backoff-base (seconds)
-  double fault_backoff_max = 0.0;     ///< --fault-backoff-max (seconds)
-
-  /// Scrub/repair (requires at least one fault rate above).
-  bool repair = false;           ///< --repair
-  double scrub_interval = 0.0;   ///< --scrub-interval (seconds; 0 = off)
-  double repair_bw = 0.0;        ///< --repair-bw (MB/s; 0 = unmetered)
+  /// Fault injection and scrub/repair, bound to the --fault-* flags and
+  /// --repair/--scrub-interval/--repair-bw through their field tables.
+  /// The defaults inject nothing (output byte-identical to a fault-free
+  /// run); repair requires some fault rate. Applied by PaperBaseConfig.
+  FaultConfig faults;
+  RepairConfig repair;
 
   /// Observability (docs/OBSERVABILITY.md). Tracing is opt-in and never
   /// changes results output: with both paths empty the bench's JSON is
@@ -84,8 +74,9 @@ struct BenchOptions {
   bool Parse(int argc, char** argv, const std::string& summary,
              int* exit_code, FlagSet* extra = nullptr);
 
+  /// The --queuing model (Parse refuses any other name).
   QueuingModel Model() const {
-    return queuing == "open" ? QueuingModel::kOpen : QueuingModel::kClosed;
+    return static_cast<QueuingModel>(NameIndex(kQueuingModelNames, queuing));
   }
 
   /// The trace configuration implied by these flags (disabled when both

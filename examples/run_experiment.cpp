@@ -52,25 +52,13 @@ void PrintResult(const std::string& algorithm, const LayoutStats& layout,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Jukebox geometry.
-  int64_t tapes = 10;
-  int64_t block_mb = 16;
-  int64_t capacity_mb = 7168;
+  // The flags that set one config field bind to it through its table;
+  // the rest derive fields after parsing.
+  ExperimentConfig config;
+  config.sim.workload.mean_interarrival_seconds = 90;  // --interarrival default
   int64_t drives = 1;
   bool fast_drive = false;
-  // Layout.
-  double ph = 0.10;
-  int64_t replicas = 0;
-  double sp = 0.0;
-  std::string layout_name = "horizontal";
-  // Workload.
-  std::string queuing = "closed";
-  int64_t queue = 60;
-  double interarrival = 90;
-  double rh = 0.40;
   double zipf_theta = 0.0;
-  int64_t seed = 1;
-  // Simulation.
   const StatusOr<double> default_seconds = tapejuke::DefaultSimSeconds();
   if (!default_seconds.ok()) {
     std::cerr << default_seconds.status() << "\n";
@@ -84,26 +72,15 @@ int main(int argc, char** argv) {
   std::string replay_trace;
 
   FlagSet flags("Run one tapejuke experiment from the command line");
-  flags.AddInt64("tapes", &tapes, "tapes in the jukebox");
-  flags.AddInt64("block-mb", &block_mb, "logical block size, MB");
-  flags.AddInt64("capacity-mb", &capacity_mb, "per-tape capacity, MB");
+  BindFlags(&flags, config.jukebox.Fields());
+  BindFlags(&flags, config.layout.Fields());
+  BindFlags(&flags, config.sim.workload.Fields());
   flags.AddInt64("drives", &drives,
                  "drives in the cabinet (>1 shares the tapes and robot arm)");
   flags.AddBool("fast-drive", &fast_drive,
                 "use the hypothetical 4x-faster drive constants");
-  flags.AddDouble("ph", &ph, "fraction of logical blocks that are hot");
-  flags.AddInt64("replicas", &replicas, "extra copies of each hot block");
-  flags.AddDouble("sp", &sp,
-                  "hot-region start position in [0,1] (0.5 centers it)");
-  flags.AddString("layout", &layout_name, "horizontal or vertical");
-  flags.AddString("queuing", &queuing, "closed or open");
-  flags.AddInt64("queue", &queue, "closed model: outstanding requests");
-  flags.AddDouble("interarrival", &interarrival,
-                  "open model: mean interarrival seconds");
-  flags.AddDouble("rh", &rh, "fraction of requests to hot data");
   flags.AddDouble("zipf", &zipf_theta,
                   "use Zipf(theta) popularity instead of hot/cold when > 0");
-  flags.AddInt64("seed", &seed, "workload seed");
   flags.AddDouble("sim-seconds", &sim_seconds, "simulated duration");
   flags.AddDouble("warmup-frac", &warmup_frac,
                   "fraction of the run excluded from statistics");
@@ -121,29 +98,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ExperimentConfig config;
-  config.jukebox.num_tapes = static_cast<int32_t>(tapes);
-  config.jukebox.block_size_mb = block_mb;
-  config.jukebox.timing = fast_drive ? TimingParams::FastDrive()
-                                     : TimingParams::Exabyte8505XL();
-  config.jukebox.timing.tape_capacity_mb = capacity_mb;
-  config.layout.hot_fraction = ph;
-  config.layout.num_replicas = static_cast<int32_t>(replicas);
-  config.layout.start_position = sp;
-  config.layout.layout = layout_name == "vertical" ? HotLayout::kVertical
-                                                   : HotLayout::kHorizontal;
+  if (fast_drive) {
+    TimingParams fast = TimingParams::FastDrive();
+    fast.tape_capacity_mb = config.jukebox.timing.tape_capacity_mb;
+    config.jukebox.timing = fast;
+  }
   config.sim.duration_seconds = sim_seconds;
   config.sim.warmup_seconds = sim_seconds * warmup_frac;
-  config.sim.workload.model =
-      queuing == "open" ? QueuingModel::kOpen : QueuingModel::kClosed;
-  config.sim.workload.queue_length = queue;
-  config.sim.workload.mean_interarrival_seconds = interarrival;
-  config.sim.workload.hot_request_fraction = rh;
   if (zipf_theta > 0) {
     config.sim.workload.skew = SkewModel::kZipf;
     config.sim.workload.zipf_theta = zipf_theta;
   }
-  config.sim.workload.seed = static_cast<uint64_t>(seed);
   const StatusOr<AlgorithmSpec> spec = AlgorithmSpec::Parse(algorithm);
   if (!spec.ok()) {
     std::cerr << spec.status() << "\n";

@@ -73,19 +73,21 @@ double ExpectedSpan(const TapeDistribution& dist, double batch,
 
 }  // namespace
 
+std::vector<Field> AnalyticInputs::Fields() {
+  return {
+      {"hot_request_fraction", &hot_request_fraction, Closed(0, 1)},
+      {"queue_length", &queue_length, AtLeast(1)},
+  };
+}
+
 Status AnalyticInputs::Validate() const {
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
   if (layout.num_replicas != 0) {
     return Status::InvalidArgument(
         "the closed-form model assumes one copy per block (NR-0)");
   }
-  if (hot_request_fraction < 0 || hot_request_fraction > 1) {
-    return Status::InvalidArgument("hot_request_fraction must be in [0,1]");
-  }
-  if (queue_length <= 0) {
-    return Status::InvalidArgument("queue_length must be positive");
-  }
   TJ_RETURN_IF_ERROR(jukebox.Validate());
-  return Status::Ok();
+  return layout.Validate(jukebox.num_tapes);
 }
 
 double ExpectedSweepSpanMb(const AnalyticInputs& inputs, TapeId tape,

@@ -34,6 +34,7 @@
 
 #include "layout/placement.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -45,6 +46,8 @@ struct AnalyticInputs {
   double hot_request_fraction = 0.40;
   int64_t queue_length = 60;
 
+  /// One row per field of its own (util/fields.h).
+  std::vector<Field> Fields();
   Status Validate() const;
 };
 

@@ -7,6 +7,7 @@
 #include "sched/fifo_scheduler.h"
 #include "sched/greedy_scheduler.h"
 #include "util/check.h"
+#include "util/fields.h"
 #include "util/flags.h"
 
 namespace tapejuke {
@@ -14,12 +15,11 @@ namespace tapejuke {
 namespace {
 
 StatusOr<TapePolicy> ParsePolicy(const std::string& name) {
-  if (name == "round-robin") return TapePolicy::kRoundRobin;
-  if (name == "max-requests") return TapePolicy::kMaxRequests;
-  if (name == "max-bandwidth") return TapePolicy::kMaxBandwidth;
-  if (name == "oldest-max-requests") return TapePolicy::kOldestMaxRequests;
-  if (name == "oldest-max-bandwidth") return TapePolicy::kOldestMaxBandwidth;
-  return Status::InvalidArgument("unknown tape policy '" + name + "'");
+  const int index = NameIndex(kTapePolicyNames, name);
+  if (index < 0) {
+    return Status::InvalidArgument("unknown tape policy '" + name + "'");
+  }
+  return static_cast<TapePolicy>(index);
 }
 
 }  // namespace

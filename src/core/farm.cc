@@ -1,6 +1,7 @@
 #include "core/farm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -32,16 +33,30 @@ std::string BoxTimelinePath(const std::string& base, int32_t box) {
 
 }  // namespace
 
+std::vector<Field> FarmConfig::Fields() {
+  return {
+      {"num_jukeboxes", &num_jukeboxes, AtLeast(1)},
+      {"drives_per_jukebox", &drives_per_jukebox},  // see ValidateDrives
+      // An execution knob: results are bit-identical at any value, so it
+      // is not written and results files match across thread counts.
+      {"threads", &threads, {}, {}, false},
+  };
+}
+
 Status FarmConfig::Validate() const {
-  if (num_jukeboxes < 1) {
-    return Status::InvalidArgument("farm needs at least one jukebox");
-  }
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
   const WorkloadConfig& workload = per_jukebox.sim.workload;
   if (workload.model == QueuingModel::kClosed &&
       workload.queue_length < num_jukeboxes) {
     return Status::InvalidArgument(
         "closed farm needs queue_length >= num_jukeboxes (the fixed split "
         "runs at least one process per box)");
+  }
+  if (workload.model == QueuingModel::kOpen &&
+      !std::isfinite(workload.mean_interarrival_seconds * num_jukeboxes)) {
+    return Status::InvalidArgument(
+        "open farm needs a finite per-box interarrival time "
+        "(mean_interarrival_seconds x num_jukeboxes)");
   }
   TJ_RETURN_IF_ERROR(ValidateDrives(per_jukebox, drives_per_jukebox));
   return per_jukebox.Validate();

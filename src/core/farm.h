@@ -32,6 +32,7 @@
 
 #include "core/experiment.h"
 #include "sim/metrics.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -50,6 +51,13 @@ struct FarmConfig {
   int32_t threads = 0;
   ExperimentConfig per_jukebox;
 
+  /// One row per field, in results-JSON key order (util/fields.h);
+  /// `threads` is not written.
+  std::vector<Field> Fields();
+
+  /// Checks every row, a closed population of at least one process per
+  /// box or a finite per-box open interarrival time, the drive count and
+  /// the per-box config.
   Status Validate() const;
 };
 

@@ -1,111 +1,21 @@
 #include "core/results_io.h"
 
-#include "util/check.h"
-
 namespace tapejuke {
 
-namespace {
-
-const char* LayoutName(HotLayout layout) {
-  return layout == HotLayout::kVertical ? "vertical" : "horizontal";
-}
-
-const char* ModelName(QueuingModel model) {
-  return model == QueuingModel::kOpen ? "open" : "closed";
-}
-
-const char* SkewName(SkewModel skew) {
-  return skew == SkewModel::kZipf ? "zipf" : "hot-cold";
-}
-
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kNone:
-      return "none";
-    case AdmissionPolicy::kStaticCap:
-      return "static-cap";
-    case AdmissionPolicy::kAdaptive:
-      return "adaptive";
-  }
-  TJ_CHECK(false) << "unknown AdmissionPolicy";
-  return "?";
-}
-
-}  // namespace
-
 void WriteJson(JsonWriter* w, const JukeboxConfig& config) {
-  w->BeginObject();
-  w->Field("num_tapes", static_cast<int64_t>(config.num_tapes));
-  w->Field("block_size_mb", config.block_size_mb);
-  w->Field("tape_capacity_mb", config.timing.tape_capacity_mb);
-  w->Field("rewind_before_eject", config.rewind_before_eject);
-  w->EndObject();
+  WriteObject(w, FieldsOf(config));
 }
 
 void WriteJson(JsonWriter* w, const LayoutSpec& layout) {
-  w->BeginObject();
-  w->Field("hot_fraction", layout.hot_fraction);
-  w->Field("num_replicas", static_cast<int64_t>(layout.num_replicas));
-  w->Field("start_position", layout.start_position);
-  w->Field("layout", LayoutName(layout.layout));
-  w->Field("placement", "start-position");
-  w->Field("logical_blocks_override", layout.logical_blocks_override);
-  w->Field("pack_cold", layout.pack_cold);
-  w->EndObject();
+  WriteObject(w, FieldsOf(layout));
 }
 
 void WriteJson(JsonWriter* w, const WorkloadConfig& workload) {
-  w->BeginObject();
-  w->Field("model", ModelName(workload.model));
-  w->Field("queue_length", workload.queue_length);
-  w->Field("think_time_seconds", 0.0);
-  w->Field("mean_interarrival_seconds",
-           workload.mean_interarrival_seconds);
-  w->Field("skew", SkewName(workload.skew));
-  w->Field("hot_request_fraction", workload.hot_request_fraction);
-  w->Field("zipf_theta", workload.zipf_theta);
-  w->Field("seed", workload.seed);
-  // Tenant-mix and arrival-shaping knobs are emitted only when set, so
-  // documents for overload-free workloads stay byte-identical to
-  // pre-overload-subsystem output.
-  if (workload.HasTenantClasses()) {
-    w->Key("tenant_classes");
-    w->BeginArray();
-    for (const TenantClassConfig& cls : workload.tenant_classes) {
-      w->BeginObject();
-      w->Field("weight", cls.weight);
-      w->Field("deadline_seconds", cls.deadline_seconds);
-      w->Field("p99_slo_seconds", cls.p99_slo_seconds);
-      w->EndObject();
-    }
-    w->EndArray();
-  }
-  if (workload.burst_interval_seconds > 0) {
-    w->Field("burst_interval_seconds", workload.burst_interval_seconds);
-    w->Field("burst_size", workload.burst_size);
-    w->Field("burst_spread_seconds", workload.burst_spread_seconds);
-  }
-  w->EndObject();
+  WriteObject(w, FieldsOf(workload));
 }
 
 void WriteJson(JsonWriter* w, const FaultConfig& faults) {
-  w->BeginObject();
-  w->Field("transient_read_error_prob", faults.transient_read_error_prob);
-  w->Field("max_read_retries",
-           static_cast<int64_t>(faults.max_read_retries));
-  w->Field("permanent_media_error_prob", faults.permanent_media_error_prob);
-  w->Field("whole_tape_fraction", faults.whole_tape_fraction);
-  w->Field("drive_mtbf_seconds", faults.drive_mtbf_seconds);
-  w->Field("drive_mttr_seconds", faults.drive_mttr_seconds);
-  w->Field("robot_fault_prob", faults.robot_fault_prob);
-  // Backoff knobs appear only when enabled, keeping documents for
-  // backoff-free fault runs byte-identical to earlier output.
-  if (faults.retry_backoff_base_seconds > 0) {
-    w->Field("retry_backoff_base_seconds", faults.retry_backoff_base_seconds);
-    w->Field("retry_backoff_max_seconds", faults.retry_backoff_max_seconds);
-  }
-  w->Field("seed", uint64_t{0});
-  w->EndObject();
+  WriteObject(w, FieldsOf(faults));
 }
 
 void WriteJson(JsonWriter* w, const FaultStats& stats) {
@@ -127,12 +37,7 @@ void WriteJson(JsonWriter* w, const FaultStats& stats) {
 }
 
 void WriteJson(JsonWriter* w, const RepairConfig& repair) {
-  w->BeginObject();
-  w->Field("enable_repair", repair.enable_repair);
-  w->Field("scrub_interval_seconds", repair.scrub_interval_seconds);
-  w->Field("repair_bandwidth_mb_per_s", repair.repair_bandwidth_mb_per_s);
-  w->Field("repair_burst_mb", kRepairBurstMb);
-  w->EndObject();
+  WriteObject(w, FieldsOf(repair));
 }
 
 void WriteJson(JsonWriter* w, const RepairStats& stats) {
@@ -158,8 +63,7 @@ void WriteJson(JsonWriter* w, const RepairStats& stats) {
 
 void WriteJson(JsonWriter* w, const SimulationConfig& sim) {
   w->BeginObject();
-  w->Field("duration_seconds", sim.duration_seconds);
-  w->Field("warmup_seconds", sim.warmup_seconds);
+  WriteFields(w, FieldsOf(sim));
   w->Key("workload");
   WriteJson(w, sim.workload);
   // Emitted only when fault injection is on, so fault-free documents stay
@@ -174,11 +78,7 @@ void WriteJson(JsonWriter* w, const SimulationConfig& sim) {
   }
   if (sim.admission.enabled()) {
     w->Key("admission");
-    w->BeginObject();
-    w->Field("policy", AdmissionPolicyName(sim.admission.policy));
-    w->Field("queue_cap", sim.admission.queue_cap);
-    w->Field("window_seconds", kAdmissionWindowSeconds);
-    w->EndObject();
+    WriteObject(w, FieldsOf(sim.admission));
   }
   w->EndObject();
 }
@@ -187,12 +87,7 @@ void WriteJson(JsonWriter* w, const ExperimentConfig& config) {
   w->BeginObject();
   w->Field("algorithm", config.algorithm.Name());
   w->Key("algorithm_options");
-  w->BeginObject();
-  w->Field("allow_reverse_phase", config.algorithm.options.allow_reverse_phase);
-  w->Field("envelope_shrink", config.algorithm.options.envelope_shrink);
-  w->Field("paper_replica_tiebreak",
-           config.algorithm.options.paper_replica_tiebreak);
-  w->EndObject();
+  WriteObject(w, FieldsOf(config.algorithm.options));
   w->Key("jukebox");
   WriteJson(w, config.jukebox);
   w->Key("layout");
@@ -324,12 +219,7 @@ void WriteJson(JsonWriter* w, const ExperimentResult& result) {
 
 void WriteJson(JsonWriter* w, const FarmConfig& config) {
   w->BeginObject();
-  w->Field("num_jukeboxes", static_cast<int64_t>(config.num_jukeboxes));
-  w->Field("drives_per_jukebox",
-           static_cast<int64_t>(config.drives_per_jukebox));
-  // config.threads is an execution knob (results are bit-identical at any
-  // value) and is deliberately not serialized, so results files stay
-  // byte-identical across thread counts.
+  WriteFields(w, FieldsOf(config));
   w->Key("per_jukebox");
   WriteJson(w, config.per_jukebox);
   w->EndObject();

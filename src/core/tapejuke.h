@@ -36,6 +36,7 @@
 #include "tape/physical_drive.h"     // IWYU pragma: export
 #include "tape/serpentine.h"         // IWYU pragma: export
 #include "tape/timing_model.h"       // IWYU pragma: export
+#include "util/fields.h"             // IWYU pragma: export
 #include "util/flags.h"              // IWYU pragma: export
 #include "util/rng.h"                // IWYU pragma: export
 #include "util/stats.h"              // IWYU pragma: export

@@ -119,21 +119,28 @@ struct TapeRegions {
 
 }  // namespace
 
+std::vector<Field> LayoutSpec::Fields() {
+  return {
+      {"hot_fraction", &hot_fraction, Closed(0, 1),
+       {"ph", "fraction of logical blocks that are hot"}},
+      {"num_replicas", &num_replicas, AtLeast(0),
+       {"replicas", "extra copies of each hot block"}},
+      {"start_position", &start_position, Closed(0, 1),
+       {"sp", "hot-region start position in [0,1] (0.5 centers it)"}},
+      {"layout", Enum(&layout, kHotLayoutNames), {},
+       {"layout", "horizontal or vertical"}},
+      {"placement", Fixed("start-position")},
+      {"logical_blocks_override", &logical_blocks_override, AtLeast(0)},
+      {"pack_cold", &pack_cold},
+  };
+}
+
 Status LayoutSpec::Validate(const Jukebox& jukebox) const {
   return Validate(jukebox.num_tapes());
 }
 
 Status LayoutSpec::Validate(int32_t num_tapes) const {
-  // Both range checks are written so that NaN fails them.
-  if (!(hot_fraction >= 0.0 && hot_fraction <= 1.0)) {
-    return Status::InvalidArgument("hot_fraction must be in [0, 1]");
-  }
-  if (!(start_position >= 0.0 && start_position <= 1.0)) {
-    return Status::InvalidArgument("start_position must be in [0, 1]");
-  }
-  if (num_replicas < 0) {
-    return Status::InvalidArgument("num_replicas must be >= 0");
-  }
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
   if (layout == HotLayout::kHorizontal && num_replicas + 1 > num_tapes) {
     return Status::InvalidArgument(
         "horizontal layout needs num_replicas + 1 <= num_tapes (one copy "
@@ -152,9 +159,6 @@ Status LayoutSpec::Validate(int32_t num_tapes) const {
   if (num_replicas > 0 && hot_fraction == 0.0) {
     return Status::InvalidArgument(
         "replication requested but hot_fraction is zero");
-  }
-  if (logical_blocks_override < 0) {
-    return Status::InvalidArgument("logical_blocks_override must be >= 0");
   }
   return Status::Ok();
 }

@@ -19,9 +19,11 @@
 #define TAPEJUKE_LAYOUT_PLACEMENT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "layout/catalog.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -31,6 +33,7 @@ enum class HotLayout {
   kHorizontal,  ///< hot data distributed over all tapes
   kVertical,    ///< one dedicated hot tape; replicas on the others
 };
+inline constexpr const char* kHotLayoutNames[] = {"horizontal", "vertical"};
 
 /// Full layout specification (the paper's PH / NR / SP / layout knobs).
 struct LayoutSpec {
@@ -51,9 +54,12 @@ struct LayoutSpec {
   /// possible instead of spreading it round-robin.
   bool pack_cold = false;
 
-  /// Checks the spec against a jukebox geometry: the tape count, which is
-  /// all the checks need, so a config can be checked before any jukebox is
-  /// built.
+  /// One row per field, in results-JSON key order (util/fields.h).
+  std::vector<Field> Fields();
+
+  /// Checks every row, then the spec against a jukebox geometry: the tape
+  /// count, which is all the checks need, so a config can be checked
+  /// before any jukebox is built.
   Status Validate(const Jukebox& jukebox) const;
   Status Validate(int32_t num_tapes) const;
 };

@@ -7,30 +7,19 @@
 
 namespace tapejuke {
 
-const char* TapePolicyName(TapePolicy policy) {
-  switch (policy) {
-    case TapePolicy::kRoundRobin:
-      return "round-robin";
-    case TapePolicy::kMaxRequests:
-      return "max-requests";
-    case TapePolicy::kMaxBandwidth:
-      return "max-bandwidth";
-    case TapePolicy::kOldestMaxRequests:
-      return "oldest-max-requests";
-    case TapePolicy::kOldestMaxBandwidth:
-      return "oldest-max-bandwidth";
-  }
-  return "unknown";
+std::vector<Field> SchedulerOptions::Fields() {
+  return {
+      {"allow_reverse_phase", &allow_reverse_phase},
+      {"envelope_shrink", &envelope_shrink},
+      {"paper_replica_tiebreak", &paper_replica_tiebreak},
+      {"validate_envelope", &validate_envelope, {}, {}, false},
+      {"arrival_batch", &arrival_batch, AtLeast(0), {}, false},
+      {"reschedule_epoch", &reschedule_epoch, AtLeast(1), {}, false},
+  };
 }
 
 Status SchedulerOptions::Validate() const {
-  if (arrival_batch < 0) {
-    return Status::InvalidArgument("arrival_batch must be >= 0");
-  }
-  if (reschedule_epoch < 1) {
-    return Status::InvalidArgument("reschedule_epoch must be >= 1");
-  }
-  return Status::Ok();
+  return CheckFields(FieldsOf(*this));
 }
 
 TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,

@@ -30,6 +30,7 @@
 #include "sched/sweep_builder.h"
 #include "tape/jukebox.h"
 #include "tape/types.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -43,8 +44,14 @@ enum class TapePolicy {
   kOldestMaxBandwidth,  ///< serves the oldest request; ties by max bandwidth
 };
 
+inline constexpr const char* kTapePolicyNames[] = {
+    "round-robin", "max-requests", "max-bandwidth", "oldest-max-requests",
+    "oldest-max-bandwidth"};
+
 /// Short lowercase name ("max-bandwidth", ...) for display.
-const char* TapePolicyName(TapePolicy policy);
+inline const char* TapePolicyName(TapePolicy policy) {
+  return kTapePolicyNames[static_cast<int>(policy)];
+}
 
 /// Behaviour knobs shared by all schedulers (ablation switches).
 struct SchedulerOptions {
@@ -82,6 +89,11 @@ struct SchedulerOptions {
   /// (recompute on every major reschedule). Policy knob, like
   /// arrival_batch.
   int32_t reschedule_epoch = 1;
+
+  /// One row per field (util/fields.h). Results JSON writes the three
+  /// ablation switches; the oracle and the two policy knobs are not
+  /// written.
+  std::vector<Field> Fields();
 
   /// InvalidArgument for arrival_batch < 0 or reschedule_epoch < 1.
   Status Validate() const;

@@ -10,7 +10,16 @@
 
 namespace tapejuke {
 
+std::vector<Field> AdmissionConfig::Fields() {
+  return {
+      {"policy", Enum(&policy, kAdmissionPolicyNames)},
+      {"queue_cap", &queue_cap, AtLeast(0)},
+      {"window_seconds", Fixed(kAdmissionWindowSeconds)},
+  };
+}
+
 Status AdmissionConfig::Validate(const WorkloadConfig& workload) const {
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
   if (!enabled()) return Status::Ok();
   if (workload.model != QueuingModel::kOpen) {
     return Status::InvalidArgument(

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sim/workload.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -36,6 +37,8 @@ enum class AdmissionPolicy {
   kStaticCap,
   kAdaptive,
 };
+inline constexpr const char* kAdmissionPolicyNames[] = {"none", "static-cap",
+                                                        "adaptive"};
 
 /// kAdaptive: sliding-window length for the p99 / completion-rate
 /// estimates, seconds. The shed level is re-evaluated at most 8x per window.
@@ -49,7 +52,10 @@ struct AdmissionConfig {
 
   bool enabled() const { return policy != AdmissionPolicy::kNone; }
 
-  /// Checks the policy against the workload it will gate.
+  /// One row per field, in results-JSON key order (util/fields.h).
+  std::vector<Field> Fields();
+
+  /// Checks every row, then the policy against the workload it will gate.
   Status Validate(const WorkloadConfig& workload) const;
 };
 

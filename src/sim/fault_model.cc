@@ -6,39 +6,47 @@
 
 namespace tapejuke {
 
+std::vector<Field> FaultConfig::Fields() {
+  const bool backoff = retry_backoff_base_seconds > 0;
+  return {
+      {"transient_read_error_prob", &transient_read_error_prob,
+       ClosedOpen(0, 1),
+       {"fault-transient-rate",
+        "per-read transient error probability in [0, 1)"}},
+      {"max_read_retries", &max_read_retries, AtLeast(0),
+       {"fault-retries", "transient-error retry budget before escalation"}},
+      {"permanent_media_error_prob", &permanent_media_error_prob,
+       ClosedOpen(0, 1),
+       {"fault-perm-rate",
+        "per-read permanent media error probability in [0, 1)"}},
+      {"whole_tape_fraction", &whole_tape_fraction, Closed(0, 1),
+       {"fault-whole-tape",
+        "fraction of permanent errors that kill the whole tape"}},
+      {"drive_mtbf_seconds", &drive_mtbf_seconds, AtLeast(0),
+       {"fault-drive-mtbf",
+        "mean drive uptime between failures, seconds (0 = off)"}},
+      {"drive_mttr_seconds", &drive_mttr_seconds, AtLeast(0),
+       {"fault-drive-mttr", "mean drive repair time, seconds"}},
+      {"robot_fault_prob", &robot_fault_prob, ClosedOpen(0, 1),
+       {"fault-robot-rate", "robot handoff slip probability in [0, 1)"}},
+      {"retry_backoff_base_seconds", &retry_backoff_base_seconds, AtLeast(0),
+       {"fault-backoff-base",
+        "exponential backoff base before retry k: base * 2^k seconds, "
+        "jittered (0 = immediate retries)"},
+       backoff},
+      {"retry_backoff_max_seconds", &retry_backoff_max_seconds, AtLeast(0),
+       {"fault-backoff-max",
+        "cap on a single backoff wait, seconds (0 = uncapped)"},
+       backoff},
+      {"seed", Fixed(uint64_t{0})},
+  };
+}
+
 Status FaultConfig::Validate() const {
-  // Every range check is written so that NaN fails it.
-  if (!(transient_read_error_prob >= 0.0 && transient_read_error_prob < 1.0)) {
-    return Status::InvalidArgument(
-        "transient_read_error_prob must be in [0, 1)");
-  }
-  if (max_read_retries < 0) {
-    return Status::InvalidArgument("max_read_retries must be >= 0");
-  }
-  if (!(permanent_media_error_prob >= 0.0 &&
-        permanent_media_error_prob < 1.0)) {
-    return Status::InvalidArgument(
-        "permanent_media_error_prob must be in [0, 1)");
-  }
-  if (!(whole_tape_fraction >= 0.0 && whole_tape_fraction <= 1.0)) {
-    return Status::InvalidArgument("whole_tape_fraction must be in [0, 1]");
-  }
-  if (!(drive_mtbf_seconds >= 0.0)) {
-    return Status::InvalidArgument("drive_mtbf_seconds must be >= 0");
-  }
-  if (drive_mtbf_seconds > 0.0 && !(drive_mttr_seconds > 0.0)) {
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
+  if (drive_mtbf_seconds > 0.0 && drive_mttr_seconds <= 0.0) {
     return Status::InvalidArgument(
         "drive_mtbf_seconds > 0 requires drive_mttr_seconds > 0");
-  }
-  if (!(drive_mttr_seconds >= 0.0)) {
-    return Status::InvalidArgument("drive_mttr_seconds must be >= 0");
-  }
-  if (!(robot_fault_prob >= 0.0 && robot_fault_prob < 1.0)) {
-    return Status::InvalidArgument("robot_fault_prob must be in [0, 1)");
-  }
-  if (!(retry_backoff_base_seconds >= 0.0 &&
-        retry_backoff_max_seconds >= 0.0)) {
-    return Status::InvalidArgument("retry backoff must be >= 0");
   }
   return Status::Ok();
 }

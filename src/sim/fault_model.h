@@ -31,6 +31,7 @@
 
 #include "layout/catalog.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -74,9 +75,14 @@ struct FaultConfig {
            drive_mtbf_seconds > 0.0 || robot_fault_prob > 0.0;
   }
 
-  /// Rejects negative rates, probabilities outside their ranges, certain-
-  /// failure probabilities (which would retry forever), a negative retry
-  /// budget, and MTBF without a positive MTTR.
+  /// One row per field, in results-JSON key order (util/fields.h). The
+  /// backoff knobs are written only when enabled, so backoff-free
+  /// documents stay byte-identical to earlier output.
+  std::vector<Field> Fields();
+
+  /// Checks every row (probabilities of certain failure, which would
+  /// retry forever, are outside their domains), then that MTBF comes with
+  /// a positive MTTR.
   Status Validate() const;
 };
 

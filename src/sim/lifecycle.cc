@@ -7,14 +7,16 @@
 
 namespace tapejuke {
 
+std::vector<Field> LifecycleConfig::Fields() {
+  return {
+      {"fill_budget_seconds", &fill_budget_seconds, AtLeast(0)},
+      {"fill_on_idle", &fill_on_idle},
+      {"num_epochs", &num_epochs, AtLeast(1)},
+  };
+}
+
 Status LifecycleConfig::Validate() const {
-  if (fill_budget_seconds < 0) {
-    return Status::InvalidArgument("fill budget must be >= 0");
-  }
-  if (num_epochs < 1) {
-    return Status::InvalidArgument("need at least one epoch");
-  }
-  return Status::Ok();
+  return CheckFields(FieldsOf(*this));
 }
 
 ReplicaFiller::ReplicaFiller(Jukebox* jukebox, Catalog* catalog,

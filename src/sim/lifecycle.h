@@ -24,6 +24,7 @@
 #include "sim/background.h"
 #include "sim/simulator.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -38,6 +39,8 @@ struct LifecycleConfig {
   /// Number of reporting windows.
   int32_t num_epochs = 10;
 
+  /// One row per field (util/fields.h).
+  std::vector<Field> Fields();
   Status Validate() const;
 };
 

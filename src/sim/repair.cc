@@ -18,16 +18,21 @@ namespace {
 constexpr double kTokenSlack = 1e-9;
 }  // namespace
 
-Status RepairConfig::Validate() const {
-  // Both range checks are written so that NaN fails them.
-  if (!(scrub_interval_seconds >= 0.0)) {
-    return Status::InvalidArgument("scrub_interval_seconds must be >= 0");
-  }
-  if (!(repair_bandwidth_mb_per_s >= 0.0)) {
-    return Status::InvalidArgument("repair_bandwidth_mb_per_s must be >= 0");
-  }
-  return Status::Ok();
+std::vector<Field> RepairConfig::Fields() {
+  return {
+      {"enable_repair", &enable_repair, {},
+       {"repair", "re-replicate dead replicas onto spare capacity"}},
+      {"scrub_interval_seconds", &scrub_interval_seconds, AtLeast(0),
+       {"scrub-interval",
+        "seconds between background scrub passes (0 = off)"}},
+      {"repair_bandwidth_mb_per_s", &repair_bandwidth_mb_per_s, AtLeast(0),
+       {"repair-bw",
+        "token-bucket budget for scrub/repair I/O, MB/s (0 = unmetered)"}},
+      {"repair_burst_mb", Fixed(kRepairBurstMb)},
+  };
 }
+
+Status RepairConfig::Validate() const { return CheckFields(FieldsOf(*this)); }
 
 RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
                              Catalog* catalog, Scheduler* scheduler,

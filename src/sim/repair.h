@@ -41,6 +41,7 @@
 #include "sim/background.h"
 #include "sim/fault_model.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -68,6 +69,8 @@ struct RepairConfig {
     return enable_repair || scrub_interval_seconds > 0.0;
   }
 
+  /// One row per field, in results-JSON key order (util/fields.h).
+  std::vector<Field> Fields();
   Status Validate() const;
 };
 

@@ -8,22 +8,23 @@
 
 namespace tapejuke {
 
+std::vector<Field> SimulationConfig::Fields() {
+  return {
+      {"duration_seconds", &duration_seconds, Above(0)},
+      {"warmup_seconds", &warmup_seconds, AtLeast(0)},
+      {"trace_sample", &obs.sample, AtLeast(1), {}, false},
+      {"timeline_interval_seconds", &timeline.interval_seconds, AtLeast(0),
+       {}, false},
+  };
+}
+
 Status SimulationConfig::Validate() const {
-  // Every range check is written so that NaN fails it.
-  if (!(duration_seconds > 0)) {
-    return Status::InvalidArgument("duration must be positive");
-  }
-  if (obs.sample < 1) {
-    return Status::InvalidArgument("trace sample must be >= 1");
-  }
-  if (!(timeline.interval_seconds >= 0)) {
-    return Status::InvalidArgument("timeline interval must be >= 0");
-  }
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
   if (!timeline.out.empty() && timeline.interval_seconds <= 0) {
     return Status::InvalidArgument(
         "timeline output requires a positive --timeline-interval");
   }
-  if (!(warmup_seconds >= 0 && warmup_seconds < duration_seconds)) {
+  if (warmup_seconds >= duration_seconds) {
     return Status::InvalidArgument(
         "warmup must be in [0, duration_seconds)");
   }

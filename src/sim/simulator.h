@@ -47,6 +47,7 @@
 #include "sim/repair.h"
 #include "sim/workload.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -82,6 +83,13 @@ struct SimulationConfig {
   /// byte-identical with the timeline on or off.
   obs::TimelineConfig timeline;
 
+  /// One row per field, in results-JSON key order (util/fields.h), plus
+  /// the trace sample and timeline interval, which are not written.
+  std::vector<Field> Fields();
+
+  /// Checks every row and each part's own Validate, then the rules that
+  /// join fields: warm-up shorter than the run, a timeline file with a
+  /// positive interval, repair only with faults.
   Status Validate() const;
 };
 

@@ -7,42 +7,60 @@
 
 namespace tapejuke {
 
+std::vector<Field> TenantClassConfig::Fields() {
+  return {
+      // Bounded so that the sum of 16 weights, the tenant CDF's
+      // normalizer, cannot overflow to +inf.
+      {"weight", &weight, OpenClosed(0, 1e300)},
+      {"deadline_seconds", &deadline_seconds, AtLeast(0)},
+      {"p99_slo_seconds", &p99_slo_seconds, AtLeast(0), {}, true, "p99 SLO"},
+  };
+}
+
+std::vector<Field> WorkloadConfig::Fields() {
+  const bool bursts = burst_interval_seconds > 0;
+  return {
+      {"model", Enum(&model, kQueuingModelNames), {},
+       {"queuing", "closed or open"}},
+      {"queue_length", &queue_length, AtLeast(0),
+       {"queue", "closed model: outstanding requests"}},
+      {"think_time_seconds", Fixed(0.0)},
+      {"mean_interarrival_seconds", &mean_interarrival_seconds, AtLeast(0),
+       {"interarrival", "open model: mean interarrival seconds"}},
+      {"skew", Enum(&skew, kSkewModelNames)},
+      {"hot_request_fraction", &hot_request_fraction, Closed(0, 1),
+       {"rh", "fraction of requests to hot data"}},
+      {"zipf_theta", &zipf_theta, AtLeast(0)},
+      {"seed", &seed, {}, {"seed", "workload seed"}},
+      {"tenant_classes", List(&tenant_classes), {}, {}, HasTenantClasses()},
+      {"burst_interval_seconds", &burst_interval_seconds, AtLeast(0), {},
+       bursts},
+      // A burst adds 1 + int64_t(Exponential(burst_size - 1)) arrivals.
+      // Rng::Exponential(m) <= 53 ln(2) m < 37 m (it draws 1 - U >= 2^-53),
+      // so this bound keeps the cast below 3.7e16, inside int64_t.
+      {"burst_size", &burst_size, Closed(1, 1e15), {}, bursts},
+      {"burst_spread_seconds", &burst_spread_seconds, AtLeast(0), {}, bursts},
+  };
+}
+
 Status WorkloadConfig::Validate() const {
-  // Every range check is written so that NaN fails it.
-  if (model == QueuingModel::kClosed && queue_length <= 0) {
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
+  if (model == QueuingModel::kClosed && queue_length == 0) {
     return Status::InvalidArgument("closed model needs queue_length >= 1");
   }
-  if (model == QueuingModel::kOpen && !(mean_interarrival_seconds > 0)) {
+  if (model == QueuingModel::kOpen && mean_interarrival_seconds == 0) {
     return Status::InvalidArgument(
         "open model needs a positive mean interarrival time");
-  }
-  if (!(hot_request_fraction >= 0 && hot_request_fraction <= 1)) {
-    return Status::InvalidArgument("hot_request_fraction must be in [0, 1]");
-  }
-  if (!(zipf_theta >= 0)) {
-    return Status::InvalidArgument("zipf_theta must be >= 0");
   }
   if (tenant_classes.size() > 16) {
     return Status::InvalidArgument("at most 16 tenant classes");
   }
   for (const TenantClassConfig& cls : tenant_classes) {
-    if (!(cls.weight > 0)) {
-      return Status::InvalidArgument("tenant class weight must be > 0");
-    }
-    if (cls.deadline_seconds != 0 && !(cls.deadline_seconds >= 1e-3)) {
+    if (cls.deadline_seconds != 0 && cls.deadline_seconds < 1e-3) {
       return Status::InvalidArgument(
           "tenant deadline must be 0 (none) or >= 1ms; sub-millisecond "
           "deadlines expire faster than any tape service");
     }
-    if (!(cls.p99_slo_seconds >= 0)) {
-      return Status::InvalidArgument("p99 SLO must be >= 0");
-    }
-  }
-  if (!(burst_interval_seconds >= 0 && burst_spread_seconds >= 0)) {
-    return Status::InvalidArgument("burst knobs must be >= 0");
-  }
-  if (burst_interval_seconds > 0 && !(burst_size >= 1)) {
-    return Status::InvalidArgument("bursts need a mean size >= 1");
   }
   if (burst_interval_seconds > 0 && model != QueuingModel::kOpen) {
     return Status::InvalidArgument(

@@ -20,6 +20,7 @@
 
 #include "layout/catalog.h"
 #include "sched/request.h"
+#include "util/fields.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -30,6 +31,7 @@ enum class QueuingModel {
   kClosed,  ///< constant outstanding-request population
   kOpen,    ///< Poisson arrivals, rate independent of service
 };
+inline constexpr const char* kQueuingModelNames[] = {"closed", "open"};
 
 /// How request popularity is distributed over blocks.
 enum class SkewModel {
@@ -42,6 +44,7 @@ enum class SkewModel {
   /// higher theta is more skewed.
   kZipf,
 };
+inline constexpr const char* kSkewModelNames[] = {"hot-cold", "zipf"};
 
 /// One tenant (priority) class in the overload mix. Class index = position
 /// in WorkloadConfig::tenant_classes; lower index = more protected (the
@@ -55,6 +58,9 @@ struct TenantClassConfig {
   /// p99 response-delay target the admission layer defends. 0 = best
   /// effort (never triggers shedding, shed first under pressure).
   double p99_slo_seconds = 0.0;
+
+  /// One row per field, in results-JSON key order (util/fields.h).
+  std::vector<Field> Fields();
 };
 
 /// Workload parameters.
@@ -85,6 +91,14 @@ struct WorkloadConfig {
 
   bool HasTenantClasses() const { return !tenant_classes.empty(); }
 
+  /// One row per field, in results-JSON key order (util/fields.h). The
+  /// tenant classes and the burst knobs are written only when set, so
+  /// overload-free documents stay byte-identical to earlier output.
+  std::vector<Field> Fields();
+
+  /// Checks every row and every tenant class's rows, then the rules that
+  /// join fields: a closed population or an open arrival rate, at most 16
+  /// classes, deadlines of 0 or >= 1 ms, bursts in the open model only.
   Status Validate() const;
 };
 

@@ -9,11 +9,17 @@
 
 namespace tapejuke {
 
+std::vector<Field> WritePathConfig::Fields() {
+  return {
+      {"mean_write_interarrival_seconds", &mean_write_interarrival_seconds},
+      {"piggyback", &piggyback},
+      {"piggyback_min_blocks", &piggyback_min_blocks, AtLeast(1)},
+      {"idle_flush", &idle_flush},
+  };
+}
+
 Status WritePathConfig::Validate() const {
-  if (piggyback_min_blocks < 1) {
-    return Status::InvalidArgument("piggyback_min_blocks must be >= 1");
-  }
-  return Status::Ok();
+  return CheckFields(FieldsOf(*this));
 }
 
 WriteBuffer::WriteBuffer(Jukebox* jukebox, const Catalog* catalog,

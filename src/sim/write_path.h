@@ -34,6 +34,7 @@
 #include "sim/metrics.h"
 #include "sim/simulator.h"
 #include "tape/jukebox.h"
+#include "util/fields.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -58,6 +59,8 @@ struct WritePathConfig {
   /// arrivals).
   bool idle_flush = true;
 
+  /// One row per field (util/fields.h).
+  std::vector<Field> Fields();
   Status Validate() const;
 };
 

@@ -7,13 +7,19 @@
 
 namespace tapejuke {
 
+std::vector<Field> JukeboxConfig::Fields() {
+  std::vector<Field> rows = timing.Fields();
+  rows.insert(rows.begin(),
+              {{"num_tapes", &num_tapes, AtLeast(1),
+                {"tapes", "tapes in the jukebox"}},
+               {"block_size_mb", &block_size_mb, AtLeast(1),
+                {"block-mb", "logical block size, MB"}}});
+  rows.push_back({"rewind_before_eject", &rewind_before_eject});
+  return rows;
+}
+
 Status JukeboxConfig::Validate() const {
-  if (num_tapes <= 0) {
-    return Status::InvalidArgument("jukebox needs at least one tape");
-  }
-  if (block_size_mb <= 0) {
-    return Status::InvalidArgument("block size must be positive");
-  }
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
   if (block_size_mb > timing.tape_capacity_mb) {
     return Status::InvalidArgument("block size exceeds tape capacity");
   }
@@ -24,7 +30,7 @@ Status JukeboxConfig::Validate() const {
     return Status::InvalidArgument(
         "tape capacity / block size exceeds 2^31 - 1 slots per tape");
   }
-  return timing.Validate();
+  return Status::Ok();
 }
 
 Jukebox::Jukebox(const JukeboxConfig& config)

@@ -20,6 +20,7 @@
 #include "tape/tape.h"
 #include "tape/timing_model.h"
 #include "tape/types.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -72,6 +73,12 @@ struct JukeboxConfig {
   /// discussion of rewind-to-nearest-zone libraries).
   bool rewind_before_eject = true;
 
+  /// One row per field, in results-JSON key order (util/fields.h), with
+  /// the timing rows in place of `timing`.
+  std::vector<Field> Fields();
+
+  /// Checks every row, then that a block fits a tape and a tape holds at
+  /// most 2^31 - 1 slots.
   Status Validate() const;
 };
 

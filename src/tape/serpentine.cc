@@ -7,17 +7,22 @@
 
 namespace tapejuke {
 
+std::vector<Field> SerpentineParams::Fields() {
+  return {
+      {"num_tracks", &num_tracks, AtLeast(1)},
+      {"tape_capacity_mb", &tape_capacity_mb, AtLeast(1)},
+      {"startup_seconds", &startup_seconds, AtLeast(0)},
+      {"track_switch_seconds", &track_switch_seconds, AtLeast(0)},
+      {"travel_per_mb", &travel_per_mb, AtLeast(0)},
+      {"read_per_mb", &read_per_mb, Above(0)},
+  };
+}
+
 Status SerpentineParams::Validate() const {
-  if (num_tracks <= 0) {
-    return Status::InvalidArgument("serpentine model needs >= 1 track");
-  }
-  if (tape_capacity_mb <= 0 || tape_capacity_mb % num_tracks != 0) {
+  TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
+  if (tape_capacity_mb % num_tracks != 0) {
     return Status::InvalidArgument(
-        "capacity must be positive and divisible by the track count");
-  }
-  if (startup_seconds < 0 || track_switch_seconds < 0 || travel_per_mb < 0 ||
-      read_per_mb <= 0) {
-    return Status::InvalidArgument("serpentine costs must be non-negative");
+        "capacity must be divisible by the track count");
   }
   return Status::Ok();
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "tape/types.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -43,6 +44,9 @@ struct SerpentineParams {
   /// Transfer rate while reading, seconds per MB.
   double read_per_mb = 0.66;  // ~1.5 MB/s, DLT-class
 
+  /// One row per field (util/fields.h).
+  std::vector<Field> Fields();
+  /// Checks every row, then that the tracks split the capacity evenly.
   Status Validate() const;
 };
 

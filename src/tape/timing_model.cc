@@ -1,7 +1,5 @@
 #include "tape/timing_model.h"
 
-#include <cmath>
-
 #include "util/check.h"
 
 namespace tapejuke {
@@ -25,32 +23,30 @@ TimingParams TimingParams::FastDrive() {
   return p;
 }
 
-Status TimingParams::Validate() const {
-  if (tape_capacity_mb <= 0) {
-    return Status::InvalidArgument("tape capacity must be positive");
-  }
-  // Written so that NaN fails it.
-  if (!(short_threshold_mb >= 0)) {
-    return Status::InvalidArgument("short locate threshold must be >= 0");
-  }
-  const double costs[] = {fwd_short_startup, fwd_short_per_mb,
-                          fwd_long_startup,  fwd_long_per_mb,
-                          rev_short_startup, rev_short_per_mb,
-                          rev_long_startup,  rev_long_per_mb,
-                          bot_extra_seconds, read_fwd_startup,
-                          read_rev_startup,  read_per_mb,
-                          eject_seconds,     robot_seconds,
-                          load_seconds};
-  for (double c : costs) {
-    if (c < 0 || !std::isfinite(c)) {
-      return Status::InvalidArgument("timing costs must be finite and >= 0");
-    }
-  }
-  if (read_per_mb <= 0) {
-    return Status::InvalidArgument("read_per_mb must be positive");
-  }
-  return Status::Ok();
+std::vector<Field> TimingParams::Fields() {
+  return {
+      {"fwd_short_startup", &fwd_short_startup, AtLeast(0), {}, false},
+      {"fwd_short_per_mb", &fwd_short_per_mb, AtLeast(0), {}, false},
+      {"fwd_long_startup", &fwd_long_startup, AtLeast(0), {}, false},
+      {"fwd_long_per_mb", &fwd_long_per_mb, AtLeast(0), {}, false},
+      {"rev_short_startup", &rev_short_startup, AtLeast(0), {}, false},
+      {"rev_short_per_mb", &rev_short_per_mb, AtLeast(0), {}, false},
+      {"rev_long_startup", &rev_long_startup, AtLeast(0), {}, false},
+      {"rev_long_per_mb", &rev_long_per_mb, AtLeast(0), {}, false},
+      {"short_threshold_mb", &short_threshold_mb, AtLeast(0), {}, false},
+      {"bot_extra_seconds", &bot_extra_seconds, AtLeast(0), {}, false},
+      {"read_fwd_startup", &read_fwd_startup, AtLeast(0), {}, false},
+      {"read_rev_startup", &read_rev_startup, AtLeast(0), {}, false},
+      {"read_per_mb", &read_per_mb, Above(0), {}, false},
+      {"eject_seconds", &eject_seconds, AtLeast(0), {}, false},
+      {"robot_seconds", &robot_seconds, AtLeast(0), {}, false},
+      {"load_seconds", &load_seconds, AtLeast(0), {}, false},
+      {"tape_capacity_mb", &tape_capacity_mb, AtLeast(1),
+       {"capacity-mb", "per-tape capacity, MB"}},
+  };
 }
+
+Status TimingParams::Validate() const { return CheckFields(FieldsOf(*this)); }
 
 TimingModel::TimingModel(const TimingParams& params) : params_(params) {
   const Status status = params.Validate();

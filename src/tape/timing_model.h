@@ -14,9 +14,11 @@
 #define TAPEJUKE_TAPE_TIMING_MODEL_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "tape/types.h"
 #include "util/check.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -68,8 +70,13 @@ struct TimingParams {
   /// qualitative results do not change).
   static TimingParams FastDrive();
 
-  /// Validates internal consistency (non-negative costs, positive capacity,
-  /// continuous-enough regime boundary).
+  /// One row per field (util/fields.h). The costs are calibration
+  /// constants, not results-JSON keys; the capacity is both a key and the
+  /// --capacity-mb flag.
+  std::vector<Field> Fields();
+
+  /// Checks every row: finite costs >= 0, read_per_mb > 0, a capacity of
+  /// at least 1 MB.
   Status Validate() const;
 };
 

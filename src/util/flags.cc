@@ -19,74 +19,79 @@ bool ParseFiniteDouble(const std::string& text, double* value) {
   return true;
 }
 
+bool ParseInt64(const std::string& text, int64_t* value) {
+  char* end = nullptr;
+  errno = 0;  // strtoll clamps an out-of-range value and sets ERANGE
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
+  *value = parsed;
+  return true;
+}
+
+namespace {
+
+Status Expects(const std::string& name, const char* what,
+               const std::string& value) {
+  return Status::InvalidArgument("flag --" + name + " expects " + what +
+                                 ", got '" + value + "'");
+}
+
+}  // namespace
+
 FlagSet::FlagSet(std::string program_summary)
     : summary_(std::move(program_summary)) {}
 
+void FlagSet::Add(const std::string& name, const std::string& help,
+                  std::string default_text,
+                  std::function<Status(const std::string&)> set,
+                  bool is_bool) {
+  flags_[name] = Flag{std::move(set), is_bool, help, std::move(default_text)};
+}
+
 void FlagSet::AddInt64(const std::string& name, int64_t* target,
                        const std::string& help) {
-  flags_[name] = Flag{Kind::kInt64, target, help, std::to_string(*target)};
+  Add(name, help, std::to_string(*target),
+      [name, target](const std::string& value) {
+        return ParseInt64(value, target)
+                   ? Status::Ok()
+                   : Expects(name, "a 64-bit integer", value);
+      });
 }
 
 void FlagSet::AddDouble(const std::string& name, double* target,
                         const std::string& help) {
   std::ostringstream def;
   def << *target;
-  flags_[name] = Flag{Kind::kDouble, target, help, def.str()};
+  Add(name, help, def.str(), [name, target](const std::string& value) {
+    return ParseFiniteDouble(value, target)
+               ? Status::Ok()
+               : Expects(name, "a finite number", value);
+  });
 }
 
 void FlagSet::AddString(const std::string& name, std::string* target,
                         const std::string& help) {
-  flags_[name] = Flag{Kind::kString, target, help, *target};
+  Add(name, help, *target, [target](const std::string& value) {
+    *target = value;
+    return Status::Ok();
+  });
 }
 
 void FlagSet::AddBool(const std::string& name, bool* target,
                       const std::string& help) {
-  flags_[name] = Flag{Kind::kBool, target, help, *target ? "true" : "false"};
-}
-
-Status FlagSet::SetValue(const std::string& name, const std::string& value) {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return Status::InvalidArgument("unknown flag --" + name);
-  }
-  Flag& flag = it->second;
-  switch (flag.kind) {
-    case Kind::kInt64: {
-      char* end = nullptr;
-      errno = 0;  // strtoll clamps an out-of-range value and sets ERANGE
-      const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-        return Status::InvalidArgument("flag --" + name +
-                                       " expects a 64-bit integer, got '" +
-                                       value + "'");
-      }
-      *static_cast<int64_t*>(flag.target) = parsed;
-      return Status::Ok();
-    }
-    case Kind::kDouble:
-      if (!ParseFiniteDouble(value, static_cast<double*>(flag.target))) {
-        return Status::InvalidArgument("flag --" + name +
-                                       " expects a finite number, got '" +
-                                       value + "'");
-      }
-      return Status::Ok();
-    case Kind::kString:
-      *static_cast<std::string*>(flag.target) = value;
-      return Status::Ok();
-    case Kind::kBool: {
-      if (value == "true" || value == "1") {
-        *static_cast<bool*>(flag.target) = true;
-      } else if (value == "false" || value == "0") {
-        *static_cast<bool*>(flag.target) = false;
-      } else {
-        return Status::InvalidArgument("flag --" + name +
-                                       " expects true/false, got '" + value +
-                                       "'");
-      }
-      return Status::Ok();
-    }
-  }
-  return Status::Internal("unreachable flag kind");
+  Add(
+      name, help, *target ? "true" : "false",
+      [name, target](const std::string& value) {
+        if (value == "true" || value == "1") {
+          *target = true;
+        } else if (value == "false" || value == "0") {
+          *target = false;
+        } else {
+          return Expects(name, "true/false", value);
+        }
+        return Status::Ok();
+      },
+      /*is_bool=*/true);
 }
 
 Status FlagSet::Parse(int argc, char** argv) {
@@ -104,19 +109,23 @@ Status FlagSet::Parse(int argc, char** argv) {
     std::string body = arg.substr(2);
     const size_t eq = body.find('=');
     if (eq != std::string::npos) {
-      TJ_RETURN_IF_ERROR(SetValue(body.substr(0, eq), body.substr(eq + 1)));
+      const auto named = flags_.find(body.substr(0, eq));
+      if (named == flags_.end()) {
+        return Status::InvalidArgument("unknown flag --" + body.substr(0, eq));
+      }
+      TJ_RETURN_IF_ERROR(named->second.set(body.substr(eq + 1)));
       continue;
     }
     // --flag value, or bare boolean --flag / --no-flag.
     auto it = flags_.find(body);
-    if (it != flags_.end() && it->second.kind == Kind::kBool) {
-      *static_cast<bool*>(it->second.target) = true;
+    if (it != flags_.end() && it->second.is_bool) {
+      TJ_RETURN_IF_ERROR(it->second.set("true"));
       continue;
     }
     if (body.rfind("no-", 0) == 0) {
       auto neg = flags_.find(body.substr(3));
-      if (neg != flags_.end() && neg->second.kind == Kind::kBool) {
-        *static_cast<bool*>(neg->second.target) = false;
+      if (neg != flags_.end() && neg->second.is_bool) {
+        TJ_RETURN_IF_ERROR(neg->second.set("false"));
         continue;
       }
     }
@@ -126,7 +135,7 @@ Status FlagSet::Parse(int argc, char** argv) {
     if (i + 1 >= argc) {
       return Status::InvalidArgument("flag --" + body + " expects a value");
     }
-    TJ_RETURN_IF_ERROR(SetValue(body, argv[++i]));
+    TJ_RETURN_IF_ERROR(it->second.set(argv[++i]));
   }
   return Status::Ok();
 }

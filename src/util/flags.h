@@ -7,6 +7,7 @@
 #define TAPEJUKE_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +20,10 @@ namespace tapejuke {
 /// `*value` alone, on empty input, trailing characters, "nan", "inf" and
 /// overflow.
 bool ParseFiniteDouble(const std::string& text, double* value);
+
+/// Parses all of `text` as a base-10 int64_t. Fails, leaving `*value`
+/// alone, on empty input, trailing characters and overflow.
+bool ParseInt64(const std::string& text, int64_t* value);
 
 /// Declarative flag set: register flags bound to caller-owned storage, then
 /// Parse(argc, argv).
@@ -37,6 +42,14 @@ class FlagSet {
                  const std::string& help);
   void AddBool(const std::string& name, bool* target, const std::string& help);
 
+  /// Registers a flag whose value `set` parses and stores, returning
+  /// InvalidArgument for a value it refuses. `default_text` is shown by
+  /// --help; a bool flag also takes the bare --name and --no-name forms.
+  void Add(const std::string& name, const std::string& help,
+           std::string default_text,
+           std::function<Status(const std::string&)> set,
+           bool is_bool = false);
+
   /// Parses argv. On --help prints usage and returns a NotFound status the
   /// caller should treat as "exit 0". Positional arguments are collected in
   /// positional().
@@ -48,15 +61,12 @@ class FlagSet {
   std::string Usage() const;
 
  private:
-  enum class Kind { kInt64, kDouble, kString, kBool };
   struct Flag {
-    Kind kind;
-    void* target;
+    std::function<Status(const std::string&)> set;
+    bool is_bool;
     std::string help;
     std::string default_text;
   };
-
-  Status SetValue(const std::string& name, const std::string& value);
 
   std::string summary_;
   std::string program_name_;

@@ -30,6 +30,12 @@ TEST(AnalyticInputs, Validation) {
   inputs = BaseInputs();
   inputs.hot_request_fraction = 1.5;
   EXPECT_FALSE(inputs.Validate().ok());
+  // A bad layout is refused here, not when the prediction builds it.
+  inputs = BaseInputs();
+  inputs.layout.hot_fraction = 2.0;
+  EXPECT_EQ(inputs.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PredictRoundRobin(inputs).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExpectedSweepSpan, GrowsWithBatchTowardCapacity) {

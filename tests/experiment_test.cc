@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 
 #include "core/cost_performance.h"
 #include "core/farm.h"
@@ -110,13 +112,14 @@ TEST(ExperimentRunner, InvalidConfigFails) {
             StatusCode::kInvalidArgument);
 }
 
-// Every range check refuses NaN. Each case poisons one field of an
-// otherwise valid config (switching on the feature that reads it) and runs
-// it through ExperimentRunner::Run, so a field whose check NaN slipped
-// past would run, or abort inside the simulator, instead of failing here.
+// Every range check refuses NaN and +inf. Each case poisons one field of
+// an otherwise valid config (switching on the feature that reads it) and
+// runs it through ExperimentRunner::Run, so a field whose check NaN or
+// +inf slipped past would run, or abort inside the simulator, instead of
+// failing here.
 struct NanCase {
   const char* field;
-  void (*poison)(ExperimentConfig* config, double nan);
+  void (*poison)(ExperimentConfig* config, double bad);
 };
 
 // Open model with a two-class mix: class 0 carries the SLO adaptive
@@ -129,130 +132,139 @@ void OpenTwoClasses(ExperimentConfig* config) {
 
 const NanCase kNanCases[] = {
     {"mean_interarrival_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.workload.model = QueuingModel::kOpen;
-       c->sim.workload.mean_interarrival_seconds = nan;
+       c->sim.workload.mean_interarrival_seconds = bad;
      }},
     {"hot_request_fraction",
-     [](ExperimentConfig* c, double nan) {
-       c->sim.workload.hot_request_fraction = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->sim.workload.hot_request_fraction = bad;
      }},
     {"zipf_theta",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.workload.skew = SkewModel::kZipf;
-       c->sim.workload.zipf_theta = nan;
+       c->sim.workload.zipf_theta = bad;
      }},
     {"tenant_weight",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        OpenTwoClasses(c);
-       c->sim.workload.tenant_classes[1].weight = nan;
+       c->sim.workload.tenant_classes[1].weight = bad;
      }},
     {"tenant_deadline_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        OpenTwoClasses(c);
-       c->sim.workload.tenant_classes[1].deadline_seconds = nan;
+       c->sim.workload.tenant_classes[1].deadline_seconds = bad;
      }},
     {"p99_slo_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        OpenTwoClasses(c);
        c->sim.admission.policy = AdmissionPolicy::kAdaptive;
-       c->sim.workload.tenant_classes[0].p99_slo_seconds = nan;
+       c->sim.workload.tenant_classes[0].p99_slo_seconds = bad;
      }},
     {"burst_interval_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.workload.model = QueuingModel::kOpen;
-       c->sim.workload.burst_interval_seconds = nan;
+       c->sim.workload.burst_interval_seconds = bad;
      }},
     {"burst_size",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.workload.model = QueuingModel::kOpen;
        c->sim.workload.burst_interval_seconds = 5'000;
-       c->sim.workload.burst_size = nan;
+       c->sim.workload.burst_size = bad;
      }},
     {"burst_spread_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.workload.model = QueuingModel::kOpen;
        c->sim.workload.burst_interval_seconds = 5'000;
        c->sim.workload.burst_size = 4;
-       c->sim.workload.burst_spread_seconds = nan;
+       c->sim.workload.burst_spread_seconds = bad;
      }},
     {"transient_read_error_prob",
-     [](ExperimentConfig* c, double nan) {
-       c->sim.faults.transient_read_error_prob = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->sim.faults.transient_read_error_prob = bad;
      }},
     {"permanent_media_error_prob",
-     [](ExperimentConfig* c, double nan) {
-       c->sim.faults.permanent_media_error_prob = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->sim.faults.permanent_media_error_prob = bad;
      }},
     {"whole_tape_fraction",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.faults.permanent_media_error_prob = 0.01;
-       c->sim.faults.whole_tape_fraction = nan;
+       c->sim.faults.whole_tape_fraction = bad;
      }},
     {"drive_mtbf_seconds",
-     [](ExperimentConfig* c, double nan) {
-       c->sim.faults.drive_mtbf_seconds = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->sim.faults.drive_mtbf_seconds = bad;
        c->sim.faults.drive_mttr_seconds = 600;
      }},
     {"drive_mttr_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.faults.drive_mtbf_seconds = 50'000;
-       c->sim.faults.drive_mttr_seconds = nan;
+       c->sim.faults.drive_mttr_seconds = bad;
      }},
     {"robot_fault_prob",
-     [](ExperimentConfig* c, double nan) {
-       c->sim.faults.robot_fault_prob = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->sim.faults.robot_fault_prob = bad;
      }},
     {"retry_backoff_base_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.faults.transient_read_error_prob = 0.05;
-       c->sim.faults.retry_backoff_base_seconds = nan;
+       c->sim.faults.retry_backoff_base_seconds = bad;
      }},
     {"retry_backoff_max_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.faults.transient_read_error_prob = 0.05;
        c->sim.faults.retry_backoff_base_seconds = 20;
-       c->sim.faults.retry_backoff_max_seconds = nan;
+       c->sim.faults.retry_backoff_max_seconds = bad;
      }},
     {"scrub_interval_seconds",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.faults.transient_read_error_prob = 0.05;
        c->sim.repair.enable_repair = true;
-       c->sim.repair.scrub_interval_seconds = nan;
+       c->sim.repair.scrub_interval_seconds = bad;
      }},
     {"repair_bandwidth_mb_per_s",
-     [](ExperimentConfig* c, double nan) {
+     [](ExperimentConfig* c, double bad) {
        c->sim.faults.permanent_media_error_prob = 0.01;
        c->sim.repair.enable_repair = true;
-       c->sim.repair.repair_bandwidth_mb_per_s = nan;
+       c->sim.repair.repair_bandwidth_mb_per_s = bad;
      }},
     {"timeline_interval_seconds",
-     [](ExperimentConfig* c, double nan) {
-       c->sim.timeline.interval_seconds = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->sim.timeline.interval_seconds = bad;
      }},
     {"layout_hot_fraction",
-     [](ExperimentConfig* c, double nan) { c->layout.hot_fraction = nan; }},
+     [](ExperimentConfig* c, double bad) { c->layout.hot_fraction = bad; }},
     {"layout_start_position",
-     [](ExperimentConfig* c, double nan) { c->layout.start_position = nan; }},
+     [](ExperimentConfig* c, double bad) { c->layout.start_position = bad; }},
     {"short_threshold_mb",
-     [](ExperimentConfig* c, double nan) {
-       c->jukebox.timing.short_threshold_mb = nan;
+     [](ExperimentConfig* c, double bad) {
+       c->jukebox.timing.short_threshold_mb = bad;
      }},
 };
 
-class NanConfig : public ::testing::TestWithParam<NanCase> {};
+class NanConfig
+    : public ::testing::TestWithParam<std::tuple<NanCase, double>> {};
 
 TEST_P(NanConfig, RunReturnsInvalidArgument) {
+  const auto& [poison, bad] = GetParam();
   ExperimentConfig config = QuickConfig();
-  GetParam().poison(&config, std::numeric_limits<double>::quiet_NaN());
+  poison.poison(&config, bad);
   EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
             StatusCode::kInvalidArgument);
 }
 
+// NaN cases are named after the field, +inf cases add "_inf".
 INSTANTIATE_TEST_SUITE_P(
-    EveryField, NanConfig, ::testing::ValuesIn(kNanCases),
-    [](const ::testing::TestParamInfo<NanCase>& info) {
-      return std::string(info.param.field);
+    EveryField, NanConfig,
+    ::testing::Combine(
+        ::testing::ValuesIn(kNanCases),
+        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity())),
+    [](const ::testing::TestParamInfo<std::tuple<NanCase, double>>& info) {
+      std::string name = std::get<0>(info.param).field;
+      if (!std::isnan(std::get<1>(info.param))) name += "_inf";
+      return name;
     });
 
 // A NaN SLO is refused as a bad SLO, not as a mix with no SLO at all.

@@ -43,6 +43,12 @@ TEST(FarmConfig, Validation) {
   // Closed farms need at least one process per box.
   FarmConfig sparse = BaseFarm(8, 4);
   EXPECT_FALSE(sparse.Validate().ok());
+  // Each box of an open farm waits n times the farm-wide gap, which must
+  // stay finite.
+  config.drives_per_jukebox = 1;
+  config.per_jukebox.sim.workload.model = QueuingModel::kOpen;
+  config.per_jukebox.sim.workload.mean_interarrival_seconds = 1e308;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 // A box cannot run more drives than it has tapes; the farm reports it as
