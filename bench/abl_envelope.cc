@@ -81,7 +81,8 @@ int Main(int argc, char** argv) {
     StatusOr<Catalog> catalog_or =
         LayoutBuilder::Build(&jukebox, group.base.layout);
     if (!catalog_or.ok()) return catalog_or.status();
-    const Catalog catalog = std::move(catalog_or).value();
+    // Mutable: the --fault-* flags mask replicas dead in the catalog.
+    Catalog catalog = std::move(catalog_or).value();
     SchedulerOptions sched_options;
     sched_options.envelope_shrink = variant.shrink;
     sched_options.paper_replica_tiebreak = variant.paper_tiebreak;

@@ -1,20 +1,36 @@
 #include "bench_common.h"
 
+#include <cstdlib>
 #include <sstream>
-
-#include "util/check.h"
 
 namespace tapejuke {
 namespace bench {
 
+namespace {
+
+/// Reports a refused flag value and sets exit code 2; returns false for
+/// Parse to return.
+template <typename Why>
+bool Refuse(const Why& why, int* exit_code) {
+  std::cerr << why << "\n";
+  *exit_code = 2;
+  return false;
+}
+
+/// A grid point's config was refused: report it the way a bad flag is
+/// reported, and exit 2.
+void ExitIfRefused(const Status& status) {
+  if (status.ok()) return;
+  std::cerr << status << "\n";
+  std::exit(2);
+}
+
+}  // namespace
+
 bool BenchOptions::Parse(int argc, char** argv, const std::string& summary,
                          int* exit_code, FlagSet* extra) {
   const StatusOr<double> default_seconds = DefaultSimSeconds();
-  if (!default_seconds.ok()) {
-    std::cerr << default_seconds.status() << "\n";
-    *exit_code = 2;
-    return false;
-  }
+  if (!default_seconds.ok()) return Refuse(default_seconds.status(), exit_code);
   sim_seconds = default_seconds.value();
   FlagSet local(summary);
   FlagSet& flags = extra != nullptr ? *extra : local;
@@ -57,40 +73,21 @@ bool BenchOptions::Parse(int argc, char** argv, const std::string& summary,
     *exit_code = 0;
     return false;
   }
-  if (!status.ok()) {
-    std::cerr << status << "\n";
-    *exit_code = 2;
-    return false;
-  }
+  if (!status.ok()) return Refuse(status, exit_code);
   if (NameIndex(kQueuingModelNames, queuing) < 0) {
-    std::cerr << "--queuing must be 'closed' or 'open'\n";
-    *exit_code = 2;
-    return false;
+    return Refuse("--queuing must be 'closed' or 'open'", exit_code);
   }
-  if (threads < 0) {
-    std::cerr << "--threads must be >= 0\n";
-    *exit_code = 2;
-    return false;
-  }
-  if (trace_sample < 1) {
-    std::cerr << "--trace-sample must be >= 1\n";
-    *exit_code = 2;
-    return false;
-  }
-  if (trace_point < 0) {
-    std::cerr << "--trace-point must be >= 0\n";
-    *exit_code = 2;
-    return false;
-  }
+  // The base seed is unsigned: a negative one would run as 2^64 - |seed|.
+  if (seed < 0) return Refuse("--seed must be >= 0", exit_code);
+  if (threads < 0) return Refuse("--threads must be >= 0", exit_code);
+  if (trace_sample < 1) return Refuse("--trace-sample must be >= 1", exit_code);
+  if (trace_point < 0) return Refuse("--trace-point must be >= 0", exit_code);
   if (timeline_interval < 0) {
-    std::cerr << "--timeline-interval must be >= 0\n";
-    *exit_code = 2;
-    return false;
+    return Refuse("--timeline-interval must be >= 0", exit_code);
   }
   if (!timeline_out.empty() && timeline_interval <= 0) {
-    std::cerr << "--timeline-out requires a positive --timeline-interval\n";
-    *exit_code = 2;
-    return false;
+    return Refuse("--timeline-out requires a positive --timeline-interval",
+                  exit_code);
   }
   *exit_code = 0;
   return true;
@@ -177,7 +174,7 @@ std::vector<ExperimentResult> BenchContext::RunGrid(
     points[target].sim.timeline = options_.Timeline();
   }
   StatusOr<std::vector<ExperimentResult>> results = runner.Run(points);
-  TJ_CHECK(results.ok()) << results.status().ToString();
+  ExitIfRefused(results.status());
   std::vector<RecordedPoint> recorded;
   recorded.reserve(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
@@ -203,7 +200,7 @@ std::vector<FarmResult> BenchContext::RunFarmGrid(
         .per_jukebox.sim.timeline = options_.Timeline();
   }
   StatusOr<std::vector<FarmResult>> results = runner.RunFarms(points);
-  TJ_CHECK(results.ok()) << results.status().ToString();
+  ExitIfRefused(results.status());
   std::vector<RecordedFarmPoint> recorded;
   recorded.reserve(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
@@ -225,7 +222,7 @@ void BenchContext::RunParallel(size_t n,
   const Status status = runner.RunIndexed(n, fn);
   parallel_trace_ = false;
   parallel_timeline_ = false;
-  TJ_CHECK(status.ok()) << status.ToString();
+  ExitIfRefused(status);
 }
 
 void BenchContext::AttachTrace(size_t index, SimulationConfig* sim) const {

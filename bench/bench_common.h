@@ -166,8 +166,9 @@ class BenchContext {
 
   /// Runs `grid` across the thread pool with per-point derived seeds and
   /// returns results in grid order. Every point (effective config + full
-  /// result) is recorded in the JSON document. TJ_CHECK-fails on error,
-  /// matching the old serial `.value()` behavior.
+  /// result) is recorded in the JSON document. A point whose config is
+  /// refused prints the Status and exits the process with code 2, like a
+  /// bad flag.
   ///
   /// With --trace-out/--decision-log set, the first grid whose size
   /// exceeds --trace-point runs that one point with the trace recorder
@@ -177,25 +178,26 @@ class BenchContext {
   /// Farm variant of RunGrid.
   std::vector<FarmResult> RunFarmGrid(const std::vector<FarmGridPoint>& grid);
 
-  /// Escape hatch for benches with bespoke simulators: runs fn(i) for each
-  /// i in [0, n) across the pool. `fn` must only touch per-index state;
+  /// For benches whose points report more than RunGrid records (scheduler
+  /// or jukebox counters, fill epochs): runs fn(i) for each i in [0, n)
+  /// across the pool. `fn` must only touch per-index state;
   /// use PointSeed(i) for any randomness so results stay thread-count
   /// invariant, and AttachTrace(i, ...) on each point's simulation config.
-  /// Points are traced like RunGrid's, in index order. TJ_CHECK-fails if
-  /// any point returns a non-OK status.
+  /// Points are traced like RunGrid's, in index order. Exits 2, printing
+  /// the Status, if any point returns a non-OK status.
   void RunParallel(size_t n, const std::function<Status(size_t)>& fn);
 
   /// Inside RunParallel's `fn`: attaches the requested trace and timeline
   /// to `sim` when point `index` is the one this grid traces.
   void AttachTrace(size_t index, SimulationConfig* sim) const;
 
-  /// The derived workload seed for bespoke point `index` — the same
+  /// The derived workload seed for RunParallel point `index` — the same
   /// derivation RunGrid applies.
   uint64_t PointSeed(size_t index) const {
     return DerivePointSeed(static_cast<uint64_t>(options_.seed), index);
   }
 
-  /// Records one bespoke-simulator result in the JSON document. Not
+  /// Records one RunParallel point's result in the JSON document. Not
   /// thread-safe: call after RunParallel returns, in point order.
   void RecordResult(const std::string& series, double load,
                     const SimulationResult& result);

@@ -6,19 +6,13 @@
 // series shows throughput and latency improving as the replica population
 // grows, without any dedicated write-only passes in a busy (closed) system.
 
+#include <utility>
+
 #include "bench_common.h"
-#include "sched/envelope_scheduler.h"
-#include "sim/lifecycle.h"
 
 namespace tapejuke {
 namespace bench {
 namespace {
-
-struct PointOutput {
-  std::vector<EpochStats> epochs;
-  int64_t replicas_written = 0;
-  int64_t fill_target = 0;
-};
 
 int Main(int argc, char** argv) {
   BenchOptions options;
@@ -33,39 +27,35 @@ int Main(int argc, char** argv) {
   std::cout << "Lifecycle extension | PH-10 RH-40 | vertical spare-capacity "
                "start | max-bandwidth envelope | queue 60\n";
 
+  // Spare capacity at every tape's end: the layout holds as many logical
+  // blocks as full replication at the tape ends would.
+  LayoutSpec replicated;
+  replicated.layout = HotLayout::kVertical;
+  replicated.num_replicas = 9;
+  replicated.start_position = 1.0;
+  base.layout = LayoutSpec{};
+  base.layout.layout = HotLayout::kVertical;
+  base.layout.logical_blocks_override =
+      LayoutBuilder::MaxLogicalBlocks(Jukebox(base.jukebox), replicated);
+  base.algorithm = AlgorithmSpec::Parse("envelope-max-bandwidth").value();
+  base.sim.warmup_seconds = 0;  // epochs cover the whole run
+  base.sim.workload.queue_length = 60;
+
   // Point 0: baseline (spare capacity left empty). Point 1: gradual fill.
-  std::vector<PointOutput> outputs(2);
+  std::vector<LifecycleStats> outputs(2);
   ctx.RunParallel(outputs.size(), [&](size_t i) -> Status {
     const bool fill = i == 1;
-    Jukebox jukebox(base.jukebox);
-    LayoutSpec replicated;
-    replicated.layout = HotLayout::kVertical;
-    replicated.num_replicas = 9;
-    replicated.start_position = 1.0;
-    LayoutSpec spare;
-    spare.layout = HotLayout::kVertical;
-    spare.logical_blocks_override =
-        LayoutBuilder::MaxLogicalBlocks(jukebox, replicated);
-    StatusOr<Catalog> catalog_or = LayoutBuilder::Build(&jukebox, spare);
-    if (!catalog_or.ok()) return catalog_or.status();
-    Catalog catalog = std::move(catalog_or).value();
-    EnvelopeScheduler scheduler(&jukebox, &catalog,
-                                TapePolicy::kMaxBandwidth);
-    SimulationConfig sim_config = base.sim;
-    sim_config.warmup_seconds = 0;  // epochs cover the whole run
-    sim_config.workload.queue_length = 60;
-    sim_config.workload.seed = ctx.PointSeed(i);
+    ExperimentConfig config = base;
+    config.sim.workload.seed = ctx.PointSeed(i);
     // Point indices follow RunParallel order.
-    ctx.AttachTrace(i, &sim_config);
-    LifecycleConfig lifecycle;
+    ctx.AttachTrace(i, &config.sim);
+    LifecycleConfig& lifecycle = config.sim.lifecycle.emplace();
     lifecycle.fill_budget_seconds = fill ? 240.0 : 0.0;
     lifecycle.fill_on_idle = fill;
     lifecycle.num_epochs = 10;
-    LifecycleSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                           lifecycle);
-    outputs[i].epochs = sim.Run();
-    outputs[i].replicas_written = sim.replicas_written();
-    outputs[i].fill_target = sim.fill_target();
+    StatusOr<ExperimentResult> result = ExperimentRunner::Run(config);
+    if (!result.ok()) return result.status();
+    outputs[i] = std::move(result).value().sim.lifecycle;
     return Status::Ok();
   });
 

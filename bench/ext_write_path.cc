@@ -3,8 +3,9 @@
 // Read performance as write traffic grows, with and without the paper's
 // mitigation (piggybacked + idle flushing vs forced flushing only).
 
+#include <utility>
+
 #include "bench_common.h"
-#include "sim/write_path.h"
 
 namespace tapejuke {
 namespace bench {
@@ -19,11 +20,6 @@ struct Policy {
 struct PointSpec {
   double gap;
   Policy policy;
-};
-
-struct PointOutput {
-  SimulationResult result;
-  WritePathStats stats;
 };
 
 int Main(int argc, char** argv) {
@@ -56,30 +52,22 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<PointOutput> outputs(specs.size());
+  std::vector<SimulationResult> outputs(specs.size());
   ctx.RunParallel(specs.size(), [&](size_t i) -> Status {
     const PointSpec& spec = specs[i];
-    Jukebox jukebox(base.jukebox);
-    StatusOr<Catalog> catalog_or =
-        LayoutBuilder::Build(&jukebox, base.layout);
-    if (!catalog_or.ok()) return catalog_or.status();
-    const Catalog catalog = std::move(catalog_or).value();
-    GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
-                              /*dynamic=*/true);
-    SimulationConfig sim_config = base.sim;
-    sim_config.workload.queue_length = 60;
-    sim_config.workload.seed = ctx.PointSeed(i);
+    ExperimentConfig config = base;
+    config.sim.workload.queue_length = 60;
+    config.sim.workload.seed = ctx.PointSeed(i);
     // Point indices follow RunParallel order.
-    ctx.AttachTrace(i, &sim_config);
-    WritePathConfig writes;
+    ctx.AttachTrace(i, &config.sim);
+    WritePathConfig& writes = config.sim.writes.emplace();
     writes.mean_write_interarrival_seconds = spec.gap;
     writes.piggyback = spec.policy.piggyback;
     writes.idle_flush = spec.policy.piggyback;
     writes.piggyback_min_blocks = spec.policy.min_blocks;
-    WritebackSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                           writes);
-    outputs[i].result = sim.Run();
-    outputs[i].stats = sim.stats();
+    StatusOr<ExperimentResult> result = ExperimentRunner::Run(config);
+    if (!result.ok()) return result.status();
+    outputs[i] = std::move(result).value().sim;
     return Status::Ok();
   });
 
@@ -87,17 +75,18 @@ int Main(int argc, char** argv) {
                "flushed", "piggyback", "forced", "max_buffer"});
   for (size_t i = 0; i < specs.size(); ++i) {
     const PointSpec& spec = specs[i];
-    const PointOutput& out = outputs[i];
+    const SimulationResult& out = outputs[i];
     const std::string label =
         spec.gap == 0.0 ? "reads only" : spec.policy.label;
     table.AddRow({static_cast<int64_t>(spec.gap), label,
-                  out.result.requests_per_minute,
-                  out.result.mean_delay_minutes, out.stats.blocks_flushed,
-                  out.stats.piggyback_flushes, out.stats.forced_flushes,
-                  out.stats.max_buffer_occupancy});
+                  out.requests_per_minute, out.mean_delay_minutes,
+                  out.write_path.blocks_flushed,
+                  out.write_path.piggyback_flushes,
+                  out.write_path.forced_flushes,
+                  out.write_path.max_buffer_occupancy});
     ctx.RecordResult("gap-" + std::to_string(static_cast<int>(spec.gap)) +
                          "/" + label,
-                     60.0, out.result);
+                     60.0, out);
   }
   ctx.Emit("read performance under write traffic", &table);
   std::cout << "\nBatch size dominates the flush economics in a saturated "

@@ -11,7 +11,6 @@
 //   run_experiment --replay-trace /tmp/t.csv --algorithm dynamic-max-requests
 
 #include <iostream>
-#include <optional>
 #include <vector>
 
 #include "core/tapejuke.h"
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
   // the rest derive fields after parsing.
   ExperimentConfig config;
   config.sim.workload.mean_interarrival_seconds = 90;  // --interarrival default
-  int64_t drives = 1;
   bool fast_drive = false;
   double zipf_theta = 0.0;
   const StatusOr<double> default_seconds = tapejuke::DefaultSimSeconds();
@@ -75,8 +73,6 @@ int main(int argc, char** argv) {
   BindFlags(&flags, config.jukebox.Fields());
   BindFlags(&flags, config.layout.Fields());
   BindFlags(&flags, config.sim.workload.Fields());
-  flags.AddInt64("drives", &drives,
-                 "drives in the cabinet (>1 shares the tapes and robot arm)");
   flags.AddBool("fast-drive", &fast_drive,
                 "use the hypothetical 4x-faster drive constants");
   flags.AddDouble("zipf", &zipf_theta,
@@ -115,8 +111,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.algorithm = *spec;
-  Status valid = config.Validate();
-  if (valid.ok()) valid = ValidateDrives(config, drives);
+  const Status valid = config.Validate();
   if (!valid.ok()) {
     std::cerr << valid << "\n";
     return 2;
@@ -144,47 +139,31 @@ int main(int argc, char** argv) {
   }
 
   // One path for every drive count, with or without a replayed trace.
-  Jukebox jukebox(config.jukebox);
-  jukebox.SetNumDrives(static_cast<int32_t>(drives));
-  StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, config.layout);
-  if (!catalog.ok()) {
-    std::cerr << catalog.status() << "\n";
-    return 1;
-  }
-  std::vector<Request> replay;
+  std::vector<TraceRecord> trace;
   std::string label;
   if (!replay_trace.empty()) {
-    const StatusOr<std::vector<TraceRecord>> trace =
-        LoadTrace(replay_trace);
-    if (!trace.ok()) {
-      std::cerr << trace.status() << "\n";
+    StatusOr<std::vector<TraceRecord>> loaded = LoadTrace(replay_trace);
+    if (!loaded.ok()) {
+      std::cerr << loaded.status() << "\n";
       return 1;
     }
-    StatusOr<std::vector<Request>> requests =
-        TraceToRequests(*catalog, *trace);
-    if (!requests.ok()) {
-      std::cerr << requests.status() << "\n";
-      return 1;
-    }
-    replay = std::move(*requests);
-    label = " (trace replay, " + std::to_string(trace->size()) + " arrivals)";
+    trace = std::move(loaded).value();
+    label = " (trace replay, " + std::to_string(trace.size()) + " arrivals)";
   }
-  const auto scheduler =
-      CreateScheduler(config.algorithm, &jukebox, &catalog.value());
-  std::optional<Simulator> sim;
-  if (replay_trace.empty()) {
-    sim.emplace(&jukebox, &catalog.value(), scheduler.get(), config.sim);
-  } else {
-    sim.emplace(&jukebox, &catalog.value(), scheduler.get(), config.sim,
-                std::move(replay));
+  const StatusOr<ExperimentResult> result =
+      ExperimentRunner::Run(config, replay_trace.empty() ? nullptr : &trace);
+  if (!result.ok()) {
+    std::cerr << result.status() << "\n";
+    return 1;
   }
-  const SimulationResult result = sim->Run();
+  const int32_t drives = config.jukebox.num_drives;
   if (drives > 1) label = " on " + std::to_string(drives) + " drives" + label;
-  PrintResult(scheduler->name() + label,
-              LayoutBuilder::ComputeStats(jukebox, catalog.value()), result);
+  PrintResult(result->algorithm_name + label, result->layout, result->sim);
   if (drives > 1) {
-    std::cout << "robot wait (s): " << jukebox.counters().robot_wait_seconds
-              << ", claim conflicts: " << sim->claim_conflicts() << "\n";
+    std::cout << "robot wait (s): "
+              << result->jukebox_counters.robot_wait_seconds
+              << ", claim conflicts: " << result->sim.claim_conflicts
+              << "\n";
   }
   return 0;
 }

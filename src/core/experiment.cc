@@ -1,7 +1,9 @@
 #include "core/experiment.h"
 
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "sched/envelope_scheduler.h"
 #include "sched/fifo_scheduler.h"
@@ -121,32 +123,29 @@ Status ExperimentConfig::Validate() const {
   return layout.Validate(jukebox.num_tapes);
 }
 
-Status ValidateDrives(const ExperimentConfig& config, int64_t num_drives) {
-  if (num_drives < 1) {
-    return Status::InvalidArgument("need at least one drive");
-  }
-  if (num_drives > config.jukebox.num_tapes) {
-    return Status::InvalidArgument(
-        "more drives than tapes: " + std::to_string(num_drives) +
-        " drives for " + std::to_string(config.jukebox.num_tapes) + " tapes");
-  }
-  return Status::Ok();
-}
-
 StatusOr<ExperimentResult> ExperimentRunner::Run(
-    const ExperimentConfig& config) {
+    const ExperimentConfig& config, const std::vector<TraceRecord>* trace) {
   TJ_RETURN_IF_ERROR(config.Validate());
   Jukebox jukebox(config.jukebox);
   StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, config.layout);
   if (!catalog.ok()) return catalog.status();
   const std::unique_ptr<Scheduler> scheduler =
       CreateScheduler(config.algorithm, &jukebox, &catalog.value());
-  Simulator simulator(&jukebox, &catalog.value(), scheduler.get(),
-                      config.sim);
+  std::optional<Simulator> simulator;
+  if (trace == nullptr) {
+    simulator.emplace(&jukebox, &catalog.value(), scheduler.get(), config.sim);
+  } else {
+    StatusOr<std::vector<Request>> arrivals =
+        TraceToRequests(*catalog, *trace);
+    if (!arrivals.ok()) return arrivals.status();
+    simulator.emplace(&jukebox, &catalog.value(), scheduler.get(),
+                      config.sim, std::move(arrivals).value());
+  }
   ExperimentResult result;
-  result.sim = simulator.Run();
+  result.sim = simulator->Run();
   result.layout = LayoutBuilder::ComputeStats(jukebox, catalog.value());
   result.algorithm_name = scheduler->name();
+  result.jukebox_counters = jukebox.counters();
   return result;
 }
 

@@ -20,6 +20,7 @@
 #include "sched/scheduler.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 #include "tape/jukebox.h"
 #include "util/status.h"
 
@@ -68,22 +69,26 @@ struct ExperimentConfig {
   Status Validate() const;
 };
 
-/// InvalidArgument unless `config` can run on `num_drives` drives sharing
-/// its jukebox: at least one drive and no more drives than tapes. Every
-/// algorithm and subsystem runs at any valid drive count.
-Status ValidateDrives(const ExperimentConfig& config, int64_t num_drives);
-
 /// Run output: simulation metrics plus the layout actually built.
 struct ExperimentResult {
   SimulationResult sim;
   LayoutStats layout;
   std::string algorithm_name;
+  /// The jukebox's counters over the whole run, warm-up included
+  /// (sim.counters covers the measurement window only).
+  JukeboxCounters jukebox_counters;
 };
 
-/// Builds the jukebox and layout, runs the simulation, returns the result.
+/// Builds the jukebox (with its drives) and layout, runs the simulation,
+/// returns the result. Runs every single-box scenario: any drive count,
+/// faults and repair, the write path, the replica fill.
 class ExperimentRunner {
  public:
-  static StatusOr<ExperimentResult> Run(const ExperimentConfig& config);
+  /// With a non-null `trace`, arrivals are replayed from it instead of
+  /// generated (open queuing; see Simulator's trace-replay constructor).
+  static StatusOr<ExperimentResult> Run(
+      const ExperimentConfig& config,
+      const std::vector<TraceRecord>* trace = nullptr);
 };
 
 /// Default simulated seconds per run for benches: the value of the

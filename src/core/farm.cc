@@ -36,7 +36,8 @@ std::string BoxTimelinePath(const std::string& base, int32_t box) {
 std::vector<Field> FarmConfig::Fields() {
   return {
       {"num_jukeboxes", &num_jukeboxes, AtLeast(1)},
-      {"drives_per_jukebox", &drives_per_jukebox},  // see ValidateDrives
+      // Written under its old key; per_jukebox.Validate checks it.
+      {"drives_per_jukebox", &per_jukebox.jukebox.num_drives},
       // An execution knob: results are bit-identical at any value, so it
       // is not written and results files match across thread counts.
       {"threads", &threads, {}, {}, false},
@@ -58,7 +59,16 @@ Status FarmConfig::Validate() const {
         "open farm needs a finite per-box interarrival time "
         "(mean_interarrival_seconds x num_jukeboxes)");
   }
-  TJ_RETURN_IF_ERROR(ValidateDrives(per_jukebox, drives_per_jukebox));
+  if (drives_per_jukebox.has_value() &&
+      *drives_per_jukebox != per_jukebox.jukebox.num_drives) {
+    return Status::InvalidArgument(
+        "drives_per_jukebox must equal per_jukebox.jukebox.num_drives");
+  }
+  if (per_jukebox.sim.writes.has_value() ||
+      per_jukebox.sim.lifecycle.has_value()) {
+    return Status::InvalidArgument(
+        "a farm box runs without the write path or the replica fill");
+  }
   return per_jukebox.Validate();
 }
 
@@ -124,7 +134,6 @@ ExperimentConfig FarmSimulator::BoxConfig(int32_t index) const {
 FarmSimulator::BoxOutput FarmSimulator::RunBox(int32_t index) const {
   const ExperimentConfig cfg = BoxConfig(index);
   Jukebox jukebox(cfg.jukebox);
-  jukebox.SetNumDrives(config_.drives_per_jukebox);
   StatusOr<Catalog> catalog = LayoutBuilder::Build(&jukebox, cfg.layout);
   TJ_CHECK(catalog.ok()) << catalog.status().ToString();
   const std::unique_ptr<Scheduler> scheduler =
@@ -179,14 +188,16 @@ FarmResult FarmSimulator::Run() {
   FarmResult result;
   result.aggregate = aggregate.Finalize(farm_end, total);
 
-  // Fault and repair counters live in the per-box SimulationResults (the
-  // collectors only see arrivals/completions); fold them in by hand.
+  // Claim-conflict, fault and repair counters live in the per-box
+  // SimulationResults (the collectors only see arrivals/completions); fold
+  // them in by hand.
   bool any_faults = false;
   bool any_repair = false;
   double live_fraction_sum = 0;
   for (const auto& out : outputs) {
     const SimulationResult& r = out->result;
     live_fraction_sum += r.live_replica_fraction;
+    result.aggregate.claim_conflicts += r.claim_conflicts;
     if (r.fault_injection) {
       any_faults = true;
       result.aggregate.faults += r.faults;

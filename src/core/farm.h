@@ -28,6 +28,7 @@
 #define TAPEJUKE_CORE_FARM_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/experiment.h"
@@ -43,9 +44,10 @@ namespace tapejuke {
 /// population; open mean_interarrival_seconds is the farm-wide rate.
 struct FarmConfig {
   int32_t num_jukeboxes = 2;
-  /// Drives per box (1 is the paper's jukebox). Every algorithm, fault
-  /// injection and scrub/repair run at any drive count.
-  int32_t drives_per_jukebox = 1;
+  /// Not a setting: the drives per box are per_jukebox.jukebox.num_drives.
+  /// Kept only because perfbench/ assigns it; Validate refuses a value
+  /// that differs from the per-box count.
+  std::optional<int32_t> drives_per_jukebox;
   /// Worker threads sharding the boxes; <= 0 selects hardware concurrency.
   /// Purely an execution knob: results are bit-identical at any value.
   int32_t threads = 0;
@@ -56,8 +58,9 @@ struct FarmConfig {
   std::vector<Field> Fields();
 
   /// Checks every row, a closed population of at least one process per
-  /// box or a finite per-box open interarrival time, the drive count and
-  /// the per-box config.
+  /// box or a finite per-box open interarrival time, no write path or
+  /// replica fill per box (the farm merge has no place for their
+  /// statistics) and the per-box config.
   Status Validate() const;
 };
 

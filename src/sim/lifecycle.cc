@@ -168,7 +168,7 @@ void ReplicaFiller::OnClientCompletion(const Request& request, double now) {
   delay_sum_[e] += now - request.arrival_time;
 }
 
-std::vector<EpochStats> ReplicaFiller::Epochs(double end) {
+LifecycleStats ReplicaFiller::Finalize(double end) {
   NoteFill(end);
   for (size_t e = 0; e < epochs_.size(); ++e) {
     EpochStats& stats = epochs_[e];
@@ -177,16 +177,7 @@ std::vector<EpochStats> ReplicaFiller::Epochs(double end) {
     stats.mean_delay_minutes =
         completed > 0 ? delay_sum_[e] / completed / 60.0 : 0.0;
   }
-  return epochs_;
+  return {epochs_, replicas_written_, fill_target_};
 }
-
-LifecycleSimulator::LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
-                                       Scheduler* scheduler,
-                                       const SimulationConfig& sim,
-                                       const LifecycleConfig& lifecycle)
-    : filler_(jukebox, catalog, lifecycle, sim.duration_seconds),
-      // The const-catalog Simulator: fault injection stays rejected.
-      sim_(jukebox, static_cast<const Catalog*>(catalog), scheduler, sim,
-           &filler_) {}
 
 }  // namespace tapejuke

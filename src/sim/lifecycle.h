@@ -4,12 +4,12 @@
 // on a dedicated tape, leave the other tapes partly empty, and append
 // replicas of hot data to the tape *ends* when convenient — piggybacked on
 // read schedules that already have the tape loaded — so performance
-// improves without dedicated write passes. This simulator implements that
-// lifecycle: it starts from a spare-capacity layout with no replicas and
-// opportunistically writes replicas into the free space at sweep ends (the
+// improves without dedicated write passes. SimulationConfig::lifecycle
+// turns that lifecycle on: a run starts from a spare-capacity layout with
+// no replicas and writes replicas into the free space at sweep ends (the
 // drive is already positioned on the tape) and during idle periods,
-// reporting performance per epoch so the "free" improvement is visible as
-// the replica population grows. The fill target is derived, not configured:
+// reporting performance per epoch so the "free" improvement shows as the
+// replica population grows. The fill target is derived, not configured:
 // every hot block gets one copy on every tape (Jukebox::num_tapes copies).
 
 #ifndef TAPEJUKE_SIM_LIFECYCLE_H_
@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "layout/catalog.h"
-#include "sched/scheduler.h"
 #include "sim/background.h"
-#include "sim/simulator.h"
 #include "tape/jukebox.h"
 #include "util/fields.h"
 #include "util/status.h"
@@ -53,6 +51,16 @@ struct EpochStats {
   double mean_delay_minutes = 0;
   /// Fraction of the replica-fill target reached by the end of the epoch.
   double fill_fraction = 0;
+
+  friend bool operator==(const EpochStats&, const EpochStats&) = default;
+};
+
+/// What a gradual-fill run reports (SimulationResult::lifecycle).
+struct LifecycleStats {
+  std::vector<EpochStats> epochs;
+  int64_t replicas_written = 0;
+  /// Total replicas the fill target implies.
+  int64_t fill_target = 0;
 };
 
 /// The gradual-fill background producer: writes replicas of hot blocks into
@@ -77,11 +85,11 @@ class ReplicaFiller : public BackgroundWork {
 
   void OnClientCompletion(const Request& request, double now) override;
 
-  /// Per-epoch performance of a run that ended at `end`.
-  std::vector<EpochStats> Epochs(double end);
+  /// Per-epoch performance and the fill reached by a run that ended at
+  /// `end`.
+  LifecycleStats Finalize(double end);
 
   int64_t replicas_written() const { return replicas_written_; }
-  int64_t fill_target() const { return fill_target_; }
 
  private:
   /// Writes replicas of hot blocks onto the mounted tape, starting at
@@ -119,33 +127,6 @@ class ReplicaFiller : public BackgroundWork {
   /// Per-epoch results; the rates are filled in by Epochs().
   std::vector<EpochStats> epochs_;
   std::vector<double> delay_sum_;
-};
-
-/// Jukebox simulator that grows hot-data replicas while serving
-/// reads: a Simulator driving a ReplicaFiller.
-class LifecycleSimulator {
- public:
-  /// `catalog` is mutated as replicas are written. The jukebox layout must
-  /// have spare slots for them (e.g. LayoutSpec with pack_cold or a
-  /// logical_blocks_override below the maximum).
-  LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& sim,
-                     const LifecycleConfig& lifecycle);
-
-  /// Runs to completion; call once. Returns per-epoch performance.
-  std::vector<EpochStats> Run() {
-    return filler_.Epochs(sim_.Run().simulated_seconds);
-  }
-
-  /// Replicas written so far.
-  int64_t replicas_written() const { return filler_.replicas_written(); }
-
-  /// Total replicas the fill target implies.
-  int64_t fill_target() const { return filler_.fill_target(); }
-
- private:
-  ReplicaFiller filler_;
-  Simulator sim_;
 };
 
 }  // namespace tapejuke

@@ -14,7 +14,9 @@
 #include "obs/time_in_state.h"
 #include "obs/timeline.h"
 #include "sim/fault_model.h"
+#include "sim/lifecycle.h"
 #include "sim/repair.h"
+#include "sim/write_path.h"
 #include "tape/jukebox.h"
 #include "util/stats.h"
 
@@ -109,6 +111,14 @@ struct SimulationResult {
   int64_t expired_requests = 0;  ///< whole-run, not warm-up trimmed
   int64_t shed_requests = 0;     ///< whole-run, not warm-up trimmed
   std::vector<TenantClassResult> tenant_classes;
+
+  // Not written to results JSON:
+  /// Major reschedules that found work only on tapes other drives held
+  /// (the drive waited despite queued work); always 0 with one drive.
+  int64_t claim_conflicts = 0;
+  /// Empty unless the run set SimulationConfig::writes / ::lifecycle.
+  WritePathStats write_path;
+  LifecycleStats lifecycle;
 };
 
 /// Accumulates completions and outstanding-population area during a run.

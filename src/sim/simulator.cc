@@ -36,6 +36,16 @@ Status SimulationConfig::Validate() const {
     return Status::InvalidArgument(
         "scrub/repair requires fault injection (config.faults)");
   }
+  if (repair.enabled() + writes.has_value() + lifecycle.has_value() > 1) {
+    return Status::InvalidArgument(
+        "a run takes one background producer: repair, writes or lifecycle");
+  }
+  if ((writes.has_value() || lifecycle.has_value()) && faults.enabled()) {
+    return Status::InvalidArgument(
+        "the write path and the replica fill run without fault injection");
+  }
+  if (writes.has_value()) TJ_RETURN_IF_ERROR(writes->Validate());
+  if (lifecycle.has_value()) TJ_RETURN_IF_ERROR(lifecycle->Validate());
   // The workload first, so a bad tenant class is named as such rather
   // than as a missing SLO.
   const Status workload_status = workload.Validate();
@@ -44,20 +54,17 @@ Status SimulationConfig::Validate() const {
 }
 
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& config,
-                     BackgroundWork* background)
+                     Scheduler* scheduler, const SimulationConfig& config)
     : Simulator(jukebox, catalog, /*mutable_catalog=*/nullptr, scheduler,
-                config, background) {}
+                config) {}
 
 Simulator::Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
                      const SimulationConfig& config)
-    : Simulator(jukebox, catalog, catalog, scheduler, config,
-                /*background=*/nullptr) {}
+    : Simulator(jukebox, catalog, catalog, scheduler, config) {}
 
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
                      Catalog* mutable_catalog, Scheduler* scheduler,
-                     const SimulationConfig& config,
-                     BackgroundWork* background)
+                     const SimulationConfig& config)
     : jukebox_(jukebox),
       catalog_(catalog),
       mutable_catalog_(mutable_catalog),
@@ -66,16 +73,16 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
       workload_(catalog, config.workload),
       metrics_(config.warmup_seconds, jukebox->config().block_size_mb),
       accounting_(jukebox->num_drives(), config.warmup_seconds),
-      background_(background),
       drives_(static_cast<size_t>(jukebox->num_drives())) {
   TJ_CHECK(jukebox != nullptr);
   TJ_CHECK(catalog != nullptr);
   TJ_CHECK(scheduler != nullptr);
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(mutable_catalog_ != nullptr || !config.faults.enabled())
-      << "fault injection requires the mutable-catalog Simulator "
-         "constructor (permanent media errors mask catalog replicas)";
+  TJ_CHECK(mutable_catalog_ != nullptr ||
+           (!config.faults.enabled() && !config.lifecycle.has_value()))
+      << "fault injection and the replica fill require the mutable-catalog "
+         "Simulator constructor (they change the catalog's replicas)";
   if (config_.obs.enabled()) {
     recorder_.emplace(config_.obs);
     recorder_->SetTopology("jukebox", jukebox_->num_drives());
@@ -98,6 +105,16 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
       background_ = &*repair_;
     }
   }
+  if (config_.writes.has_value()) {
+    writes_.emplace(jukebox_, catalog_, *config_.writes, config_.workload,
+                    config_.duration_seconds);
+    background_ = &*writes_;
+  }
+  if (config_.lifecycle.has_value()) {
+    filler_.emplace(jukebox_, mutable_catalog_, *config_.lifecycle,
+                    config_.duration_seconds);
+    background_ = &*filler_;
+  }
   if (config_.workload.HasTenantClasses()) {
     metrics_.ConfigureClasses(
         static_cast<int>(config_.workload.tenant_classes.size()));
@@ -111,8 +128,8 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
   SetupTimeline();
 }
 
-Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& config,
+Simulator::Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
+                     const SimulationConfig& config,
                      std::vector<Request> trace)
     : Simulator(jukebox, catalog, scheduler, config) {
   trace_mode_ = true;
@@ -677,6 +694,11 @@ SimulationResult Simulator::Run() {
   if (repair_.has_value()) {
     result.repair_enabled = true;
     result.repair = repair_->Finalize();
+  }
+  result.claim_conflicts = claim_conflicts_;
+  if (writes_.has_value()) result.write_path = writes_->stats();
+  if (filler_.has_value()) {
+    result.lifecycle = filler_->Finalize(result.simulated_seconds);
   }
   if (timeline_.has_value()) {
     // After accounting_.FinishAt so the final row's time-in-state deltas

@@ -12,10 +12,11 @@
 //   4. When nothing is pending, wait for an arrival (open model).
 //
 // One BackgroundWork producer (scrub/repair, write-path flushes, or the
-// §4.8 replica fill) may add work right before step 1 and on the idle
-// drive in step 4; its seconds are charged to the `background` state.
+// §4.8 replica fill, engaged from SimulationConfig::repair, ::writes or
+// ::lifecycle) may add work right before step 1 and on the idle drive in
+// step 4; its seconds are charged to the `background` state.
 //
-// With D drives (Jukebox::SetNumDrives; the paper's future work) the
+// With D drives (JukeboxConfig::num_drives; the paper's future work) the
 // drives share the scheduler, the tapes and the robot arm. The drive whose
 // next action is earliest acts first, ties to the lowest index; client
 // events up to that time are delivered before it acts. A drive that finds
@@ -43,9 +44,11 @@
 #include "sim/background.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
+#include "sim/lifecycle.h"
 #include "sim/metrics.h"
 #include "sim/repair.h"
 #include "sim/workload.h"
+#include "sim/write_path.h"
 #include "tape/jukebox.h"
 #include "util/fields.h"
 #include "util/status.h"
@@ -67,6 +70,11 @@ struct SimulationConfig {
   /// Background scrub and repair (disabled by default). Requires fault
   /// injection — without faults there is nothing to scrub for or repair.
   RepairConfig repair;
+  /// The delta write path (paper §4) and the §4.8 gradual replica fill,
+  /// which needs a layout with spare slots. Off when unset; neither is
+  /// written to results JSON.
+  std::optional<WritePathConfig> writes;
+  std::optional<LifecycleConfig> lifecycle;
   /// Admission control / load shedding (disabled by default: every arrival
   /// is admitted and output is byte-identical to a build without the
   /// overload subsystem). Open model only.
@@ -89,7 +97,9 @@ struct SimulationConfig {
 
   /// Checks every row and each part's own Validate, then the rules that
   /// join fields: warm-up shorter than the run, a timeline file with a
-  /// positive interval, repair only with faults.
+  /// positive interval, repair only with faults, at most one background
+  /// producer (repair, writes, lifecycle), and writes or lifecycle only
+  /// without faults.
   Status Validate() const;
 };
 
@@ -99,26 +109,25 @@ class Simulator {
   /// All pointers must outlive the simulator. The jukebox must already hold
   /// the layout the catalog describes, and the drive count the scheduler
   /// was built for. This overload cannot mutate the catalog, so
-  /// `config.faults` must be disabled (TJ_CHECK). A non-null `background`
-  /// is the run's background-work producer (the write path's flushes, the
-  /// §4.8 replica fill).
+  /// `config.faults` must be disabled and `config.lifecycle` unset
+  /// (TJ_CHECK).
   Simulator(Jukebox* jukebox, const Catalog* catalog, Scheduler* scheduler,
-            const SimulationConfig& config,
-            BackgroundWork* background = nullptr);
-  // repair_ and background_ point into the simulator itself.
+            const SimulationConfig& config);
+  // background_ points into the simulator itself.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Mutable-catalog overload: required when `config.faults` is enabled
-  /// (permanent media errors mask replicas dead in the catalog).
+  /// (permanent media errors mask replicas dead in the catalog) or
+  /// `config.lifecycle` is set (the fill adds replicas to it).
   Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
             const SimulationConfig& config);
 
-  /// Trace-replay constructor: arrivals come verbatim from `trace`
-  /// (ascending arrival times; request ids are reassigned sequentially)
-  /// instead of the configured arrival process. The workload model is
-  /// treated as open queuing.
-  Simulator(Jukebox* jukebox, const Catalog* catalog, Scheduler* scheduler,
+  /// Trace-replay constructor (mutable catalog): arrivals come verbatim
+  /// from `trace` (ascending arrival times; request ids are reassigned
+  /// sequentially) instead of the configured arrival process. The workload
+  /// model is treated as open queuing.
+  Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
             const SimulationConfig& config, std::vector<Request> trace);
 
   /// Runs the simulation to completion and returns steady-state metrics.
@@ -135,11 +144,6 @@ class Simulator {
   const obs::TimelineSampler* timeline() const {
     return timeline_.has_value() ? &*timeline_ : nullptr;
   }
-
-  /// Major reschedules that found work only on tapes loaded in other
-  /// drives (the drive waited despite queued work). Always 0 with one
-  /// drive. Valid after Run.
-  int64_t claim_conflicts() const { return claim_conflicts_; }
 
  private:
   /// Where a drive's cycle resumes when it next acts: the top (step 1, 3
@@ -172,7 +176,7 @@ class Simulator {
   /// or null.
   Simulator(Jukebox* jukebox, const Catalog* catalog,
             Catalog* mutable_catalog, Scheduler* scheduler,
-            const SimulationConfig& config, BackgroundWork* background);
+            const SimulationConfig& config);
 
   /// Delivers every open-model or trace arrival with timestamp <= `until`
   /// to the incremental scheduler, interleaved in time order with deadline-expiry
@@ -290,8 +294,10 @@ class Simulator {
   std::optional<FaultModel> faults_;
   /// Engaged iff config_.repair.enabled() (which implies faults_).
   std::optional<RepairManager> repair_;
-  /// The run's one background producer: &*repair_, the constructor's
-  /// `background`, or null.
+  /// Engaged iff config_.writes / config_.lifecycle is set.
+  std::optional<WriteBuffer> writes_;
+  std::optional<ReplicaFiller> filler_;
+  /// The one background producer (repair_, writes_ or filler_) or null.
   BackgroundWork* background_ = nullptr;
   bool drive_faults_ = false;
   std::vector<DriveState> drives_;

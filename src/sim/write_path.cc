@@ -24,13 +24,13 @@ Status WritePathConfig::Validate() const {
 
 WriteBuffer::WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
                          const WritePathConfig& config,
-                         const SimulationConfig& sim)
+                         const WorkloadConfig& reads, double run_seconds)
     : jukebox_(jukebox),
       catalog_(catalog),
       config_(config),
-      hot_fraction_(sim.workload.hot_request_fraction),
-      run_seconds_(sim.duration_seconds),
-      rng_(sim.workload.seed ^ 0x9e3779b97f4a7c15ULL) {
+      hot_fraction_(reads.hot_request_fraction),
+      run_seconds_(run_seconds),
+      rng_(reads.seed ^ 0x9e3779b97f4a7c15ULL) {
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
   next_write_ = config.mean_write_interarrival_seconds > 0
@@ -151,13 +151,5 @@ void WriteBuffer::OnClientCompletion(const Request& request, double now) {
   (void)request;
   StageUpTo(now);
 }
-
-WritebackSimulator::WritebackSimulator(Jukebox* jukebox,
-                                       const Catalog* catalog,
-                                       Scheduler* scheduler,
-                                       const SimulationConfig& sim,
-                                       const WritePathConfig& writes)
-    : buffer_(jukebox, catalog, writes, sim),
-      sim_(jukebox, catalog, scheduler, sim, &buffer_) {}
 
 }  // namespace tapejuke

@@ -18,8 +18,10 @@
 //     meant to avoid).
 //
 // Two values are not configured here: writes pick hot blocks with the read
-// stream's RH (SimulationConfig::workload.hot_request_fraction), and the
-// buffer holds a fixed kWriteBufferCapacityBlocks dirty updates.
+// stream's RH (WorkloadConfig::hot_request_fraction), and the buffer holds
+// a fixed kWriteBufferCapacityBlocks dirty updates. A run turns the write
+// path on with SimulationConfig::writes; the Simulator then drives a
+// WriteBuffer as its background producer.
 
 #ifndef TAPEJUKE_SIM_WRITE_PATH_H_
 #define TAPEJUKE_SIM_WRITE_PATH_H_
@@ -29,10 +31,8 @@
 #include <set>
 
 #include "layout/catalog.h"
-#include "sched/scheduler.h"
 #include "sim/background.h"
-#include "sim/metrics.h"
-#include "sim/simulator.h"
+#include "sim/workload.h"
 #include "tape/jukebox.h"
 #include "util/fields.h"
 #include "util/rng.h"
@@ -74,6 +74,9 @@ struct WritePathStats {
   int64_t forced_flushes = 0;
   int64_t max_buffer_occupancy = 0;
   double write_seconds = 0;  ///< drive time spent locating + writing
+
+  friend bool operator==(const WritePathStats&,
+                         const WritePathStats&) = default;
 };
 
 /// The write path's background producer: the disk staging buffer and its
@@ -82,10 +85,11 @@ struct WritePathStats {
 class WriteBuffer : public BackgroundWork {
  public:
   /// `jukebox` and `catalog` must outlive the buffer. The write stream is
-  /// seeded from `sim`'s workload seed and picks hot blocks with its RH;
-  /// `sim.duration_seconds` is the length of the run.
+  /// seeded from the read workload's seed and picks hot blocks with its
+  /// RH; `run_seconds` is the length of the run.
   WriteBuffer(Jukebox* jukebox, const Catalog* catalog,
-              const WritePathConfig& config, const SimulationConfig& sim);
+              const WritePathConfig& config, const WorkloadConfig& reads,
+              double run_seconds);
 
   /// Piggyback flush of the mounted tape, then forced flushes while the
   /// buffer is over capacity and the run lasts (reads wait).
@@ -135,27 +139,6 @@ class WriteBuffer : public BackgroundWork {
   std::map<TapeId, std::set<Position>> dirty_;
   int64_t occupancy_ = 0;
   WritePathStats stats_;
-};
-
-/// Jukebox simulator with a read scheduler plus the delta write path:
-/// a Simulator driving a WriteBuffer.
-class WritebackSimulator {
- public:
-  /// All pointers must outlive the simulator; `scheduler` handles reads.
-  WritebackSimulator(Jukebox* jukebox, const Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& sim,
-                     const WritePathConfig& writes);
-
-  /// Runs to completion; call once. The returned metrics cover *reads*
-  /// (write latency is ~0 by construction); write-path behaviour is in
-  /// stats().
-  SimulationResult Run() { return sim_.Run(); }
-
-  const WritePathStats& stats() const { return buffer_.stats(); }
-
- private:
-  WriteBuffer buffer_;
-  Simulator sim_;
 };
 
 }  // namespace tapejuke

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "util/check.h"
 
@@ -15,11 +16,21 @@ std::vector<Field> JukeboxConfig::Fields() {
                {"block_size_mb", &block_size_mb, AtLeast(1),
                 {"block-mb", "logical block size, MB"}}});
   rows.push_back({"rewind_before_eject", &rewind_before_eject});
+  rows.push_back({"num_drives", &num_drives, AtLeast(1),
+                  {"drives",
+                   "drives in the cabinet (>1 shares the tapes and robot "
+                   "arm)"},
+                  false});
   return rows;
 }
 
 Status JukeboxConfig::Validate() const {
   TJ_RETURN_IF_ERROR(CheckFields(FieldsOf(*this)));
+  if (num_drives > num_tapes) {
+    return Status::InvalidArgument(
+        "more drives than tapes: " + std::to_string(num_drives) +
+        " drives for " + std::to_string(num_tapes) + " tapes");
+  }
   if (block_size_mb > timing.tape_capacity_mb) {
     return Status::InvalidArgument("block size exceeds tape capacity");
   }
@@ -34,9 +45,10 @@ Status JukeboxConfig::Validate() const {
 }
 
 Jukebox::Jukebox(const JukeboxConfig& config)
-    : config_(config), model_(config.timing), drives_(1, Drive(&model_)) {
+    : config_(config), model_(config.timing) {
   const Status status = config.Validate();
   TJ_CHECK(status.ok()) << status.ToString();
+  drives_.assign(static_cast<size_t>(config.num_drives), Drive(&model_));
   tapes_.reserve(static_cast<size_t>(config.num_tapes));
   for (TapeId id = 0; id < config.num_tapes; ++id) {
     tapes_.emplace_back(id, config.timing.tape_capacity_mb,
@@ -61,6 +73,7 @@ void Jukebox::SetNumDrives(int32_t num_drives) {
     TJ_CHECK(!d.has_tape()) << "SetNumDrives on a jukebox in use";
   }
   drives_.assign(static_cast<size_t>(num_drives), Drive(&model_));
+  config_.num_drives = num_drives;
   served_ = 0;
 }
 

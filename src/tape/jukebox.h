@@ -1,7 +1,7 @@
 // A small tape jukebox (paper §2): one drive, a robotic arm, and a handful
 // of tapes, scheduled independently of other jukeboxes. The multi-drive
-// extension (paper §2 names it future work) installs D drives that share
-// the tapes and the one arm.
+// extension (paper §2 names it future work) runs D drives
+// (JukeboxConfig::num_drives) that share the tapes and the one arm.
 //
 // The jukebox owns the tapes and the drives, performs complete tape
 // switches (rewind + eject + robot swap + load), and tallies
@@ -72,13 +72,17 @@ struct JukeboxConfig {
   /// eject-anywhere drive (abl_rewind ablation; cf. the related-work
   /// discussion of rewind-to-nearest-zone libraries).
   bool rewind_before_eject = true;
+  /// Drives sharing the tapes and the robot arm (1 is the paper's
+  /// jukebox). Every algorithm and subsystem runs at any count from 1 to
+  /// num_tapes. Not written to results JSON.
+  int32_t num_drives = 1;
 
   /// One row per field, in results-JSON key order (util/fields.h), with
   /// the timing rows in place of `timing`.
   std::vector<Field> Fields();
 
-  /// Checks every row, then that a block fits a tape and a tape holds at
-  /// most 2^31 - 1 slots.
+  /// Checks every row, then that there are no more drives than tapes, a
+  /// block fits a tape and a tape holds at most 2^31 - 1 slots.
   Status Validate() const;
 };
 
@@ -86,18 +90,18 @@ struct JukeboxConfig {
 /// seconds they take and update the counters; the simulator owns the clock.
 class Jukebox {
  public:
-  /// Constructs a one-drive jukebox with validated config (TJ_CHECKs on
-  /// invalid config; use JukeboxConfig::Validate() to pre-check user
+  /// Constructs a jukebox with config.num_drives empty drives (TJ_CHECKs
+  /// on invalid config; use JukeboxConfig::Validate() to pre-check user
   /// input).
   explicit Jukebox(const JukeboxConfig& config);
   // Drives point at model_.
   Jukebox(const Jukebox&) = delete;
   Jukebox& operator=(const Jukebox&) = delete;
 
-  /// Installs `num_drives` empty drives sharing the robot arm. Call on a
-  /// fresh jukebox, before building a scheduler against it (schedulers
-  /// keep one sweep per drive). TJ_CHECKs 1 <= num_drives <= num_tapes
-  /// (ValidateDrives pre-checks user input).
+  /// For MultiDriveSimulator only (the rest set JukeboxConfig::num_drives):
+  /// replaces the drives of a fresh jukebox with `num_drives` empty ones,
+  /// before a scheduler (one sweep per drive) is built against it.
+  /// TJ_CHECKs 1 <= num_drives <= num_tapes.
   void SetNumDrives(int32_t num_drives);
   int32_t num_drives() const { return static_cast<int32_t>(drives_.size()); }
 

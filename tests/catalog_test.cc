@@ -9,7 +9,6 @@
 #include "layout/placement.h"
 #include "sched/envelope_scheduler.h"
 #include "sched/greedy_scheduler.h"
-#include "sim/lifecycle.h"
 #include "sim/simulator.h"
 
 namespace tapejuke {
@@ -271,10 +270,8 @@ TEST(CatalogSlotPosition, LifecycleFillWritesAtSlotPositions) {
   sim.warmup_seconds = 0;
   sim.workload.queue_length = 60;
   sim.workload.seed = 51;
-  LifecycleConfig lifecycle;
-  lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator simulator(&jukebox, &catalog, &scheduler, sim,
-                               lifecycle);
+  sim.lifecycle.emplace().fill_budget_seconds = 240;
+  Simulator simulator(&jukebox, &catalog, &scheduler, sim);
   simulator.Run();
   ASSERT_GT(catalog.TotalCopies(), copies_before);
   ExpectPositionsAtSlots(catalog, config.block_size_mb);

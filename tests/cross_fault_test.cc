@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "sched/greedy_scheduler.h"
 #include "sched/validating_scheduler.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -44,9 +45,12 @@ TEST(CrossFault, MultiDriveSurvivesMediaErrorsDuringDriveFailures) {
     LayoutSpec layout;
     layout.num_replicas = 2;
     layout.start_position = 1.0;
-    DriveRig rig(3, layout);
-    const Catalog& catalog = rig.catalog;
-    const SimulationResult result = rig.Run(CrossFaultSim(seed));
+    Jukebox jukebox(WithDrives(3));
+    Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+    GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
+                              /*dynamic=*/true);
+    Simulator simulator(&jukebox, &catalog, &scheduler, CrossFaultSim(seed));
+    const SimulationResult result = simulator.Run();
     ASSERT_TRUE(result.fault_injection) << "seed " << seed;
     EXPECT_EQ(result.completed_total + result.failed_requests +
                   result.outstanding_at_end,
@@ -115,11 +119,12 @@ TEST(CrossFault, MultiDriveScrubRepairSurvivesEveryFaultClass) {
   LayoutSpec layout;
   layout.num_replicas = 1;
   layout.start_position = 1.0;
-  DriveRig rig(2, layout);
+  Jukebox jukebox(WithDrives(2));
+  Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
   ValidatingScheduler scheduler(
       CreateScheduler(AlgorithmSpec::Parse("dynamic-max-bandwidth").value(),
-                      &rig.jukebox, &rig.catalog),
-      &rig.jukebox, &rig.catalog);
+                      &jukebox, &catalog),
+      &jukebox, &catalog);
   SimulationConfig sim = CrossFaultSim(1);
   // Light open load: scrub only uses idle drives.
   sim.workload.model = QueuingModel::kOpen;
@@ -128,7 +133,7 @@ TEST(CrossFault, MultiDriveScrubRepairSurvivesEveryFaultClass) {
   sim.repair.scrub_interval_seconds = 20'000;
   sim.repair.repair_bandwidth_mb_per_s = 20;
 
-  Simulator simulator(&rig.jukebox, &rig.catalog, &scheduler, sim);
+  Simulator simulator(&jukebox, &catalog, &scheduler, sim);
   const SimulationResult result = simulator.Run();
   ASSERT_TRUE(result.repair_enabled);
   EXPECT_GT(result.repair.scrub_blocks_read, 0);

@@ -7,9 +7,8 @@
 #include "sched/envelope_scheduler.h"
 #include "sched/greedy_scheduler.h"
 #include "sched/validating_scheduler.h"
-#include "sim/lifecycle.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
-#include "sim/write_path.h"
 
 namespace tapejuke {
 namespace {
@@ -49,7 +48,7 @@ TEST(CrossFeature, TraceReplayThroughEnvelopeWithReplication) {
 
   auto run = [&](const std::string& algorithm) {
     Jukebox jukebox(PaperJukebox());
-    const Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+    Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
     const auto scheduler = CreateScheduler(
         AlgorithmSpec::Parse(algorithm).value(), &jukebox, &catalog);
     SimulationConfig sim_config;
@@ -115,12 +114,10 @@ TEST(CrossFeature, MultiTapeVerticalLifecycleFill) {
   sim_config.warmup_seconds = 0;
   sim_config.workload.queue_length = 60;
   sim_config.workload.seed = 47;
-  LifecycleConfig lifecycle;
-  lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                         lifecycle);
-  sim.Run();
-  EXPECT_EQ(sim.replicas_written(), sim.fill_target());
+  sim_config.lifecycle.emplace().fill_budget_seconds = 240;
+  Simulator sim(&jukebox, &catalog, &scheduler, sim_config);
+  const LifecycleStats stats = sim.Run().lifecycle;
+  EXPECT_EQ(stats.replicas_written, stats.fill_target);
   for (BlockId b = 0; b < catalog.num_hot_blocks(); ++b) {
     EXPECT_EQ(catalog.ReplicasOf(b).size(),
               static_cast<size_t>(jukebox.num_tapes()));

@@ -185,8 +185,8 @@ std::string StaleExpiryRun(int32_t drives, int32_t arrival_batch,
   JukeboxConfig jukebox_config;
   jukebox_config.num_tapes = 10;
   jukebox_config.block_size_mb = 16;
+  jukebox_config.num_drives = drives;
   Jukebox jukebox(jukebox_config);
-  jukebox.SetNumDrives(drives);
   const Catalog catalog =
       LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
   AlgorithmSpec spec = AlgorithmSpec::Parse("dynamic-max-bandwidth").value();

@@ -279,6 +279,77 @@ TEST(ExperimentRunner, NanSloIsNamedInTheError) {
       << status;
 }
 
+// Combinations the simulation loop cannot run come back as
+// InvalidArgument from the runner, never as an abort.
+void ExpectRefused(const ExperimentConfig& config) {
+  EXPECT_EQ(ExperimentRunner::Run(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+ExperimentConfig WithRepair(ExperimentConfig config) {
+  config.sim.faults.permanent_media_error_prob = 5e-3;
+  config.sim.repair.enable_repair = true;
+  config.sim.repair.scrub_interval_seconds = 50'000;
+  return config;
+}
+
+TEST(ExperimentRunner, RefusesRepairWithWrites) {
+  ExperimentConfig config = WithRepair(QuickConfig());
+  ASSERT_TRUE(config.Validate().ok());
+  config.sim.writes.emplace();
+  ExpectRefused(config);
+}
+
+TEST(ExperimentRunner, RefusesRepairWithLifecycle) {
+  ExperimentConfig config = WithRepair(QuickConfig());
+  config.sim.lifecycle.emplace();
+  ExpectRefused(config);
+}
+
+TEST(ExperimentRunner, RefusesWritesWithLifecycle) {
+  ExperimentConfig config = QuickConfig();
+  config.sim.writes.emplace();
+  config.sim.lifecycle.emplace();
+  ExpectRefused(config);
+}
+
+TEST(ExperimentRunner, RefusesWritesWithFaults) {
+  ExperimentConfig config = QuickConfig();
+  config.sim.writes.emplace();
+  config.sim.faults.transient_read_error_prob = 0.01;
+  ExpectRefused(config);
+}
+
+TEST(ExperimentRunner, RefusesLifecycleWithFaults) {
+  ExperimentConfig config = QuickConfig();
+  config.sim.lifecycle.emplace();
+  config.sim.faults.transient_read_error_prob = 0.01;
+  ExpectRefused(config);
+}
+
+TEST(ExperimentRunner, RefusesAnInvalidWritePathOrFill) {
+  ExperimentConfig writes = QuickConfig();
+  writes.sim.writes.emplace().piggyback_min_blocks = 0;
+  ExpectRefused(writes);
+  ExperimentConfig lifecycle = QuickConfig();
+  lifecycle.sim.lifecycle.emplace().num_epochs = 0;
+  ExpectRefused(lifecycle);
+}
+
+TEST(ExperimentRunner, RefusesZeroDrives) {
+  ExperimentConfig config = QuickConfig();
+  config.jukebox.num_drives = 0;
+  ExpectRefused(config);
+}
+
+TEST(ExperimentRunner, RefusesMoreDrivesThanTapes) {
+  ExperimentConfig config = QuickConfig();
+  config.jukebox.num_drives = config.jukebox.num_tapes;
+  ASSERT_TRUE(config.Validate().ok());
+  config.jukebox.num_drives = config.jukebox.num_tapes + 1;
+  ExpectRefused(config);
+}
+
 // The bucket's boundary: a 64 MB block exactly fills the 64 MB token
 // bucket, so metered repair with it validates and runs to the end.
 TEST(ExperimentRunner, MeteredRepairRunsWithBlocksThatFillTheBucket) {

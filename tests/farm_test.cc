@@ -38,27 +38,27 @@ TEST(FarmConfig, Validation) {
   config.num_jukeboxes = 0;
   EXPECT_FALSE(config.Validate().ok());
   config.num_jukeboxes = 2;
-  config.drives_per_jukebox = 0;
+  config.per_jukebox.jukebox.num_drives = 0;
   EXPECT_FALSE(config.Validate().ok());
   // Closed farms need at least one process per box.
   FarmConfig sparse = BaseFarm(8, 4);
   EXPECT_FALSE(sparse.Validate().ok());
   // Each box of an open farm waits n times the farm-wide gap, which must
   // stay finite.
-  config.drives_per_jukebox = 1;
+  config.per_jukebox.jukebox.num_drives = 1;
   config.per_jukebox.sim.workload.model = QueuingModel::kOpen;
   config.per_jukebox.sim.workload.mean_interarrival_seconds = 1e308;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 // A box cannot run more drives than it has tapes; the farm reports it as
-// an invalid config instead of aborting in Jukebox::SetNumDrives.
+// an invalid config instead of aborting in the Jukebox constructor.
 TEST(FarmConfig, RejectsMoreDrivesThanTapes) {
   FarmConfig config = BaseFarm(2, 60);
   config.per_jukebox.jukebox.num_tapes = 4;
-  config.drives_per_jukebox = 4;
+  config.per_jukebox.jukebox.num_drives = 4;
   EXPECT_TRUE(config.Validate().ok());
-  config.drives_per_jukebox = 5;
+  config.per_jukebox.jukebox.num_drives = 5;
   const Status status = config.Validate();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("more drives than tapes"),
@@ -69,7 +69,7 @@ TEST(FarmConfig, RejectsMoreDrivesThanTapes) {
 TEST(FarmConfig, MultiDriveRunsFifo) {
   FarmConfig config = BaseFarm(2, 12);
   config.per_jukebox.algorithm = AlgorithmSpec::Parse("fifo").value();
-  config.drives_per_jukebox = 2;
+  config.per_jukebox.jukebox.num_drives = 2;
   ASSERT_TRUE(config.Validate().ok());
   const SimulationResult result = FarmSimulator(config).Run().aggregate;
   EXPECT_GT(result.completed_requests, 0);
@@ -78,23 +78,50 @@ TEST(FarmConfig, MultiDriveRunsFifo) {
             result.issued_requests);
 }
 
-// ValidateDrives is the rule run_experiment --drives applies too: drive
-// counts only, reported as InvalidArgument; every algorithm and scrub/
-// repair run at any valid count.
-TEST(ValidateDrives, CountsOnly) {
+// JukeboxConfig::Validate holds the drive-count rule that run_experiment
+// --drives and every farm box apply: drive counts only, reported as
+// InvalidArgument; every algorithm and scrub/repair run at any valid count.
+TEST(DriveCount, CheckedByJukeboxConfig) {
   ExperimentConfig config;
   config.jukebox.num_tapes = 10;
-  EXPECT_TRUE(ValidateDrives(config, 1).ok());
-  EXPECT_TRUE(ValidateDrives(config, 10).ok());
-  EXPECT_EQ(ValidateDrives(config, 0).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(ValidateDrives(config, 11).code(), StatusCode::kInvalidArgument);
+  const auto validate = [&config](int32_t num_drives) {
+    ExperimentConfig drives = config;
+    drives.jukebox.num_drives = num_drives;
+    return drives.Validate();
+  };
+  EXPECT_TRUE(validate(1).ok());
+  EXPECT_TRUE(validate(10).ok());
+  EXPECT_EQ(validate(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(validate(11).code(), StatusCode::kInvalidArgument);
   for (const AlgorithmSpec& spec : AlgorithmSpec::AllPaperAlgorithms()) {
     config.algorithm = spec;
-    EXPECT_TRUE(ValidateDrives(config, 2).ok()) << spec.Name();
+    EXPECT_TRUE(validate(2).ok()) << spec.Name();
   }
   config.sim.faults.permanent_media_error_prob = 0.01;
   config.sim.repair.enable_repair = true;
-  EXPECT_TRUE(ValidateDrives(config, 2).ok());
+  config.sim.repair.scrub_interval_seconds = 1000;
+  EXPECT_TRUE(validate(2).ok());
+}
+
+// drives_per_jukebox only restates the per-box drive count.
+TEST(FarmConfig, DrivesPerJukeboxMustMatchTheBox) {
+  FarmConfig config = BaseFarm(2, 60);
+  config.drives_per_jukebox = 1;
+  EXPECT_TRUE(config.Validate().ok());
+  config.drives_per_jukebox = 2;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.per_jukebox.jukebox.num_drives = 2;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+// The farm merge has no place for write-path or fill statistics.
+TEST(FarmConfig, RefusesWritesAndLifecyclePerBox) {
+  FarmConfig writes = BaseFarm(2, 60);
+  writes.per_jukebox.sim.writes.emplace();
+  EXPECT_EQ(writes.Validate().code(), StatusCode::kInvalidArgument);
+  FarmConfig lifecycle = BaseFarm(2, 60);
+  lifecycle.per_jukebox.sim.lifecycle.emplace();
+  EXPECT_EQ(lifecycle.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Farm, SingleBoxMatchesPlainSimulator) {
@@ -187,7 +214,7 @@ TEST(Farm, BitIdenticalAcrossThreadCountsOpen) {
 // runs the multi-drive loop and draws faults, with more boxes than threads.
 TEST(Farm, BitIdenticalAcrossThreadCountsMultiDriveFaults) {
   FarmConfig config = BaseFarm(12, 60 * 12);
-  config.drives_per_jukebox = 2;
+  config.per_jukebox.jukebox.num_drives = 2;
   config.per_jukebox.layout.num_replicas = 2;
   config.per_jukebox.layout.start_position = 1.0;
   config.per_jukebox.sim.duration_seconds = 50'000;
@@ -217,7 +244,7 @@ TEST(Farm, BitIdenticalAcrossThreadCountsOverload) {
 TEST(Farm, MultiDriveBoxesRunAndOutperformSingleDrive) {
   FarmConfig single = BaseFarm(2, 120);
   FarmConfig dual = BaseFarm(2, 120);
-  dual.drives_per_jukebox = 2;
+  dual.per_jukebox.jukebox.num_drives = 2;
   const FarmResult one = FarmSimulator(single).Run();
   const FarmResult two = FarmSimulator(dual).Run();
   // A second drive per box adds real (sub-linear) throughput.
@@ -231,7 +258,7 @@ TEST(Farm, MultiDriveBoxesRunAndOutperformSingleDrive) {
 // faults, deterministically at any thread count.
 TEST(Farm, MultiDriveEnvelopeBoxesWithRepairRun) {
   FarmConfig serial = BaseFarm(2, 40);
-  serial.drives_per_jukebox = 2;
+  serial.per_jukebox.jukebox.num_drives = 2;
   serial.per_jukebox.algorithm =
       AlgorithmSpec::Parse("envelope-max-bandwidth").value();
   serial.per_jukebox.layout.num_replicas = 2;

@@ -15,6 +15,7 @@
 #include "core/farm.h"
 #include "core/results_io.h"
 #include "core/sweep_runner.h"
+#include "sched/greedy_scheduler.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -259,7 +260,6 @@ TEST(MultiDriveFaults, FailoverAndConservation) {
   LayoutSpec layout;
   layout.num_replicas = 2;
   layout.start_position = 1.0;
-  DriveRig rig(3, layout);
   SimulationConfig sim = ClosedSim(13);
   sim.faults.permanent_media_error_prob = 1e-3;
   sim.faults.whole_tape_fraction = 0.2;
@@ -268,7 +268,8 @@ TEST(MultiDriveFaults, FailoverAndConservation) {
   sim.faults.drive_mtbf_seconds = 20'000;
   sim.faults.drive_mttr_seconds = 2'000;
 
-  const SimulationResult result = rig.Run(sim);
+  const SimulationResult result =
+      RunExperiment(DriveExperiment(3, sim, layout)).sim;
   ASSERT_TRUE(result.fault_injection);
   EXPECT_GT(result.completed_total, 0);
   EXPECT_EQ(result.completed_total + result.failed_requests +
@@ -289,25 +290,28 @@ TEST(MultiDriveFaults, DisabledFaultsAreBitIdenticalToFaultFree) {
   const SimulationConfig sim = ClosedSim(21);
 
   // The const-catalog Simulator cannot inject faults at all.
-  DriveRig rig_a(2, layout);
-  Simulator fault_free(&rig_a.jukebox,
-                       static_cast<const Catalog*>(&rig_a.catalog),
-                       rig_a.scheduler.get(), sim);
+  Jukebox jukebox(WithDrives(2));
+  const Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
+  GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
+                            /*dynamic=*/true);
+  Simulator fault_free(&jukebox, &catalog, &scheduler, sim);
   const SimulationResult result_a = fault_free.Run();
 
-  const SimulationResult result_b = DriveRig(2, layout).Run(sim);
+  const SimulationResult result_b =
+      RunExperiment(DriveExperiment(2, sim, layout)).sim;
 
   EXPECT_FALSE(result_b.fault_injection);
   EXPECT_EQ(ToJson(result_a), ToJson(result_b));
 }
 
 TEST(MultiDriveFaultsDeathTest, ConstCatalogCtorRejectsEnabledFaults) {
-  DriveRig rig(2);
+  Jukebox jukebox(WithDrives(2));
+  const Catalog catalog = LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
+                            /*dynamic=*/true);
   SimulationConfig sim = ClosedSim(1);
   sim.faults.robot_fault_prob = 0.01;
-  EXPECT_DEATH(Simulator(&rig.jukebox,
-                         static_cast<const Catalog*>(&rig.catalog),
-                         rig.scheduler.get(), sim),
+  EXPECT_DEATH(Simulator(&jukebox, &catalog, &scheduler, sim),
                "mutable-catalog");
 }
 
@@ -320,13 +324,13 @@ TEST(FaultGating, FarmConfigAcceptsFaultsRepairAndEveryAlgorithm) {
 
   // Multi-drive boxes run every algorithm, and scrub/repair.
   FarmConfig envelope = farm;
-  envelope.drives_per_jukebox = 2;
+  envelope.per_jukebox.jukebox.num_drives = 2;
   envelope.per_jukebox.algorithm =
       AlgorithmSpec::Parse("envelope-max-bandwidth").value();
   EXPECT_TRUE(envelope.Validate().ok());
 
   FarmConfig repair = farm;
-  repair.drives_per_jukebox = 2;
+  repair.per_jukebox.jukebox.num_drives = 2;
   repair.per_jukebox.sim.repair.enable_repair = true;
   repair.per_jukebox.sim.repair.scrub_interval_seconds = 1000;
   EXPECT_TRUE(repair.Validate().ok());

@@ -8,6 +8,7 @@
 
 #include "layout/placement.h"
 #include "sched/envelope_scheduler.h"
+#include "sim/simulator.h"
 #include "tape/drive.h"
 
 namespace tapejuke {
@@ -47,6 +48,14 @@ struct Rig {
   std::optional<EnvelopeScheduler> scheduler;
 };
 
+/// `sim` on `rig` with the gradual fill `lifecycle`.
+LifecycleStats RunFill(Rig* rig, SimulationConfig sim,
+                       const LifecycleConfig& lifecycle) {
+  sim.lifecycle = lifecycle;
+  Simulator simulator(&rig->jukebox, &*rig->catalog, &*rig->scheduler, sim);
+  return simulator.Run().lifecycle;
+}
+
 SimulationConfig LongSim() {
   SimulationConfig config;
   config.duration_seconds = 1'500'000;
@@ -70,16 +79,17 @@ TEST(Lifecycle, FillTargetIsOneCopyOnEveryTape) {
   // The spare layout holds each hot block once; the fill target is the
   // missing copies that put one on every tape.
   Rig rig;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         LongSim(), LifecycleConfig{});
+  ReplicaFiller filler(&rig.jukebox, &*rig.catalog, LifecycleConfig{},
+                       LongSim().duration_seconds);
   int64_t missing = 0;
   for (BlockId b = 0; b < rig.catalog->num_hot_blocks(); ++b) {
     ASSERT_EQ(rig.catalog->ReplicasOf(b).size(), 1u);
     missing += rig.jukebox.num_tapes() - 1;
   }
   ASSERT_GT(missing, 0);
-  EXPECT_EQ(sim.fill_target(), missing);
-  EXPECT_EQ(sim.replicas_written(), 0);
+  const LifecycleStats before_run = filler.Finalize(0);
+  EXPECT_EQ(before_run.fill_target, missing);
+  EXPECT_EQ(before_run.replicas_written, 0);
 }
 
 TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {
@@ -87,9 +97,8 @@ TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {
   LifecycleConfig lifecycle;
   lifecycle.num_epochs = 6;
   lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         LongSim(), lifecycle);
-  const std::vector<EpochStats> epochs = sim.Run();
+  const LifecycleStats stats = RunFill(&rig, LongSim(), lifecycle);
+  const std::vector<EpochStats>& epochs = stats.epochs;
   ASSERT_EQ(epochs.size(), 6u);
 
   // The fill fraction is monotone and reaches (near) completion.
@@ -97,7 +106,7 @@ TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {
     EXPECT_GE(epochs[e].fill_fraction, epochs[e - 1].fill_fraction);
   }
   EXPECT_GT(epochs.back().fill_fraction, 0.95);
-  EXPECT_EQ(sim.replicas_written(), sim.fill_target());
+  EXPECT_EQ(stats.replicas_written, stats.fill_target);
 
   // Throughput in the final (fully replicated) epoch beats the first.
   EXPECT_GT(epochs.back().requests_per_minute,
@@ -108,9 +117,7 @@ TEST(Lifecycle, CatalogAndTapesStayConsistent) {
   Rig rig;
   LifecycleConfig lifecycle;
   lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         LongSim(), lifecycle);
-  sim.Run();
+  RunFill(&rig, LongSim(), lifecycle);
   // Every catalog replica matches the tape contents.
   for (BlockId b = 0; b < rig.catalog->num_blocks(); ++b) {
     for (const Replica& replica : rig.catalog->ReplicasOf(b)) {
@@ -135,10 +142,7 @@ TEST(Lifecycle, ZeroBudgetWritesNothingViaPiggyback) {
   lifecycle.fill_on_idle = false;
   SimulationConfig sim_config = LongSim();
   sim_config.duration_seconds = 200'000;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         sim_config, lifecycle);
-  sim.Run();
-  EXPECT_EQ(sim.replicas_written(), 0);
+  EXPECT_EQ(RunFill(&rig, sim_config, lifecycle).replicas_written, 0);
 }
 
 TEST(Lifecycle, OpenModelDriveWorkFitsInRun) {
@@ -150,10 +154,7 @@ TEST(Lifecycle, OpenModelDriveWorkFitsInRun) {
   SimulationConfig sim_config = LongSim();
   sim_config.workload.model = QueuingModel::kOpen;
   sim_config.workload.mean_interarrival_seconds = 120;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         sim_config, lifecycle);
-  sim.Run();
-  ASSERT_GT(sim.replicas_written(), 0);
+  ASSERT_GT(RunFill(&rig, sim_config, lifecycle).replicas_written, 0);
   EXPECT_LE(rig.jukebox.counters().BusySeconds(),
             sim_config.duration_seconds);
 }
@@ -219,18 +220,24 @@ class FillPerMountProbe : public BackgroundWork {
 TEST(Lifecycle, OpenModelFillPerMountWithinBudget) {
   // An idle fill spends the budget on its mount; the next boundary must
   // not fill that mount again before a client read sweep has run on it.
+  // The open model's idle-drive pattern, driven by hand: idle fills, each
+  // followed by boundaries before and after a client read.
   Rig rig;
   LifecycleConfig lifecycle;
   lifecycle.fill_budget_seconds = 240;
-  SimulationConfig sim_config = LongSim();
-  sim_config.workload.model = QueuingModel::kOpen;
-  sim_config.workload.mean_interarrival_seconds = 120;
   ReplicaFiller filler(&rig.jukebox, &*rig.catalog, lifecycle,
-                       sim_config.duration_seconds);
+                       LongSim().duration_seconds);
   FillPerMountProbe probe(&filler, &rig.jukebox);
-  Simulator sim(&rig.jukebox, static_cast<const Catalog*>(&*rig.catalog),
-                &*rig.scheduler, sim_config, &probe);
-  sim.Run();
+  const Request read{0, 0, 0.0};
+  double now = 0;
+  for (int round = 0; round < 20 && filler.NextIdleWorkTime(now) <= now;
+       ++round) {
+    now += probe.IdleQuantum(now).seconds;
+    now += probe.AtSweepBoundary(now);  // no read since the idle fill
+    probe.OnClientCompletion(read, now);
+    now += probe.AtSweepBoundary(now);  // piggybacks on the read sweep
+    now += probe.AtSweepBoundary(now);  // no read since that fill
+  }
   ASSERT_GT(filler.replicas_written(), 0);
   EXPECT_EQ(probe.max_fills(), 1);
 
@@ -252,10 +259,9 @@ TEST(Lifecycle, NoFillMatchesPlainSimulator) {
   LifecycleConfig lifecycle;
   lifecycle.fill_budget_seconds = 0;
   lifecycle.fill_on_idle = false;
-  LifecycleSimulator with(&rig_a.jukebox, &*rig_a.catalog, &*rig_a.scheduler,
-                          sim_config, lifecycle);
   int64_t completed = 0;
-  for (const EpochStats& epoch : with.Run()) {
+  const LifecycleStats with = RunFill(&rig_a, sim_config, lifecycle);
+  for (const EpochStats& epoch : with.epochs) {
     completed += epoch.completed_requests;
   }
 

@@ -30,8 +30,9 @@ SimulationConfig ShortSim(int64_t queue) {
 SimulationResult RunWith(int32_t num_drives, int64_t queue,
                          const std::string& algorithm =
                              "dynamic-max-bandwidth") {
-  return DriveRig(num_drives, LayoutSpec{}, algorithm, PaperJukebox())
-      .Run(ShortSim(queue));
+  return RunExperiment(DriveExperiment(num_drives, ShortSim(queue), {},
+                                       algorithm, PaperJukebox()))
+      .sim;
 }
 
 TEST(MultiDriveOptions, DynamicInsertionHelps) {
@@ -56,8 +57,9 @@ TEST(MultiDriveOptions, AsManyDrivesAsTapesStillWorks) {
   JukeboxConfig config = PaperJukebox();
   config.num_tapes = 3;
   const SimulationResult result =
-      DriveRig(3, LayoutSpec{}, "dynamic-max-bandwidth", config)
-          .Run(ShortSim(30));
+      RunExperiment(DriveExperiment(3, ShortSim(30), {},
+                                    "dynamic-max-bandwidth", config))
+          .sim;
   EXPECT_GT(result.completed_requests, 200);
 }
 

@@ -9,8 +9,6 @@
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
 #include "sched/validating_scheduler.h"
-#include "sim/lifecycle.h"
-#include "sim/write_path.h"
 #include "test_util.h"
 
 namespace tapejuke {
@@ -27,12 +25,20 @@ SimulationConfig ShortSim(int64_t queue = 60) {
 
 SimulationResult RunMulti(int32_t num_drives, int64_t queue = 60,
                           double* robot_wait_seconds = nullptr) {
-  DriveRig rig(num_drives);
-  const SimulationResult result = rig.Run(ShortSim(queue));
+  const ExperimentResult result =
+      RunExperiment(DriveExperiment(num_drives, ShortSim(queue)));
   if (robot_wait_seconds != nullptr) {
-    *robot_wait_seconds = rig.jukebox.counters().robot_wait_seconds;
+    *robot_wait_seconds = result.jukebox_counters.robot_wait_seconds;
   }
-  return result;
+  return result.sim;
+}
+
+/// `sim` on two drives with `layout` and `algorithm`.
+SimulationResult RunTwo(const SimulationConfig& sim,
+                        const LayoutSpec& layout = {},
+                        const std::string& algorithm =
+                            "dynamic-max-bandwidth") {
+  return RunExperiment(DriveExperiment(2, sim, layout, algorithm)).sim;
 }
 
 /// Request conservation and the per-drive time-in-state identity.
@@ -58,8 +64,7 @@ SimulationResult RunTwiceIdentical(
 }
 
 TEST(MultiDriveDeathTest, ZeroDrivesAborts) {
-  Jukebox jukebox(JukeboxConfig{});
-  EXPECT_DEATH(jukebox.SetNumDrives(0), "at least one drive");
+  EXPECT_DEATH(Jukebox{WithDrives(0)}, "num_drives must be in");
 }
 
 TEST(MultiDrive, SingleDriveMatchesSingleDriveSimulatorExactly) {
@@ -118,11 +123,10 @@ TEST(MultiDrive, ClosedPopulationIsConserved) {
 }
 
 TEST(MultiDrive, OpenModelWorks) {
-  DriveRig rig(2);
   SimulationConfig sim_config = ShortSim();
   sim_config.workload.model = QueuingModel::kOpen;
   sim_config.workload.mean_interarrival_seconds = 60;
-  const SimulationResult result = rig.Run(sim_config);
+  const SimulationResult result = RunTwo(sim_config);
   EXPECT_GT(result.completed_requests, 100);
   // Two drives comfortably absorb a 1-per-minute stream.
   EXPECT_NEAR(result.requests_per_minute, 1.0, 0.2);
@@ -132,21 +136,20 @@ TEST(MultiDrive, ReplicationHelpsHereToo) {
   LayoutSpec replicated;
   replicated.num_replicas = 9;
   replicated.start_position = 1.0;
-  const SimulationResult a = DriveRig(2).Run(ShortSim(120));
-  const SimulationResult b = DriveRig(2, replicated).Run(ShortSim(120));
+  const SimulationResult a = RunTwo(ShortSim(120));
+  const SimulationResult b = RunTwo(ShortSim(120), replicated);
   EXPECT_GT(b.requests_per_minute, a.requests_per_minute);
 }
 
 TEST(MultiDriveDeathTest, MoreDrivesThanTapesAborts) {
-  Jukebox jukebox(JukeboxConfig{});
-  EXPECT_DEATH(jukebox.SetNumDrives(99), "more drives than tapes");
+  EXPECT_DEATH(Jukebox{WithDrives(99)}, "more drives than tapes");
 }
 
 // --- Every scheduler and background producer on two drives ---------------
 
 TEST(MultiDriveCombos, FifoRunsOnTwoDrives) {
   const SimulationResult result = RunTwiceIdentical(
-      [] { return DriveRig(2, LayoutSpec{}, "fifo").Run(ShortSim(60)); });
+      [] { return RunTwo(ShortSim(60), {}, "fifo"); });
   EXPECT_GT(result.completed_requests, 100);
   ExpectSound(result, 2);
 }
@@ -155,7 +158,7 @@ TEST(MultiDriveCombos, FifoSmallPopulationDoesNotDeadlock) {
   // Two requests often wait on one tape: the drive holding it serves them
   // while the other idles, and neither stalls.
   const SimulationResult result =
-      DriveRig(2, LayoutSpec{}, "fifo").Run(ShortSim(/*queue=*/2));
+      RunTwo(ShortSim(/*queue=*/2), {}, "fifo");
   EXPECT_GT(result.completed_requests, 100);
   EXPECT_NEAR(result.mean_outstanding, 2.0, 0.1);
   ExpectSound(result, 2);
@@ -167,14 +170,14 @@ TEST(MultiDriveCombos, ValidatedEnvelopeRunsOnTwoDrives) {
   layout.start_position = 1.0;
   int64_t served = 0;
   const SimulationResult result = RunTwiceIdentical([&] {
-    DriveRig rig(2, layout);
+    Jukebox jukebox(WithDrives(2));
+    Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
     AlgorithmSpec spec =
         AlgorithmSpec::Parse("envelope-max-bandwidth").value();
     spec.options.validate_envelope = true;
-    ValidatingScheduler scheduler(
-        CreateScheduler(spec, &rig.jukebox, &rig.catalog), &rig.jukebox,
-        &rig.catalog);
-    Simulator sim(&rig.jukebox, &rig.catalog, &scheduler, ShortSim(60));
+    ValidatingScheduler scheduler(CreateScheduler(spec, &jukebox, &catalog),
+                                  &jukebox, &catalog);
+    Simulator sim(&jukebox, &catalog, &scheduler, ShortSim(60));
     const SimulationResult out = sim.Run();
     served = scheduler.requests_served();
     EXPECT_EQ(scheduler.outstanding(), out.outstanding_at_end);
@@ -200,7 +203,7 @@ TEST(MultiDriveCombos, ScrubRepairUnderFaultsRunsOnTwoDrives) {
   sim.repair.enable_repair = true;
   sim.repair.scrub_interval_seconds = 20'000;
   const SimulationResult result =
-      RunTwiceIdentical([&] { return DriveRig(2, layout).Run(sim); });
+      RunTwiceIdentical([&] { return RunTwo(sim, layout); });
   ASSERT_TRUE(result.repair_enabled);
   EXPECT_GT(result.repair.scrub_blocks_read, 0);
   EXPECT_GT(result.faults.drive_failures, 0);
@@ -214,19 +217,11 @@ TEST(MultiDriveCombos, ScrubRepairUnderFaultsRunsOnTwoDrives) {
 }
 
 TEST(MultiDriveCombos, WritePathRunsOnTwoDrives) {
-  WritePathConfig writes;
-  writes.mean_write_interarrival_seconds = 200;
-  int64_t flushed = 0;
-  const SimulationResult result = RunTwiceIdentical([&] {
-    DriveRig rig(2);
-    WriteBuffer buffer(&rig.jukebox, &rig.catalog, writes, ShortSim(40));
-    Simulator sim(&rig.jukebox, &rig.catalog, rig.scheduler.get(),
-                  ShortSim(40), &buffer);
-    const SimulationResult out = sim.Run();
-    flushed = buffer.stats().blocks_flushed;
-    return out;
-  });
-  EXPECT_GT(flushed, 0);
+  SimulationConfig sim = ShortSim(40);
+  sim.writes.emplace().mean_write_interarrival_seconds = 200;
+  const SimulationResult result =
+      RunTwiceIdentical([&] { return RunTwo(sim); });
+  EXPECT_GT(result.write_path.blocks_flushed, 0);
   EXPECT_GT(result.completed_requests, 100);
   ExpectSound(result, 2);
 }
@@ -241,22 +236,11 @@ TEST(MultiDriveCombos, LifecycleFillRunsOnTwoDrives) {
   spare.layout = HotLayout::kVertical;
   spare.logical_blocks_override =
       LayoutBuilder::MaxLogicalBlocks(Jukebox(JukeboxConfig{}), replicated);
-  LifecycleConfig lifecycle;
-  lifecycle.fill_budget_seconds = 240;
-  int64_t written = 0;
-  const SimulationResult result = RunTwiceIdentical([&] {
-    DriveRig rig(2, spare);
-    const SimulationConfig sim = ShortSim();
-    ReplicaFiller filler(&rig.jukebox, &rig.catalog, lifecycle,
-                         sim.duration_seconds);
-    Simulator simulator(&rig.jukebox,
-                        static_cast<const Catalog*>(&rig.catalog),
-                        rig.scheduler.get(), sim, &filler);
-    const SimulationResult out = simulator.Run();
-    written = filler.replicas_written();
-    return out;
-  });
-  EXPECT_GT(written, 0);
+  SimulationConfig sim = ShortSim();
+  sim.lifecycle.emplace().fill_budget_seconds = 240;
+  const SimulationResult result =
+      RunTwiceIdentical([&] { return RunTwo(sim, spare); });
+  EXPECT_GT(result.lifecycle.replicas_written, 0);
   EXPECT_GT(result.completed_requests, 100);
   ExpectSound(result, 2);
 }

@@ -170,10 +170,12 @@ TEST(ObsTrace, MultiDriveTraceCoversEveryDrive) {
   obs::TraceConfig obs_config;
   obs_config.trace_out = dir + "obs_trace_multi.json";
   obs_config.decision_log = dir + "obs_trace_multi.jsonl";
-  DriveRig rig(3, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
   SimulationConfig config = ShortSim();
   config.obs = obs_config;
-  const SimulationResult result = rig.Run(config);
+  const SimulationResult result =
+      RunExperiment(DriveExperiment(3, config, {}, "dynamic-max-bandwidth",
+                                    PaperJukebox()))
+          .sim;
   EXPECT_GT(result.completed_requests, 0);
   const std::string trace = ReadFile(obs_config.trace_out);
   EXPECT_NE(trace.find("\"name\":\"drive 0\""), std::string::npos);

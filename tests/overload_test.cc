@@ -212,7 +212,8 @@ SimulationConfig OverloadSim() {
 }
 
 TEST(OverloadConservation, HoldsWithDeadlinesAndAdmission) {
-  const SimulationResult result = DriveRig(2).Run(OverloadSim());
+  const SimulationResult result =
+      RunExperiment(DriveExperiment(2, OverloadSim())).sim;
   ASSERT_TRUE(result.overload_enabled);
   // Saturated open queue with short deadlines: both exits must fire.
   EXPECT_GT(result.expired_requests, 0);
@@ -230,7 +231,9 @@ TEST(OverloadConservation, HoldsWithDeadlinesAndAdmission) {
 }
 
 TEST(OverloadConservation, DeterministicAcrossRuns) {
-  auto run = []() { return DriveRig(2).Run(OverloadSim()); };
+  auto run = [] {
+    return RunExperiment(DriveExperiment(2, OverloadSim())).sim;
+  };
   const SimulationResult a = run();
   const SimulationResult b = run();
   EXPECT_EQ(a.completed_requests, b.completed_requests);
@@ -287,7 +290,7 @@ TEST(OverloadJson, GatedOffForOverloadFreeRuns) {
   sim.warmup_seconds = 6'000;
   sim.workload.model = QueuingModel::kClosed;
   sim.workload.queue_length = 20;
-  const std::string json = ToJson(DriveRig(2).Run(sim));
+  const std::string json = ToJson(RunExperiment(DriveExperiment(2, sim)).sim);
   // No overload knob was set, so none of the new keys may appear: the
   // document must stay byte-identical to pre-overload builds.
   EXPECT_EQ(json.find("expired_requests"), std::string::npos);
@@ -302,7 +305,7 @@ TEST(OverloadJson, GatedOffForOverloadFreeRuns) {
 
 TEST(OverloadJson, EmittedForOverloadRuns) {
   const SimulationConfig sim = OverloadSim();
-  const std::string json = ToJson(DriveRig(2).Run(sim));
+  const std::string json = ToJson(RunExperiment(DriveExperiment(2, sim)).sim);
   EXPECT_NE(json.find("\"expired_requests\""), std::string::npos);
   EXPECT_NE(json.find("\"shed_requests\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant_classes\""), std::string::npos);

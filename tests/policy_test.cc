@@ -305,8 +305,7 @@ class CandidateProbe : public GreedyScheduler {
 // selection: its bitmap is zeroed and the decision record leaves it out,
 // although it has the most requests.
 TEST(ScheduleVisitTest, WithdrawnTapeHasNoBitsAndNoDecisionEntry) {
-  TinyRig rig(3);
-  rig.jukebox().SetNumDrives(2);
+  TinyRig rig(3, /*capacity_mb=*/160, /*block_size_mb=*/16, /*num_drives=*/2);
   rig.Place(0, 0, 2);
   rig.Place(1, 1, 3);
   rig.Place(1, 2, 4);

@@ -280,7 +280,9 @@ TEST(RepairEndToEnd, MeteredBucketHoldsOneLargeBlock) {
     // Eight times the block, eight times the gap: the drive stays as idle.
     sim.workload.mean_interarrival_seconds *= 8;
     sim.repair.repair_bandwidth_mb_per_s = rate;
-    return DriveRig(1, layout, "dynamic-max-bandwidth", jukebox).Run(sim);
+    return RunExperiment(DriveExperiment(1, sim, layout,
+                                         "dynamic-max-bandwidth", jukebox))
+        .sim;
   };
   const SimulationResult metered = run(0.02);
   ASSERT_TRUE(metered.repair_enabled);

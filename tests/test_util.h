@@ -1,5 +1,5 @@
-// Shared test helpers: a tiny hand-built jukebox + catalog rig, and a
-// multi-drive box rig.
+// Shared test helpers: a tiny hand-built jukebox + catalog rig, and the
+// multi-drive experiment config.
 
 #ifndef TAPEJUKE_TESTS_TEST_UTIL_H_
 #define TAPEJUKE_TESTS_TEST_UTIL_H_
@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -29,8 +30,9 @@ namespace tapejuke {
 class TinyRig {
  public:
   explicit TinyRig(int32_t num_tapes, int64_t capacity_mb = 160,
-                   int64_t block_size_mb = 16)
-      : jukebox_(MakeConfig(num_tapes, capacity_mb, block_size_mb)) {}
+                   int64_t block_size_mb = 16, int32_t num_drives = 1)
+      : jukebox_(MakeConfig(num_tapes, capacity_mb, block_size_mb,
+                            num_drives)) {}
 
   /// Places a copy of `block` at `slot` on `tape`.
   void Place(BlockId block, TapeId tape, int64_t slot) {
@@ -65,10 +67,11 @@ class TinyRig {
 
  private:
   static JukeboxConfig MakeConfig(int32_t num_tapes, int64_t capacity_mb,
-                                  int64_t block_size_mb) {
+                                  int64_t block_size_mb, int32_t num_drives) {
     JukeboxConfig config;
     config.num_tapes = num_tapes;
     config.block_size_mb = block_size_mb;
+    config.num_drives = num_drives;
     config.timing.tape_capacity_mb = capacity_mb;
     return config;
   }
@@ -108,39 +111,35 @@ inline std::string ResultsJson(const SimulationResult& result) {
   return os.str();
 }
 
-/// One jukebox with `num_drives` drives, its layout, and the scheduler for
-/// `algorithm` — the box every multi-drive test runs. The drive count is
-/// set before the layout and the scheduler are built.
-struct DriveRig {
-  explicit DriveRig(int32_t num_drives, const LayoutSpec& layout = {},
-                    const std::string& algorithm = "dynamic-max-bandwidth",
-                    const JukeboxConfig& config = {})
-      : jukebox(config),
-        catalog(LayoutBuilder::Build(WithDrives(&jukebox, num_drives),
-                                     layout)
-                    .value()),
-        scheduler(CreateScheduler(AlgorithmSpec::Parse(algorithm).value(),
-                                  &jukebox, &catalog)) {}
+/// `sim` on `num_drives` drives of `jukebox` holding `layout`, scheduled
+/// by `algorithm`: the experiment every multi-drive test runs.
+inline ExperimentConfig DriveExperiment(
+    int32_t num_drives, const SimulationConfig& sim,
+    const LayoutSpec& layout = {},
+    const std::string& algorithm = "dynamic-max-bandwidth",
+    const JukeboxConfig& jukebox = {}) {
+  ExperimentConfig config;
+  config.jukebox = jukebox;
+  config.jukebox.num_drives = num_drives;
+  config.layout = layout;
+  config.sim = sim;
+  config.algorithm = AlgorithmSpec::Parse(algorithm).value();
+  return config;
+}
 
-  /// Runs `sim` to completion (mutable catalog, so faults may be on);
-  /// call once.
-  SimulationResult Run(const SimulationConfig& sim) {
-    Simulator simulator(&jukebox, &catalog, scheduler.get(), sim);
-    const SimulationResult result = simulator.Run();
-    claim_conflicts = simulator.claim_conflicts();
-    return result;
-  }
+/// ExperimentRunner::Run on a config that must be valid.
+inline ExperimentResult RunExperiment(const ExperimentConfig& config) {
+  StatusOr<ExperimentResult> result = ExperimentRunner::Run(config);
+  TJ_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
+}
 
-  static Jukebox* WithDrives(Jukebox* jukebox, int32_t num_drives) {
-    jukebox->SetNumDrives(num_drives);
-    return jukebox;
-  }
-
-  Jukebox jukebox;
-  Catalog catalog;
-  std::unique_ptr<Scheduler> scheduler;
-  int64_t claim_conflicts = 0;
-};
+/// A jukebox config with `num_drives` drives and defaults otherwise.
+inline JukeboxConfig WithDrives(int32_t num_drives,
+                                JukeboxConfig config = {}) {
+  config.num_drives = num_drives;
+  return config;
+}
 
 /// The protected tenant class's p99 SLO in bench/ext_overload, seconds.
 inline constexpr double kOverloadProtectedSlo = 15000.0;

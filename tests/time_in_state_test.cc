@@ -195,8 +195,10 @@ TEST(IdentityFaults, HoldsWithScrubAndRepair) {
 }
 
 TEST(IdentityMultiDrive, HoldsPerDriveFaultFree) {
-  DriveRig rig(3, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
-  const SimulationResult result = rig.Run(ShortSim(QueuingModel::kClosed));
+  const SimulationResult result =
+      RunExperiment(DriveExperiment(3, ShortSim(QueuingModel::kClosed), {},
+                                    "dynamic-max-bandwidth", PaperJukebox()))
+          .sim;
   EXPECT_GT(result.completed_requests, 0);
   ExpectIdentity(result, /*num_drives=*/3);
   for (const obs::DriveTimeInState& tis : result.time_in_state) {
@@ -207,14 +209,16 @@ TEST(IdentityMultiDrive, HoldsPerDriveFaultFree) {
 TEST(IdentityMultiDrive, HoldsPerDriveUnderFaults) {
   LayoutSpec layout;
   layout.num_replicas = 2;
-  DriveRig rig(2, layout, "dynamic-max-bandwidth", PaperJukebox());
   SimulationConfig config = ShortSim(QueuingModel::kClosed);
   config.faults.transient_read_error_prob = 0.05;
   config.faults.permanent_media_error_prob = 0.01;
   config.faults.drive_mtbf_seconds = 30'000;
   config.faults.drive_mttr_seconds = 2'000;
   config.faults.robot_fault_prob = 0.02;
-  const SimulationResult result = rig.Run(config);
+  const SimulationResult result =
+      RunExperiment(DriveExperiment(2, config, layout, "dynamic-max-bandwidth",
+                                    PaperJukebox()))
+          .sim;
   ExpectIdentity(result, /*num_drives=*/2);
   double down = 0;
   for (const obs::DriveTimeInState& tis : result.time_in_state) {

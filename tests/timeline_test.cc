@@ -310,14 +310,16 @@ TEST(MultiDriveTimeline, ResultsIdenticalWithTimelineOn) {
   SimulationConfig on = off;
   on.timeline = BufferedTimeline(10'000.0);
 
-  DriveRig rig_a(2, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
-  Simulator sim_a(&rig_a.jukebox, &rig_a.catalog, rig_a.scheduler.get(),
-                  off);
-  const SimulationResult a = sim_a.Run();
+  const SimulationResult a =
+      RunExperiment(DriveExperiment(2, off, {}, "dynamic-max-bandwidth",
+                                    PaperJukebox()))
+          .sim;
 
-  DriveRig rig_b(2, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
-  Simulator sim_b(&rig_b.jukebox, &rig_b.catalog, rig_b.scheduler.get(),
-                  on);
+  Jukebox jukebox(WithDrives(2, PaperJukebox()));
+  Catalog catalog = LayoutBuilder::Build(&jukebox, LayoutSpec{}).value();
+  GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
+                            /*dynamic=*/true);
+  Simulator sim_b(&jukebox, &catalog, &scheduler, on);
   const SimulationResult b = sim_b.Run();
 
   EXPECT_EQ(a.completed_requests, b.completed_requests);
@@ -325,7 +327,7 @@ TEST(MultiDriveTimeline, ResultsIdenticalWithTimelineOn) {
   EXPECT_DOUBLE_EQ(a.throughput_mb_per_s, b.throughput_mb_per_s);
   EXPECT_DOUBLE_EQ(a.mean_delay_seconds, b.mean_delay_seconds);
   EXPECT_DOUBLE_EQ(a.simulated_seconds, b.simulated_seconds);
-  EXPECT_EQ(sim_a.claim_conflicts(), sim_b.claim_conflicts());
+  EXPECT_EQ(a.claim_conflicts, b.claim_conflicts);
 
   const TimelineSampler* timeline = sim_b.timeline();
   ASSERT_NE(timeline, nullptr);

@@ -159,13 +159,16 @@ TEST(TraceReplay, TwoDriveReplayConservesArrivals) {
   config.seed = 91;
   const auto trace = SynthesizeTrace(catalog_probe, config, 300'000);
 
-  DriveRig rig(2, LayoutSpec{}, "dynamic-max-bandwidth", PaperJukebox());
   SimulationConfig sim_config;
   sim_config.duration_seconds = 300'000;
   sim_config.warmup_seconds = 30'000;
-  Simulator sim(&rig.jukebox, &rig.catalog, rig.scheduler.get(), sim_config,
-                TraceToRequests(rig.catalog, trace).value());
-  const SimulationResult result = sim.Run();
+  const SimulationResult result =
+      ExperimentRunner::Run(DriveExperiment(2, sim_config, {},
+                                            "dynamic-max-bandwidth",
+                                            PaperJukebox()),
+                            &trace)
+          .value()
+          .sim;
   // Every trace arrival up to the end of the run is issued exactly once,
   // and each issued request is settled or still outstanding.
   int64_t arrived = 0;

@@ -10,6 +10,7 @@
 #include "core/results_io.h"
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
+#include "sim/simulator.h"
 
 namespace tapejuke {
 namespace {
@@ -41,6 +42,14 @@ struct Rig {
   GreedyScheduler scheduler;
 };
 
+/// `sim` on `rig` with the write path `writes`.
+SimulationResult RunWrites(Rig* rig, SimulationConfig sim,
+                           const WritePathConfig& writes) {
+  sim.writes = writes;
+  Simulator simulator(&rig->jukebox, &rig->catalog, &rig->scheduler, sim);
+  return simulator.Run();
+}
+
 SimulationConfig ShortSim(QueuingModel model = QueuingModel::kClosed) {
   SimulationConfig config;
   config.duration_seconds = 300'000;
@@ -63,13 +72,11 @@ TEST(WritePath, WritesAreStagedAndFlushed) {
   Rig rig;
   WritePathConfig writes;
   writes.mean_write_interarrival_seconds = 200;
-  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         ShortSim(), writes);
-  const SimulationResult result = sim.Run();
+  const SimulationResult result = RunWrites(&rig, ShortSim(), writes);
   EXPECT_GT(result.completed_requests, 100);
   // Flushes hold no process back: the closed population stays whole.
   EXPECT_NEAR(result.mean_outstanding, 40.0, 0.5);
-  const WritePathStats& stats = sim.stats();
+  const WritePathStats& stats = result.write_path;
   EXPECT_GT(stats.writes_accepted, 1000);
   EXPECT_GT(stats.blocks_flushed, 0);
   EXPECT_GT(stats.piggyback_flushes, 0);
@@ -85,10 +92,8 @@ TEST(WritePath, ReplicatedBlocksDirtyEveryCopy) {
   // block.
   SimulationConfig sim_config = ShortSim();
   sim_config.workload.hot_request_fraction = 1.0;
-  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         sim_config, writes);
-  sim.Run();
-  const WritePathStats& stats = sim.stats();
+  const SimulationResult result = RunWrites(&rig, sim_config, writes);
+  const WritePathStats& stats = result.write_path;
   ASSERT_GT(stats.writes_accepted, 100);
   // Each hot write dirties up to 10 copies (duplicates collapse).
   EXPECT_GT(static_cast<double>(stats.dirty_updates_created),
@@ -103,10 +108,8 @@ TEST(WritePath, ColdReadStreamDirtiesOneCopyPerWrite) {
   // replicated hot block and each dirties at most its one cold copy.
   SimulationConfig sim_config = ShortSim();
   sim_config.workload.hot_request_fraction = 0.0;
-  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         sim_config, writes);
-  sim.Run();
-  const WritePathStats& stats = sim.stats();
+  const SimulationResult result = RunWrites(&rig, sim_config, writes);
+  const WritePathStats& stats = result.write_path;
   ASSERT_GT(stats.writes_accepted, 100);
   EXPECT_GT(stats.dirty_updates_created, 0);
   EXPECT_LE(stats.dirty_updates_created, stats.writes_accepted);
@@ -117,9 +120,7 @@ TEST(WritePath, WriteTrafficDegradesReads) {
     Rig rig;
     WritePathConfig writes;
     writes.mean_write_interarrival_seconds = write_gap;
-    WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                           ShortSim(), writes);
-    return sim.Run();
+    return RunWrites(&rig, ShortSim(), writes);
   };
   const SimulationResult none = run(0);      // writes disabled
   const SimulationResult heavy = run(60.0);  // one write per minute
@@ -130,9 +131,7 @@ TEST(WritePath, NoWritesMatchesPlainSimulator) {
   Rig rig_a;
   WritePathConfig writes;
   writes.mean_write_interarrival_seconds = 0;  // disabled
-  WritebackSimulator with(&rig_a.jukebox, &rig_a.catalog, &rig_a.scheduler,
-                          ShortSim(), writes);
-  const SimulationResult a = with.Run();
+  const SimulationResult a = RunWrites(&rig_a, ShortSim(), writes);
 
   Rig rig_b;
   Simulator plain(&rig_b.jukebox, &rig_b.catalog, &rig_b.scheduler,
@@ -153,13 +152,11 @@ TEST(WritePath, IdleFlushCleansBufferUnderLightLoad) {
   writes.mean_write_interarrival_seconds = 300;
   SimulationConfig sim_config = ShortSim(QueuingModel::kOpen);
   sim_config.workload.mean_interarrival_seconds = 600;  // mostly idle
-  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         sim_config, writes);
-  sim.Run();
-  EXPECT_GT(sim.stats().idle_flushes, 0);
+  const SimulationResult result = RunWrites(&rig, sim_config, writes);
+  EXPECT_GT(result.write_path.idle_flushes, 0);
   // Idle cleaning keeps the buffer well under capacity.
-  EXPECT_LT(sim.stats().max_buffer_occupancy, kWriteBufferCapacityBlocks);
-  EXPECT_EQ(sim.stats().forced_flushes, 0);
+  EXPECT_LT(result.write_path.max_buffer_occupancy, kWriteBufferCapacityBlocks);
+  EXPECT_EQ(result.write_path.forced_flushes, 0);
 }
 
 TEST(WritePath, OpenModelDriveWorkFitsInRun) {
@@ -171,11 +168,9 @@ TEST(WritePath, OpenModelDriveWorkFitsInRun) {
   writes.mean_write_interarrival_seconds = 300;
   SimulationConfig sim_config = ShortSim(QueuingModel::kOpen);
   sim_config.workload.mean_interarrival_seconds = 600;
-  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         sim_config, writes);
-  const SimulationResult result = sim.Run();
-  ASSERT_GT(sim.stats().write_seconds, 0);
-  EXPECT_LE(result.counters.BusySeconds() + sim.stats().write_seconds,
+  const SimulationResult result = RunWrites(&rig, sim_config, writes);
+  ASSERT_GT(result.write_path.write_seconds, 0);
+  EXPECT_LE(result.counters.BusySeconds() + result.write_path.write_seconds,
             result.simulated_seconds);
 }
 
@@ -186,10 +181,8 @@ TEST(WritePath, ForcedFlushWhenBufferTooSmall) {
   writes.mean_write_interarrival_seconds = 5;
   writes.piggyback = false;
   writes.idle_flush = false;
-  WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                         ShortSim(), writes);
-  sim.Run();
-  EXPECT_GT(sim.stats().forced_flushes, 0);
+  const SimulationResult result = RunWrites(&rig, ShortSim(), writes);
+  EXPECT_GT(result.write_path.forced_flushes, 0);
 }
 
 TEST(WritePath, ForcedFlushWaitsUntilBufferOverCapacity) {
@@ -201,23 +194,20 @@ TEST(WritePath, ForcedFlushWaitsUntilBufferOverCapacity) {
   // run: the fixed buffer never fills, so nothing is ever flushed.
   writes.mean_write_interarrival_seconds = 2000;
   {
-    WritebackSimulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler,
-                           ShortSim(), writes);
-    sim.Run();
-    EXPECT_GT(sim.stats().max_buffer_occupancy, 0);
-    EXPECT_LE(sim.stats().max_buffer_occupancy, kWriteBufferCapacityBlocks);
-    EXPECT_EQ(sim.stats().forced_flushes, 0);
-    EXPECT_EQ(sim.stats().blocks_flushed, 0);
+    const SimulationResult result = RunWrites(&rig, ShortSim(), writes);
+    EXPECT_GT(result.write_path.max_buffer_occupancy, 0);
+    EXPECT_LE(result.write_path.max_buffer_occupancy,
+              kWriteBufferCapacityBlocks);
+    EXPECT_EQ(result.write_path.forced_flushes, 0);
+    EXPECT_EQ(result.write_path.blocks_flushed, 0);
   }
   // A write every 5 s overruns it: forced flushes start only once the
   // buffer holds more than kWriteBufferCapacityBlocks updates.
   Rig fast_rig;
   writes.mean_write_interarrival_seconds = 5;
-  WritebackSimulator sim(&fast_rig.jukebox, &fast_rig.catalog,
-                         &fast_rig.scheduler, ShortSim(), writes);
-  sim.Run();
-  EXPECT_GT(sim.stats().forced_flushes, 0);
-  EXPECT_GT(sim.stats().max_buffer_occupancy, kWriteBufferCapacityBlocks);
+  const SimulationResult result = RunWrites(&fast_rig, ShortSim(), writes);
+  EXPECT_GT(result.write_path.forced_flushes, 0);
+  EXPECT_GT(result.write_path.max_buffer_occupancy, kWriteBufferCapacityBlocks);
 }
 
 }  // namespace
